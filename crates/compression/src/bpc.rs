@@ -147,14 +147,6 @@ impl Compressor for Bpc {
     }
 }
 
-fn symbols(line: &Line) -> [u16; SYMBOLS] {
-    let mut syms = [0u16; SYMBOLS];
-    for (i, chunk) in line.chunks_exact(2).enumerate() {
-        syms[i] = u16::from_le_bytes([chunk[0], chunk[1]]);
-    }
-    syms
-}
-
 fn line_from_symbols(syms: &[u16; SYMBOLS]) -> Line {
     let mut line = [0u8; LINE_SIZE];
     for (i, sym) in syms.iter().enumerate() {
@@ -163,30 +155,108 @@ fn line_from_symbols(syms: &[u16; SYMBOLS]) -> Line {
     line
 }
 
-/// Transposes the 31 17-bit deltas into 17 planes of 31 bits
-/// (plane index 0 = delta bit 16, the MSB).
-fn delta_planes(deltas: &[i32; DELTAS]) -> [u32; DELTA_BITS] {
-    let mut planes = [0u32; DELTA_BITS];
-    for (j, &delta) in deltas.iter().enumerate() {
-        let bits = (delta as u32) & 0x1_FFFF; // 17-bit two's complement
-        for (b, plane) in planes.iter_mut().enumerate() {
-            let bit = (bits >> (DELTA_BITS - 1 - b)) & 1;
-            *plane |= bit << j;
-        }
+/// The top bit of every 16-bit lane.
+const LANE_MSB: u64 = 0x8000_8000_8000_8000;
+/// The 31 delta positions of a delta plane.
+const DELTA_MASK: u32 = (1 << DELTAS) - 1;
+
+/// The line as 8 little-endian words: word `w` holds symbols `4w..4w+4`,
+/// symbol `4w + l` in bits `16l..16l + 16`.
+fn words(line: &Line) -> [u64; 8] {
+    let mut words = [0u64; 8];
+    for (word, chunk) in words.iter_mut().zip(line.chunks_exact(8)) {
+        *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
     }
+    words
+}
+
+/// The even-indexed bytes of `w`, packed into its low 32 bits.
+fn even_bytes(w: u64) -> u64 {
+    let x = w & 0x00FF_00FF_00FF_00FF;
+    let x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
+    (x | (x >> 16)) & 0xFFFF_FFFF
+}
+
+/// Transposes the 8×8 bit matrix held one row per byte: bit `c` of byte
+/// `r` moves to bit `r` of byte `c` (Hacker's Delight §7-3).
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Bit-planes of the 32 16-bit lanes of `words`: bit `j` of `planes[k]`
+/// is bit `k` of lane `j`. Each group of 8 lanes splits into its low and
+/// high bytes, and one 8×8 transpose per byte turns 8 lanes' bits into 8
+/// plane bytes.
+fn lane_planes(words: &[u64; 8]) -> [u32; 16] {
+    let mut lo = [0u64; 4];
+    let mut hi = [0u64; 4];
+    for (g, pair) in words.chunks_exact(2).enumerate() {
+        lo[g] = transpose8(even_bytes(pair[0]) | even_bytes(pair[1]) << 32);
+        hi[g] = transpose8(even_bytes(pair[0] >> 8) | even_bytes(pair[1] >> 8) << 32);
+    }
+    let mut planes = [0u32; 16];
+    gather_bytes(&lo, &mut planes[..8]);
+    gather_bytes(&hi, &mut planes[8..]);
     planes
+}
+
+/// The 4×8 byte transpose: byte `k` of `blocks[g]` becomes byte `g` of
+/// `planes[k]`.
+fn gather_bytes(blocks: &[u64; 4], planes: &mut [u32]) {
+    const M8: u64 = 0x00FF_00FF_00FF_00FF;
+    const M16: u64 = 0x0000_FFFF_0000_FFFF;
+    let [b0, b1, b2, b3] = *blocks;
+    // 16-bit lane m: byte 2m (even) or 2m + 1 (odd) of two blocks.
+    let even01 = (b0 & M8) | ((b1 & M8) << 8);
+    let odd01 = ((b0 >> 8) & M8) | (b1 & !M8);
+    let even23 = (b2 & M8) | ((b3 & M8) << 8);
+    let odd23 = ((b2 >> 8) & M8) | (b3 & !M8);
+    // `near` holds planes `first` and `first + 4` in its 32-bit halves,
+    // `far` planes `first + 2` and `first + 6`.
+    for (first, lo01, lo23) in [(0, even01, even23), (1, odd01, odd23)] {
+        let near = (lo01 & M16) | ((lo23 & M16) << 16);
+        let far = ((lo01 >> 16) & M16) | (lo23 & !M16);
+        planes[first] = near as u32;
+        planes[first + 4] = (near >> 32) as u32;
+        planes[first + 2] = far as u32;
+        planes[first + 6] = (far >> 32) as u32;
+    }
 }
 
 /// Builds the transformed-mode planes: the base symbol plus the DBX'd
 /// delta planes (each plane XOR the next toward the LSB plane).
+///
+/// Delta `j` is `sym[j + 1] - sym[j]` as a 17-bit two's-complement
+/// value: its low 16 bits are the wrapping 16-bit difference and bit 16
+/// is the borrow out of it. Both are computed four lanes per word, then
+/// transposed into planes (plane index 0 = delta bit 16, the MSB).
 fn transformed_planes(line: &Line) -> (u16, [u32; DELTA_BITS]) {
-    let syms = symbols(line);
-    let base = syms[0];
-    let mut deltas = [0i32; DELTAS];
-    for i in 0..DELTAS {
-        deltas[i] = syms[i + 1] as i32 - syms[i] as i32;
+    let w = words(line);
+    let mut diffs = [0u64; 8];
+    let mut borrows = 0u32;
+    for i in 0..8 {
+        // Lane l of `next` is symbol 4i + l + 1; the last word's top lane
+        // has no successor and is masked off below.
+        let next = (w[i] >> 16) | w.get(i + 1).map_or(0, |n| n << 48);
+        let cur = w[i];
+        let diff = ((next | LANE_MSB) - (cur & !LANE_MSB)) ^ ((next ^ !cur) & LANE_MSB);
+        let borrow = ((!next & cur) | (!(next ^ cur) & diff)) & LANE_MSB;
+        diffs[i] = diff;
+        let nibble =
+            ((borrow >> 15) & 1) | ((borrow >> 30) & 2) | ((borrow >> 45) & 4) | (borrow >> 60);
+        borrows |= (nibble as u32) << (4 * i);
     }
-    let planes = delta_planes(&deltas);
+    let lanes = lane_planes(&diffs);
+    let mut planes = [0u32; DELTA_BITS];
+    planes[0] = borrows & DELTA_MASK;
+    for b in 1..DELTA_BITS {
+        planes[b] = lanes[DELTA_BITS - 1 - b] & DELTA_MASK;
+    }
     let mut dbx = [0u32; DELTA_BITS];
     for b in 0..DELTA_BITS {
         dbx[b] = if b + 1 < DELTA_BITS {
@@ -195,20 +265,14 @@ fn transformed_planes(line: &Line) -> (u16, [u32; DELTA_BITS]) {
             planes[b]
         };
     }
-    (base, dbx)
+    (w[0] as u16, dbx)
 }
 
-/// Builds the untransformed-mode planes: the 32 symbols' 16 bit-planes.
+/// Builds the untransformed-mode planes: the 32 symbols' 16 bit-planes
+/// (plane index 0 = symbol bit 15, the MSB).
 fn data_planes(line: &Line) -> [u32; DATA_PLANES] {
-    let syms = symbols(line);
-    let mut planes = [0u32; DATA_PLANES];
-    for (j, &sym) in syms.iter().enumerate() {
-        for (b, plane) in planes.iter_mut().enumerate() {
-            let bit = ((sym as u32) >> (DATA_PLANES - 1 - b)) & 1;
-            *plane |= bit << j;
-        }
-    }
-    planes
+    let lanes = lane_planes(&words(line));
+    std::array::from_fn(|b| lanes[DATA_PLANES - 1 - b])
 }
 
 /// Exact bit length of the transformed encoding (mode + base + planes).
@@ -320,38 +384,34 @@ fn encode_planes(w: &mut BitWriter, planes: &[u32], width: usize) {
 }
 
 /// Bit-length counterpart of [`encode_planes`]: the exact number of bits
-/// that call would emit, without touching a writer.
+/// that call would emit, without touching a writer. Zero runs are never
+/// split: a line has at most 17 planes, under the 32-plane run limit.
 fn planes_bits(planes: &[u32], width: usize) -> usize {
+    debug_assert!(planes.len() <= 32, "a zero run may not exceed 32 planes");
     let ones_mask: u32 = if width == 32 {
         u32::MAX
     } else {
         (1 << width) - 1
     };
     let mut bits = 0;
-    let mut i = 0;
-    while i < planes.len() {
-        let plane = planes[i] & ones_mask;
-        if plane == 0 {
-            let mut run = 1;
-            while i + run < planes.len() && planes[i + run] & ones_mask == 0 && run < 32 {
-                run += 1;
-            }
-            bits += 2 + 5;
-            i += run;
-            continue;
-        }
-        bits += if plane == ones_mask {
-            3
-        } else if plane.count_ones() == 1 {
-            4 + 5
-        } else if plane.count_ones() == 2 && is_two_consecutive(plane) {
-            5 + 5
-        } else {
-            1 + width
-        };
-        i += 1;
+    let mut zero_runs = 0;
+    let mut prev_zero = false;
+    for &plane in planes {
+        let plane = plane & ones_mask;
+        let lowest = plane & plane.wrapping_neg();
+        zero_runs += (plane == 0 && !prev_zero) as usize;
+        prev_zero = plane == 0;
+        // Branch-free: on a non-zero plane at most one special code
+        // applies; a zero plane costs nothing here.
+        let nonzero = (plane != 0) as usize;
+        let ones = (plane == ones_mask) as usize;
+        let single = (plane == lowest) as usize & nonzero;
+        let pair = (plane as u64 == lowest as u64 * 3) as usize & nonzero;
+        let raw = 1 + width;
+        bits +=
+            raw * nonzero - (raw - 3) * ones - (raw - (4 + 5)) * single - (raw - (5 + 5)) * pair;
     }
-    bits
+    bits + zero_runs * (2 + 5)
 }
 
 fn is_two_consecutive(plane: u32) -> bool {
@@ -506,6 +566,60 @@ mod tests {
             chunk.copy_from_slice(&v.to_le_bytes());
         }
         roundtrip(&line);
+    }
+
+    /// Bit-by-bit reference planes: delta `j` is `sym[j + 1] - sym[j]`
+    /// in 17-bit two's complement; plane `b` holds bit `16 - b` of
+    /// every delta (data planes: bit `15 - b` of every symbol).
+    fn reference_planes(line: &Line) -> (u16, [u32; DELTA_BITS], [u32; DATA_PLANES]) {
+        let sym = |i: usize| u16::from_le_bytes([line[2 * i], line[2 * i + 1]]);
+        let mut planes = [0u32; DELTA_BITS];
+        for j in 0..DELTAS {
+            let delta = ((sym(j + 1) as i32 - sym(j) as i32) as u32) & 0x1_FFFF;
+            for (b, plane) in planes.iter_mut().enumerate() {
+                *plane |= ((delta >> (DELTA_BITS - 1 - b)) & 1) << j;
+            }
+        }
+        let mut dbx = planes;
+        for b in 0..DELTA_BITS - 1 {
+            dbx[b] ^= planes[b + 1];
+        }
+        let mut data = [0u32; DATA_PLANES];
+        for j in 0..SYMBOLS {
+            for (b, plane) in data.iter_mut().enumerate() {
+                *plane |= ((sym(j) as u32 >> (DATA_PLANES - 1 - b)) & 1) << j;
+            }
+        }
+        (sym(0), dbx, data)
+    }
+
+    #[test]
+    fn word_level_planes_match_bit_by_bit_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..4096 {
+            let mut line = [0u8; LINE_SIZE];
+            for chunk in line.chunks_exact_mut(8) {
+                // Mix dense noise with sparse, narrow and saturated words
+                // so every borrow and carry pattern shows up.
+                let r = next();
+                let word = match case % 4 {
+                    0 => r,
+                    1 => r & 0x0001_0003_8000_FFFF,
+                    2 => (r % 5).wrapping_mul(0x7FFF_8001_0000_FFFF),
+                    _ => !(r & 0x00F0_000F_0F00_F000),
+                };
+                chunk.copy_from_slice(&word.to_le_bytes());
+            }
+            let (base, dbx, data) = reference_planes(&line);
+            assert_eq!(transformed_planes(&line), (base, dbx), "case {case}");
+            assert_eq!(data_planes(&line), data, "case {case}");
+        }
     }
 
     #[test]

@@ -3,20 +3,29 @@
 //! `compress_into` (scratch buffer already grown) allocates nothing.
 //!
 //! Deterministic corpus only — proptest itself allocates, which would
-//! drown the signal.
+//! drown the signal. Counting is per thread: the harness runs tests on
+//! parallel threads, and only the measuring thread's allocations count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use compresso_compression::{Bdi, Bpc, CPack, Compressor, Fpc, Line, Scratch, LINE_SIZE};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's allocations while armed; `None` when disarmed.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    // `try_with`: allocations during thread teardown are not counted.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get().map(|n| n + 1)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +34,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -33,10 +42,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations `f` makes on the calling thread.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    ALLOCATIONS.with(|count| count.set(Some(0)));
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS
+        .with(|count| count.replace(None))
+        .expect("armed above")
 }
 
 /// A mixed corpus hitting every encoder mode: zero, repeat, arithmetic,

@@ -5,6 +5,13 @@
 //! chunks of 4 sizes ([`BuddyAllocator`], a binary buddy over 4 KB
 //! blocks, which is how a real controller would avoid unbounded
 //! fragmentation).
+//!
+//! Both allocators are lazy: they keep only the blocks freed so far plus
+//! a watermark below which every block has been handed out at least
+//! once, so their size follows the allocated space, not the MPA
+//! capacity. Hand-out order is that of a full free list kept
+//! lowest-first: freed blocks are reused last-in first-out, and only
+//! then is the lowest never-used block taken.
 
 use crate::error::CompressoError;
 use crate::metadata::CHUNK_BYTES;
@@ -27,7 +34,10 @@ impl std::error::Error for OutOfMpaSpace {}
 /// 8 page sizes via 1–8 chunks).
 #[derive(Debug, Clone)]
 pub struct ChunkAllocator {
+    /// Freed chunks below `fresh`, reused last-in first-out.
     free: Vec<u32>,
+    /// Chunks `fresh..total` have never been handed out.
+    fresh: u32,
     total: u32,
     /// Telemetry mirror of `used_bytes()`.
     used_gauge: Gauge,
@@ -36,29 +46,25 @@ pub struct ChunkAllocator {
 impl ChunkAllocator {
     /// Creates an allocator over `capacity_bytes` of MPA space.
     pub fn new(capacity_bytes: u64) -> Self {
-        let total = (capacity_bytes / CHUNK_BYTES as u64) as u32;
-        // Free list kept so that low chunk ids are handed out first.
-        let free = (0..total).rev().collect();
-        Self {
-            free,
-            total,
-            used_gauge: Gauge::new(),
-        }
+        Self::rebuild(capacity_bytes, &[])
     }
 
     /// Rebuilds an allocator whose `owned` chunks are already in use —
     /// the cold-boot recovery path, where ownership is reconstructed
     /// from the journal rather than replayed through `alloc()` calls.
-    /// Free chunks are handed out lowest-first, as in [`Self::new`].
+    /// Free chunks are handed out lowest-first, as in [`Self::new`];
+    /// only the chunks below the highest owned one are listed.
     pub fn rebuild(capacity_bytes: u64, owned: &[u32]) -> Self {
         let total = (capacity_bytes / CHUNK_BYTES as u64) as u32;
+        let fresh = owned.iter().map(|&c| c + 1).max().unwrap_or(0).min(total);
         let owned_set: std::collections::HashSet<u32> = owned.iter().copied().collect();
-        let free: Vec<u32> = (0..total)
+        let free: Vec<u32> = (0..fresh)
             .rev()
             .filter(|c| !owned_set.contains(c))
             .collect();
         let a = Self {
             free,
+            fresh,
             total,
             used_gauge: Gauge::new(),
         };
@@ -78,7 +84,14 @@ impl ChunkAllocator {
     ///
     /// Returns [`OutOfMpaSpace`] when no chunks remain.
     pub fn alloc(&mut self) -> Result<u32, OutOfMpaSpace> {
-        let chunk = self.free.pop().ok_or(OutOfMpaSpace)?;
+        let chunk = match self.free.pop() {
+            Some(chunk) => chunk,
+            None if self.fresh < self.total => {
+                self.fresh += 1;
+                self.fresh - 1
+            }
+            None => return Err(OutOfMpaSpace),
+        };
         self.used_gauge.set(self.used_bytes() as i64);
         Ok(chunk)
     }
@@ -92,7 +105,7 @@ impl ChunkAllocator {
 
     /// Chunks currently allocated.
     pub fn used_chunks(&self) -> u32 {
-        self.total - self.free.len() as u32
+        self.fresh - self.free.len() as u32
     }
 
     /// Bytes currently allocated.
@@ -115,8 +128,12 @@ impl ChunkAllocator {
 /// {512 B, 1 KB, 2 KB, 4 KB}.
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
-    /// Free lists by order: order 0 = 512 B … order 3 = 4 KB.
+    /// Free lists by order: order 0 = 512 B … order 3 = 4 KB. Order 3
+    /// lists only freed blocks below `fresh`.
     free: [Vec<u64>; 4],
+    /// 4 KB blocks `fresh..blocks` have never been handed out.
+    fresh: u64,
+    blocks: u64,
     capacity: u64,
     used: u64,
     /// Telemetry mirror of `used_bytes()`.
@@ -127,25 +144,24 @@ impl BuddyAllocator {
     /// Creates a buddy allocator over `capacity_bytes` (rounded down to
     /// 4 KB).
     pub fn new(capacity_bytes: u64) -> Self {
-        let blocks = capacity_bytes / 4096;
-        let mut free: [Vec<u64>; 4] = Default::default();
-        free[3] = (0..blocks).rev().map(|b| b * 4096).collect();
-        Self {
-            free,
-            capacity: blocks * 4096,
-            used: 0,
-            used_gauge: Gauge::new(),
-        }
+        Self::rebuild(capacity_bytes, &[])
     }
 
     /// Rebuilds an allocator around blocks already owned (`(addr,
     /// bytes)` pairs) — the cold-boot recovery path. The complement is
     /// carved into maximal aligned free blocks, handed out lowest-first
     /// per order, as the equivalent alloc/free history would leave them.
+    /// Only the 4 KB blocks up to the highest owned one are carved.
     pub fn rebuild(capacity_bytes: u64, owned: &[(u64, u32)]) -> Self {
         let blocks = capacity_bytes / 4096;
+        let fresh = owned
+            .iter()
+            .map(|&(addr, _)| addr / 4096 + 1)
+            .max()
+            .unwrap_or(0)
+            .min(blocks);
         // 512 B granule occupancy bitmap.
-        let granules = (blocks * 8) as usize;
+        let granules = (fresh * 8) as usize;
         let mut busy = vec![false; granules];
         let mut used = 0u64;
         for &(addr, bytes) in owned {
@@ -166,7 +182,7 @@ impl BuddyAllocator {
                 carve(busy, first + span / 2, order - 1, free);
             }
         }
-        for b in 0..blocks as usize {
+        for b in 0..fresh as usize {
             carve(&busy, b * 8, 3, &mut free);
         }
         // `alloc` pops from the back: reverse so low addresses go first.
@@ -175,6 +191,8 @@ impl BuddyAllocator {
         }
         let a = Self {
             free,
+            fresh,
+            blocks,
             capacity: blocks * 4096,
             used,
             used_gauge: Gauge::new(),
@@ -213,6 +231,19 @@ impl BuddyAllocator {
         512u64 << order
     }
 
+    /// Takes the next free block of `order`: the last freed one, or for
+    /// 4 KB blocks the lowest never-used one.
+    fn take(&mut self, order: usize) -> Option<u64> {
+        if let Some(addr) = self.free[order].pop() {
+            return Some(addr);
+        }
+        if order == 3 && self.fresh < self.blocks {
+            self.fresh += 1;
+            return Some((self.fresh - 1) * 4096);
+        }
+        None
+    }
+
     /// Allocates a block of `bytes` (one of the 4 sizes), returning its
     /// MPA address.
     ///
@@ -224,14 +255,9 @@ impl BuddyAllocator {
     /// the four supported sizes.
     pub fn alloc(&mut self, bytes: u32) -> Result<u64, CompressoError> {
         let want = Self::order_of(bytes)?;
-        let mut order = want;
-        while order < 4 && self.free[order].is_empty() {
-            order += 1;
-        }
-        if order == 4 {
-            return Err(CompressoError::OutOfMpaSpace);
-        }
-        let addr = self.free[order].pop().expect("free list checked nonempty");
+        let (mut order, addr) = (want..4)
+            .find_map(|order| Some((order, self.take(order)?)))
+            .ok_or(CompressoError::OutOfMpaSpace)?;
         // Split down to the wanted order, pushing buddies.
         while order > want {
             order -= 1;
@@ -405,6 +431,150 @@ mod tests {
         b.free(0, 512);
         b.free(0x1000, 1024);
         assert_eq!(b.used_bytes(), 8192 - 512 - 1024);
+    }
+
+    /// The eager chunk allocator the lazy one replaces: every free chunk
+    /// listed up front, lowest on top.
+    struct EagerChunks(Vec<u32>);
+
+    impl EagerChunks {
+        fn rebuild(total: u32, owned: &[u32]) -> Self {
+            Self((0..total).rev().filter(|c| !owned.contains(c)).collect())
+        }
+    }
+
+    /// The eager buddy allocator the lazy one replaces: every 4 KB block
+    /// carved up front (the reference carve is the recursive one of
+    /// [`BuddyAllocator::rebuild`], run over the whole arena).
+    struct EagerBuddy([Vec<u64>; 4]);
+
+    impl EagerBuddy {
+        fn rebuild(blocks: u64, owned: &[(u64, u32)]) -> Self {
+            let mut busy = vec![false; blocks as usize * 8];
+            for &(addr, bytes) in owned {
+                let first = (addr / 512) as usize;
+                busy[first..first + (bytes / 512) as usize].fill(true);
+            }
+            let mut free: [Vec<u64>; 4] = Default::default();
+            fn carve(busy: &[bool], first: usize, order: usize, free: &mut [Vec<u64>; 4]) {
+                let span = 1usize << order;
+                if busy[first..first + span].iter().all(|&b| !b) {
+                    free[order].push(first as u64 * 512);
+                } else if order > 0 {
+                    carve(busy, first, order - 1, free);
+                    carve(busy, first + span / 2, order - 1, free);
+                }
+            }
+            for b in 0..blocks as usize {
+                carve(&busy, b * 8, 3, &mut free);
+            }
+            for list in free.iter_mut() {
+                list.reverse();
+            }
+            Self(free)
+        }
+
+        fn alloc(&mut self, bytes: u32) -> Option<u64> {
+            let want = bytes.trailing_zeros() as usize - 9;
+            let mut order = (want..4).find(|&o| !self.0[o].is_empty())?;
+            let addr = self.0[order].pop()?;
+            while order > want {
+                order -= 1;
+                self.0[order].push(addr + (512 << order));
+            }
+            Some(addr)
+        }
+
+        fn free(&mut self, mut addr: u64, bytes: u32) {
+            let mut order = bytes.trailing_zeros() as usize - 9;
+            while order < 3 {
+                let buddy = addr ^ (512 << order);
+                let Some(pos) = self.0[order].iter().position(|&a| a == buddy) else {
+                    break;
+                };
+                self.0[order].swap_remove(pos);
+                addr = addr.min(buddy);
+                order += 1;
+            }
+            self.0[order].push(addr);
+        }
+    }
+
+    /// A seeded xorshift stream for the schedules below.
+    fn rng(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
+    }
+
+    #[test]
+    fn lazy_chunks_hand_out_the_eager_sequence() {
+        const TOTAL: u32 = 96;
+        for seed in 1..=16u64 {
+            let mut next = rng(seed);
+            let mut lazy = ChunkAllocator::new(TOTAL as u64 * 512);
+            let mut eager = EagerChunks::rebuild(TOTAL, &[]);
+            let mut held: Vec<u32> = Vec::new();
+            for step in 0..2_000 {
+                match next(8) {
+                    // Rebuild around the current ownership, as recovery does.
+                    0 if step % 50 == 0 => {
+                        lazy = ChunkAllocator::rebuild(TOTAL as u64 * 512, &held);
+                        eager = EagerChunks::rebuild(TOTAL, &held);
+                    }
+                    0..=2 if !held.is_empty() => {
+                        let c = held.swap_remove(next(held.len() as u64) as usize);
+                        lazy.free(c);
+                        eager.0.push(c);
+                    }
+                    _ => {
+                        let got = lazy.alloc().ok();
+                        assert_eq!(got, eager.0.pop(), "seed {seed} step {step}");
+                        held.extend(got);
+                    }
+                }
+                assert_eq!(lazy.used_chunks(), TOTAL - eager.0.len() as u32);
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_buddy_hands_out_the_eager_sequence() {
+        const BLOCKS: u64 = 24;
+        for seed in 1..=16u64 {
+            let mut next = rng(seed);
+            let mut lazy = BuddyAllocator::new(BLOCKS * 4096);
+            let mut eager = EagerBuddy::rebuild(BLOCKS, &[]);
+            let mut held: Vec<(u64, u32)> = Vec::new();
+            for step in 0..2_000 {
+                match next(8) {
+                    0 if step % 50 == 0 => {
+                        lazy = BuddyAllocator::rebuild(BLOCKS * 4096, &held);
+                        eager = EagerBuddy::rebuild(BLOCKS, &held);
+                    }
+                    0..=2 if !held.is_empty() => {
+                        let (addr, bytes) = held.swap_remove(next(held.len() as u64) as usize);
+                        lazy.free(addr, bytes);
+                        eager.free(addr, bytes);
+                    }
+                    _ => {
+                        let bytes = 512 << next(4);
+                        let got = lazy.alloc(bytes).ok();
+                        assert_eq!(got, eager.alloc(bytes), "seed {seed} step {step}");
+                        held.extend(got.map(|addr| (addr, bytes)));
+                    }
+                }
+                // The eager order-3 list is the never-used blocks,
+                // highest at the bottom, under the lazy one's freed blocks.
+                let mut listed: Vec<u64> = (lazy.fresh..BLOCKS).rev().map(|b| b * 4096).collect();
+                listed.extend(&lazy.free[3]);
+                assert_eq!(lazy.free[..3], eager.0[..3], "seed {seed} step {step}");
+                assert_eq!(listed, eager.0[3], "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

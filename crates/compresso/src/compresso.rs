@@ -3,7 +3,7 @@
 
 use crate::alloc::{BuddyAllocator, ChunkAllocator};
 use crate::config::{CompressoConfig, PageAllocation};
-use crate::device::{LineSizer, MemoryDevice};
+use crate::device::{LineSizer, LineSizes, MemoryDevice};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{
@@ -82,6 +82,16 @@ enum Allocator {
     Buddy(BuddyAllocator),
 }
 
+/// One touched OSPA page: its metadata entry plus the stored sizes of
+/// its lines (see [`crate::device`]). The sizes are not part of the
+/// packed entry: a fault or fallback that rewrites `meta` leaves them
+/// alone, since the line bytes did not change.
+struct Page {
+    meta: PageMeta,
+    /// `None` on a recovered page until it is first needed.
+    sizes: Option<LineSizes>,
+}
+
 /// Compresso: compressed main memory implemented entirely in the memory
 /// controller (see crate docs).
 pub struct CompressoDevice {
@@ -90,7 +100,7 @@ pub struct CompressoDevice {
     world: Box<dyn LineSource>,
     mem: MainMemory,
     mcache: MetadataCache,
-    pages: HashMap<u64, PageMeta>,
+    pages: HashMap<u64, Page>,
     alloc: Allocator,
     /// Buddy base address per page (Variable4 only).
     buddy_base: HashMap<u64, u64>,
@@ -278,7 +288,7 @@ impl CompressoDevice {
     /// MPA bytes currently allocated to one OSPA page (excluding its
     /// 64 B metadata entry); `None` if untouched.
     pub fn page_allocated_bytes(&self, page: u64) -> Option<u32> {
-        self.pages.get(&page).map(|m| m.page_bytes)
+        self.pages.get(&page).map(|p| p.meta.page_bytes)
     }
 
     /// Fraction of MPA capacity in use — the ballooning trigger (§V-B).
@@ -293,7 +303,7 @@ impl CompressoDevice {
         if self.crashed {
             return;
         }
-        if let Some(meta) = self.pages.remove(&page) {
+        if let Some(Page { meta, .. }) = self.pages.remove(&page) {
             self.release_chunks(page, &meta);
             self.commit_page_free(page);
         }
@@ -348,7 +358,7 @@ impl CompressoDevice {
         if self.journal.is_none() || self.crashed {
             return;
         }
-        let Some(meta) = self.pages.get(&page) else {
+        let Some(Page { meta, .. }) = self.pages.get(&page) else {
             return;
         };
         let Ok(packed) = metadata_codec::try_encode(meta, &self.cfg.bins) else {
@@ -495,7 +505,21 @@ impl CompressoDevice {
     pub fn pages_snapshot(&self) -> BTreeMap<u64, [u8; PACKED_BYTES]> {
         self.pages
             .iter()
-            .filter_map(|(&p, m)| Some((p, metadata_codec::try_encode(m, &self.cfg.bins).ok()?)))
+            .filter_map(|(&p, page)| {
+                Some((
+                    p,
+                    metadata_codec::try_encode(&page.meta, &self.cfg.bins).ok()?,
+                ))
+            })
+            .collect()
+    }
+
+    /// The stored line sizes of every page that has them, ordered by
+    /// page number (see [`crate::device`]).
+    pub fn stored_sizes(&self) -> BTreeMap<u64, LineSizes> {
+        self.pages
+            .iter()
+            .filter_map(|(&p, page)| Some((p, page.sizes?)))
             .collect()
     }
 
@@ -571,7 +595,7 @@ impl CompressoDevice {
             }
             device.durable.insert(page, *packed);
             device.committed.insert(page, blocks);
-            device.pages.insert(page, meta);
+            device.pages.insert(page, Page { meta, sizes: None });
         }
         match &mut device.alloc {
             Allocator::Chunks(_) => {
@@ -607,7 +631,7 @@ impl CompressoDevice {
             }
         }
         for &p in recent.iter().rev() {
-            let uncompressed = !device.pages[&p].compressed;
+            let uncompressed = !device.pages[&p].meta.compressed;
             let _ = device.mcache.access(p, uncompressed, false);
         }
         report.prewarmed = recent.len();
@@ -690,13 +714,17 @@ impl CompressoDevice {
     // Size and layout helpers
     // ------------------------------------------------------------------
 
-    fn line_size(&mut self, line_addr: u64) -> usize {
-        self.sizer.size(self.world.as_ref(), line_addr, &self.stats)
+    fn bins_of(&self, sizes: LineSizes) -> [u8; LINES_PER_PAGE] {
+        sizes.map(|size| self.cfg.bins.quantize(size as usize).index)
     }
 
-    fn line_bin(&mut self, line_addr: u64) -> u8 {
-        let size = self.line_size(line_addr);
-        self.cfg.bins.quantize(size).index
+    /// The bins of `page`'s lines, from its stored sizes.
+    fn stored_bins(&mut self, page: u64) -> [u8; LINES_PER_PAGE] {
+        let entry = self.pages.get_mut(&page).expect("page exists");
+        let sizes = self
+            .sizer
+            .stored(&mut entry.sizes, self.world.as_ref(), page, &self.stats);
+        self.bins_of(sizes)
     }
 
     fn metadata_addr(page: u64) -> u64 {
@@ -818,14 +846,9 @@ impl CompressoDevice {
         if self.pages.contains_key(&page) {
             return;
         }
-        let mut bins = [0u8; LINES_PER_PAGE];
-        let mut all_zero = true;
-        for (line, bin) in bins.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *bin = self.line_bin(addr);
-            all_zero &= *bin == 0;
-        }
-        let meta = if all_zero {
+        let sizes = self.sizer.size_page(self.world.as_ref(), page, &self.stats);
+        let bins = self.bins_of(sizes);
+        let meta = if bins.iter().all(|&b| b == 0) {
             PageMeta::zero_page()
         } else {
             let data_bytes: u32 = bins
@@ -852,7 +875,13 @@ impl CompressoDevice {
                 Err(_) => PageMeta::zero_page(),
             }
         };
-        self.pages.insert(page, meta);
+        self.pages.insert(
+            page,
+            Page {
+                meta,
+                sizes: Some(sizes),
+            },
+        );
         self.commit_meta(page);
     }
 
@@ -883,7 +912,7 @@ impl CompressoDevice {
         let uncompressed = self
             .pages
             .get(&page)
-            .map(|m| !m.compressed)
+            .map(|p| !p.meta.compressed)
             .unwrap_or(false);
         let access = self.mcache.access(page, uncompressed, dirty);
         let mut t = now;
@@ -949,7 +978,7 @@ impl CompressoDevice {
                 self.corruption_fallback(now, page)
             }
             MetadataFault::BitFlip { bit } => {
-                let Some(meta) = self.pages.get(&page) else {
+                let Some(Page { meta, .. }) = self.pages.get(&page) else {
                     return now;
                 };
                 let original = meta.clone();
@@ -983,7 +1012,7 @@ impl CompressoDevice {
     /// rebuilds its entry). The extra traffic is charged to
     /// [`DeviceStats::fault_extra`].
     fn corruption_fallback(&mut self, now: u64, page: u64) -> u64 {
-        let Some(meta) = self.pages.get(&page).cloned() else {
+        let Some(meta) = self.pages.get(&page).map(|p| p.meta.clone()) else {
             return now;
         };
         if !meta.valid {
@@ -991,7 +1020,7 @@ impl CompressoDevice {
         }
         self.stats.corruption_fallbacks += 1;
         if meta.zero {
-            self.pages.insert(page, PageMeta::zero_page());
+            self.pages.get_mut(&page).expect("cloned above").meta = PageMeta::zero_page();
             self.commit_meta(page);
             return now;
         }
@@ -1014,7 +1043,7 @@ impl CompressoDevice {
                     t = t.max(r.complete_at);
                 }
                 self.stats.fault_extra += moves as u64;
-                let m = self.pages.get_mut(&page).expect("cloned above");
+                let m = &mut self.pages.get_mut(&page).expect("cloned above").meta;
                 m.compressed = false;
                 m.zero = false;
                 m.inflated.clear();
@@ -1028,7 +1057,7 @@ impl CompressoDevice {
                 // and release the held storage; the next writeback with
                 // real data reallocates.
                 self.release_chunks(page, &meta);
-                self.pages.insert(page, PageMeta::zero_page());
+                self.pages.get_mut(&page).expect("cloned above").meta = PageMeta::zero_page();
                 self.commit_meta(page);
                 now
             }
@@ -1042,7 +1071,7 @@ impl CompressoDevice {
     /// Metadata-cache eviction trigger: repack `page` if doing so frees at
     /// least one 512 B chunk.
     fn maybe_repack(&mut self, now: u64, page: u64) {
-        let Some(meta) = self.pages.get(&page) else {
+        let Some(Page { meta, .. }) = self.pages.get(&page) else {
             return;
         };
         if !meta.valid || meta.zero {
@@ -1050,15 +1079,10 @@ impl CompressoDevice {
         }
         let old_bytes = meta.page_bytes;
         let old_used = meta.used_bytes(&self.cfg.bins);
-        // Recompute current line sizes (harvesting underflows, inflated
-        // lines, and predictor-inflated pages).
-        let mut bins = [0u8; LINES_PER_PAGE];
-        let mut all_zero = true;
-        for (line, bin) in bins.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *bin = self.line_bin(addr);
-            all_zero &= *bin == 0;
-        }
+        // Current line bins from the stored sizes (harvesting underflows,
+        // inflated lines, and predictor-inflated pages).
+        let bins = self.stored_bins(page);
+        let all_zero = bins.iter().all(|&b| b == 0);
         let new_data: u32 = bins
             .iter()
             .map(|&b| self.cfg.bins.bin(b).bytes as u32)
@@ -1073,7 +1097,7 @@ impl CompressoDevice {
         }
         // Resize first: a refused allocation must leave the page (and the
         // stats) untouched — the repack simply does not happen.
-        let old_meta = self.pages.get(&page).expect("checked above").clone();
+        let old_meta = self.pages.get(&page).expect("checked above").meta.clone();
         let Ok(chunks) = self.resize_page(page, &old_meta, new_bytes) else {
             return;
         };
@@ -1092,7 +1116,7 @@ impl CompressoDevice {
         self.stats.repacks += 1;
         self.predictor.page_calm();
 
-        let meta = self.pages.get_mut(&page).expect("checked above");
+        let meta = &mut self.pages.get_mut(&page).expect("checked above").meta;
         meta.line_bins = bins;
         meta.inflated.clear();
         meta.zero = all_zero;
@@ -1112,12 +1136,8 @@ impl CompressoDevice {
     /// could not absorb (Fig. 5c, Option 1). Returns the cycle the page is
     /// consistent again.
     fn recompress_page(&mut self, now: u64, page: u64) -> u64 {
-        let meta = self.pages.get(&page).expect("page exists").clone();
-        let mut bins = [0u8; LINES_PER_PAGE];
-        for (line, bin) in bins.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *bin = self.line_bin(addr);
-        }
+        let meta = self.pages.get(&page).expect("page exists").meta.clone();
+        let bins = self.stored_bins(page);
         let new_data: u32 = bins
             .iter()
             .map(|&b| self.cfg.bins.bin(b).bytes as u32)
@@ -1147,7 +1167,7 @@ impl CompressoDevice {
         self.stats.overflow_extra += moves as u64;
 
         let compressed = new_data < PAGE_BYTES;
-        let meta = self.pages.get_mut(&page).expect("page exists");
+        let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
         meta.line_bins = bins;
         meta.inflated.clear();
         meta.compressed = compressed;
@@ -1162,7 +1182,7 @@ impl CompressoDevice {
     /// Returns `false` (page untouched) if the allocation was refused —
     /// the caller falls back to ordinary overflow handling.
     fn inflate_page(&mut self, now: u64, page: u64) -> bool {
-        let meta = self.pages.get(&page).expect("page exists").clone();
+        let meta = self.pages.get(&page).expect("page exists").meta.clone();
         let Ok(chunks) = self.resize_page(page, &meta, PAGE_BYTES) else {
             return false;
         };
@@ -1179,7 +1199,7 @@ impl CompressoDevice {
         self.stats.overflow_extra += moves as u64;
         self.stats.predictor_inflations += 1;
 
-        let meta = self.pages.get_mut(&page).expect("page exists");
+        let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
         meta.compressed = false;
         meta.zero = false;
         meta.inflated.clear();
@@ -1202,7 +1222,7 @@ impl Backend for CompressoDevice {
         self.ensure_page(page);
 
         let t = self.metadata_access(now, page, false);
-        let meta = self.pages.get(&page).expect("ensured");
+        let meta = &self.pages.get(&page).expect("ensured").meta;
         let location = meta.locate(line, &self.cfg.bins);
         match location {
             LineLocation::Zero => {
@@ -1286,10 +1306,16 @@ impl Backend for CompressoDevice {
 
         // The store stream changes the data.
         self.world.on_writeback(line_addr);
-        let new_size = self.line_size(line_addr);
-        let new_bin = self.cfg.bins.quantize(new_size);
+        let entry = self.pages.get_mut(&page).expect("ensured");
+        let new_size = self.sizer.resize_line(
+            &mut entry.sizes,
+            self.world.as_ref(),
+            line_addr,
+            &self.stats,
+        );
+        let new_bin = self.cfg.bins.quantize(new_size as usize);
 
-        let meta = self.pages.get(&page).expect("ensured");
+        let meta = &self.pages.get(&page).expect("ensured").meta;
         // Zero-line writeback to a zero (or any) page slot of bin 0: pure
         // metadata update.
         if new_bin.bytes == 0 && matches!(meta.locate(line, &self.cfg.bins), LineLocation::Zero) {
@@ -1307,13 +1333,13 @@ impl Backend for CompressoDevice {
                 self.stats.zero_writebacks += 1;
                 return t;
             };
-            let meta = self.pages.get_mut(&page).expect("ensured");
+            let meta = &mut self.pages.get_mut(&page).expect("ensured").meta;
             meta.zero = false;
             meta.page_bytes = page_bytes;
             meta.chunks = chunks;
             meta.line_bins = [0; LINES_PER_PAGE];
             meta.line_bins[line] = new_bin.index;
-            let meta = self.pages.get(&page).expect("ensured");
+            let meta = &self.pages.get(&page).expect("ensured").meta;
             if let LineLocation::Packed { offset, size } = meta.locate(line, &self.cfg.bins) {
                 let chunks = meta.chunks.clone();
                 for &addr in &Self::bursts(&chunks, offset, size) {
@@ -1397,7 +1423,7 @@ impl CompressoDevice {
             && self.predictor.should_inflate(page)
             && self.inflate_page(now, page)
         {
-            let meta = self.pages.get(&page).expect("page exists");
+            let meta = &self.pages.get(&page).expect("page exists").meta;
             let chunks = meta.chunks.clone();
             let bursts = Self::bursts(&chunks, line as u32 * 64, 64);
             self.mem.write(now, bursts[0]);
@@ -1405,12 +1431,12 @@ impl CompressoDevice {
             return now;
         }
 
-        let meta = self.pages.get(&page).expect("page exists");
+        let meta = &self.pages.get(&page).expect("page exists").meta;
         // Inflation room: free space and a free pointer → 1 write.
         if meta.inflated.len() < self.cfg.max_inflated && meta.free_bytes(&self.cfg.bins) >= 64 {
-            let meta = self.pages.get_mut(&page).expect("page exists");
+            let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
             meta.inflated.push(line as u8);
-            let meta = self.pages.get(&page).expect("page exists");
+            let meta = &self.pages.get(&page).expect("page exists").meta;
             if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
                 let chunks = meta.chunks.clone();
                 let bursts = Self::bursts(&chunks, offset, 64);
@@ -1433,12 +1459,12 @@ impl CompressoDevice {
             let old = meta.clone();
             let new_bytes = old.page_bytes + CHUNK_BYTES;
             if let Ok(chunks) = self.resize_page(page, &old, new_bytes) {
-                let meta = self.pages.get_mut(&page).expect("page exists");
+                let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
                 meta.chunks = chunks;
                 meta.page_bytes = new_bytes;
                 meta.inflated.push(line as u8);
                 self.stats.ir_expansions += 1;
-                let meta = self.pages.get(&page).expect("page exists");
+                let meta = &self.pages.get(&page).expect("page exists").meta;
                 if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
                     let chunks = meta.chunks.clone();
                     let bursts = Self::bursts(&chunks, offset, 64);
@@ -1452,7 +1478,7 @@ impl CompressoDevice {
 
         // Worst case: recompress the page (Fig. 5c, Option 1).
         let t = self.recompress_page(now, page);
-        let meta = self.pages.get(&page).expect("page exists");
+        let meta = &self.pages.get(&page).expect("page exists").meta;
         if let LineLocation::Packed { offset, size } = meta.locate(line, &self.cfg.bins) {
             let chunks = meta.chunks.clone();
             for (i, &addr) in Self::bursts(&chunks, offset, size).iter().enumerate() {

@@ -1,73 +1,54 @@
 //! The memory-device abstraction, the uncompressed baseline, and the
-//! shared size-only fast path ([`LineSizer`]) the compressed devices
-//! sit on.
+//! shared line-size kernel ([`LineSizer`]) the compressed devices sit on.
+//!
+//! # Stored per-page line sizes
+//!
+//! Compresso's controller learns each line's bin from its metadata entry
+//! and compresses a line again only when that line is written back
+//! (§IV-B). The compressed devices mirror that: next to each page's
+//! metadata they keep the compressed size of every line ([`LineSizes`]).
+//! The kernel runs 64 times on a page's first touch and once per
+//! writeback; repacking, full-page recompression and LCP's re-plan read
+//! the stored sizes and never run it. A recovered device has no stored
+//! sizes: it sizes a page's lines the first time it needs them.
+//!
+//! The stored sizes are exact because the device is the **sole writer**
+//! of its world: it is the only code that calls
+//! [`LineSource::on_writeback`], and it re-sizes the line right after
+//! each call. Traces stay inside the world's footprint, so an address
+//! never aliases another line's bytes, and a line's bytes change only at
+//! its own writeback. The sizes are simulator bookkeeping: they are not
+//! part of the packed 64 B entry, its CRC or the journal.
+//!
+//! The size counters in [`DeviceStats`] count this work exactly:
+//! `size_memo_misses` is the number of kernel runs, `size_memo_hits` the
+//! number of sizes served from stored state, and `size_calls` their sum.
 
 use crate::compresso::Codec;
+use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::{DeviceEvents, DeviceStats};
 use compresso_cache_sim::Backend;
-use compresso_compression::{CompressedLineRef, Scratch};
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
 use compresso_workloads::LineSource;
 
-/// Entries in the direct-mapped line-size memo (~32 K lines ≈ 2 MB of
-/// OSPA coverage per device; conflicts just recompute).
-const MEMO_ENTRIES: usize = 1 << 15;
+/// Compressed size in bytes of each line of a page (0 for an all-zero
+/// line), as of that line's last writeback.
+pub type LineSizes = [u8; LINES_PER_PAGE];
 
-/// One memo slot: the size of line `line_id` at content `generation`.
+/// The size-only kernel of one device's codec, shared by
+/// [`crate::CompressoDevice`] and [`crate::LcpDevice`]. Every kernel run
+/// and every size served from stored state is counted in the device's
+/// [`DeviceEvents`] (see the [module documentation](self)).
 #[derive(Debug, Clone, Copy)]
-struct MemoEntry {
-    line_id: u64,
-    generation: u64,
-    size: u8,
-    valid: bool,
-}
-
-const EMPTY_MEMO_ENTRY: MemoEntry = MemoEntry {
-    line_id: 0,
-    generation: 0,
-    size: 0,
-    valid: false,
-};
-
-/// The per-device size-only compression fast path shared by
-/// [`crate::CompressoDevice`] and [`crate::LcpDevice`].
-///
-/// Every fill/writeback/repack sizing goes through [`LineSizer::size`]:
-/// a direct-mapped memo keyed by line address and tagged with the line's
-/// *content generation* (bumped by the world on every write) answers
-/// re-sizings of untouched lines; misses run the codec's allocation-free
-/// size kernel. A stale tag can never be read — any write changes the
-/// generation, so the tag comparison fails and the size is recomputed.
-/// Conflict eviction only costs a recompute (the kernel is pure), so the
-/// memo is behaviorally invisible.
-///
-/// The embedded [`Scratch`] backs [`LineSizer::encode`], the only full-
-/// encode route on a device; it counts into
-/// `codec.size_fastpath.full_encode.total`, which device hot paths keep
-/// at zero.
 pub struct LineSizer {
     codec: Codec,
-    memo: Box<[MemoEntry]>,
-    scratch: Scratch,
-}
-
-impl std::fmt::Debug for LineSizer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LineSizer")
-            .field("codec", &self.codec)
-            .finish_non_exhaustive()
-    }
 }
 
 impl LineSizer {
-    /// Creates a sizer for `codec` with a cold memo.
+    /// Creates a sizer for `codec`.
     pub fn new(codec: Codec) -> Self {
-        Self {
-            codec,
-            memo: vec![EMPTY_MEMO_ENTRY; MEMO_ENTRIES].into_boxed_slice(),
-            scratch: Scratch::new(),
-        }
+        Self { codec }
     }
 
     /// The codec this sizer runs.
@@ -75,46 +56,60 @@ impl LineSizer {
         self.codec
     }
 
-    /// Compressed size in bytes of the line at `line_addr` (0 for an
-    /// all-zero line), memoized per (line, content generation).
-    pub fn size(&mut self, world: &dyn LineSource, line_addr: u64, events: &DeviceEvents) -> usize {
+    /// Runs the kernel on the current bytes of the line at `line_addr`:
+    /// its compressed size in bytes, 0 for an all-zero line.
+    pub fn size(&self, world: &dyn LineSource, line_addr: u64, events: &DeviceEvents) -> u8 {
         events.size_calls.add(1);
-        let line_id = line_addr / 64;
-        let generation = world.generation(line_addr);
-        let slot = (line_id as usize) & (MEMO_ENTRIES - 1);
-        let entry = &self.memo[slot];
-        if entry.valid && entry.line_id == line_id && entry.generation == generation {
-            events.size_memo_hits.add(1);
-            return entry.size as usize;
-        }
         events.size_memo_misses.add(1);
         let data = world.line_data(line_addr);
-        let size = if compresso_compression::is_zero_line(&data) {
+        if compresso_compression::is_zero_line(&data) {
             0
         } else {
-            self.codec.compressed_size(&data)
-        };
-        self.memo[slot] = MemoEntry {
-            line_id,
-            generation,
-            size: size as u8,
-            valid: true,
-        };
-        size
+            self.codec.compressed_size(&data) as u8
+        }
     }
 
-    /// Fully encodes the line at `line_addr` into the embedded scratch
-    /// buffer (zero-allocation once warm). Not used by the fill/writeback
-    /// paths — the `full_encode` counter proves it.
-    pub fn encode(
-        &mut self,
+    /// Runs the kernel on every line of `page`.
+    pub fn size_page(&self, world: &dyn LineSource, page: u64, events: &DeviceEvents) -> LineSizes {
+        let base = page * PAGE_BYTES as u64;
+        std::array::from_fn(|line| self.size(world, base + line as u64 * 64, events))
+    }
+
+    /// The sizes of `page`'s lines, served from `stored`; a page without
+    /// stored sizes (recovered, not yet needed) is sized now.
+    pub fn stored(
+        &self,
+        stored: &mut Option<LineSizes>,
+        world: &dyn LineSource,
+        page: u64,
+        events: &DeviceEvents,
+    ) -> LineSizes {
+        if let Some(sizes) = stored {
+            events.size_calls.add(LINES_PER_PAGE as u64);
+            events.size_memo_hits.add(LINES_PER_PAGE as u64);
+            return *sizes;
+        }
+        *stored.insert(self.size_page(world, page, events))
+    }
+
+    /// Re-sizes the line at `line_addr` after its writeback, updating
+    /// the page's `stored` sizes, and returns its new size.
+    pub fn resize_line(
+        &self,
+        stored: &mut Option<LineSizes>,
         world: &dyn LineSource,
         line_addr: u64,
         events: &DeviceEvents,
-    ) -> CompressedLineRef<'_> {
-        events.size_full_encodes.add(1);
-        let data = world.line_data(line_addr);
-        self.codec.compress_into(&data, &mut self.scratch)
+    ) -> u8 {
+        let page = line_addr / PAGE_BYTES as u64;
+        let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
+        match stored {
+            Some(sizes) => {
+                sizes[line] = self.size(world, line_addr, events);
+                sizes[line]
+            }
+            None => stored.insert(self.size_page(world, page, events))[line],
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::alloc::BuddyAllocator;
 use crate::compresso::{alloc_buddy_with_retry, Codec};
-use crate::device::{LineSizer, MemoryDevice};
+use crate::device::{LineSizer, LineSizes, MemoryDevice};
 use crate::faultkit::{FaultPlan, FaultStats};
 use crate::journal::{
     self, AppendOutcome, DurabilityEvents, Journal, JournalRecord, LcpImage, PageImage,
@@ -24,7 +24,7 @@ use compresso_compression::BinSet;
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
 use compresso_workloads::LineSource;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Cycles charged for an OS page fault on a page overflow (an OS-aware
 /// system must trap to remap the page; ~1.7 µs at 3 GHz).
@@ -40,6 +40,9 @@ struct LcpMeta {
     base: u64,
     zero_lines: [bool; LINES_PER_PAGE],
     all_zero: bool,
+    /// Stored line sizes (see [`crate::device`]): not part of the
+    /// journaled image; `None` on a recovered page until first needed.
+    sizes: Option<LineSizes>,
 }
 
 /// The LCP / LCP+Align baseline device.
@@ -154,8 +157,18 @@ impl LcpDevice {
         self.faults.as_ref().map(|f| f.stats())
     }
 
-    fn line_size(&mut self, line_addr: u64) -> usize {
-        self.sizer.size(self.world.as_ref(), line_addr, &self.stats)
+    /// The data world (e.g. to inspect versions in tests).
+    pub fn world(&self) -> &dyn LineSource {
+        self.world.as_ref()
+    }
+
+    /// The stored line sizes of every page that has them, ordered by
+    /// page number (see [`crate::device`]).
+    pub fn stored_sizes(&self) -> BTreeMap<u64, LineSizes> {
+        self.pages
+            .iter()
+            .filter_map(|(&p, meta)| Some((p, meta.sizes?)))
+            .collect()
     }
 
     fn page_fit(bytes: u32) -> u32 {
@@ -174,14 +187,9 @@ impl LcpDevice {
         if self.pages.contains_key(&page) {
             return;
         }
-        let mut sizes = [0usize; LINES_PER_PAGE];
-        let mut zero_lines = [false; LINES_PER_PAGE];
-        for (line, size) in sizes.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *size = self.line_size(addr);
-            zero_lines[line] = *size == 0;
-        }
-        let plan = plan(&sizes, &self.bins);
+        let sizes = self.sizer.size_page(self.world.as_ref(), page, &self.stats);
+        let zero_lines = sizes.map(|size| size == 0);
+        let plan = plan(&sizes.map(usize::from), &self.bins);
         let all_zero = plan.target == 0;
         let page_bytes = Self::page_fit(plan.needed_bytes);
         let base = if page_bytes == 0 {
@@ -207,6 +215,7 @@ impl LcpDevice {
                             base: 0,
                             zero_lines: [true; LINES_PER_PAGE],
                             all_zero: true,
+                            sizes: Some(sizes),
                         },
                     );
                     self.commit_lcp(page);
@@ -222,6 +231,7 @@ impl LcpDevice {
                 base,
                 zero_lines,
                 all_zero,
+                sizes: Some(sizes),
             },
         );
         self.commit_lcp(page);
@@ -256,12 +266,11 @@ impl LcpDevice {
     /// [`DeviceStats::fault_extra`] (corruption recovery) instead of
     /// `overflow_extra`.
     fn replan_page(&mut self, now: u64, page: u64, fault: bool) -> u64 {
-        let mut sizes = [0usize; LINES_PER_PAGE];
-        for (line, size) in sizes.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *size = self.line_size(addr);
-        }
-        let new_plan = plan(&sizes, &self.bins);
+        let meta = self.pages.get_mut(&page).expect("page exists");
+        let sizes = self
+            .sizer
+            .stored(&mut meta.sizes, self.world.as_ref(), page, &self.stats);
+        let new_plan = plan(&sizes.map(usize::from), &self.bins);
         let new_bytes = Self::page_fit(new_plan.needed_bytes);
         // Allocate the new frame before freeing the old one, so a refused
         // allocation leaves the page's layout intact.
@@ -305,9 +314,7 @@ impl LcpDevice {
         meta.page_bytes = new_bytes;
         meta.base = new_base;
         meta.all_zero = new_bytes == 0;
-        for (line, size) in sizes.iter().enumerate() {
-            meta.zero_lines[line] = *size == 0;
-        }
+        meta.zero_lines = sizes.map(|size| size == 0);
         self.commit_lcp(page);
         // The OS trap dominates the latency of an OS-aware overflow.
         t + OS_PAGE_FAULT_CYCLES
@@ -498,6 +505,7 @@ impl LcpDevice {
                     base: img.base,
                     zero_lines,
                     all_zero: img.all_zero,
+                    sizes: None,
                 },
             );
             device.committed.insert(page, blocks.clone());
@@ -689,8 +697,10 @@ impl Backend for LcpDevice {
         self.drain_eviction_storm(t);
 
         self.world.on_writeback(line_addr);
-        let new_size = self.line_size(line_addr);
         let meta = self.pages.get_mut(&page).expect("ensured");
+        let new_size =
+            self.sizer
+                .resize_line(&mut meta.sizes, self.world.as_ref(), line_addr, &self.stats);
 
         if new_size == 0 {
             meta.zero_lines[line] = true;

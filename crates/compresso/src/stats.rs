@@ -78,7 +78,6 @@ device_events! {
     size_calls => "codec.size_fastpath.call.total",
     size_memo_hits => "codec.size_fastpath.memo_hit.total",
     size_memo_misses => "codec.size_fastpath.memo_miss.total",
-    size_full_encodes => "codec.size_fastpath.full_encode.total",
 }
 
 /// Counters shared by all [`crate::MemoryDevice`] implementations.
@@ -158,17 +157,15 @@ pub struct DeviceStats {
     /// `MpaController::on_balloon_retry`.
     pub balloon_retries: u64,
 
-    /// Size-only fast-path invocations (every fill/writeback/repack line
-    /// sizing goes through [`crate::LineSizer`]).
+    /// Line sizes the device consumed: `size_memo_hits +
+    /// size_memo_misses` (see [`crate::device`]).
     pub size_calls: u64,
-    /// Size queries answered by the direct-mapped memo without touching
-    /// the line data or the kernel.
+    /// Line sizes served from the page's stored sizes, without touching
+    /// the line data or the kernel (repack, recompression, re-plan).
     pub size_memo_hits: u64,
-    /// Size queries that ran the size-only kernel (memo tag mismatch).
+    /// Size-kernel runs: one per line on a page's first touch (or first
+    /// need after recovery) and one per writeback.
     pub size_memo_misses: u64,
-    /// Full (payload-materializing) encodes reached from the device size
-    /// path. Must stay zero: the hot path is size-only by construction.
-    pub size_full_encodes: u64,
 }
 
 impl DeviceStats {
@@ -308,10 +305,6 @@ mod tests {
         assert_eq!(
             snap.counter("compresso.codec.size_fastpath.memo_miss.total"),
             Some(2)
-        );
-        assert_eq!(
-            snap.counter("compresso.codec.size_fastpath.full_encode.total"),
-            Some(0)
         );
     }
 

@@ -4,12 +4,15 @@
 //! seed (the whole point of a deterministic [`FaultPlan`]).
 
 use compresso_cache_sim::Backend;
+use compresso_compression::{is_zero_line, Bpc, Compressor};
+use compresso_core::device::LineSizes;
 use compresso_core::{
     CompressoConfig, CompressoDevice, DeviceStats, FaultPlan, FaultStats, LcpDevice, MemoryDevice,
     PageAllocation,
 };
-use compresso_workloads::{benchmark, DataWorld, PAGE_BYTES};
+use compresso_workloads::{benchmark, DataWorld, Evolution, LineSource, PAGE_BYTES};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn world(name: &str) -> DataWorld {
     DataWorld::new(&benchmark(name).expect("paper benchmark"))
@@ -211,12 +214,152 @@ fn journaled_chaos_crashes_and_recovers() {
     assert_eq!(recovered.device_stats().corruption_undetected, 0);
 }
 
+/// A fresh kernel sizing of every line of `page` in `world` (0 for an
+/// all-zero line): the oracle for the devices' stored sizes.
+fn fresh_sizes(world: &dyn LineSource, page: u64) -> LineSizes {
+    let bpc = Bpc::new();
+    std::array::from_fn(|line| {
+        let data = world.line_data(page * PAGE_BYTES + line as u64 * 64);
+        if is_zero_line(&data) {
+            0
+        } else {
+            bpc.compressed_size(&data) as u8
+        }
+    })
+}
+
+/// Every touched page has stored sizes, and they equal a fresh sizing
+/// of the world's current bytes.
+fn assert_sizes_fresh(
+    label: &str,
+    world: &dyn LineSource,
+    stored: &BTreeMap<u64, LineSizes>,
+    touched_bytes: u64,
+) {
+    assert_eq!(
+        stored.len() as u64 * PAGE_BYTES,
+        touched_bytes,
+        "{label}: every touched page stores its line sizes"
+    );
+    for (&page, sizes) in stored {
+        assert_eq!(
+            *sizes,
+            fresh_sizes(world, page),
+            "{label}: page {page} stored sizes are stale"
+        );
+    }
+}
+
+/// A write regime that drives repacking: GemsFDTD's improving pages are
+/// written until they compress better (underflows), then a sweep over
+/// the footprint thrashes the metadata cache so evictions repack them.
+/// Every address stays inside the footprint.
+fn drive_regime<B: Backend>(device: &mut B) {
+    let profile = benchmark("GemsFDTD").expect("paper benchmark");
+    let w = DataWorld::new(&profile);
+    let footprint = profile.footprint_pages as u64;
+    let improving: Vec<u64> = (0..footprint)
+        .filter(|&p| w.evolution_of(p * PAGE_BYTES) == Evolution::Improving)
+        .take(24)
+        .collect();
+    let mut t = 0;
+    for _ in 0..4 {
+        for &page in &improving {
+            for line in 0..64u64 {
+                t = device.writeback(t, page * PAGE_BYTES + line * 64).max(t);
+            }
+        }
+    }
+    for page in 0..1800u64 {
+        t = device.fill(t, (page % footprint) * PAGE_BYTES).max(t);
+    }
+}
+
 #[test]
-fn size_memo_never_masks_durable_rot_corruption() {
-    // The line-size memo is tagged by (line, content generation); any
-    // durable-rot bit flip or metadata fault that lands after a size is
-    // memoized must still surface through the entry CRC on the next
-    // access — a stale memo hit must never paper over corruption.
+fn stored_line_sizes_match_a_fresh_sizing() {
+    // Chaos: faults rewrite metadata, degrade pages and refuse
+    // allocations, but never change line bytes, so stored sizes stay
+    // exact.
+    let mut d = CompressoDevice::new(CompressoConfig::compresso(), world("soplex"));
+    d.inject_faults(FaultPlan::aggressive(0x5EED_0FD0));
+    drive_chaos(&mut d, 48, 3);
+    assert_sizes_fresh(
+        "compresso-chaos",
+        d.world(),
+        &d.stored_sizes(),
+        d.touched_ospa_bytes(),
+    );
+    for align in [false, true] {
+        let mut l = if align {
+            LcpDevice::lcp_align(world("soplex"))
+        } else {
+            LcpDevice::lcp(world("soplex"))
+        };
+        l.inject_faults(FaultPlan::aggressive(0x5EED_0FD0));
+        drive_chaos(&mut l, 48, 3);
+        assert_sizes_fresh(
+            l.device_name(),
+            l.world(),
+            &l.stored_sizes(),
+            l.touched_ospa_bytes(),
+        );
+    }
+
+    // The repack regime, fault-free.
+    let gems = || world("GemsFDTD");
+    let mut d = CompressoDevice::new(CompressoConfig::compresso(), gems());
+    drive_regime(&mut d);
+    assert!(d.device_stats().repacks > 0, "the regime must repack");
+    assert_sizes_fresh(
+        "compresso-regime",
+        d.world(),
+        &d.stored_sizes(),
+        d.touched_ospa_bytes(),
+    );
+    for mut l in [LcpDevice::lcp(gems()), LcpDevice::lcp_align(gems())] {
+        drive_regime(&mut l);
+        assert_sizes_fresh(
+            l.device_name(),
+            l.world(),
+            &l.stored_sizes(),
+            l.touched_ospa_bytes(),
+        );
+    }
+
+    // A recovered device stores nothing until it needs a page, then
+    // sizes it from the world's current bytes.
+    let mut d = CompressoDevice::new(CompressoConfig::durable(), world("soplex"));
+    drive_chaos(&mut d, 48, 2);
+    let journal = d.journal_bytes().expect("journaling on").to_vec();
+    let mut written = world("soplex");
+    for round in 0..2u64 {
+        for page in 0..48u64 {
+            for line in (0..64u64).filter(|line| (line + round) % 3 == 0) {
+                written.on_writeback(page * PAGE_BYTES + line * 64);
+            }
+        }
+    }
+    let (mut r, report) =
+        CompressoDevice::recover(CompressoConfig::durable(), Box::new(written), &journal);
+    assert!(report.is_clean(), "{:?}", report.violations);
+    assert!(r.stored_sizes().is_empty());
+    drive_chaos(&mut r, 48, 1);
+    let stored = r.stored_sizes();
+    assert!(!stored.is_empty(), "writebacks size their pages");
+    for (&page, sizes) in &stored {
+        assert_eq!(
+            *sizes,
+            fresh_sizes(r.world(), page),
+            "recovered page {page}"
+        );
+    }
+}
+
+#[test]
+fn durable_rot_is_detected_with_stored_sizes() {
+    // Stored sizes live outside the packed entry and its CRC: a
+    // durable-rot bit flip or metadata fault must still surface through
+    // the CRC on the next access.
     let mut d = CompressoDevice::new(CompressoConfig::durable(), world("soplex"));
     d.inject_faults(FaultPlan::aggressive(0x5EED_0FD0));
     drive_chaos(&mut d, 48, 3);
@@ -228,30 +371,45 @@ fn size_memo_never_masks_durable_rot_corruption() {
     );
     assert!(
         dev.corruption_detected > 0,
-        "rot must surface as detected corruption with the memo enabled ({dev:?})"
+        "rot must surface as detected corruption ({dev:?})"
     );
     assert_eq!(
         dev.corruption_undetected, 0,
-        "a stale memo hit must never mask a metadata fault"
+        "stored sizes must never mask a metadata fault"
     );
-    // Fast-path accounting: every size query is exactly one memo hit or
-    // miss, the chaos re-reads actually exercise the memo, and the
-    // device never falls back to the allocating encode path.
-    assert!(dev.size_calls > 0, "chaos must query line sizes");
-    assert_eq!(
-        dev.size_calls,
-        dev.size_memo_hits + dev.size_memo_misses,
-        "size calls must split exactly into hits and misses"
-    );
-    assert!(
-        dev.size_memo_hits > 0,
-        "repeated accesses to clean lines must hit the memo"
-    );
-    assert_eq!(
-        dev.size_full_encodes, 0,
-        "device hot paths are size-only; no full encodes expected"
-    );
-    assert_consistent("memo-durable-rot", &dev, &faults);
+    assert_consistent("stored-sizes-durable-rot", &dev, &faults);
+}
+
+#[test]
+fn kernel_runs_once_per_line_per_content_version() {
+    // On a fixed schedule the kernel runs exactly 64 times per
+    // first-touched page and once per writeback; everything else
+    // (repacks, recompressions, re-plans) reads stored sizes.
+    let gems = || world("GemsFDTD");
+    let mut c = CompressoDevice::new(CompressoConfig::compresso(), gems());
+    drive_regime(&mut c);
+    let mut l = LcpDevice::lcp(gems());
+    drive_regime(&mut l);
+    let mut a = LcpDevice::lcp_align(gems());
+    drive_regime(&mut a);
+    for device in [&c as &dyn MemoryDevice, &l, &a] {
+        let s = device.device_stats();
+        let pages = device.touched_ospa_bytes() / PAGE_BYTES;
+        let label = device.device_name();
+        assert_eq!(
+            s.size_memo_misses,
+            64 * pages + s.demand_writebacks,
+            "{label}: kernel runs"
+        );
+        assert_eq!(
+            s.size_calls,
+            s.size_memo_hits + s.size_memo_misses,
+            "{label}"
+        );
+        assert_eq!(s.size_memo_hits % 64, 0, "{label}: whole pages served");
+    }
+    let s = c.device_stats();
+    assert!(s.repacks > 0 && s.size_memo_hits >= 64 * s.repacks);
 }
 
 proptest! {
