@@ -15,9 +15,15 @@
 //! race: a 2-bit mode header selects zero-line / transformed /
 //! untransformed-bit-plane / raw.
 //!
-//! The size-only path runs the same race over *plane lengths*: both plane
-//! sets are built on the stack and costed with [`planes_bits`], never
-//! serialized.
+//! The size-only path ([`Bpc::compressed_size`]) runs the same race
+//! without building planes. A plane's code depends only on its class
+//! (zero, all-ones, one 1, two adjacent 1s, other), and each class is a
+//! reduction over the lanes at one bit position: OR, AND, "at least two
+//! lanes", "at least three lanes" and "two neighbouring lanes". The
+//! kernel computes these for all 16 bit positions at once, SWAR over the
+//! line's 8 little-endian words, for the symbols and for the DBX'd
+//! deltas (`Classes`). The encoder builds and costs real planes
+//! and is the reference the kernel is tested against.
 //!
 //! # Code table
 //!
@@ -134,10 +140,11 @@ impl Compressor for Bpc {
         if crate::is_zero_line(line) {
             return 1; // 2-bit mode header
         }
-        let (base, dbx) = transformed_planes(line);
-        let planes = data_planes(line);
-        let t_bits = transformed_bits(base, &dbx);
-        let p_bits = 2 + planes_bits(&planes, SYMBOLS);
+        let w = words(line);
+        let base = w[0] as u16;
+        let base_bits = if base == 0 { 1 } else { 1 + 16 };
+        let t_bits = 2 + base_bits + Classes::of_deltas(&w).bits(DELTAS, DELTA_PLANES);
+        let p_bits = 2 + Classes::of_lanes(&w, 0).bits(SYMBOLS, LANE_PLANES);
         let best = t_bits.min(p_bits);
         if best >= LINE_SIZE * 8 {
             LINE_SIZE // raw fallback
@@ -225,6 +232,122 @@ fn gather_bytes(blocks: &[u64; 4], planes: &mut [u32]) {
         planes[first + 4] = (near >> 32) as u32;
         planes[first + 2] = far as u32;
         planes[first + 6] = (far >> 32) as u32;
+    }
+}
+
+/// Bit `k` set for each of the 16 lane bit-planes.
+const LANE_PLANES: u32 = 0xFFFF;
+/// The 16 DBX planes of the delta low bits plus, at bit 16, the plane
+/// that mixes in the borrow.
+const DELTA_PLANES: u32 = 0x1_FFFF;
+/// The lowest bit of every 16-bit lane.
+const LANE_LSB: u64 = 0x0001_0001_0001_0001;
+/// Lane 31, the last word's top lane.
+const LAST_LANE: u64 = 0xFFFF << 48;
+
+/// The code-table class of every plane of a plane set, as masks with one
+/// bit per plane: plane `k` is zero unless `any` has bit `k`, all-ones if
+/// `all` has it, a single 1 if `two` lacks it, and two adjacent 1s if
+/// `two` and `adjacent` have it but `three` does not. The size kernel
+/// costs a plane set from these masks alone, without building planes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Classes {
+    /// Some lane has the bit.
+    any: u32,
+    /// Every lane has the bit.
+    all: u32,
+    /// At least two lanes have the bit.
+    two: u32,
+    /// At least three lanes have the bit.
+    three: u32,
+    /// Two neighbouring lanes both have the bit.
+    adjacent: u32,
+}
+
+impl Classes {
+    /// The classes of the 16 bit-planes of the 32 lanes held in `words`
+    /// (lane `4w + l` in bits `16l..16l + 16` of word `w`). Bits set in
+    /// `pad` count as set for `all` only: a lane that is not part of the
+    /// set is zero in `words` and all-ones in `pad`.
+    ///
+    /// The reductions run over the 8 words with each of a word's four
+    /// 16-bit fields keeping its own saturating lane count (1, ≥2, ≥3),
+    /// then fold the four fields into one.
+    fn of_lanes(words: &[u64; 8], pad: u64) -> Classes {
+        let (mut one, mut two, mut three, mut adjacent) = (0u64, 0u64, 0u64, 0u64);
+        for (i, &x) in words.iter().enumerate() {
+            three |= two & x;
+            two |= one & x;
+            one |= x;
+            // Field l of `next` holds lane 4i + l + 1.
+            let next = (x >> 16) | words.get(i + 1).map_or(0, |n| n << 48);
+            adjacent |= x & next;
+        }
+        let mut all = words[..7].iter().fold(words[7] | pad, |a, &x| a & x);
+        for shift in [32, 16] {
+            three |= (three >> shift) | (two & (one >> shift)) | (one & (two >> shift));
+            two |= (two >> shift) | (one & (one >> shift));
+            one |= one >> shift;
+            all &= all >> shift;
+            adjacent |= adjacent >> shift;
+        }
+        let low = |x: u64| (x & 0xFFFF) as u32;
+        Classes {
+            any: low(one),
+            all: low(all),
+            two: low(two),
+            three: low(three),
+            adjacent: low(adjacent),
+        }
+    }
+
+    /// The classes of the transformed-mode planes of the line held in
+    /// `words`. Plane `k < 16` is bit `k` of `y = d ^ (d << 1)` over the
+    /// 31 wrapping 16-bit deltas `d` (the DBX of delta bits `k` and
+    /// `k - 1`); plane 16 is borrow ⊕ delta bit 15, gathered into one
+    /// 31-bit plane and classified directly.
+    fn of_deltas(words: &[u64; 8]) -> Classes {
+        let mut y = [0u64; 8];
+        let mut top = 0u32;
+        for i in 0..8 {
+            // Lane l of `next` is symbol 4i + l + 1; the last word's top
+            // lane has no successor and is masked off below.
+            let next = (words[i] >> 16) | words.get(i + 1).map_or(0, |n| n << 48);
+            let cur = words[i];
+            let diff = ((next | LANE_MSB) - (cur & !LANE_MSB)) ^ ((next ^ !cur) & LANE_MSB);
+            let borrow = ((!next & cur) | (!(next ^ cur) & diff)) & LANE_MSB;
+            y[i] = diff ^ ((diff << 1) & !LANE_LSB);
+            let msb = (borrow ^ diff) & LANE_MSB;
+            let nibble = ((msb >> 15) & 1) | ((msb >> 30) & 2) | ((msb >> 45) & 4) | (msb >> 60);
+            top |= (nibble as u32) << (4 * i);
+        }
+        y[7] &= !LAST_LANE;
+        let top = top & DELTA_MASK;
+        let mut classes = Classes::of_lanes(&y, LAST_LANE);
+        let flag = |set: bool| (set as u32) << 16;
+        classes.any |= flag(top != 0);
+        classes.all |= flag(top == DELTA_MASK);
+        classes.two |= flag(top.count_ones() >= 2);
+        classes.three |= flag(top.count_ones() >= 3);
+        classes.adjacent |= flag(top & (top >> 1) != 0);
+        classes
+    }
+
+    /// Exact bit length of [`encode_planes`] over the planes in
+    /// `planes`, each `width` bits wide, emitted from the highest plane
+    /// down. A zero run is counted at its first (highest) plane.
+    fn bits(self, width: usize, planes: u32) -> usize {
+        let single = self.any & !self.two;
+        let pair = self.two & !self.three & self.adjacent;
+        let raw = self.any & !(self.all | single | pair);
+        let zero = !self.any & planes;
+        let runs = zero & !(zero >> 1);
+        let count = |mask: u32| mask.count_ones() as usize;
+        3 * count(self.all)
+            + (4 + 5) * count(single)
+            + (5 + 5) * count(pair)
+            + (1 + width) * count(raw)
+            + (2 + 5) * count(runs)
     }
 }
 
@@ -619,6 +742,91 @@ mod tests {
             let (base, dbx, data) = reference_planes(&line);
             assert_eq!(transformed_planes(&line), (base, dbx), "case {case}");
             assert_eq!(data_planes(&line), data, "case {case}");
+        }
+    }
+
+    /// Single and adjacent-pair planes at both ends of `lanes` lanes,
+    /// all-ones, and their inversions.
+    fn edge_planes(lanes: u32) -> Vec<u32> {
+        let ones = u32::MAX >> (32 - lanes);
+        let mut planes = vec![ones];
+        for p in [0, 1, lanes - 3, lanes - 2, lanes - 1] {
+            planes.push(1 << p);
+            planes.push(0b11 << p.min(lanes - 2));
+        }
+        let inverted: Vec<u32> = planes[1..].iter().map(|p| !p & ones).collect();
+        planes.extend(inverted);
+        planes
+    }
+
+    /// The class bit of plane `k` that `plane` must set, checked against
+    /// `classes`.
+    fn assert_class(classes: Classes, k: usize, plane: u32, ones: u32) {
+        let bit = |mask: u32| mask >> k & 1 == 1;
+        assert!(bit(classes.any), "plane {k} {plane:#x}: not non-zero");
+        assert_eq!(bit(classes.all), plane == ones, "plane {k} {plane:#x}: all");
+        assert_eq!(bit(classes.two), plane.count_ones() >= 2, "plane {k}");
+        assert_eq!(bit(classes.three), plane.count_ones() >= 3, "plane {k}");
+        assert_eq!(bit(classes.adjacent), plane & plane >> 1 != 0, "plane {k}");
+    }
+
+    #[test]
+    fn lane_classes_reach_every_code_table_edge() {
+        for k in 0..16 {
+            for plane in edge_planes(32) {
+                // Only plane k is non-zero: zero runs on either side of
+                // it, or at one end when k is 0 or 15.
+                let syms = std::array::from_fn(|j| ((plane >> j & 1) as u16) << k);
+                let line = line_from_symbols(&syms);
+                let classes = Classes::of_lanes(&words(&line), 0);
+                assert_eq!(classes.any, 1 << k);
+                assert_class(classes, k, plane, u32::MAX);
+                roundtrip(&line);
+            }
+        }
+    }
+
+    #[test]
+    fn delta_classes_reach_every_code_table_edge() {
+        for k in 0..16 {
+            for plane in edge_planes(31) {
+                for base in [0u16, 0x8000, 0xBEEF] {
+                    // y = d ^ (d << 1) has only plane k set; d is y's
+                    // prefix XOR.
+                    let mut syms = [base; SYMBOLS];
+                    for j in 0..DELTAS {
+                        let d = ((plane >> j & 1) as u16) << k;
+                        let d = (0..16).fold(0u16, |acc, s| acc ^ d << s);
+                        syms[j + 1] = syms[j].wrapping_add(d);
+                    }
+                    let line = line_from_symbols(&syms);
+                    let classes = Classes::of_deltas(&words(&line));
+                    assert_eq!(classes.any & LANE_PLANES, 1 << k);
+                    assert_class(classes, k, plane, DELTA_MASK);
+                    roundtrip(&line);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn borrow_plane_classes() {
+        // The top plane holds borrow ⊕ delta bit 15: set exactly where
+        // a symbol rises by at least 0x8000 or falls by more. It is never
+        // the only non-zero plane, since y = 0 forces d = 0 and so no
+        // borrow. Jumps between 0 and 0xFFFF at chosen lanes put it in
+        // every class.
+        for plane in edge_planes(31) {
+            let mut syms = [0u16; SYMBOLS];
+            for j in 0..DELTAS {
+                let jump = plane >> j & 1 == 1;
+                syms[j + 1] = if jump { !syms[j] } else { syms[j] };
+            }
+            let classes = Classes::of_deltas(&words(&line_from_symbols(&syms)));
+            assert_class(classes, 16, plane, DELTA_MASK);
+            for offset in [0, 1, 0x8000, 0xBEEF] {
+                roundtrip(&line_from_symbols(&syms.map(|s| s.wrapping_add(offset))));
+            }
         }
     }
 

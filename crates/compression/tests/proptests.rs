@@ -7,14 +7,16 @@ use compresso_compression::{
 };
 use proptest::prelude::*;
 
+fn line_from_symbols(syms: &[u16; 32]) -> Line {
+    let mut line = [0u8; LINE_SIZE];
+    for (i, s) in syms.iter().enumerate() {
+        line[2 * i..2 * i + 2].copy_from_slice(&s.to_le_bytes());
+    }
+    line
+}
+
 fn arb_line() -> impl Strategy<Value = Line> {
-    prop::array::uniform32(any::<u16>()).prop_map(|syms| {
-        let mut line = [0u8; LINE_SIZE];
-        for (i, s) in syms.iter().enumerate() {
-            line[2 * i..2 * i + 2].copy_from_slice(&s.to_le_bytes());
-        }
-        line
-    })
+    prop::array::uniform32(any::<u16>()).prop_map(|syms| line_from_symbols(&syms))
 }
 
 /// Structured lines: more likely to exercise the compressible paths than
@@ -33,6 +35,55 @@ fn arb_structured_line() -> impl Strategy<Value = Line> {
             }
             line
         })
+}
+
+/// A bit-plane of `lanes` lanes on an edge of BPC's code table, chosen
+/// by `r`: zero, all-ones, a single 1 or two adjacent 1s at either end of
+/// the lanes, their inversions, or arbitrary bits. Zero planes are
+/// common so that zero runs reach both ends of a plane set.
+fn edge_plane(r: u64, lanes: u32) -> u32 {
+    let ones = u32::MAX >> (32 - lanes);
+    let end = [0, 1, lanes - 3, lanes - 2, lanes - 1][(r >> 8) as usize % 5];
+    let pair = 0b11 << end.min(lanes - 2);
+    match r % 12 {
+        0..=3 => 0,
+        4 => ones,
+        5 | 6 => 1 << end,
+        7 | 8 => pair,
+        9 => !(1 << end) & ones,
+        10 => !pair & ones,
+        _ => (r >> 32) as u32 & ones,
+    }
+}
+
+/// Lane `j` of 16 planes: bit `k` is bit `j` of `planes[k]`.
+fn lane(planes: &[u32], j: usize) -> u16 {
+    (0..16).fold(0, |x, k| x | ((planes[k] >> j & 1) as u16) << k)
+}
+
+/// Lines built plane by plane, reaching plane sets random bytes never
+/// produce. Untransformed: plane `k` is bit `k` of the 32 symbols.
+/// Transformed: plane `k` is bit `k` of `d ^ (d << 1)` over the 31
+/// wrapping 16-bit deltas `d`, summed from a base of 0, 0x8000 or any;
+/// the borrow-mixed top plane follows from the deltas and the base.
+fn arb_plane_line() -> impl Strategy<Value = Line> {
+    prop::collection::vec(any::<u64>(), 18).prop_map(|r| {
+        if r[16] % 2 == 0 {
+            let planes: Vec<u32> = r[..16].iter().map(|&x| edge_plane(x, 32)).collect();
+            return line_from_symbols(&std::array::from_fn(|j| lane(&planes, j)));
+        }
+        let planes: Vec<u32> = r[..16].iter().map(|&x| edge_plane(x, 31)).collect();
+        let mut syms = [[0, 0x8000, (r[17] >> 16) as u16][r[17] as usize % 3]; 32];
+        for j in 0..31 {
+            // Undo d ^ (d << 1): bit k of d is the XOR of y's bits 0..=k.
+            let mut d = lane(&planes, j);
+            for shift in [1, 2, 4, 8] {
+                d ^= d << shift;
+            }
+            syms[j + 1] = syms[j].wrapping_add(d);
+        }
+        line_from_symbols(&syms)
+    })
 }
 
 fn roundtrips<C: Compressor>(c: &C, line: &Line) {
@@ -161,6 +212,11 @@ proptest! {
     #[test]
     fn size_kernels_agree_structured(line in arb_structured_line()) {
         size_kernels_agree(&line);
+    }
+
+    #[test]
+    fn bpc_size_kernel_agrees_on_plane_edges(line in arb_plane_line()) {
+        size_kernel_agrees(&Bpc::new(), &line);
     }
 
     #[test]

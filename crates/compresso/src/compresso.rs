@@ -16,7 +16,7 @@ use crate::metadata_codec::{self, CRC_OFFSET, PACKED_BYTES};
 use crate::predictor::OverflowPredictor;
 use crate::stats::{DeviceEvents, DeviceStats};
 use compresso_cache_sim::Backend;
-use compresso_compression::{Bdi, Bpc, CompressedLineRef, Compressor, Fpc, Line, Scratch};
+use compresso_compression::{Bdi, BinSet, Bpc, CompressedLineRef, Compressor, Fpc, Line, Scratch};
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
 use compresso_workloads::LineSource;
@@ -90,6 +90,19 @@ struct Page {
     meta: PageMeta,
     /// `None` on a recovered page until it is first needed.
     sizes: Option<LineSizes>,
+    /// The bin bytes of `sizes`, summed: the data bytes the page would
+    /// hold once repacked (Fig. 3's tracked free space). Kept with
+    /// `sizes` and meaningful only while they are stored. It is 0
+    /// exactly when every line is zero, since only bin 0 is empty.
+    binned: u32,
+}
+
+/// The bin bytes of lines of compressed `sizes`, summed.
+fn binned_bytes(bins: &BinSet, sizes: &[u8]) -> u32 {
+    sizes
+        .iter()
+        .map(|&size| bins.quantize(size as usize).bytes as u32)
+        .sum()
 }
 
 /// Compresso: compressed main memory implemented entirely in the memory
@@ -523,6 +536,17 @@ impl CompressoDevice {
             .collect()
     }
 
+    /// The tracked sum of bin bytes of every page with stored sizes,
+    /// ordered by page number: the data bytes each page would hold once
+    /// repacked, kept up to date at every re-size.
+    pub fn stored_binned_bytes(&self) -> BTreeMap<u64, u32> {
+        self.pages
+            .iter()
+            .filter(|(_, page)| page.sizes.is_some())
+            .map(|(&p, page)| (p, page.binned))
+            .collect()
+    }
+
     /// Journal-committed block ownership, `addr → (page, bytes)`,
     /// ordered by address.
     pub fn owners_snapshot(&self) -> BTreeMap<u64, (u64, u32)> {
@@ -595,7 +619,14 @@ impl CompressoDevice {
             }
             device.durable.insert(page, *packed);
             device.committed.insert(page, blocks);
-            device.pages.insert(page, Page { meta, sizes: None });
+            device.pages.insert(
+                page,
+                Page {
+                    meta,
+                    sizes: None,
+                    binned: 0,
+                },
+            );
         }
         match &mut device.alloc {
             Allocator::Chunks(_) => {
@@ -718,12 +749,17 @@ impl CompressoDevice {
         sizes.map(|size| self.cfg.bins.quantize(size as usize).index)
     }
 
-    /// The bins of `page`'s lines, from its stored sizes.
+    /// The bins of `page`'s lines, from its stored sizes. A page sized
+    /// now (recovered) gets its bin-byte sum too.
     fn stored_bins(&mut self, page: u64) -> [u8; LINES_PER_PAGE] {
         let entry = self.pages.get_mut(&page).expect("page exists");
+        let fresh = entry.sizes.is_none();
         let sizes = self
             .sizer
             .stored(&mut entry.sizes, self.world.as_ref(), page, &self.stats);
+        if fresh {
+            entry.binned = binned_bytes(&self.cfg.bins, &sizes);
+        }
         self.bins_of(sizes)
     }
 
@@ -848,13 +884,10 @@ impl CompressoDevice {
         }
         let sizes = self.sizer.size_page(self.world.as_ref(), page, &self.stats);
         let bins = self.bins_of(sizes);
-        let meta = if bins.iter().all(|&b| b == 0) {
+        let data_bytes = binned_bytes(&self.cfg.bins, &sizes);
+        let meta = if data_bytes == 0 {
             PageMeta::zero_page()
         } else {
-            let data_bytes: u32 = bins
-                .iter()
-                .map(|&b| self.cfg.bins.bin(b).bytes as u32)
-                .sum();
             // A page whose lines are all 64 B bins carries no compression:
             // store it raw, which also makes its metadata eligible for the
             // half-entry optimization (§IV-B5).
@@ -880,6 +913,7 @@ impl CompressoDevice {
             Page {
                 meta,
                 sizes: Some(sizes),
+                binned: data_bytes,
             },
         );
         self.commit_meta(page);
@@ -1071,7 +1105,7 @@ impl CompressoDevice {
     /// Metadata-cache eviction trigger: repack `page` if doing so frees at
     /// least one 512 B chunk.
     fn maybe_repack(&mut self, now: u64, page: u64) {
-        let Some(Page { meta, .. }) = self.pages.get(&page) else {
+        let Some(Page { meta, sizes, .. }) = self.pages.get(&page) else {
             return;
         };
         if !meta.valid || meta.zero {
@@ -1079,22 +1113,20 @@ impl CompressoDevice {
         }
         let old_bytes = meta.page_bytes;
         let old_used = meta.used_bytes(&self.cfg.bins);
-        // Current line bins from the stored sizes (harvesting underflows,
-        // inflated lines, and predictor-inflated pages).
-        let bins = self.stored_bins(page);
-        let all_zero = bins.iter().all(|&b| b == 0);
-        let new_data: u32 = bins
-            .iter()
-            .map(|&b| self.cfg.bins.bin(b).bytes as u32)
-            .sum();
-        let new_bytes = if all_zero {
-            0
-        } else {
-            self.cfg.allocation.fit(new_data.max(1))
-        };
+        if sizes.is_none() {
+            // Recovered: size the page, which sets its tracked sum.
+            self.stored_bins(page);
+        }
+        // The tracked free space decides without reading the line sizes.
+        let new_data = self.pages[&page].binned;
+        let new_bytes = self.cfg.allocation.fit(new_data);
         if new_bytes + CHUNK_BYTES > old_bytes {
             return; // would not free a chunk: not worth the movement
         }
+        // Current line bins from the stored sizes (harvesting underflows,
+        // inflated lines, and predictor-inflated pages).
+        let bins = self.stored_bins(page);
+        let all_zero = new_data == 0;
         // Resize first: a refused allocation must leave the page (and the
         // stats) untouched — the repack simply does not happen.
         let old_meta = self.pages.get(&page).expect("checked above").meta.clone();
@@ -1307,12 +1339,21 @@ impl Backend for CompressoDevice {
         // The store stream changes the data.
         self.world.on_writeback(line_addr);
         let entry = self.pages.get_mut(&page).expect("ensured");
+        let old_size = entry.sizes.map(|sizes| sizes[line]);
         let new_size = self.sizer.resize_line(
             &mut entry.sizes,
             self.world.as_ref(),
             line_addr,
             &self.stats,
         );
+        let bins = &self.cfg.bins;
+        entry.binned = match old_size {
+            Some(old) => {
+                entry.binned + binned_bytes(bins, &[new_size]) - binned_bytes(bins, &[old])
+            }
+            // A recovered page was sized whole just now.
+            None => binned_bytes(bins, entry.sizes.as_ref().expect("sized")),
+        };
         let new_bin = self.cfg.bins.quantize(new_size as usize);
 
         let meta = &self.pages.get(&page).expect("ensured").meta;

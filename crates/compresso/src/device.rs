@@ -20,9 +20,17 @@
 //! its own writeback. The sizes are simulator bookkeeping: they are not
 //! part of the packed 64 B entry, its CRC or the journal.
 //!
+//! Compresso also tracks, per page, the sum of its stored sizes' bin
+//! bytes: the data bytes the page would hold once repacked (the
+//! free-space field of Fig. 3). It is set when a page is sized whole and
+//! updated at each writeback re-size, so the repack trigger reads the
+//! stored sizes only when repacking will free a chunk.
+//!
 //! The size counters in [`DeviceStats`] count this work exactly:
 //! `size_memo_misses` is the number of kernel runs, `size_memo_hits` the
-//! number of sizes served from stored state, and `size_calls` their sum.
+//! number of sizes served from stored state (64 per read of a page's
+//! stored sizes), and `size_calls` their sum. A repack check decided by
+//! the tracked sum reads no sizes and counts nothing.
 
 use crate::compresso::Codec;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};

@@ -228,6 +228,27 @@ fn fresh_sizes(world: &dyn LineSource, page: u64) -> LineSizes {
     })
 }
 
+/// Compresso's tracked bin-byte sum of every page with stored sizes
+/// equals a recount of those sizes.
+fn assert_binned_recount(label: &str, d: &CompressoDevice) {
+    let bins = &d.config().bins;
+    let stored = d.stored_sizes();
+    let recount: BTreeMap<u64, u32> = stored
+        .iter()
+        .map(|(&page, sizes)| {
+            let bytes = sizes
+                .iter()
+                .map(|&s| bins.quantize(s as usize).bytes as u32);
+            (page, bytes.sum())
+        })
+        .collect();
+    assert_eq!(
+        d.stored_binned_bytes(),
+        recount,
+        "{label}: tracked free space"
+    );
+}
+
 /// Every touched page has stored sizes, and they equal a fresh sizing
 /// of the world's current bytes.
 fn assert_sizes_fresh(
@@ -255,21 +276,31 @@ fn assert_sizes_fresh(
 /// the footprint thrashes the metadata cache so evictions repack them.
 /// Every address stays inside the footprint.
 fn drive_regime<B: Backend>(device: &mut B) {
-    let profile = benchmark("GemsFDTD").expect("paper benchmark");
-    let w = DataWorld::new(&profile);
-    let footprint = profile.footprint_pages as u64;
+    let mut t = 0;
+    for addr in regime_writebacks() {
+        t = device.writeback(t, addr).max(t);
+    }
+    drive_reads(device, t);
+}
+
+/// The regime's writebacks: four rounds over every line of 24 GemsFDTD
+/// pages whose data improves.
+fn regime_writebacks() -> Vec<u64> {
+    let w = world("GemsFDTD");
+    let footprint = w.page_count() as u64;
     let improving: Vec<u64> = (0..footprint)
         .filter(|&p| w.evolution_of(p * PAGE_BYTES) == Evolution::Improving)
         .take(24)
         .collect();
-    let mut t = 0;
-    for _ in 0..4 {
-        for &page in &improving {
-            for line in 0..64u64 {
-                t = device.writeback(t, page * PAGE_BYTES + line * 64).max(t);
-            }
-        }
-    }
+    let round = improving
+        .iter()
+        .flat_map(|&page| (0..64u64).map(move |line| page * PAGE_BYTES + line * 64));
+    round.cycle().take(4 * 24 * 64).collect()
+}
+
+/// Reads of 1800 GemsFDTD pages from `t`: enough to evict metadata.
+fn drive_reads<B: Backend>(device: &mut B, mut t: u64) {
+    let footprint = world("GemsFDTD").page_count() as u64;
     for page in 0..1800u64 {
         t = device.fill(t, (page % footprint) * PAGE_BYTES).max(t);
     }
@@ -289,6 +320,7 @@ fn stored_line_sizes_match_a_fresh_sizing() {
         &d.stored_sizes(),
         d.touched_ospa_bytes(),
     );
+    assert_binned_recount("compresso-chaos", &d);
     for align in [false, true] {
         let mut l = if align {
             LcpDevice::lcp_align(world("soplex"))
@@ -316,6 +348,7 @@ fn stored_line_sizes_match_a_fresh_sizing() {
         &d.stored_sizes(),
         d.touched_ospa_bytes(),
     );
+    assert_binned_recount("compresso-regime", &d);
     for mut l in [LcpDevice::lcp(gems()), LcpDevice::lcp_align(gems())] {
         drive_regime(&mut l);
         assert_sizes_fresh(
@@ -353,6 +386,29 @@ fn stored_line_sizes_match_a_fresh_sizing() {
             "recovered page {page}"
         );
     }
+    assert_binned_recount("compresso-recovered", &r);
+
+    // Reads alone on a recovered device: metadata-cache evictions run the
+    // repack check, which sizes recovered pages and sets their tracked
+    // sums.
+    let mut d = CompressoDevice::new(CompressoConfig::durable(), gems());
+    drive_regime(&mut d);
+    let journal = d.journal_bytes().expect("journaling on").to_vec();
+    let mut written = gems();
+    for addr in regime_writebacks() {
+        written.on_writeback(addr);
+    }
+    let (mut r, report) =
+        CompressoDevice::recover(CompressoConfig::durable(), Box::new(written), &journal);
+    assert!(report.is_clean(), "{:?}", report.violations);
+    let recovered: Vec<u64> = r.pages_snapshot().into_keys().collect();
+    drive_reads(&mut r, 0);
+    let stored = r.stored_sizes();
+    assert!(
+        recovered.iter().any(|page| stored.contains_key(page)),
+        "evictions size recovered pages"
+    );
+    assert_binned_recount("compresso-recovered-reads", &r);
 }
 
 #[test]

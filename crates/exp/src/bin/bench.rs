@@ -3,11 +3,12 @@
 //!
 //! The cell grid is frozen — six benchmarks spanning the
 //! compressibility range × the four evaluated systems — so cells/sec is
-//! comparable across commits. CI runs this with `--baseline
-//! BENCH_compresso.json` and fails when throughput regresses more than
-//! 20% against the committed baseline (`--max-regress` overrides the
-//! threshold; wall-clock noise on shared runners is why the margin is
-//! wide).
+//! comparable across commits. CI builds the merge-base and the change on
+//! the same runner, runs both with identical flags, and passes the
+//! base's document as `--baseline`: the run fails when throughput
+//! regresses more than 20% (`--max-regress` overrides the threshold;
+//! wall-clock noise on shared runners is why the margin is wide). A
+//! baseline that ran with other `ops`, `jobs` or cell count is refused.
 //!
 //! Flags: `--ops N` (memory ops per cell, default 20000), `--jobs N`,
 //! `--out <path>` (default `BENCH_compresso.json`), `--baseline <path>`,
@@ -18,7 +19,7 @@
 
 use compresso_exp::{arg_usize, params_banner, run_grid, SweepCell, SweepOptions, SystemKind};
 use compresso_telemetry::{
-    json, write_bench, BenchCell, BenchDoc, HistogramSnapshot, MetricValue, Snapshot,
+    json, write_bench, BenchCell, BenchDoc, HistogramSnapshot, JsonValue, MetricValue, Snapshot,
 };
 
 /// Benchmarks spanning the compressibility range (highly compressible
@@ -36,6 +37,29 @@ fn merged_histogram(cells: &[(String, Snapshot)], name: &str) -> Option<Histogra
         }
     }
     merged
+}
+
+/// The baseline's cells/sec, provided it ran with this run's
+/// parameters.
+fn baseline_rate(path: &str, doc: &BenchDoc) -> Result<f64, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let base = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let field = |key: &str| base.get(key).and_then(JsonValue::as_u64);
+    for (key, ours) in [("ops", doc.ops), ("jobs", doc.jobs), ("cells", doc.cells)] {
+        match field(key) {
+            Some(theirs) if theirs == ours => {}
+            Some(theirs) => {
+                return Err(format!(
+                    "{path} ran with {key} = {theirs}, this run with {ours}: not comparable"
+                ))
+            }
+            None => return Err(format!("{path}: missing `{key}`; not comparable")),
+        }
+    }
+    base.get("cells_per_sec")
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("{path}: missing cells_per_sec"))
 }
 
 fn main() {
@@ -122,18 +146,21 @@ fn main() {
 
     // Fleet-wide summaries: end-to-end latency histograms merged across
     // every cell, plus the headline event totals CI plots over time.
-    let mut summaries = Vec::new();
+    let mut summaries: Vec<(std::sync::Arc<str>, MetricValue)> = Vec::new();
     for name in ["backend.fill.latency", "backend.writeback.latency"] {
         if let Some(h) = merged_histogram(&snaps, name) {
             summaries.push((
-                format!("bench.{}", &name["backend.".len()..]),
-                MetricValue::Histogram(h),
+                format!("bench.{}", &name["backend.".len()..]).into(),
+                MetricValue::Histogram(Box::new(h)),
             ));
         }
     }
     for counter in ["compresso.page_overflow.total", "compresso.repack.total"] {
         let total: u64 = snaps.iter().filter_map(|(_, s)| s.counter(counter)).sum();
-        summaries.push((format!("bench.{counter}"), MetricValue::Counter(total)));
+        summaries.push((
+            format!("bench.{counter}").into(),
+            MetricValue::Counter(total),
+        ));
     }
     summaries.sort_by(|a, b| a.0.cmp(&b.0));
 
@@ -141,6 +168,7 @@ fn main() {
     let doc = BenchDoc {
         bench: "sweep".to_string(),
         jobs: opts.jobs as u64,
+        ops: ops as u64,
         cells: total_cells as u64,
         wall_millis,
         cells_per_sec,
@@ -158,15 +186,7 @@ fn main() {
     }
 
     if let Some(base_path) = baseline {
-        let base = std::fs::read_to_string(&base_path)
-            .map_err(|e| format!("cannot read baseline {base_path}: {e}"))
-            .and_then(|text| json::parse(&text).map_err(|e| format!("{base_path}: {e}")))
-            .and_then(|doc| {
-                doc.get("cells_per_sec")
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| format!("{base_path}: missing cells_per_sec"))
-            });
-        let base_rate = match base {
+        let base_rate = match baseline_rate(&base_path, &doc) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -189,7 +209,7 @@ fn main() {
         }
         if cells_per_sec > base_rate * (1.0 + max_regress) {
             println!(
-                "note: throughput improved {:.1}% — consider refreshing the committed baseline",
+                "note: throughput improved {:.1}% over the baseline",
                 (cells_per_sec / base_rate - 1.0) * 100.0
             );
         }

@@ -139,6 +139,7 @@ fn bench_doc_round_trips_through_validator() {
     let doc = BenchDoc {
         bench: "sweep".into(),
         jobs: 2,
+        ops: 8000,
         cells: 3,
         wall_millis: 120,
         cells_per_sec: 25.0,
@@ -160,4 +161,5 @@ fn bench_doc_round_trips_through_validator() {
     let parsed = json::parse(&text).expect("bench JSON parses");
     assert_eq!(validate_bench_doc(&parsed), Vec::<String>::new(), "{text}");
     assert_eq!(parsed.get("cells_per_sec").unwrap().as_f64(), Some(25.0));
+    assert_eq!(parsed.get("ops").unwrap().as_u64(), Some(8000));
 }

@@ -185,10 +185,11 @@ pub fn render_bench(doc: &BenchDoc) -> String {
     let _ = write!(
         out,
         "{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"bench\": \"{}\",\n  \
-         \"jobs\": {},\n  \"cells\": {},\n  \"wall_millis\": {},\n  \
+         \"jobs\": {},\n  \"ops\": {},\n  \"cells\": {},\n  \"wall_millis\": {},\n  \
          \"cells_per_sec\": {},\n  \"per_cell\": [",
         escape(&doc.bench),
         doc.jobs,
+        doc.ops,
         doc.cells,
         doc.wall_millis,
         fmt_f64(doc.cells_per_sec)

@@ -7,9 +7,13 @@
 //! ordering — metrics never synchronize simulator state, they only
 //! count it, and the sweep engine joins worker threads before reading.
 
+use crate::registry::intern;
+use std::collections::BTreeSet;
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+static BOUNDS: Mutex<BTreeSet<Arc<[u64]>>> = Mutex::new(BTreeSet::new());
 
 /// Monotonic event counter.
 ///
@@ -102,7 +106,9 @@ pub struct LatencyHistogram {
 
 #[derive(Debug)]
 struct HistInner {
-    bounds: Vec<u64>,
+    /// Interned: every histogram with these bounds, and every snapshot
+    /// of one, shares them.
+    bounds: Arc<[u64]>,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -122,7 +128,7 @@ impl LatencyHistogram {
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Self {
             inner: Arc::new(HistInner {
-                bounds: bounds.to_vec(),
+                bounds: intern(&BOUNDS, bounds),
                 buckets,
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
@@ -171,7 +177,7 @@ impl LatencyHistogram {
     /// Plain-data copy of the current distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            bounds: self.inner.bounds.clone(),
+            bounds: Arc::clone(&self.inner.bounds),
             counts: self
                 .inner
                 .buckets
@@ -188,9 +194,9 @@ impl LatencyHistogram {
 /// Plain-data view of a [`LatencyHistogram`] at one instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Ascending bucket upper bounds; `counts` has one extra overflow
-    /// bucket at the end.
-    pub bounds: Vec<u64>,
+    /// Ascending bucket upper bounds, shared with the histogram;
+    /// `counts` has one extra overflow bucket at the end.
+    pub bounds: Arc<[u64]>,
     /// Per-bucket sample counts (`bounds.len() + 1` entries).
     pub counts: Vec<u64>,
     /// Total samples recorded.

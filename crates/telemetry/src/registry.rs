@@ -1,8 +1,36 @@
 //! Name → metric registry with deterministic, ordered snapshots.
+//!
+//! Metric names and histogram bounds are interned process-wide: every
+//! registry, and every snapshot taken of it, shares one allocation per
+//! distinct name or bound set. A sweep builds a registry per cell and
+//! may keep each cell's snapshots, so a retained snapshot holds only
+//! reference counts and values.
 
 use crate::metric::{Counter, Gauge, HistogramSnapshot, LatencyHistogram};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
+
+static NAMES: Mutex<BTreeSet<Arc<str>>> = Mutex::new(BTreeSet::new());
+
+/// The shared copy of `value` in `set`, added on first use. The set
+/// grows only with the number of distinct values.
+pub(crate) fn intern<T: Ord + ?Sized>(set: &Mutex<BTreeSet<Arc<T>>>, value: &T) -> Arc<T>
+where
+    Arc<T>: for<'a> From<&'a T>,
+{
+    let mut set = set.lock().expect("intern set poisoned");
+    if let Some(shared) = set.get(value) {
+        return shared.clone();
+    }
+    let shared = Arc::from(value);
+    set.insert(Arc::clone(&shared));
+    shared
+}
+
+/// The process-wide shared copy of the metric name `name`.
+fn intern_name(name: &str) -> Arc<str> {
+    intern(&NAMES, name)
+}
 
 /// A registered metric handle (shared with the component that updates
 /// it).
@@ -19,7 +47,7 @@ pub enum Metric {
 /// determinism fingerprints byte-stable.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
+    metrics: Arc<Mutex<BTreeMap<Arc<str>, Metric>>>,
 }
 
 impl Registry {
@@ -46,7 +74,7 @@ impl Registry {
         self.metrics
             .lock()
             .expect("registry poisoned")
-            .insert(name.to_string(), metric);
+            .insert(intern_name(name), metric);
     }
 
     /// Number of registered metrics.
@@ -68,7 +96,7 @@ impl Registry {
                     let value = match m {
                         Metric::Counter(c) => MetricValue::Counter(c.get()),
                         Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                        Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                     };
                     (name.clone(), value)
                 })
@@ -77,19 +105,21 @@ impl Registry {
     }
 }
 
-/// Snapshotted value of one metric.
+/// Snapshotted value of one metric. A histogram is boxed so that the
+/// common counter entries stay two words wide.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
     Counter(u64),
     Gauge(i64),
-    Histogram(HistogramSnapshot),
+    Histogram(Box<HistogramSnapshot>),
 }
 
 /// Ordered, plain-data snapshot of a whole registry at one instant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// `(name, value)` pairs sorted by name.
-    pub metrics: Vec<(String, MetricValue)>,
+    /// `(name, value)` pairs sorted by name; names are interned (see the
+    /// [module documentation](self)).
+    pub metrics: Vec<(Arc<str>, MetricValue)>,
 }
 
 impl Snapshot {
@@ -97,7 +127,7 @@ impl Snapshot {
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.metrics
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| **n == *name)
             .and_then(|(_, v)| match v {
                 MetricValue::Counter(c) => Some(*c),
                 _ => None,
@@ -107,7 +137,7 @@ impl Snapshot {
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.metrics
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| **n == *name)
             .and_then(|(_, v)| match v {
                 MetricValue::Gauge(g) => Some(*g),
                 _ => None,
@@ -117,9 +147,9 @@ impl Snapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.metrics
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| **n == *name)
             .and_then(|(_, v)| match v {
-                MetricValue::Histogram(h) => Some(h),
+                MetricValue::Histogram(h) => Some(&**h),
                 _ => None,
             })
     }
@@ -131,7 +161,7 @@ impl Snapshot {
             metrics: self
                 .metrics
                 .iter()
-                .map(|(n, v)| (format!("{prefix}.{n}"), v.clone()))
+                .map(|(n, v)| (intern_name(&format!("{prefix}.{n}")), v.clone()))
                 .collect(),
         }
     }
@@ -139,7 +169,7 @@ impl Snapshot {
     /// Merges snapshots (already disjointly named) into one, re-sorted
     /// by name.
     pub fn merged(parts: &[Snapshot]) -> Snapshot {
-        let mut metrics: Vec<(String, MetricValue)> = parts
+        let mut metrics: Vec<(Arc<str>, MetricValue)> = parts
             .iter()
             .flat_map(|s| s.metrics.iter().cloned())
             .collect();
@@ -160,7 +190,7 @@ mod tests {
         reg.register_counter("z.last", &b);
         reg.register_counter("a.first", &a);
         let snap = reg.snapshot();
-        let names: Vec<&str> = snap.metrics.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = snap.metrics.iter().map(|(n, _)| &**n).collect();
         assert_eq!(names, vec!["a.first", "z.last"]);
     }
 
@@ -197,6 +227,6 @@ mod tests {
         assert_eq!(s.counter("lcp.hits"), Some(1));
         let merged = Snapshot::merged(&[s.clone(), reg.snapshot().prefixed("compresso")]);
         assert_eq!(merged.metrics.len(), 2);
-        assert_eq!(merged.metrics[0].0, "compresso.hits");
+        assert_eq!(&*merged.metrics[0].0, "compresso.hits");
     }
 }

@@ -70,6 +70,8 @@ pub struct BenchDoc {
     pub bench: String,
     /// Sweep worker threads used.
     pub jobs: u64,
+    /// Memory ops per cell.
+    pub ops: u64,
     /// Number of sweep cells executed.
     pub cells: u64,
     /// End-to-end wall time of the sweep.
@@ -229,6 +231,7 @@ pub fn validate_bench_doc(doc: &JsonValue) -> Vec<String> {
     }
     expect_str(doc, "bench", &mut errs);
     expect_u64(doc, "jobs", &mut errs);
+    expect_u64(doc, "ops", &mut errs);
     expect_u64(doc, "cells", &mut errs);
     expect_u64(doc, "wall_millis", &mut errs);
     match doc.get("cells_per_sec").and_then(|v| v.as_f64()) {
@@ -297,15 +300,17 @@ mod tests {
 
     #[test]
     fn bench_doc_validation() {
-        let good = parse(
-            r#"{"schema":"compresso.bench.v1","bench":"sweep","jobs":2,"cells":4,
-                "wall_millis":100,"cells_per_sec":40.0,
-                "per_cell":[{"label":"a","millis":25}],
-                "summaries":{"fill":{"type":"histogram","bounds":[1],"counts":[1,0],
-                "count":1,"sum":1,"max":1,"p50":1,"p95":1,"p99":1}}}"#,
-        )
-        .expect("parses");
+        let text = r#"{"schema":"compresso.bench.v1","bench":"sweep","jobs":2,"ops":8000,
+            "cells":4,"wall_millis":100,"cells_per_sec":40.0,
+            "per_cell":[{"label":"a","millis":25}],
+            "summaries":{"fill":{"type":"histogram","bounds":[1],"counts":[1,0],
+            "count":1,"sum":1,"max":1,"p50":1,"p95":1,"p99":1}}}"#;
+        let good = parse(text).expect("parses");
         assert_eq!(validate_bench_doc(&good), Vec::<String>::new());
+        let no_ops = parse(&text.replace(r#""ops":8000,"#, "")).expect("parses");
+        assert!(validate_bench_doc(&no_ops)
+            .iter()
+            .any(|e| e.contains("`ops`")));
         let bad = parse(r#"{"schema":"compresso.bench.v1","cells_per_sec":0}"#).expect("parses");
         assert!(!validate_bench_doc(&bad).is_empty());
     }
