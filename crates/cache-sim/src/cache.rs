@@ -34,15 +34,6 @@ struct CacheEvents {
     writebacks: Counter,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic use stamp; smallest is the LRU victim.
-    used: u64,
-}
-
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheAccess {
@@ -54,10 +45,22 @@ pub struct CacheAccess {
 
 /// A single cache level.
 ///
-/// Addresses are byte addresses; lines are 64 B.
+/// Addresses are byte addresses; lines are 64 B. The ways are stored
+/// flat and set-major: way `w` of set `s` is slot `s * assoc + w` of
+/// `keys` and `stamps`.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Way>>,
+    /// Per slot: 0 when the way is invalid, else its line's tag + 1.
+    keys: Vec<u64>,
+    /// Per slot: the way's last-use stamp, 0 when invalid. Valid stamps
+    /// are unique and at least 1, so the first smallest stamp of a set is
+    /// its first invalid way, else its LRU way.
+    stamps: Vec<u64>,
+    /// Per set: bit `w` is set while way `w` holds a dirty line. An
+    /// invalid way is never dirty.
+    dirty: Vec<u64>,
+    assoc: usize,
+    set_bits: u32,
     set_mask: u64,
     stamp: u64,
     stats: CacheEvents,
@@ -71,23 +74,22 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two number of sets.
+    /// Panics if the geometry is not a power-of-two number of sets, or if
+    /// `assoc` is 0 or above 64.
     pub fn new(capacity_bytes: u64, assoc: usize) -> Self {
+        assert!(
+            (1..=64).contains(&assoc),
+            "associativity must be 1 to 64 (one dirty bit per way)"
+        );
         let sets = capacity_bytes / LINE_BYTES / assoc as u64;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let slots = sets as usize * assoc;
         Self {
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        used: 0
-                    };
-                    assoc
-                ];
-                sets as usize
-            ],
+            keys: vec![0; slots],
+            stamps: vec![0; slots],
+            dirty: vec![0; sets as usize],
+            assoc,
+            set_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
             stamp: 0,
             stats: CacheEvents::default(),
@@ -118,29 +120,35 @@ impl Cache {
         registry.register_counter(&format!("{prefix}.writeback.total"), &self.stats.writebacks);
     }
 
+    /// The set of `addr` and the key its line holds in that set.
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr / LINE_BYTES;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        ((line & self.set_mask) as usize, (line >> self.set_bits) + 1)
+    }
+
+    /// The slot range of `set` in `keys` and `stamps`.
+    fn slots(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.assoc..(set + 1) * self.assoc
     }
 
     /// Looks up `addr` without changing state; returns `true` on hit.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        let (set, key) = self.index(addr);
+        self.keys[self.slots(set)].contains(&key)
     }
 
     /// Accesses `addr`, allocating on miss. `is_write` marks the line
     /// dirty. Returns hit/miss and any dirty eviction.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
         self.stamp += 1;
-        let (set, tag) = self.index(addr);
-        let set_ways = &mut self.sets[set];
-        if let Some(way) = set_ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.used = self.stamp;
-            way.dirty |= is_write;
+        let (set, key) = self.index(addr);
+        let slots = self.slots(set);
+        let keys = &mut self.keys[slots.clone()];
+        let stamps = &mut self.stamps[slots];
+        let write_bit = |way: usize| u64::from(is_write) << way;
+        if let Some(way) = keys.iter().position(|&k| k == key) {
+            stamps[way] = self.stamp;
+            self.dirty[set] |= write_bit(way);
             self.stats.hits += 1;
             return CacheAccess {
                 hit: true,
@@ -148,23 +156,21 @@ impl Cache {
             };
         }
         self.stats.misses += 1;
-        // Victim: invalid way first, else LRU.
-        let victim = set_ways
+        // Victim: the first invalid way, else the LRU way.
+        let victim = stamps
             .iter()
             .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.used } else { 0 })
-            .map(|(i, _)| i)
+            .min_by_key(|&(_, &stamp)| stamp)
+            .map(|(way, _)| way)
             .expect("associativity >= 1");
-        let old = set_ways[victim];
-        set_ways[victim] = Way {
-            tag,
-            valid: true,
-            dirty: is_write,
-            used: self.stamp,
-        };
-        let evicted_dirty = if old.valid && old.dirty {
+        let old_key = keys[victim];
+        keys[victim] = key;
+        stamps[victim] = self.stamp;
+        let was_dirty = self.dirty[set] >> victim & 1 == 1;
+        self.dirty[set] = self.dirty[set] & !(1 << victim) | write_bit(victim);
+        let evicted_dirty = if was_dirty {
             self.stats.writebacks += 1;
-            Some(self.line_addr(set, old.tag))
+            Some(self.line_addr(set, old_key - 1))
         } else {
             None
         };
@@ -177,22 +183,18 @@ impl Cache {
     /// Invalidates `addr` if present, returning its line address when the
     /// line was dirty (back-invalidation writeback).
     pub fn invalidate(&mut self, addr: u64) -> Option<u64> {
-        let (set, tag) = self.index(addr);
-        for way in self.sets[set].iter_mut() {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                if way.dirty {
-                    way.dirty = false;
-                    return Some(addr / LINE_BYTES * LINE_BYTES);
-                }
-                return None;
-            }
-        }
-        None
+        let (set, key) = self.index(addr);
+        let slots = self.slots(set);
+        let way = self.keys[slots.clone()].iter().position(|&k| k == key)?;
+        self.keys[slots.start + way] = 0;
+        self.stamps[slots.start + way] = 0;
+        let was_dirty = self.dirty[set] >> way & 1 == 1;
+        self.dirty[set] &= !(1 << way);
+        was_dirty.then_some(addr / LINE_BYTES * LINE_BYTES)
     }
 
     fn line_addr(&self, set: usize, tag: u64) -> u64 {
-        ((tag << self.set_mask.count_ones()) | set as u64) * LINE_BYTES
+        ((tag << self.set_bits) | set as u64) * LINE_BYTES
     }
 }
 

@@ -19,7 +19,7 @@ use compresso_cache_sim::Backend;
 use compresso_compression::{Bdi, BinSet, Bpc, CompressedLineRef, Compressor, Fpc, Line, Scratch};
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
-use compresso_workloads::LineSource;
+use compresso_workloads::{AddrMap, LineSource};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// MPA region where metadata entries live (outside the chunk space).
@@ -113,10 +113,10 @@ pub struct CompressoDevice {
     world: Box<dyn LineSource>,
     mem: MainMemory,
     mcache: MetadataCache,
-    pages: HashMap<u64, Page>,
+    pages: AddrMap<Page>,
     alloc: Allocator,
     /// Buddy base address per page (Variable4 only).
-    buddy_base: HashMap<u64, u64>,
+    buddy_base: AddrMap<u64>,
     predictor: OverflowPredictor,
     prefetch: VecDeque<(u64, u32)>,
     stats: DeviceEvents,
@@ -233,9 +233,9 @@ impl CompressoDevice {
             cfg: config,
             sizer: LineSizer::new(codec),
             world,
-            pages: HashMap::new(),
+            pages: AddrMap::default(),
             alloc,
-            buddy_base: HashMap::new(),
+            buddy_base: AddrMap::default(),
             predictor: OverflowPredictor::new(),
             prefetch: VecDeque::new(),
             stats: DeviceEvents::new(),
@@ -919,21 +919,24 @@ impl CompressoDevice {
         self.commit_meta(page);
     }
 
+    /// MPA address of the 64 B burst holding logical byte `offset` of a
+    /// page backed by `chunks`.
+    fn burst(chunks: &[u32], offset: u32) -> u64 {
+        let logical = offset / 64 * 64;
+        let chunk = chunks[(logical / CHUNK_BYTES) as usize];
+        ChunkAllocator::chunk_addr(chunk) + (logical % CHUNK_BYTES) as u64
+    }
+
     /// MPA burst addresses covering `size` bytes at logical `offset` of a
     /// page backed by `chunks`.
-    fn bursts(chunks: &[u32], offset: u32, size: u32) -> Vec<u64> {
-        if size == 0 {
-            return Vec::new();
-        }
+    fn bursts(chunks: &[u32], offset: u32, size: u32) -> impl ExactSizeIterator<Item = u64> + '_ {
         let first = offset / 64;
-        let last = (offset + size - 1) / 64;
-        (first..=last)
-            .map(|unit| {
-                let logical = unit * 64;
-                let chunk = chunks[(logical / CHUNK_BYTES) as usize];
-                ChunkAllocator::chunk_addr(chunk) + (logical % CHUNK_BYTES) as u64
-            })
-            .collect()
+        let end = if size == 0 {
+            first
+        } else {
+            (offset + size - 1) / 64 + 1
+        };
+        (first..end).map(move |unit| Self::burst(chunks, unit * 64))
     }
 
     // ------------------------------------------------------------------
@@ -1112,12 +1115,12 @@ impl CompressoDevice {
             return;
         }
         let old_bytes = meta.page_bytes;
-        let old_used = meta.used_bytes(&self.cfg.bins);
         if sizes.is_none() {
             // Recovered: size the page, which sets its tracked sum.
             self.stored_bins(page);
         }
-        // The tracked free space decides without reading the line sizes.
+        // The tracked free space decides without reading the line sizes
+        // or summing the metadata's bins.
         let new_data = self.pages[&page].binned;
         let new_bytes = self.cfg.allocation.fit(new_data);
         if new_bytes + CHUNK_BYTES > old_bytes {
@@ -1130,6 +1133,7 @@ impl CompressoDevice {
         // Resize first: a refused allocation must leave the page (and the
         // stats) untouched — the repack simply does not happen.
         let old_meta = self.pages.get(&page).expect("checked above").meta.clone();
+        let old_used = old_meta.used_bytes(&self.cfg.bins);
         let Ok(chunks) = self.resize_page(page, &old_meta, new_bytes) else {
             return;
         };
@@ -1263,8 +1267,7 @@ impl Backend for CompressoDevice {
                 t
             }
             LineLocation::Packed { offset, size } => {
-                let chunks = meta.chunks.clone();
-                let bursts = Self::bursts(&chunks, offset, size);
+                let bursts = Self::bursts(&meta.chunks, offset, size);
                 // Free prefetch: a previously fetched compressed burst may
                 // already hold this line.
                 if bursts.len() == 1 && size < 64 {
@@ -1276,7 +1279,7 @@ impl Backend for CompressoDevice {
                 }
                 let mut done = t + self.cfg.offset_calc_latency;
                 let issue = done;
-                for (i, &addr) in bursts.iter().enumerate() {
+                for (i, addr) in bursts.enumerate() {
                     let r = self.mem.read(issue, addr);
                     done = done.max(r.complete_at);
                     if i == 0 {
@@ -1304,10 +1307,8 @@ impl Backend for CompressoDevice {
                 done
             }
             LineLocation::Inflated { offset } => {
-                let chunks = meta.chunks.clone();
-                let bursts = Self::bursts(&chunks, offset, 64);
                 let mut done = t + self.cfg.offset_calc_latency;
-                for (i, &addr) in bursts.iter().enumerate() {
+                for (i, addr) in Self::bursts(&meta.chunks, offset, 64).enumerate() {
                     let r = self.mem.read(done, addr);
                     done = done.max(r.complete_at);
                     if i == 0 {
@@ -1382,8 +1383,7 @@ impl Backend for CompressoDevice {
             meta.line_bins[line] = new_bin.index;
             let meta = &self.pages.get(&page).expect("ensured").meta;
             if let LineLocation::Packed { offset, size } = meta.locate(line, &self.cfg.bins) {
-                let chunks = meta.chunks.clone();
-                for &addr in &Self::bursts(&chunks, offset, size) {
+                for addr in Self::bursts(&meta.chunks, offset, size) {
                     self.mem.write(t, addr);
                 }
                 self.stats.data_accesses += 1;
@@ -1394,9 +1394,9 @@ impl Backend for CompressoDevice {
 
         if !meta.compressed {
             // Raw page: identity placement, one burst.
-            let chunks = meta.chunks.clone();
-            let bursts = Self::bursts(&chunks, line as u32 * 64, 64);
-            let r = self.mem.write(t, bursts[0]);
+            let r = self
+                .mem
+                .write(t, Self::burst(&meta.chunks, line as u32 * 64));
             self.stats.data_accesses += 1;
             return r.complete_at.max(t);
         }
@@ -1404,9 +1404,7 @@ impl Backend for CompressoDevice {
         if meta.is_inflated(line) {
             // Already in the inflation room: overwrite its 64 B slot.
             if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
-                let chunks = meta.chunks.clone();
-                let bursts = Self::bursts(&chunks, offset, 64);
-                self.mem.write(t, bursts[0]);
+                self.mem.write(t, Self::burst(&meta.chunks, offset));
                 self.stats.data_accesses += 1;
             }
             return t;
@@ -1429,10 +1427,10 @@ impl Backend for CompressoDevice {
                     return t;
                 }
                 if old_bin.bytes > 0 {
-                    let chunks = meta.chunks.clone();
                     if let LineLocation::Packed { offset, .. } = meta.locate(line, &self.cfg.bins) {
-                        let bursts = Self::bursts(&chunks, offset, new_bin.bytes.max(1) as u32);
-                        for (i, &addr) in bursts.iter().enumerate() {
+                        let bursts =
+                            Self::bursts(&meta.chunks, offset, new_bin.bytes.max(1) as u32);
+                        for (i, addr) in bursts.enumerate() {
                             self.mem.write(t, addr);
                             if i == 0 {
                                 self.stats.data_accesses += 1;
@@ -1465,9 +1463,8 @@ impl CompressoDevice {
             && self.inflate_page(now, page)
         {
             let meta = &self.pages.get(&page).expect("page exists").meta;
-            let chunks = meta.chunks.clone();
-            let bursts = Self::bursts(&chunks, line as u32 * 64, 64);
-            self.mem.write(now, bursts[0]);
+            self.mem
+                .write(now, Self::burst(&meta.chunks, line as u32 * 64));
             self.stats.data_accesses += 1;
             return now;
         }
@@ -1479,9 +1476,7 @@ impl CompressoDevice {
             meta.inflated.push(line as u8);
             let meta = &self.pages.get(&page).expect("page exists").meta;
             if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
-                let chunks = meta.chunks.clone();
-                let bursts = Self::bursts(&chunks, offset, 64);
-                self.mem.write(now, bursts[0]);
+                self.mem.write(now, Self::burst(&meta.chunks, offset));
                 self.stats.data_accesses += 1;
                 self.stats.ir_placements += 1;
             }
@@ -1507,9 +1502,7 @@ impl CompressoDevice {
                 self.stats.ir_expansions += 1;
                 let meta = &self.pages.get(&page).expect("page exists").meta;
                 if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
-                    let chunks = meta.chunks.clone();
-                    let bursts = Self::bursts(&chunks, offset, 64);
-                    self.mem.write(now, bursts[0]);
+                    self.mem.write(now, Self::burst(&meta.chunks, offset));
                     self.stats.data_accesses += 1;
                 }
                 self.commit_meta(page);
@@ -1521,8 +1514,7 @@ impl CompressoDevice {
         let t = self.recompress_page(now, page);
         let meta = &self.pages.get(&page).expect("page exists").meta;
         if let LineLocation::Packed { offset, size } = meta.locate(line, &self.cfg.bins) {
-            let chunks = meta.chunks.clone();
-            for (i, &addr) in Self::bursts(&chunks, offset, size).iter().enumerate() {
+            for (i, addr) in Self::bursts(&meta.chunks, offset, size).enumerate() {
                 self.mem.write(t, addr);
                 if i == 0 {
                     self.stats.data_accesses += 1;

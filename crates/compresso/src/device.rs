@@ -38,7 +38,7 @@ use crate::stats::{DeviceEvents, DeviceStats};
 use compresso_cache_sim::Backend;
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
-use compresso_workloads::LineSource;
+use compresso_workloads::{AddrSet, LineSource};
 
 /// Compressed size in bytes of each line of a page (0 for an all-zero
 /// line), as of that line's last writeback.
@@ -157,7 +157,7 @@ pub struct UncompressedDevice {
     mem: MainMemory,
     stats: DeviceEvents,
     registry: Registry,
-    touched_pages: std::collections::HashSet<u64>,
+    touched_pages: AddrSet,
 }
 
 impl UncompressedDevice {
@@ -177,7 +177,7 @@ impl UncompressedDevice {
             mem,
             stats,
             registry,
-            touched_pages: std::collections::HashSet::new(),
+            touched_pages: AddrSet::default(),
         }
     }
 }

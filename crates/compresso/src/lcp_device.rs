@@ -23,7 +23,7 @@ use compresso_cache_sim::Backend;
 use compresso_compression::BinSet;
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
-use compresso_workloads::LineSource;
+use compresso_workloads::{AddrMap, LineSource};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Cycles charged for an OS page fault on a page overflow (an OS-aware
@@ -54,7 +54,7 @@ pub struct LcpDevice {
     mem: MainMemory,
     mcache: MetadataCache,
     alloc: BuddyAllocator,
-    pages: HashMap<u64, LcpMeta>,
+    pages: AddrMap<LcpMeta>,
     prefetch: VecDeque<(u64, u32)>,
     stats: DeviceEvents,
     registry: Registry,
@@ -109,7 +109,7 @@ impl LcpDevice {
             mem: MainMemory::new(MemConfig::ddr4_2666()),
             mcache: MetadataCache::paper_default(false),
             alloc: BuddyAllocator::new(8 << 30),
-            pages: HashMap::new(),
+            pages: AddrMap::default(),
             prefetch: VecDeque::new(),
             stats: DeviceEvents::new(),
             registry: Registry::new(),

@@ -86,14 +86,19 @@ impl PageMeta {
         }
     }
 
-    /// Bytes of the data region (sum of binned line sizes).
+    /// Bytes of the data region (sum of binned line sizes): the sum over
+    /// bins of line count times bin size.
     pub fn data_bytes(&self, bins: &BinSet) -> u32 {
         if !self.compressed {
             return PAGE_BYTES;
         }
-        self.line_bins
-            .iter()
-            .map(|&b| bins.bin(b).bytes as u32)
+        self.bin_bytes_above(0, bins)
+    }
+
+    /// Bytes of the lines in bins above `bin`: Σ_{b > bin} count_b·size_b.
+    fn bin_bytes_above(&self, bin: u8, bins: &BinSet) -> u32 {
+        (bin + 1..bins.len() as u8)
+            .map(|b| count_bin(&self.line_bins, b) * bins.bin(b).bytes as u32)
             .sum()
     }
 
@@ -144,15 +149,10 @@ impl PageMeta {
         if size == 0 {
             return LineLocation::Zero;
         }
-        let mut offset = 0u32;
-        // Larger bins come first.
-        for (i, &b) in self.line_bins.iter().enumerate() {
-            let larger = b > my_bin;
-            let same_before = b == my_bin && i < line;
-            if larger || same_before {
-                offset += bins.bin(b).bytes as u32;
-            }
-        }
+        // The §VII-E adder: the groups of larger bins come first, then the
+        // lines of this bin that precede this one.
+        let offset =
+            self.bin_bytes_above(my_bin, bins) + count_bin(&self.line_bins[..line], my_bin) * size;
         LineLocation::Packed { offset, size }
     }
 
@@ -179,10 +179,92 @@ impl PageMeta {
     }
 }
 
+/// The number of `line_bins` entries equal to `bin`: at most 64, so the
+/// count is summed in a byte.
+fn count_bin(line_bins: &[u8], bin: u8) -> u32 {
+    line_bins.iter().map(|&b| u8::from(b == bin)).sum::<u8>() as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use compresso_compression::BinSet;
+    use proptest::prelude::*;
+
+    /// Reference: the per-line loop `locate` used before the per-bin
+    /// counts. Every line of a larger bin, and every earlier line of the
+    /// same bin, adds its size.
+    fn reference_offset(line_bins: &[u8; LINES_PER_PAGE], line: usize, bins: &BinSet) -> u32 {
+        let my_bin = line_bins[line];
+        let mut offset = 0u32;
+        for (i, &b) in line_bins.iter().enumerate() {
+            let larger = b > my_bin;
+            let same_before = b == my_bin && i < line;
+            if larger || same_before {
+                offset += bins.bin(b).bytes as u32;
+            }
+        }
+        offset
+    }
+
+    /// Reference: the per-line sum `data_bytes` used before the counts.
+    fn reference_data_bytes(line_bins: &[u8; LINES_PER_PAGE], bins: &BinSet) -> u32 {
+        line_bins.iter().map(|&b| bins.bin(b).bytes as u32).sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn per_bin_counts_match_the_per_line_loop(
+            set in 0usize..3,
+            raw_bins in prop::collection::vec(any::<u8>(), LINES_PER_PAGE),
+            skew in 0u8..4,
+            line in 0usize..LINES_PER_PAGE,
+            inflated in prop::collection::vec(0u8..LINES_PER_PAGE as u8, 0..=17),
+        ) {
+            let bins = [BinSet::aligned4(), BinSet::legacy4(), BinSet::eight()][set].clone();
+            let n = bins.len() as u8;
+            // `skew` biases the draw toward one bin, so runs of equal
+            // bins and empty bins both occur.
+            let line_bins: [u8; LINES_PER_PAGE] = std::array::from_fn(|i| {
+                let r = raw_bins[i];
+                if r % 4 < skew { skew % n } else { r % n }
+            });
+            // Inflation pointers name distinct lines; keep first draws.
+            let mut seen = [false; LINES_PER_PAGE];
+            let mut inflated = inflated;
+            inflated.retain(|&l| !std::mem::replace(&mut seen[l as usize], true));
+            let p = PageMeta {
+                valid: true,
+                page_bytes: 4096,
+                line_bins,
+                inflated: inflated.clone(),
+                ..PageMeta::invalid()
+            };
+            prop_assert_eq!(p.data_bytes(&bins), reference_data_bytes(&line_bins, &bins));
+            prop_assert_eq!(
+                p.used_bytes(&bins),
+                reference_data_bytes(&line_bins, &bins) + 64 * inflated.len() as u32
+            );
+            let size = bins.bin(line_bins[line]).bytes as u32;
+            let expected = if let Some(pos) = inflated.iter().position(|&l| l as usize == line) {
+                LineLocation::Inflated { offset: 4096 - 64 * (pos as u32 + 1) }
+            } else if size == 0 {
+                LineLocation::Zero
+            } else {
+                LineLocation::Packed { offset: reference_offset(&line_bins, line, &bins), size }
+            };
+            prop_assert_eq!(p.locate(line, &bins), expected);
+            // Every line at once: packed lines tile the data region.
+            for l in 0..LINES_PER_PAGE {
+                if let LineLocation::Packed { offset, size } = p.locate(l, &bins) {
+                    prop_assert_eq!(offset, reference_offset(&line_bins, l, &bins));
+                    prop_assert!(offset + size <= p.data_bytes(&bins));
+                }
+            }
+        }
+    }
 
     #[test]
     fn entry_fits_in_64_bytes() {

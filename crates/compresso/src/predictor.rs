@@ -8,7 +8,7 @@
 //! overflow data movement.
 
 use compresso_telemetry::{Gauge, Registry};
-use std::collections::HashMap;
+use compresso_workloads::AddrMap;
 
 /// 2-bit saturating counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,7 +41,7 @@ impl Counter2 {
 pub struct OverflowPredictor {
     /// Local 2-bit counters, keyed by page; lifetime tied to the
     /// metadata-cache residency of the page's entry.
-    local: HashMap<u64, Counter2>,
+    local: AddrMap<Counter2>,
     /// 3-bit global counter (0–7).
     global: u8,
     /// Telemetry mirror of `global` (0–7).

@@ -3,9 +3,18 @@
 //!
 //! Handles are cheap `Arc` clones around atomics: a component keeps one
 //! clone for the hot increment path and registers another clone into a
-//! [`crate::Registry`] under a stable name. All updates use relaxed
-//! ordering — metrics never synchronize simulator state, they only
-//! count it, and the sweep engine joins worker threads before reading.
+//! [`crate::Registry`] under a stable name.
+//!
+//! # Single-writer contract
+//!
+//! Every handle is updated only by the component that owns it, on the
+//! thread running that component's simulation (one sweep cell builds its
+//! own devices and registry). Registries, snapshots and epoch recorders
+//! only read. So an update is a relaxed load and a relaxed store, not a
+//! `lock`-prefixed read-modify-write: with one writer no update can be
+//! lost. Clones on the writer's thread may update in any interleaving.
+//! Metrics never synchronize simulator state, they only count it, and
+//! the sweep engine joins its worker threads before results are read.
 
 use crate::registry::intern;
 use std::collections::BTreeSet;
@@ -15,7 +24,18 @@ use std::sync::{Arc, Mutex};
 
 static BOUNDS: Mutex<BTreeSet<Arc<[u64]>>> = Mutex::new(BTreeSet::new());
 
+/// Adds `delta` to `cell` under the single-writer contract (module docs),
+/// wrapping on overflow as `fetch_add` does.
+#[inline]
+fn bump(cell: &AtomicU64, delta: u64) {
+    let value = cell.load(Ordering::Relaxed);
+    cell.store(value.wrapping_add(delta), Ordering::Relaxed);
+}
+
 /// Monotonic event counter.
+///
+/// Single writer: only the owning component's thread may update it (see
+/// the [module docs](self)); any thread may read it.
 ///
 /// `+=` is supported so struct fields that migrate from `u64` to
 /// `Counter` keep their `self.stats.field += 1` call sites unchanged.
@@ -29,7 +49,7 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        bump(&self.0, delta);
     }
 
     #[inline]
@@ -63,6 +83,9 @@ impl AddAssign<u64> for &Counter {
 }
 
 /// Point-in-time signed level (balloon held pages, allocator bytes).
+///
+/// Single writer: only the owning component's thread may update it (see
+/// the [module docs](self)); any thread may read it.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -78,7 +101,8 @@ impl Gauge {
 
     #[inline]
     pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        let level = self.0.load(Ordering::Relaxed);
+        self.0.store(level.wrapping_add(delta), Ordering::Relaxed);
     }
 
     #[inline]
@@ -99,6 +123,9 @@ impl Gauge {
 /// nearest-rank over bucket upper edges, so identical sample multisets
 /// always produce identical `p50/p95/p99` regardless of arrival order —
 /// the property the sweep-determinism suite relies on.
+///
+/// Single writer: only the owning component's thread may record into it
+/// (see the [module docs](self)); any thread may snapshot it.
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     inner: Arc<HistInner>,
@@ -154,11 +181,14 @@ impl LatencyHistogram {
 
     #[inline]
     pub fn record(&self, value: u64) {
-        let idx = self.inner.bounds.partition_point(|&b| b < value);
-        self.inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.sum.fetch_add(value, Ordering::Relaxed);
-        self.inner.max.fetch_max(value, Ordering::Relaxed);
+        let inner = &*self.inner;
+        let idx = inner.bounds.partition_point(|&b| b < value);
+        bump(&inner.buckets[idx], 1);
+        bump(&inner.count, 1);
+        bump(&inner.sum, value);
+        if value > inner.max.load(Ordering::Relaxed) {
+            inner.max.store(value, Ordering::Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {
@@ -282,6 +312,47 @@ mod tests {
         assert_eq!(b.get(), 3);
         a.reset();
         assert_eq!(b.get(), 0);
+    }
+
+    #[test]
+    fn clones_on_one_thread_update_exactly() {
+        // Two handles to each metric, updated in turn on one thread: no
+        // update may be lost under the load-and-store writes.
+        let (a, b) = (Counter::new(), Counter::new());
+        let b2 = b.clone();
+        let h = LatencyHistogram::with_bounds(&[10, 100]);
+        let h2 = h.clone();
+        let (g, g2) = (Gauge::new(), Gauge::new());
+        let g2b = g2.clone();
+        for i in 0..1000u64 {
+            a.inc();
+            let (writer, value) = if i % 2 == 0 { (&b, 3) } else { (&b2, 5) };
+            writer.add(value);
+            let hist = if i % 3 == 0 { &h } else { &h2 };
+            hist.record(i * 7 % 250);
+            let gauge = if i % 2 == 0 { &g2 } else { &g2b };
+            gauge.add(if i % 4 == 0 { -2 } else { 1 });
+        }
+        g.add(7);
+        g.add(-9);
+        assert_eq!(a.get(), 1000);
+        assert_eq!(b2.get(), 500 * 3 + 500 * 5);
+        assert_eq!((g.get(), g2.get()), (-2, 250 * -2 + 750));
+        let s = h2.snapshot();
+        assert_eq!(s.count, 1000);
+        assert_eq!(s.sum, 4 * (0..250).sum::<u64>());
+        assert_eq!(s.max, 249);
+        // <=10: 0..=10; <=100: 11..=100; overflow: 101..250 — four times.
+        assert_eq!(s.counts, vec![4 * 11, 4 * 90, 4 * 149]);
+        assert_eq!(h.snapshot(), s);
+    }
+
+    #[test]
+    fn counter_wraps_like_fetch_add() {
+        let c = Counter::new();
+        c.add(u64::MAX);
+        c.add(2);
+        assert_eq!(c.get(), 1);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   walks, streaming-overwrite bursts);
 //! * [`points`] — the phase model with SimPoint vs CompressPoint
 //!   selection (Fig. 9);
-//! * [`mixes`] — the ten 4-core mixes of Tab. IV.
+//! * [`mixes`] — the ten 4-core mixes of Tab. IV;
+//! * [`addr_map`] — the fixed-hasher maps every layer keys by page or
+//!   line number.
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@
 //! let _ = world.line_data(0);
 //! ```
 
+pub mod addr_map;
 pub mod data;
 pub mod mixes;
 pub mod points;
@@ -39,6 +42,7 @@ pub mod trace;
 pub mod trace_io;
 pub mod world;
 
+pub use addr_map::{AddrHasher, AddrMap, AddrSet};
 pub use data::DataClass;
 pub use mixes::{mix, MIXES};
 pub use points::{compresspoint, full_run, run_average_ratio, simpoint, Interval};

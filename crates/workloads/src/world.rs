@@ -7,10 +7,10 @@
 //! [`DataWorld::on_writeback`] when a dirty line reaches memory, which is
 //! when data (and hence compressibility) changes.
 
+use crate::addr_map::AddrMap;
 use crate::data::{materialize, DataClass};
 use crate::profile::{BenchmarkProfile, Evolution, PageSpec};
 use compresso_compression::Line;
-use std::collections::HashMap;
 
 /// Number of bytes in an OSPA page.
 pub const PAGE_BYTES: u64 = 4096;
@@ -36,7 +36,7 @@ pub struct DataWorld {
     seed: u64,
     pages: Vec<PageState>,
     /// Per-line write version (only lines ever written appear here).
-    versions: HashMap<u64, u32>,
+    versions: AddrMap<u32>,
     writebacks: u64,
 }
 
@@ -72,7 +72,7 @@ impl DataWorld {
         Self {
             seed: profile.seed,
             pages,
-            versions: HashMap::new(),
+            versions: AddrMap::default(),
             writebacks: 0,
         }
     }
@@ -105,9 +105,12 @@ impl DataWorld {
     /// The *current* data class of one line, accounting for writes.
     pub fn class_of(&self, line_addr: u64) -> DataClass {
         let line = self.line_of(line_addr);
-        let page_idx = self.page_of(line_addr);
-        let page = &self.pages[page_idx];
-        let version = self.versions.get(&line).copied().unwrap_or(0);
+        self.class_at(line, self.version(line))
+    }
+
+    /// The data class of canonical line `line` at write `version`.
+    fn class_at(&self, line: u64, version: u32) -> DataClass {
+        let page = &self.pages[(line / LINES_PER_PAGE) as usize];
         match page.evolution {
             // Written lines of a degrading page turn incompressible.
             Evolution::Degrading if version > 0 => DataClass::Random,
@@ -128,20 +131,21 @@ impl DataWorld {
         }
     }
 
+    /// Write version of canonical line `line`.
+    fn version(&self, line: u64) -> u32 {
+        self.versions.get(&line).copied().unwrap_or(0)
+    }
+
     /// Current write version of a line.
     pub fn version_of(&self, line_addr: u64) -> u32 {
-        self.versions
-            .get(&self.line_of(line_addr))
-            .copied()
-            .unwrap_or(0)
+        self.version(self.line_of(line_addr))
     }
 
     /// Materializes the current bytes of the line at `line_addr`.
     pub fn line_data(&self, line_addr: u64) -> Line {
         let line = self.line_of(line_addr);
-        let class = self.class_of(line_addr);
-        let version = self.versions.get(&line).copied().unwrap_or(0);
-        materialize(class, self.seed, line, version)
+        let version = self.version(line);
+        materialize(self.class_at(line, version), self.seed, line, version)
     }
 
     /// Records that a dirty copy of `line_addr` reached memory: the line's
@@ -202,6 +206,11 @@ mod tests {
             .expect("lbm must have degrading pages");
         w.on_writeback(addr);
         assert_eq!(w.class_of(addr), DataClass::Random);
+        // The bytes follow the written class and version.
+        assert_eq!(
+            w.line_data(addr),
+            materialize(DataClass::Random, p.seed, addr / 64, 1)
+        );
     }
 
     #[test]
@@ -216,6 +225,10 @@ mod tests {
             w.on_writeback(addr);
         }
         assert_eq!(w.class_of(addr), DataClass::DeltaInt);
+        assert_eq!(
+            w.line_data(addr),
+            materialize(DataClass::DeltaInt, p.seed, addr / 64, 3)
+        );
     }
 
     #[test]
