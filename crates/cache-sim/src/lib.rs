@@ -33,6 +33,4 @@ pub mod multicore;
 pub use crate::core::{Core, CoreParams, CoreStats, TraceOp};
 pub use cache::{Cache, CacheAccess, CacheStats, LINE_BYTES};
 pub use hierarchy::{Backend, Hierarchy, HierarchyAccess, HitLevel, PrivateCaches};
-pub use multicore::{
-    run_multicore, run_multicore_instrumented, run_multicore_with_l3, MulticoreResult,
-};
+pub use multicore::{run_multicore, MulticoreResult};

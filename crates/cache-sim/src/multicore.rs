@@ -25,10 +25,11 @@ impl MulticoreResult {
     }
 }
 
-/// Runs `traces` (one per core) against private L1/L2s, one shared L3,
-/// and a single shared backend.
-///
-/// The shared L3 defaults to the paper's 8 MB 16-way (Tab. III).
+/// Runs `traces` (one per core) against private L1/L2s, the paper's
+/// shared 8 MB 16-way L3 (Tab. III), and a single shared backend,
+/// registering per-core private-cache and shared-L3 counters
+/// (`cache.core0.l1.hit.total`, `cache.l3.miss.total`, ...) into
+/// `registry`.
 ///
 /// # Panics
 ///
@@ -37,59 +38,23 @@ pub fn run_multicore<B: Backend>(
     traces: Vec<Vec<TraceOp>>,
     params: CoreParams,
     backend: &mut B,
-) -> MulticoreResult {
-    run_multicore_with_l3(traces, params, Cache::new(8 << 20, 16), backend, None)
-}
-
-/// As [`run_multicore`] but registering per-core private-cache and
-/// shared-L3 counters (`cache.core0.l1.hit.total`,
-/// `cache.l3.miss.total`, ...) into `registry`.
-pub fn run_multicore_instrumented<B: Backend>(
-    traces: Vec<Vec<TraceOp>>,
-    params: CoreParams,
-    backend: &mut B,
     registry: &Registry,
-) -> MulticoreResult {
-    run_multicore_with_l3(
-        traces,
-        params,
-        Cache::new(8 << 20, 16),
-        backend,
-        Some(registry),
-    )
-}
-
-/// As [`run_multicore`] but with an explicit shared L3 and optional
-/// metric registration.
-///
-/// # Panics
-///
-/// Panics if `traces` is empty.
-pub fn run_multicore_with_l3<B: Backend>(
-    traces: Vec<Vec<TraceOp>>,
-    params: CoreParams,
-    shared_l3: Cache,
-    backend: &mut B,
-    registry: Option<&Registry>,
 ) -> MulticoreResult {
     assert!(!traces.is_empty(), "need at least one core");
     let n = traces.len();
     // Each core gets its private caches; the shared L3 is a single cache
     // that all per-core Hierarchy values borrow in turn. Because we
     // advance one core at a time, we move the L3 in and out of a slot.
-    let mut l3 = Some(shared_l3);
     let mut privates: Vec<Option<PrivateCaches>> = (0..n)
-        .map(|_| Some(PrivateCaches::paper_default()))
+        .map(|i| {
+            let private = PrivateCaches::paper_default();
+            private.register_metrics(registry, &format!("cache.core{i}"));
+            Some(private)
+        })
         .collect();
-    if let Some(reg) = registry {
-        for (i, private) in privates.iter().enumerate() {
-            let private = private.as_ref().expect("private caches present");
-            private.register_metrics(reg, &format!("cache.core{i}"));
-        }
-        l3.as_ref()
-            .expect("shared L3 present")
-            .register_metrics(reg, "cache.l3");
-    }
+    let shared_l3 = Cache::new(8 << 20, 16);
+    shared_l3.register_metrics(registry, "cache.l3");
+    let mut l3 = Some(shared_l3);
     let mut cores: Vec<Core> = (0..n).map(|_| Core::new(params)).collect();
     let mut cursors = vec![0usize; n];
 
@@ -144,7 +109,12 @@ mod tests {
             latency: 100,
             ..Default::default()
         };
-        let result = run_multicore(traces, CoreParams::paper_default(), &mut b);
+        let result = run_multicore(
+            traces,
+            CoreParams::paper_default(),
+            &mut b,
+            &Registry::new(),
+        );
         assert_eq!(result.cycles.len(), 4);
         assert_eq!(b.fills.len(), 4 * 256);
         for stats in &result.core_stats {
@@ -161,7 +131,12 @@ mod tests {
             latency: 100,
             ..Default::default()
         };
-        let result = run_multicore(traces, CoreParams::paper_default(), &mut b);
+        let result = run_multicore(
+            traces,
+            CoreParams::paper_default(),
+            &mut b,
+            &Registry::new(),
+        );
         assert!(
             b.fills.len() < 4 * 128,
             "shared L3 must absorb some cross-core reuse, got {} fills",
@@ -177,7 +152,12 @@ mod tests {
             latency: 100,
             ..Default::default()
         };
-        let result = run_multicore(vec![trace], CoreParams::paper_default(), &mut b);
+        let result = run_multicore(
+            vec![trace],
+            CoreParams::paper_default(),
+            &mut b,
+            &Registry::new(),
+        );
         assert_eq!(result.cycles.len(), 1);
         assert!(result.max_cycles() > 0);
     }
@@ -186,6 +166,11 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn empty_traces_panic() {
         let mut b = CountingBackend::default();
-        let _ = run_multicore(Vec::new(), CoreParams::paper_default(), &mut b);
+        let _ = run_multicore(
+            Vec::new(),
+            CoreParams::paper_default(),
+            &mut b,
+            &Registry::new(),
+        );
     }
 }

@@ -737,7 +737,7 @@ mod tests {
             bytes: 512,
         };
         // Delta without a commit point: rolled back, no ownership.
-        let (model, rolled_back) = ShadowModel::replay(&[alloc.clone()]);
+        let (model, rolled_back) = ShadowModel::replay(std::slice::from_ref(&alloc));
         assert_eq!(rolled_back, 1);
         assert!(model.owners().is_empty());
         assert!(model.pages().is_empty());

@@ -10,13 +10,13 @@ use compresso_exp::{
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
-    let epoch = margs.epoch_len();
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     let mut all_cells = Vec::new();
     println!("{}\n", params_banner());
     println!("== Fig. 2 (reduced) ==");
-    let (rows, cells) = fig2::fig2_with_metrics(200, epoch, &opts);
+    let (rows, cells) = fig2::fig2(200, &opts);
     all_cells.extend(cells);
     let avg = fig2::average(&rows);
     println!(
@@ -28,20 +28,20 @@ fn main() {
     );
 
     println!("== Fig. 4/6 (reduced) ==");
-    let (rows, cells) = movement::fig6_with_metrics(8_000, epoch, &opts);
+    let (rows, cells) = movement::fig6(8_000, &opts);
     all_cells.extend(cells);
     for (config, avg) in movement::averages(&rows) {
         println!("  {config:<22} {}", pct(avg));
     }
 
     println!("\n== Fig. 7 (reduced) ==");
-    let (rows, cells) = fig7::fig7_with_metrics(120, epoch, &opts);
+    let (rows, cells) = fig7::fig7(120, &opts);
     all_cells.extend(cells);
     let avg_rel = rows.iter().map(|r| r.relative).sum::<f64>() / rows.len() as f64;
     println!("  avg relative ratio without repacking: {}", f2(avg_rel));
 
     println!("\n== Fig. 10 (reduced) ==");
-    let (rows, cells) = perf::fig10_with_metrics(8_000, 1_000_000, epoch, &opts);
+    let (rows, cells) = perf::fig10(8_000, 1_000_000, &opts);
     all_cells.extend(cells);
     let s = perf::summarize(&rows);
     println!(
@@ -64,7 +64,7 @@ fn main() {
     );
 
     println!("\n== Fig. 12 (reduced) ==");
-    let (rows, cells) = energy_fig::fig12_with_metrics(6_000, epoch, &opts);
+    let (rows, cells) = energy_fig::fig12(6_000, &opts);
     all_cells.extend(cells);
     let avg = energy_fig::average(&rows);
     println!(

@@ -7,14 +7,15 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ops = arg_usize(&args, "--ops", 50_000);
     let cap_ops = arg_usize(&args, "--cap-ops", 4_000_000);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!(
         "Fig. 10: single-core, 70% constrained memory ({ops} cycle ops, {cap_ops} capacity ops)\n"
     );
 
-    let (rows, cells) = perf::fig10_with_metrics(ops, cap_ops, margs.epoch_len(), &opts);
+    let (rows, cells) = perf::fig10(ops, cap_ops, &opts);
     margs.write("fig10", "cycles", cells);
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -7,8 +7,9 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ops = arg_usize(&args, "--ops", 25_000);
     let cap_ops = arg_usize(&args, "--cap-ops", 3_000_000);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!("Tab. IV mixes:");
     for (name, benchmarks) in MIXES {
@@ -16,7 +17,7 @@ fn main() {
     }
     println!("\nFig. 11: 4-core, 70% constrained memory ({ops} ops/core)\n");
 
-    let (rows, cells) = perf::fig11_with_metrics(ops, cap_ops, margs.epoch_len(), &opts);
+    let (rows, cells) = perf::fig11(ops, cap_ops, &opts);
     margs.write("fig11", "cycles", cells);
     let table: Vec<Vec<String>> = rows
         .iter()

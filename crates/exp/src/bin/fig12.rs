@@ -7,12 +7,13 @@ use compresso_exp::{
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ops = arg_usize(&args, "--ops", 40_000);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!("Fig. 12: energy relative to uncompressed ({ops} ops)\n");
 
-    let (mut rows, cells) = energy_fig::fig12_with_metrics(ops, margs.epoch_len(), &opts);
+    let (mut rows, cells) = energy_fig::fig12(ops, &opts);
     margs.write("fig12", "cycles", cells);
     rows.push(energy_fig::average(&rows));
     let table: Vec<Vec<String>> = rows

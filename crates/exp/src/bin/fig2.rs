@@ -5,15 +5,16 @@ use compresso_exp::{arg_usize, f2, fig2, params_banner, render_table, MetricsArg
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let pages = arg_usize(&args, "--pages", 1500);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!(
         "Fig. 2: compression ratio per benchmark ({} pages sampled)\n",
         pages
     );
 
-    let (mut rows, cells) = fig2::fig2_with_metrics(pages, margs.epoch_len(), &opts);
+    let (mut rows, cells) = fig2::fig2(pages, &opts);
     margs.write("fig2", "ospa_bytes", cells);
     rows.push(fig2::average(&rows));
     let table: Vec<Vec<String>> = rows

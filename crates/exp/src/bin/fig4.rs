@@ -8,15 +8,16 @@ use compresso_exp::{
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ops = arg_usize(&args, "--ops", 60_000);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!(
         "Fig. 4: relative extra memory accesses, unoptimized system ({} ops)\n",
         ops
     );
 
-    let (rows, cells) = movement::fig4_with_metrics(ops, margs.epoch_len(), &opts);
+    let (rows, cells) = movement::fig4(ops, &opts);
     margs.write("fig4", "cycles", cells);
     let table: Vec<Vec<String>> = rows
         .iter()

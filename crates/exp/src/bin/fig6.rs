@@ -8,12 +8,13 @@ use compresso_exp::{
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ops = arg_usize(&args, "--ops", 60_000);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!("Fig. 6: optimization ablation ({} ops)\n", ops);
 
-    let (rows, cells) = movement::fig6_with_metrics(ops, margs.epoch_len(), &opts);
+    let (rows, cells) = movement::fig6(ops, &opts);
     margs.write("fig6", "cycles", cells);
     let table: Vec<Vec<String>> = rows
         .iter()

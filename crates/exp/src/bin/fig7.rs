@@ -7,15 +7,16 @@ use compresso_exp::{
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let pages = arg_usize(&args, "--pages", 400);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!(
         "Fig. 7: repacking impact after long-run aging ({} pages/benchmark)\n",
         pages
     );
 
-    let (rows, cells) = fig7::fig7_with_metrics(pages, margs.epoch_len(), &opts);
+    let (rows, cells) = fig7::fig7(pages, &opts);
     margs.write("fig7", "device_time", cells);
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -6,12 +6,13 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ops = arg_usize(&args, "--ops", 10_000);
     let cap_ops = arg_usize(&args, "--cap-ops", 3_000_000);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!("Tab. II: memory-capacity impact, single-core geomeans\n");
 
-    let (rows, cells) = perf::tab2_with_metrics(ops, cap_ops, margs.epoch_len(), &opts);
+    let (rows, cells) = perf::tab2(ops, cap_ops, &opts);
     margs.write("tab2", "cycles", cells);
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -8,15 +8,14 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let pages = arg_usize(&args, "--pages", 300);
     let ops = arg_usize(&args, "--ops", 20_000);
-    let opts = SweepOptions::from_args(&args);
     let margs = MetricsArgs::from_args(&args);
+    let mut opts = SweepOptions::from_args(&args);
+    opts.epoch = margs.epoch_len();
     println!("{}\n", params_banner());
     println!("S IV-A1 trade-offs ({pages} pages, {ops} ops)\n");
 
-    let (line_rows, mut cells) =
-        tradeoffs::line_bin_tradeoff_with(pages, ops, margs.epoch_len(), &opts);
-    let (page_rows, page_cells) =
-        tradeoffs::page_size_tradeoff_with(pages, ops, margs.epoch_len(), &opts);
+    let (line_rows, mut cells) = tradeoffs::line_bin_tradeoff(pages, ops, &opts);
+    let (page_rows, page_cells) = tradeoffs::page_size_tradeoff(pages, ops, &opts);
     cells.extend(page_cells);
     margs.write("tradeoffs", "cycles", cells);
 

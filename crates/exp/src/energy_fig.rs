@@ -5,10 +5,9 @@ use crate::sweep::{run_grid, SweepCell, SweepOptions};
 use compresso_energy::{evaluate, EnergyParams};
 use compresso_telemetry::CellMetrics;
 use compresso_workloads::all_benchmarks;
-use serde::Serialize;
 
 /// Relative energies for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -53,22 +52,14 @@ pub fn energy_row(benchmark: &str, ops: usize) -> Fig12Row {
     row_from_runs(benchmark, &refs)
 }
 
-/// The full Fig. 12 sweep: a (benchmark × 4 systems) grid on the engine.
-pub fn fig12(ops: usize, opts: &SweepOptions) -> Vec<Fig12Row> {
-    fig12_with_metrics(ops, 0, opts).0
-}
-
-/// As [`fig12`] with per-cell metric export (one cell per benchmark ×
-/// system cycle run).
-pub fn fig12_with_metrics(
-    ops: usize,
-    epoch: u64,
-    opts: &SweepOptions,
-) -> (Vec<Fig12Row>, Vec<CellMetrics>) {
+/// The full Fig. 12 sweep: a (benchmark × 4 systems) grid on the
+/// engine, with per-cell metric export (one cell per benchmark × system
+/// cycle run).
+pub fn fig12(ops: usize, opts: &SweepOptions) -> (Vec<Fig12Row>, Vec<CellMetrics>) {
     let mut cells = Vec::new();
     for profile in all_benchmarks() {
         for system in SystemKind::evaluated() {
-            cells.push(SweepCell::single(profile.name, system, ops).with_epoch(epoch));
+            cells.push(SweepCell::single(profile.name, system, ops));
         }
     }
     let outcomes = run_grid(cells, opts);

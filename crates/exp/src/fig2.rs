@@ -13,10 +13,9 @@ use compresso_telemetry::{
     CellMetrics, Counter, EpochRecorder, LatencyHistogram, MetricsReport, Registry,
 };
 use compresso_workloads::{all_benchmarks, BenchmarkProfile, DataWorld, PAGE_BYTES};
-use serde::Serialize;
 
 /// Ratios for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -47,16 +46,11 @@ fn page_bytes_lcp(sizes: &[usize], bins: &BinSet) -> u64 {
 }
 
 /// Computes the four ratios for one benchmark, sampling at most
-/// `max_pages` pages.
-pub fn ratios_for(profile: &BenchmarkProfile, max_pages: usize) -> Fig2Row {
-    ratios_with_metrics(profile, max_pages, 0).0
-}
-
-/// As [`ratios_for`], also producing the cell's metric bundle: page /
-/// line / zero-line counters, per-codec compressed-line-size
-/// histograms, and an epoch snapshot every `epoch` *OSPA bytes
-/// scanned* (the static study's simulated clock; 0 disables).
-pub fn ratios_with_metrics(
+/// `max_pages` pages, with the cell's metric bundle: page / line /
+/// zero-line counters, per-codec compressed-line-size histograms, and
+/// an epoch snapshot every `epoch` *OSPA bytes scanned* (the static
+/// study's simulated clock; 0 disables).
+pub fn ratios_for(
     profile: &BenchmarkProfile,
     max_pages: usize,
     epoch: u64,
@@ -118,23 +112,15 @@ pub fn ratios_with_metrics(
     )
 }
 
-/// Runs the full Fig. 2 study, one sweep cell per benchmark.
-pub fn fig2(max_pages: usize, opts: &SweepOptions) -> Vec<Fig2Row> {
-    fig2_with_metrics(max_pages, 0, opts).0
-}
-
-/// As [`fig2`], also returning exportable per-cell metric bundles
-/// (epoch ticks are OSPA bytes scanned).
-pub fn fig2_with_metrics(
-    max_pages: usize,
-    epoch: u64,
-    opts: &SweepOptions,
-) -> (Vec<Fig2Row>, Vec<CellMetrics>) {
+/// Runs the full Fig. 2 study, one sweep cell per benchmark, also
+/// returning exportable per-cell metric bundles (epoch ticks are OSPA
+/// bytes scanned).
+pub fn fig2(max_pages: usize, opts: &SweepOptions) -> (Vec<Fig2Row>, Vec<CellMetrics>) {
     let cells: Vec<(String, BenchmarkProfile)> = all_benchmarks()
         .into_iter()
         .map(|p| (format!("fig2/{}", p.name), p))
         .collect();
-    let outcomes = run_cells(cells, |p| ratios_with_metrics(&p, max_pages, epoch), opts);
+    let outcomes = run_cells(cells, |p| ratios_for(&p, max_pages, opts.epoch), opts);
     let metrics = crate::metrics::collect(&outcomes, |(_, report)| report);
     let rows = successes(outcomes)
         .into_iter()
@@ -190,7 +176,7 @@ mod tests {
 
     #[test]
     fn zeusmp_is_the_outlier() {
-        let r = ratios_for(&benchmark("zeusmp").unwrap(), 400);
+        let r = ratios_for(&benchmark("zeusmp").unwrap(), 400, 0).0;
         assert!(
             r.bpc_linepack > 4.0,
             "zeusmp BPC+LinePack should be high: {:.2}",
@@ -200,14 +186,14 @@ mod tests {
 
     #[test]
     fn mcf_is_incompressible() {
-        let r = ratios_for(&benchmark("mcf").unwrap(), 400);
+        let r = ratios_for(&benchmark("mcf").unwrap(), 400, 0).0;
         assert!(r.bpc_linepack < 1.5, "mcf: {:.2}", r.bpc_linepack);
     }
 
     #[test]
     fn linepack_never_loses_to_lcp() {
         for name in ["gcc", "omnetpp", "soplex", "Forestfire"] {
-            let r = ratios_for(&benchmark(name).unwrap(), 200);
+            let r = ratios_for(&benchmark(name).unwrap(), 200, 0).0;
             assert!(
                 r.bpc_linepack >= r.bpc_lcp * 0.999,
                 "{name}: LinePack {:.2} vs LCP {:.2}",
@@ -223,7 +209,7 @@ mod tests {
         // size-diverse lines.
         let rows = ["gcc", "cactusADM", "libquantum", "Graph500", "Pagerank"]
             .iter()
-            .map(|n| ratios_for(&benchmark(n).unwrap(), 200))
+            .map(|n| ratios_for(&benchmark(n).unwrap(), 200, 0).0)
             .collect::<Vec<_>>();
         let avg = average(&rows);
         let bpc_loss = 1.0 - avg.bpc_lcp / avg.bpc_linepack;

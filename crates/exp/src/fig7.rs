@@ -15,10 +15,9 @@ use compresso_cache_sim::Backend;
 use compresso_core::{CompressoConfig, CompressoDevice, MemoryDevice};
 use compresso_telemetry::{CellMetrics, EpochRecorder, MetricsReport};
 use compresso_workloads::{all_benchmarks, DataWorld, Evolution, PAGE_BYTES};
-use serde::Serialize;
 
 /// Repacking impact for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -83,18 +82,10 @@ fn aged_run(
     (ratio, repack_traffic, metrics)
 }
 
-/// Runs one benchmark's long-run aging with and without repacking.
-pub fn repacking_impact(benchmark: &str, pages: usize) -> Fig7Row {
-    repacking_impact_with(benchmark, pages, 0).0
-}
-
-/// As [`repacking_impact`], also returning the with-repacking run's
-/// metric bundle (epochs tick in aged device time).
-pub fn repacking_impact_with(
-    benchmark: &str,
-    pages: usize,
-    epoch: u64,
-) -> (Fig7Row, MetricsReport) {
+/// Runs one benchmark's long-run aging with and without repacking,
+/// also returning the with-repacking run's metric bundle (epochs tick
+/// in aged device time every `epoch` cycles; 0 disables).
+pub fn repacking_impact(benchmark: &str, pages: usize, epoch: u64) -> (Fig7Row, MetricsReport) {
     let (with, overhead, metrics) = aged_run(benchmark, true, pages, epoch);
     let (without, _, _) = aged_run(benchmark, false, pages, 0);
     let row = Fig7Row {
@@ -107,26 +98,17 @@ pub fn repacking_impact_with(
     (row, metrics)
 }
 
-/// The full Fig. 7 sweep, one cell per benchmark. `pages` bounds the
-/// aged region per benchmark.
-pub fn fig7(pages: usize, opts: &SweepOptions) -> Vec<Fig7Row> {
-    fig7_with_metrics(pages, 0, opts).0
-}
-
-/// As [`fig7`] with per-cell metric export (the with-repacking device's
-/// registry per benchmark).
-pub fn fig7_with_metrics(
-    pages: usize,
-    epoch: u64,
-    opts: &SweepOptions,
-) -> (Vec<Fig7Row>, Vec<CellMetrics>) {
+/// The full Fig. 7 sweep, one cell per benchmark, with per-cell metric
+/// export (the with-repacking device's registry per benchmark). `pages`
+/// bounds the aged region per benchmark.
+pub fn fig7(pages: usize, opts: &SweepOptions) -> (Vec<Fig7Row>, Vec<CellMetrics>) {
     let cells: Vec<(String, &'static str)> = all_benchmarks()
         .iter()
         .map(|p| (format!("fig7/{}", p.name), p.name))
         .collect();
     let outcomes = run_cells(
         cells,
-        |name| repacking_impact_with(name, pages, epoch),
+        |name| repacking_impact(name, pages, opts.epoch),
         opts,
     );
     let metrics = crate::metrics::collect(&outcomes, |(_, report)| report);
@@ -145,7 +127,7 @@ mod tests {
     fn repacking_recovers_squandered_compression() {
         // GemsFDTD has 10% improving pages: without repacking their
         // shrunken data stays in oversized pages.
-        let r = repacking_impact("GemsFDTD", 300);
+        let r = repacking_impact("GemsFDTD", 300, 0).0;
         assert!(
             r.with_repacking > r.without_repacking,
             "repacking must recover space: {:.3} vs {:.3}",
@@ -157,7 +139,7 @@ mod tests {
 
     #[test]
     fn repack_traffic_is_small() {
-        let r = repacking_impact("gcc", 200);
+        let r = repacking_impact("gcc", 200, 0).0;
         assert!(
             r.repack_overhead < 0.10,
             "repacking must stay cheap: {:.3}",

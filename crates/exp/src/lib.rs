@@ -27,6 +27,13 @@
 //! results so runs are self-describing. Parallel sweeps are bit-identical
 //! to serial ones: each cell owns its world and seeded RNG, and
 //! `tests/sweep_determinism.rs` enforces it.
+//!
+//! Each artifact has one entry point (`fig2::fig2`, `perf::fig10`,
+//! `perf::tab2`, `tradeoffs::line_bin_tradeoff`, ...). It takes the
+//! [`SweepOptions`] that carry the worker count and the epoch length
+//! (`SweepOptions::epoch`, 0 = final snapshots only), and returns its
+//! rows together with one exportable metric bundle per sweep cell;
+//! callers that only want the rows take `.0`.
 
 pub mod energy_fig;
 pub mod fig2;
@@ -41,9 +48,7 @@ pub mod tradeoffs;
 
 pub use metrics::MetricsArgs;
 pub use report::{f2, pct, render_table};
-pub use runner::{
-    geomean, run_mix, run_mix_with, run_single, run_single_with, RunResult, SystemKind,
-};
+pub use runner::{geomean, run_mix, run_single, RunResult, SystemKind};
 pub use sweep::{
     run_cells, run_grid, successes, CellError, CellOutcome, SweepCell, SweepOptions, Workload,
 };

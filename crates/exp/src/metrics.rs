@@ -1,9 +1,9 @@
 //! `--metrics-out <path>` / `--epoch <ticks>` plumbing shared by every
 //! figure binary.
 //!
-//! A binary parses [`MetricsArgs`] once, threads
-//! [`MetricsArgs::epoch_len`] into its sweep so runs record an epoch
-//! time-series, and finishes with [`MetricsArgs::write`], which emits a
+//! A binary parses [`MetricsArgs`] once, sets `SweepOptions::epoch` from
+//! [`MetricsArgs::epoch_len`] so runs record an epoch time-series, and
+//! finishes with [`MetricsArgs::write`], which emits a
 //! `compresso.metrics.v1` document (JSON, or CSV for `.csv` paths).
 //! Without `--metrics-out` everything is a no-op and runs pay nothing
 //! beyond the always-on counters.

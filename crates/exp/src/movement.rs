@@ -6,10 +6,9 @@ use crate::sweep::{run_grid, successes, SweepCell, SweepOptions};
 use compresso_core::{CompressoConfig, PageAllocation};
 use compresso_telemetry::CellMetrics;
 use compresso_workloads::all_benchmarks;
-use serde::Serialize;
 
 /// Extra-access breakdown for one benchmark under one configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MovementRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -40,74 +39,49 @@ fn row_of(r: &RunResult) -> MovementRow {
     }
 }
 
-/// Fig. 4: the unoptimized compressed system's extra accesses, for fixed
-/// 512 B chunks (left bars) and 4 variable-sized chunks (right bars).
-pub fn fig4(ops: usize, opts: &SweepOptions) -> Vec<MovementRow> {
-    fig4_with_metrics(ops, 0, opts).0
-}
-
-/// As [`fig4`], recording an epoch series every `epoch` core cycles and
-/// returning the exportable per-cell metric bundles.
-pub fn fig4_with_metrics(
+/// Runs every benchmark under each `(label, config)` and returns the
+/// movement rows with the exportable per-cell metric bundles.
+fn movement_sweep(
+    configs: &[(&str, CompressoConfig)],
     ops: usize,
-    epoch: u64,
     opts: &SweepOptions,
 ) -> (Vec<MovementRow>, Vec<CellMetrics>) {
     let mut cells = Vec::new();
     for profile in all_benchmarks() {
-        cells.push(
-            SweepCell::single(
+        for (label, cfg) in configs {
+            cells.push(SweepCell::single(
                 profile.name,
-                SystemKind::custom(
-                    "fixed512",
-                    CompressoConfig::unoptimized(PageAllocation::Chunks512),
-                ),
+                SystemKind::custom(*label, cfg.clone()),
                 ops,
-            )
-            .with_epoch(epoch),
-        );
-        cells.push(
-            SweepCell::single(
-                profile.name,
-                SystemKind::custom(
-                    "variable4",
-                    CompressoConfig::unoptimized(PageAllocation::Variable4),
-                ),
-                ops,
-            )
-            .with_epoch(epoch),
-        );
-    }
-    let outcomes = run_grid(cells, opts);
-    let metrics = crate::metrics::runs_to_cells(&outcomes);
-    (successes(outcomes).iter().map(row_of).collect(), metrics)
-}
-
-/// Fig. 6: extra accesses as the optimizations land cumulatively
-/// (ablation ladder), per benchmark.
-pub fn fig6(ops: usize, opts: &SweepOptions) -> Vec<MovementRow> {
-    fig6_with_metrics(ops, 0, opts).0
-}
-
-/// As [`fig6`] with metric export, as in [`fig4_with_metrics`].
-pub fn fig6_with_metrics(
-    ops: usize,
-    epoch: u64,
-    opts: &SweepOptions,
-) -> (Vec<MovementRow>, Vec<CellMetrics>) {
-    let ladder = CompressoConfig::ablation_ladder(PageAllocation::Chunks512);
-    let mut cells = Vec::new();
-    for profile in all_benchmarks() {
-        for (label, cfg) in &ladder {
-            cells.push(
-                SweepCell::single(profile.name, SystemKind::custom(*label, cfg.clone()), ops)
-                    .with_epoch(epoch),
-            );
+            ));
         }
     }
     let outcomes = run_grid(cells, opts);
     let metrics = crate::metrics::runs_to_cells(&outcomes);
     (successes(outcomes).iter().map(row_of).collect(), metrics)
+}
+
+/// Fig. 4: the unoptimized compressed system's extra accesses, for fixed
+/// 512 B chunks (left bars) and 4 variable-sized chunks (right bars).
+pub fn fig4(ops: usize, opts: &SweepOptions) -> (Vec<MovementRow>, Vec<CellMetrics>) {
+    let configs = [
+        (
+            "fixed512",
+            CompressoConfig::unoptimized(PageAllocation::Chunks512),
+        ),
+        (
+            "variable4",
+            CompressoConfig::unoptimized(PageAllocation::Variable4),
+        ),
+    ];
+    movement_sweep(&configs, ops, opts)
+}
+
+/// Fig. 6: extra accesses as the optimizations land cumulatively
+/// (ablation ladder), per benchmark.
+pub fn fig6(ops: usize, opts: &SweepOptions) -> (Vec<MovementRow>, Vec<CellMetrics>) {
+    let ladder = CompressoConfig::ablation_ladder(PageAllocation::Chunks512);
+    movement_sweep(&ladder, ops, opts)
 }
 
 /// Average total extra accesses per configuration label.

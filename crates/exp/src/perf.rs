@@ -7,17 +7,16 @@
 //! benchmark's compressibility vector (its profiling-stage phase trace
 //! anchored at the ratio measured in the cycle simulation).
 
-use crate::runner::{geomean, run_mix_with, run_single_with, RunResult, SystemKind};
+use crate::runner::{geomean, run_mix_epoch, run_single_epoch, RunResult, SystemKind};
 use crate::sweep::{run_cells, successes, SweepOptions};
 use compresso_oskit::{capacity_run, Budget};
 use compresso_telemetry::{CellMetrics, MetricsReport};
 use compresso_workloads::{
     all_benchmarks, benchmark, full_run, BenchmarkProfile, UnknownBenchmark, MIXES,
 };
-use serde::Serialize;
 
 /// Performance numbers for one workload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PerfRow {
     /// Benchmark or mix name.
     pub workload: String,
@@ -42,7 +41,6 @@ pub struct PerfRow {
     /// Merged metric bundle of the four cycle runs, each under its
     /// system prefix (`uncompressed.*`, `lcp.*`, `lcp_align.*`,
     /// `compresso.*`).
-    #[serde(skip)]
     pub metrics: MetricsReport,
 }
 
@@ -90,29 +88,20 @@ fn merge_system_metrics(
     ])
 }
 
-/// Evaluates one benchmark at a capacity `fraction` (0.7 for Fig. 10).
+/// Evaluates one benchmark at a capacity `fraction` (0.7 for Fig. 10),
+/// recording an epoch metrics series every `epoch` cycles in each of the
+/// four cycle runs (0 = final snapshots only).
 pub fn perf_row(
-    profile: &BenchmarkProfile,
-    fraction: f64,
-    cycle_ops: usize,
-    cap_ops: usize,
-) -> PerfRow {
-    perf_row_with(profile, fraction, cycle_ops, cap_ops, 0)
-}
-
-/// As [`perf_row`], recording an epoch metrics series every `epoch`
-/// cycles in each of the four cycle runs.
-pub fn perf_row_with(
     profile: &BenchmarkProfile,
     fraction: f64,
     cycle_ops: usize,
     cap_ops: usize,
     epoch: u64,
 ) -> PerfRow {
-    let base = run_single_with(profile, &SystemKind::Uncompressed, cycle_ops, epoch);
-    let lcp = run_single_with(profile, &SystemKind::Lcp, cycle_ops, epoch);
-    let align = run_single_with(profile, &SystemKind::LcpAlign, cycle_ops, epoch);
-    let comp = run_single_with(profile, &SystemKind::Compresso, cycle_ops, epoch);
+    let base = run_single_epoch(profile, &SystemKind::Uncompressed, cycle_ops, epoch);
+    let lcp = run_single_epoch(profile, &SystemKind::Lcp, cycle_ops, epoch);
+    let align = run_single_epoch(profile, &SystemKind::LcpAlign, cycle_ops, epoch);
+    let comp = run_single_epoch(profile, &SystemKind::Compresso, cycle_ops, epoch);
 
     let rel = |r: &RunResult| base.cycles as f64 / r.cycles.max(1) as f64;
 
@@ -153,16 +142,10 @@ pub fn perf_row_with(
 }
 
 /// Fig. 10: all 30 single-core benchmarks at 70% constrained memory,
-/// one sweep cell per benchmark.
-pub fn fig10(cycle_ops: usize, cap_ops: usize, opts: &SweepOptions) -> Vec<PerfRow> {
-    fig10_with_metrics(cycle_ops, cap_ops, 0, opts).0
-}
-
-/// As [`fig10`] with per-cell metric export.
-pub fn fig10_with_metrics(
+/// one sweep cell per benchmark, with per-cell metric export.
+pub fn fig10(
     cycle_ops: usize,
     cap_ops: usize,
-    epoch: u64,
     opts: &SweepOptions,
 ) -> (Vec<PerfRow>, Vec<CellMetrics>) {
     let cells: Vec<(String, BenchmarkProfile)> = all_benchmarks()
@@ -171,7 +154,7 @@ pub fn fig10_with_metrics(
         .collect();
     let outcomes = run_cells(
         cells,
-        |p| perf_row_with(&p, 0.7, cycle_ops, cap_ops, epoch),
+        |p| perf_row(&p, 0.7, cycle_ops, cap_ops, opts.epoch),
         opts,
     );
     let metrics = crate::metrics::collect(&outcomes, |r| &r.metrics);
@@ -180,7 +163,7 @@ pub fn fig10_with_metrics(
 
 /// Geomean summary (cycle, memcap, overall) excluding stalled workloads
 /// from the overall combination, as the paper does for Fig. 10b.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PerfSummary {
     /// Geomean cycle-based relative performance (LCP, Align, Compresso).
     pub cycle: (f64, f64, f64),
@@ -215,20 +198,14 @@ pub fn summarize(rows: &[PerfRow]) -> PerfSummary {
     }
 }
 
-/// Fig. 11: the ten 4-core mixes.
+/// Fig. 11: the ten 4-core mixes, with per-cell metric export.
 ///
 /// The memory-capacity side averages per-benchmark relative performance
 /// (the paper's "average progress" metric); each benchmark's budget uses
 /// the mix device's measured ratio.
-pub fn fig11(cycle_ops: usize, cap_ops: usize, opts: &SweepOptions) -> Vec<PerfRow> {
-    fig11_with_metrics(cycle_ops, cap_ops, 0, opts).0
-}
-
-/// As [`fig11`] with per-cell metric export.
-pub fn fig11_with_metrics(
+pub fn fig11(
     cycle_ops: usize,
     cap_ops: usize,
-    epoch: u64,
     opts: &SweepOptions,
 ) -> (Vec<PerfRow>, Vec<CellMetrics>) {
     let cells: Vec<(String, (&str, [&str; 4]))> = MIXES
@@ -238,7 +215,7 @@ pub fn fig11_with_metrics(
     let outcomes = run_cells(
         cells,
         |(name, benchmarks)| {
-            mix_row_with(name, benchmarks, 0.7, cycle_ops, cap_ops, epoch)
+            mix_row(name, benchmarks, 0.7, cycle_ops, cap_ops, opts.epoch)
                 .expect("paper mix names are valid")
         },
         opts,
@@ -247,7 +224,8 @@ pub fn fig11_with_metrics(
     (successes(outcomes), metrics)
 }
 
-/// Evaluates one mix.
+/// Evaluates one mix, recording an epoch metrics series every `epoch`
+/// cycles in each of the four cycle runs (0 = final snapshots only).
 ///
 /// # Errors
 ///
@@ -259,33 +237,18 @@ pub fn mix_row(
     fraction: f64,
     cycle_ops: usize,
     cap_ops: usize,
-) -> Result<PerfRow, UnknownBenchmark> {
-    mix_row_with(name, benchmarks, fraction, cycle_ops, cap_ops, 0)
-}
-
-/// As [`mix_row`] with an epoch length for the metrics time-series.
-///
-/// # Errors
-///
-/// Returns [`UnknownBenchmark`] if any mix member is unknown.
-pub fn mix_row_with(
-    name: &str,
-    benchmarks: [&str; 4],
-    fraction: f64,
-    cycle_ops: usize,
-    cap_ops: usize,
     epoch: u64,
 ) -> Result<PerfRow, UnknownBenchmark> {
-    let base = run_mix_with(
+    let base = run_mix_epoch(
         name,
         benchmarks,
         &SystemKind::Uncompressed,
         cycle_ops,
         epoch,
     )?;
-    let lcp = run_mix_with(name, benchmarks, &SystemKind::Lcp, cycle_ops, epoch)?;
-    let align = run_mix_with(name, benchmarks, &SystemKind::LcpAlign, cycle_ops, epoch)?;
-    let comp = run_mix_with(name, benchmarks, &SystemKind::Compresso, cycle_ops, epoch)?;
+    let lcp = run_mix_epoch(name, benchmarks, &SystemKind::Lcp, cycle_ops, epoch)?;
+    let align = run_mix_epoch(name, benchmarks, &SystemKind::LcpAlign, cycle_ops, epoch)?;
+    let comp = run_mix_epoch(name, benchmarks, &SystemKind::Compresso, cycle_ops, epoch)?;
     let rel = |r: &RunResult| base.cycles as f64 / r.cycles.max(1) as f64;
 
     // Memory-capacity: average progress across the mix's benchmarks.
@@ -332,7 +295,7 @@ pub fn mix_row_with(
 }
 
 /// Tab. II: geomean speedups at 80/70/60% constrained memory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tab2Row {
     /// Memory constraint as a fraction of footprint.
     pub fraction: f64,
@@ -340,18 +303,12 @@ pub struct Tab2Row {
     pub single_core: (f64, f64, f64),
 }
 
-/// Runs the Tab. II sweep on the single-core benchmark set. The whole
-/// (fraction × benchmark) grid is one flat sweep; rows regroup by
-/// fraction afterwards.
-pub fn tab2(cycle_ops: usize, cap_ops: usize, opts: &SweepOptions) -> Vec<Tab2Row> {
-    tab2_with_metrics(cycle_ops, cap_ops, 0, opts).0
-}
-
-/// As [`tab2`] with per-cell metric export.
-pub fn tab2_with_metrics(
+/// Runs the Tab. II sweep on the single-core benchmark set, with
+/// per-cell metric export. The whole (fraction × benchmark) grid is one
+/// flat sweep; rows regroup by fraction afterwards.
+pub fn tab2(
     cycle_ops: usize,
     cap_ops: usize,
-    epoch: u64,
     opts: &SweepOptions,
 ) -> (Vec<Tab2Row>, Vec<CellMetrics>) {
     const FRACTIONS: [f64; 3] = [0.8, 0.7, 0.6];
@@ -370,7 +327,7 @@ pub fn tab2_with_metrics(
         .collect();
     let outcomes = run_cells(
         cells,
-        |(fraction, p)| perf_row_with(&p, fraction, cycle_ops, cap_ops, epoch),
+        |(fraction, p)| perf_row(&p, fraction, cycle_ops, cap_ops, opts.epoch),
         opts,
     );
     let metrics = crate::metrics::collect(&outcomes, |r| &r.metrics);
@@ -393,7 +350,7 @@ mod tests {
     #[test]
     fn perf_row_shapes_hold_for_a_compressible_benchmark() {
         let p = benchmark("soplex").unwrap();
-        let row = perf_row(&p, 0.7, 4_000, 1_000_000);
+        let row = perf_row(&p, 0.7, 4_000, 1_000_000, 0);
         // Capacity ordering: unconstrained >= Compresso >= 1-ish.
         assert!(row.memcap_unconstrained >= row.memcap_compresso * 0.95);
         assert!(row.memcap_compresso >= 0.95);

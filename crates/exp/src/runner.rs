@@ -1,9 +1,7 @@
 //! Cycle-based simulation runners: one core or a 4-core mix, against any
 //! evaluated system.
 
-use compresso_cache_sim::{
-    run_multicore_instrumented, Backend, Core, CoreParams, Hierarchy, TraceOp,
-};
+use compresso_cache_sim::{run_multicore, Backend, Core, CoreParams, Hierarchy, TraceOp};
 use compresso_core::DeviceStats;
 use compresso_core::{
     CompressoConfig, CompressoDevice, LcpDevice, MemoryDevice, UncompressedDevice,
@@ -14,7 +12,6 @@ use compresso_workloads::{
     offset_trace, require_benchmark, BenchmarkProfile, CombinedWorld, DataWorld, TraceGenerator,
     UnknownBenchmark,
 };
-use serde::Serialize;
 
 /// Which memory system to simulate.
 #[derive(Debug, Clone)]
@@ -73,7 +70,7 @@ impl SystemKind {
 }
 
 /// One cycle-based simulation result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// System label.
     pub system: String,
@@ -84,16 +81,13 @@ pub struct RunResult {
     /// Instructions retired (summed across cores).
     pub instructions: u64,
     /// Device event counters.
-    #[serde(skip)]
     pub device: DeviceStats,
     /// DRAM counters.
-    #[serde(skip)]
     pub dram: MemStats,
     /// Compression ratio at end of run.
     pub ratio: f64,
     /// Full metric bundle: final registry snapshot plus the epoch
     /// series (empty unless an epoch length was requested).
-    #[serde(skip)]
     pub metrics: MetricsReport,
 }
 
@@ -148,13 +142,13 @@ impl<B: Backend> Backend for InstrumentedBackend<B> {
 
 /// Runs one benchmark on one core (Tab. III single-core platform).
 pub fn run_single(profile: &BenchmarkProfile, system: &SystemKind, mem_ops: usize) -> RunResult {
-    run_single_with(profile, system, mem_ops, 0)
+    run_single_epoch(profile, system, mem_ops, 0)
 }
 
 /// As [`run_single`], recording an epoch snapshot every `epoch` core
 /// cycles into the result's [`MetricsReport`] (`0` disables the
 /// series; the final snapshot is always captured).
-pub fn run_single_with(
+pub(crate) fn run_single_epoch(
     profile: &BenchmarkProfile,
     system: &SystemKind,
     mem_ops: usize,
@@ -196,15 +190,11 @@ pub fn run_mix(
     system: &SystemKind,
     mem_ops: usize,
 ) -> Result<RunResult, UnknownBenchmark> {
-    run_mix_with(name, benchmarks, system, mem_ops, 0)
+    run_mix_epoch(name, benchmarks, system, mem_ops, 0)
 }
 
 /// As [`run_mix`] with an epoch length for the metrics time-series.
-///
-/// # Errors
-///
-/// Returns [`UnknownBenchmark`] if any benchmark name is unknown.
-pub fn run_mix_with(
+pub(crate) fn run_mix_epoch(
     name: &str,
     benchmarks: [&str; 4],
     system: &SystemKind,
@@ -225,8 +215,7 @@ pub fn run_mix_with(
     let mut device = system.build(CombinedWorld::new(worlds));
     let registry = device.metrics().clone();
     let mut backend = InstrumentedBackend::new(&mut device, &registry, epoch);
-    let result =
-        run_multicore_instrumented(traces, CoreParams::paper_default(), &mut backend, &registry);
+    let result = run_multicore(traces, CoreParams::paper_default(), &mut backend, &registry);
     let metrics = MetricsReport::from_parts(registry.snapshot(), backend.recorder);
     Ok(RunResult {
         system: system.label().to_string(),

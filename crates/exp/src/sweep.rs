@@ -24,7 +24,7 @@
 //! `COMPRESSO_JOBS` environment variable, or the machine's available
 //! parallelism, in that order of precedence.
 
-use crate::runner::{run_mix_with, run_single_with, RunResult, SystemKind};
+use crate::runner::{run_mix_epoch, run_single_epoch, RunResult, SystemKind};
 use compresso_workloads::{require_benchmark, UnknownBenchmark};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,6 +41,9 @@ pub struct SweepOptions {
     pub jobs: usize,
     /// Emit per-cell timing/progress lines on stderr.
     pub progress: bool,
+    /// Epoch length for the cells' metrics time-series, in the
+    /// figure's simulated ticks (0 = final snapshot only).
+    pub epoch: u64,
     /// Faultkit-style chaos hook: the cell with this label panics before
     /// its work runs. Used by the scheduler tests to prove panic
     /// containment; `None` (the default) costs one never-taken branch.
@@ -50,18 +53,15 @@ pub struct SweepOptions {
 impl SweepOptions {
     /// One worker, no progress output — the library/test default.
     pub fn serial() -> Self {
-        Self {
-            jobs: 1,
-            progress: false,
-            panic_label: None,
-        }
+        Self::with_jobs(1)
     }
 
-    /// A fixed worker count, no progress output.
+    /// A fixed worker count, no progress output, no epoch series.
     pub fn with_jobs(jobs: usize) -> Self {
         Self {
             jobs,
             progress: false,
+            epoch: 0,
             panic_label: None,
         }
     }
@@ -77,11 +77,7 @@ impl SweepOptions {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        Self {
-            jobs,
-            progress: false,
-            panic_label: None,
-        }
+        Self::with_jobs(jobs)
     }
 
     /// Binary entry point: `--jobs N` overrides `COMPRESSO_JOBS`, which
@@ -321,9 +317,6 @@ pub struct SweepCell {
     pub system: SystemKind,
     /// Memory operations in the generated trace (per core for mixes).
     pub mem_ops: usize,
-    /// Epoch length in core cycles for the metrics time-series
-    /// (0 = final snapshot only).
-    pub epoch: u64,
 }
 
 impl SweepCell {
@@ -333,14 +326,7 @@ impl SweepCell {
             workload: Workload::Single(benchmark.to_string()),
             system,
             mem_ops,
-            epoch: 0,
         }
-    }
-
-    /// Sets the epoch length for the cell's metrics time-series.
-    pub fn with_epoch(mut self, epoch: u64) -> Self {
-        self.epoch = epoch;
-        self
     }
 
     /// A 4-core mix cell.
@@ -352,7 +338,6 @@ impl SweepCell {
             },
             system,
             mem_ops,
-            epoch: 0,
         }
     }
 
@@ -361,39 +346,41 @@ impl SweepCell {
         format!("{}/{}", self.workload.name(), self.system.label())
     }
 
-    /// Runs the cell on a freshly built world and device.
+    /// Runs the cell on a freshly built world and device, recording an
+    /// epoch snapshot every `epoch` core cycles (0 = final only).
     ///
     /// # Errors
     ///
     /// Returns [`UnknownBenchmark`] if the benchmark or a mix member is
     /// not a known profile.
-    pub fn run(&self) -> Result<RunResult, UnknownBenchmark> {
+    pub fn run(&self, epoch: u64) -> Result<RunResult, UnknownBenchmark> {
         match &self.workload {
             Workload::Single(name) => {
                 let profile = require_benchmark(name)?;
-                Ok(run_single_with(
+                Ok(run_single_epoch(
                     &profile,
                     &self.system,
                     self.mem_ops,
-                    self.epoch,
+                    epoch,
                 ))
             }
             Workload::Mix { name, members } => {
                 let members: [&str; 4] = [&members[0], &members[1], &members[2], &members[3]];
-                run_mix_with(name, members, &self.system, self.mem_ops, self.epoch)
+                run_mix_epoch(name, members, &self.system, self.mem_ops, epoch)
             }
         }
     }
 }
 
-/// Runs a grid of [`SweepCell`]s on the engine. Unknown-benchmark cells
+/// Runs a grid of [`SweepCell`]s on the engine, each recording epochs
+/// at `opts.epoch`. Unknown-benchmark cells
 /// come back as [`CellError::Failed`]; panicking cells as
 /// [`CellError::Panicked`]; everything else as bit-identical
 /// [`RunResult`]s in presentation order.
 pub fn run_grid(cells: Vec<SweepCell>, opts: &SweepOptions) -> Vec<CellOutcome<RunResult>> {
     let labelled: Vec<(String, SweepCell)> =
         cells.into_iter().map(|cell| (cell.label(), cell)).collect();
-    run_cells(labelled, |cell| cell.run(), opts)
+    run_cells(labelled, |cell| cell.run(opts.epoch), opts)
         .into_iter()
         .map(CellOutcome::flatten)
         .collect()

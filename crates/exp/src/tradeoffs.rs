@@ -7,13 +7,12 @@ use compresso_compression::{BinSet, Bpc, Compressor};
 use compresso_core::{CompressoConfig, PageAllocation};
 use compresso_telemetry::CellMetrics;
 use compresso_workloads::{all_benchmarks, BenchmarkProfile, DataWorld, PAGE_BYTES};
-use serde::Serialize;
 
 /// Benchmarks whose cycle runs supply the overflow counts.
 const OVERFLOW_BENCHMARKS: [&str; 4] = ["gcc", "lbm", "libquantum", "Forestfire"];
 
 /// Result of one trade-off configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TradeoffRow {
     /// Configuration label.
     pub config: String,
@@ -75,7 +74,6 @@ fn overflow_totals(
     label: &str,
     cfg: &CompressoConfig,
     ops: usize,
-    epoch: u64,
     opts: &SweepOptions,
     metrics: &mut Vec<CellMetrics>,
 ) -> (u64, u64) {
@@ -87,7 +85,6 @@ fn overflow_totals(
                 SystemKind::custom(format!("{label}/{name}"), cfg.clone()),
                 ops,
             )
-            .with_epoch(epoch)
         })
         .collect();
     let outcomes = run_grid(cells, opts);
@@ -99,32 +96,23 @@ fn overflow_totals(
     )
 }
 
-/// Line-bin trade-off: 4 vs 8 bins (ratio up, overflows up).
-pub fn line_bin_tradeoff(max_pages: usize, ops: usize, opts: &SweepOptions) -> Vec<TradeoffRow> {
-    line_bin_tradeoff_with(max_pages, ops, 0, opts).0
-}
-
-/// As [`line_bin_tradeoff`] with per-cell metric export of the overflow
-/// cycle runs.
-pub fn line_bin_tradeoff_with(
+/// Evaluates each `(label, config)`: the suite's average static
+/// compression ratio under the config's bins and page allocation, and
+/// the overflow totals of its cycle runs (whose metric bundles are
+/// exported per cell).
+fn tradeoff(
+    configs: &[(&str, CompressoConfig)],
     max_pages: usize,
     ops: usize,
-    epoch: u64,
     opts: &SweepOptions,
 ) -> (Vec<TradeoffRow>, Vec<CellMetrics>) {
-    let configs = [
-        ("4-line-bins", BinSet::aligned4()),
-        ("8-line-bins", BinSet::eight()),
-    ];
     let mut metrics = Vec::new();
     let rows = configs
         .iter()
-        .map(|(label, bins)| {
-            let avg_ratio = static_ratio(bins, PageAllocation::Chunks512, max_pages, opts);
-            let mut cfg = CompressoConfig::compresso();
-            cfg.bins = bins.clone();
+        .map(|(label, cfg)| {
+            let avg_ratio = static_ratio(&cfg.bins, cfg.allocation, max_pages, opts);
             let (line_overflows, page_overflows) =
-                overflow_totals(label, &cfg, ops, epoch, opts, &mut metrics);
+                overflow_totals(label, cfg, ops, opts, &mut metrics);
             TradeoffRow {
                 config: label.to_string(),
                 avg_ratio,
@@ -134,45 +122,41 @@ pub fn line_bin_tradeoff_with(
         })
         .collect();
     (rows, metrics)
+}
+
+/// Line-bin trade-off: 4 vs 8 bins (ratio up, overflows up).
+pub fn line_bin_tradeoff(
+    max_pages: usize,
+    ops: usize,
+    opts: &SweepOptions,
+) -> (Vec<TradeoffRow>, Vec<CellMetrics>) {
+    let with_bins = |bins| CompressoConfig {
+        bins,
+        ..CompressoConfig::compresso()
+    };
+    let configs = [
+        ("4-line-bins", with_bins(BinSet::aligned4())),
+        ("8-line-bins", with_bins(BinSet::eight())),
+    ];
+    tradeoff(&configs, max_pages, ops, opts)
 }
 
 /// Page-size trade-off: 8 incremental sizes vs 4 variable sizes.
-pub fn page_size_tradeoff(max_pages: usize, ops: usize, opts: &SweepOptions) -> Vec<TradeoffRow> {
-    page_size_tradeoff_with(max_pages, ops, 0, opts).0
-}
-
-/// As [`page_size_tradeoff`] with per-cell metric export.
-pub fn page_size_tradeoff_with(
+pub fn page_size_tradeoff(
     max_pages: usize,
     ops: usize,
-    epoch: u64,
     opts: &SweepOptions,
 ) -> (Vec<TradeoffRow>, Vec<CellMetrics>) {
+    let variable = CompressoConfig {
+        allocation: PageAllocation::Variable4,
+        ir_expansion: false,
+        ..CompressoConfig::compresso()
+    };
     let configs = [
-        ("8-page-sizes", PageAllocation::Chunks512),
-        ("4-page-sizes", PageAllocation::Variable4),
+        ("8-page-sizes", CompressoConfig::compresso()),
+        ("4-page-sizes", variable),
     ];
-    let mut metrics = Vec::new();
-    let rows = configs
-        .iter()
-        .map(|(label, allocation)| {
-            let avg_ratio = static_ratio(&BinSet::aligned4(), *allocation, max_pages, opts);
-            let mut cfg = CompressoConfig::compresso();
-            cfg.allocation = *allocation;
-            if *allocation == PageAllocation::Variable4 {
-                cfg.ir_expansion = false;
-            }
-            let (line_overflows, page_overflows) =
-                overflow_totals(label, &cfg, ops, epoch, opts, &mut metrics);
-            TradeoffRow {
-                config: label.to_string(),
-                avg_ratio,
-                line_overflows,
-                page_overflows,
-            }
-        })
-        .collect();
-    (rows, metrics)
+    tradeoff(&configs, max_pages, ops, opts)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! JSON round-trip through the schema validator.
 
 use compresso_exp::sweep::{run_grid, SweepCell, SweepOptions};
-use compresso_exp::{fig2, metrics, SystemKind};
+use compresso_exp::{fig2, metrics, perf, SystemKind};
 use compresso_telemetry::{
     json, render_bench, validate_bench_doc, validate_metrics_doc, BenchCell, BenchDoc, JsonSink,
     MetricValue, MetricsDoc, MetricsSink, Snapshot,
@@ -14,16 +14,24 @@ fn epoch_grid() -> Vec<SweepCell> {
     let mut cells = Vec::new();
     for bench in ["gcc", "soplex"] {
         for system in [SystemKind::Uncompressed, SystemKind::Compresso] {
-            cells.push(SweepCell::single(bench, system, 2_000).with_epoch(500));
+            cells.push(SweepCell::single(bench, system, 2_000));
         }
     }
     cells
 }
 
+/// `jobs` workers, each cell recording an epoch every `epoch` ticks.
+fn epoch_opts(jobs: usize, epoch: u64) -> SweepOptions {
+    SweepOptions {
+        epoch,
+        ..SweepOptions::with_jobs(jobs)
+    }
+}
+
 #[test]
 fn epoch_series_is_bit_identical_across_jobs_1_4_8() {
     let render = |jobs: usize| -> Vec<String> {
-        run_grid(epoch_grid(), &SweepOptions::with_jobs(jobs))
+        run_grid(epoch_grid(), &epoch_opts(jobs, 500))
             .iter()
             .map(|o| {
                 let r = o.result.as_ref().expect("cell must succeed");
@@ -55,8 +63,8 @@ fn sweep_results_unchanged_by_epoch_recording() {
         &SweepOptions::serial(),
     );
     let recorded = run_grid(
-        vec![SweepCell::single("gcc", SystemKind::Compresso, 2_000).with_epoch(250)],
-        &SweepOptions::serial(),
+        vec![SweepCell::single("gcc", SystemKind::Compresso, 2_000)],
+        &epoch_opts(1, 250),
     );
     let a = plain[0].result.as_ref().unwrap();
     let b = recorded[0].result.as_ref().unwrap();
@@ -68,7 +76,7 @@ fn sweep_results_unchanged_by_epoch_recording() {
 
 #[test]
 fn metrics_doc_round_trips_through_validator() {
-    let outcomes = run_grid(epoch_grid(), &SweepOptions::with_jobs(2));
+    let outcomes = run_grid(epoch_grid(), &epoch_opts(2, 500));
     let cells = metrics::runs_to_cells(&outcomes);
     assert_eq!(cells.len(), 4, "all cells export metrics");
     let doc = MetricsDoc::new("test", "cycles", 500, cells);
@@ -127,11 +135,37 @@ fn metrics_doc_round_trips_through_validator() {
 fn fig2_exports_epoch_series_in_ospa_bytes() {
     // The CI smoke invocation: 60 pages at a 10000-byte epoch must
     // produce a multi-epoch series (60 * 4096 / 10000 = 24 epochs).
-    let (rows, cells) = fig2::fig2_with_metrics(60, 10_000, &SweepOptions::with_jobs(2));
+    let (rows, cells) = fig2::fig2(60, &epoch_opts(2, 10_000));
     assert_eq!(rows.len(), cells.len());
     let epochs = &cells[0].report.epochs;
     assert_eq!(epochs.len(), 24, "60 pages x 4096 B at epoch 10000");
     assert!(epochs.windows(2).all(|w| w[0].tick < w[1].tick));
+}
+
+#[test]
+fn perf_row_records_epochs_under_every_system_prefix() {
+    // The Fig. 10 / Fig. 11 / Tab. II path: all four cycle runs of a
+    // row must record the series, each under its system prefix.
+    let profile = compresso_workloads::benchmark("gcc").expect("known benchmark");
+    let row = perf::perf_row(&profile, 0.7, 2_000, 100_000, 500);
+    assert_eq!(row.metrics.epoch_len, 500);
+    assert!(!row.metrics.epochs.is_empty());
+    for prefix in ["uncompressed", "lcp", "lcp_align", "compresso"] {
+        let name = format!("{prefix}.backend.fill.latency");
+        assert!(
+            row.metrics.epochs[0].snapshot.histogram(&name).is_some(),
+            "first epoch lacks `{name}`"
+        );
+        assert!(
+            row.metrics
+                .epochs
+                .iter()
+                .filter(|e| e.snapshot.histogram(&name).is_some())
+                .count()
+                > 1,
+            "`{prefix}` records a single epoch only"
+        );
+    }
 }
 
 #[test]

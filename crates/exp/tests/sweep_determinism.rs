@@ -82,9 +82,9 @@ fn grid_results_also_match_direct_serial_runs() {
 
 #[test]
 fn fig2_sweep_is_jobs_invariant() {
-    let serial = fig2::fig2(80, &SweepOptions::with_jobs(1));
-    let four = fig2::fig2(80, &SweepOptions::with_jobs(4));
-    let eight = fig2::fig2(80, &SweepOptions::with_jobs(8));
+    let serial = fig2::fig2(80, &SweepOptions::with_jobs(1)).0;
+    let four = fig2::fig2(80, &SweepOptions::with_jobs(4)).0;
+    let eight = fig2::fig2(80, &SweepOptions::with_jobs(8)).0;
     assert_eq!(serial.len(), four.len());
     assert_eq!(serial.len(), eight.len());
     for ((s, p4), p8) in serial.iter().zip(&four).zip(&eight) {
@@ -119,7 +119,7 @@ fn perf_rows_are_jobs_invariant() {
             .collect();
         compresso_exp::successes(run_cells(
             cells,
-            |b| perf::perf_row(&benchmark(b).expect("known"), 0.7, 1_500, 300_000),
+            |b| perf::perf_row(&benchmark(b).expect("known"), 0.7, 1_500, 300_000, 0),
             opts,
         ))
         .into_iter()

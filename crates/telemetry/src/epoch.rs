@@ -2,6 +2,7 @@
 //! time (cycles for timing runs, pages for static studies).
 
 use crate::registry::{Registry, Snapshot};
+use std::collections::BTreeMap;
 
 /// One periodic snapshot of every registered metric.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,8 +90,10 @@ impl MetricsReport {
     }
 
     /// Merges several labelled reports into one, prefixing every metric
-    /// (and epoch metric) name with its label. Epochs are taken from
-    /// the first report that has any.
+    /// (and epoch metric) name with its label. Epochs are merged by
+    /// tick: each merged epoch holds every report that closed an epoch
+    /// at that tick, so a report whose run ended early simply drops out
+    /// of the later epochs.
     pub fn merged_prefixed(parts: &[(&str, &MetricsReport)]) -> Self {
         let last = Snapshot::merged(
             &parts
@@ -98,22 +101,26 @@ impl MetricsReport {
                 .map(|(p, r)| r.last.prefixed(p))
                 .collect::<Vec<_>>(),
         );
-        let (epochs, epoch_len) = parts
+        let mut by_tick: BTreeMap<u64, Vec<Snapshot>> = BTreeMap::new();
+        for (p, r) in parts {
+            for e in &r.epochs {
+                by_tick
+                    .entry(e.tick)
+                    .or_default()
+                    .push(e.snapshot.prefixed(p));
+            }
+        }
+        let epochs = by_tick
+            .into_iter()
+            .map(|(tick, snaps)| Epoch {
+                tick,
+                snapshot: Snapshot::merged(&snaps),
+            })
+            .collect();
+        let epoch_len = parts
             .iter()
             .find(|(_, r)| !r.epochs.is_empty())
-            .map(|(p, r)| {
-                (
-                    r.epochs
-                        .iter()
-                        .map(|e| Epoch {
-                            tick: e.tick,
-                            snapshot: e.snapshot.prefixed(p),
-                        })
-                        .collect(),
-                    r.epoch_len,
-                )
-            })
-            .unwrap_or((Vec::new(), 0));
+            .map_or(0, |(_, r)| r.epoch_len);
         Self {
             last,
             epochs,
@@ -157,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_prefixed_takes_epochs_from_first_nonempty() {
+    fn merged_prefixed_merges_epochs_by_tick() {
         let mk = |n: u64| {
             let reg = Registry::new();
             let c = Counter::new();
@@ -165,23 +172,39 @@ mod tests {
             reg.register_counter("x", &c);
             reg.snapshot()
         };
-        let a = MetricsReport {
+        let epoch = |tick: u64, n: u64| Epoch {
+            tick,
+            snapshot: mk(n),
+        };
+        let idle = MetricsReport {
             last: mk(1),
             epochs: vec![],
             epoch_len: 0,
         };
-        let b = MetricsReport {
+        let short = MetricsReport {
             last: mk(2),
-            epochs: vec![Epoch {
-                tick: 10,
-                snapshot: mk(2),
-            }],
+            epochs: vec![epoch(10, 2)],
             epoch_len: 10,
         };
-        let m = MetricsReport::merged_prefixed(&[("lcp", &a), ("compresso", &b)]);
-        assert_eq!(m.last.counter("lcp.x"), Some(1));
-        assert_eq!(m.last.counter("compresso.x"), Some(2));
+        let long = MetricsReport {
+            last: mk(4),
+            epochs: vec![epoch(10, 3), epoch(20, 4)],
+            epoch_len: 10,
+        };
+        let m = MetricsReport::merged_prefixed(&[
+            ("uncompressed", &idle),
+            ("lcp", &short),
+            ("compresso", &long),
+        ]);
+        assert_eq!(m.last.counter("uncompressed.x"), Some(1));
+        assert_eq!(m.last.counter("lcp.x"), Some(2));
+        assert_eq!(m.last.counter("compresso.x"), Some(4));
         assert_eq!(m.epoch_len, 10);
-        assert_eq!(m.epochs[0].snapshot.counter("compresso.x"), Some(2));
+        let ticks: Vec<u64> = m.epochs.iter().map(|e| e.tick).collect();
+        assert_eq!(ticks, vec![10, 20]);
+        assert_eq!(m.epochs[0].snapshot.counter("lcp.x"), Some(2));
+        assert_eq!(m.epochs[0].snapshot.counter("compresso.x"), Some(3));
+        assert_eq!(m.epochs[1].snapshot.counter("lcp.x"), None);
+        assert_eq!(m.epochs[1].snapshot.counter("compresso.x"), Some(4));
     }
 }

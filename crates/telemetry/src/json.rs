@@ -1,12 +1,12 @@
 //! Minimal hand-rolled JSON: a [`JsonValue`] tree, a recursive-descent
 //! parser and string-escaping helpers.
 //!
-//! The workspace's vendored `serde` is an offline no-op stub, so the
-//! metrics exporters write JSON by hand; this parser exists so the
-//! `metrics_check` CI binary and the round-trip tests can read it back
-//! without any external dependency. It accepts the JSON this crate
-//! emits (and standard JSON generally); it is not meant to be a
-//! full-spec validator.
+//! The crate has no dependencies, so the metrics exporters write JSON
+//! by hand; this parser reads it back for the `metrics_check` binary,
+//! `bench --baseline` and the round-trip tests. It accepts the JSON
+//! this crate emits (and standard JSON generally); it is not meant to
+//! be a full-spec validator. Nesting deeper than [`MAX_DEPTH`] is an
+//! error, so hostile input cannot overflow the stack.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -66,12 +66,16 @@ impl JsonValue {
     }
 }
 
-/// Parses a complete JSON document; trailing non-whitespace is an
-/// error.
+/// Deepest array/object nesting [`parse`] accepts. The exported
+/// documents nest at most a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace and
+/// nesting deeper than [`MAX_DEPTH`] are errors.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -85,12 +89,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value; `depth` is how many more arrays/objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == 0 => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth - 1),
+        Some(b'[') => parse_arr(b, pos, depth - 1),
         Some(b'"') => parse_string(b, pos).map(JsonValue::Str),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -172,7 +181,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -181,7 +190,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -194,7 +203,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -213,7 +222,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.entry(key).or_insert(value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -280,6 +289,23 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let at_bound = parse(&nested(MAX_DEPTH)).expect("nesting at the bound parses");
+        let mut innermost = &at_bound;
+        for _ in 1..MAX_DEPTH {
+            innermost = &innermost.as_arr().expect("array level")[0];
+        }
+        assert_eq!(innermost, &JsonValue::Arr(Vec::new()));
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! and periodically via an [`EpochRecorder`] — into plain, ordered
 //! [`Snapshot`]s that serialize deterministically.
 //!
-//! The crate is zero-dependency by design: JSON is hand-rolled (the
-//! workspace's vendored `serde` is an offline no-op stub) and a minimal
-//! [`json`] parser backs the schema checker and round-trip tests.
+//! The crate is zero-dependency by design: JSON is hand-rolled, and a
+//! minimal depth-bounded [`json`] parser backs the schema checker and
+//! round-trip tests.
 //!
 //! # Example
 //!

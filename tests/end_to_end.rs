@@ -68,7 +68,7 @@ fn compresso_beats_lcp_on_data_movement() {
 fn dual_simulation_combines_multiplicatively() {
     // The paper multiplies cycle-based and capacity relative performance.
     let profile = benchmark("xalancbmk").unwrap();
-    let row = compresso_exp::perf::perf_row(&profile, 0.7, 5_000, 1_000_000);
+    let row = compresso_exp::perf::perf_row(&profile, 0.7, 5_000, 1_000_000, 0);
     let overall = row.overall_compresso();
     assert!(
         (overall - row.cycle_compresso * row.memcap_compresso).abs() < 1e-12,
