@@ -3,33 +3,23 @@
 
 use crate::alloc::{BuddyAllocator, ChunkAllocator};
 use crate::config::{CompressoConfig, PageAllocation};
-use crate::device::{LineSizer, LineSizes, MemoryDevice};
+use crate::controller::{
+    self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY, OFFSET_CALC_LATENCY,
+};
+use crate::device::{LineSizes, MemoryDevice};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
-use crate::journal::{
-    self, AppendOutcome, DurabilityEvents, Journal, JournalRecord, PageImage, RecoveryReport,
-    ShadowModel,
-};
-use crate::mcache::MetadataCache;
+use crate::journal::{JournalRecord, PageImage, RecoveryReport};
 use crate::metadata::{LineLocation, PageMeta, CHUNK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
-use crate::metadata_codec::{self, CRC_OFFSET, PACKED_BYTES};
+use crate::metadata_codec::{self, CRC_OFFSET, MAX_INFLATED, PACKED_BYTES};
 use crate::predictor::OverflowPredictor;
-use crate::stats::{DeviceEvents, DeviceStats};
+use crate::stats::DeviceStats;
 use compresso_cache_sim::Backend;
 use compresso_compression::{Bdi, BinSet, Bpc, CompressedLineRef, Compressor, Fpc, Line, Scratch};
-use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
+use compresso_mem_sim::MemStats;
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrMap, LineSource};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// MPA region where metadata entries live (outside the chunk space).
-const METADATA_BASE: u64 = 1 << 40;
-/// Free-prefetch buffer depth (compressed 64 B bursts kept by the
-/// controller; a fill whose bytes are already buffered needs no DRAM).
-const PREFETCH_BUFFER: usize = 16;
-/// Bounded backoff: a refused chunk/block allocation is retried this many
-/// times before the page degrades (see DESIGN.md, fault model).
-const MAX_ALLOC_RETRIES: u32 = 3;
+use std::collections::BTreeMap;
 
 /// The line compressor a device uses.
 #[derive(Debug, Clone, Copy)]
@@ -82,6 +72,15 @@ enum Allocator {
     Buddy(BuddyAllocator),
 }
 
+impl Allocator {
+    fn used_bytes(&self) -> u64 {
+        match self {
+            Allocator::Chunks(a) => a.used_bytes(),
+            Allocator::Buddy(a) => a.used_bytes(),
+        }
+    }
+}
+
 /// One touched OSPA page: its metadata entry plus the stored sizes of
 /// its lines (see [`crate::device`]). The sizes are not part of the
 /// packed entry: a fault or fallback that rewrites `meta` leaves them
@@ -105,101 +104,65 @@ fn binned_bytes(bins: &BinSet, sizes: &[u8]) -> u32 {
         .sum()
 }
 
+/// MPA addresses of the 64 B bursts covering `size` bytes at logical
+/// `offset` of a page backed by `chunks`.
+fn bursts(chunks: &[u32], offset: u32, size: u32) -> impl ExactSizeIterator<Item = u64> + '_ {
+    controller::units(offset, size).map(move |unit| {
+        let logical = unit * 64;
+        let chunk = chunks[(logical / CHUNK_BYTES) as usize];
+        ChunkAllocator::chunk_addr(chunk) + (logical % CHUNK_BYTES) as u64
+    })
+}
+
+/// Chunk frame numbers of a contiguous block at MPA `base` holding
+/// `bytes` (a Variable4 page's allocation).
+fn block_chunks(base: u64, bytes: u32) -> Vec<u32> {
+    (0..bytes.div_ceil(CHUNK_BYTES))
+        .map(|i| (base / CHUNK_BYTES as u64) as u32 + i)
+        .collect()
+}
+
 /// Compresso: compressed main memory implemented entirely in the memory
 /// controller (see crate docs).
 pub struct CompressoDevice {
     cfg: CompressoConfig,
-    sizer: LineSizer,
-    world: Box<dyn LineSource>,
-    mem: MainMemory,
-    mcache: MetadataCache,
+    ctl: Controller,
     pages: AddrMap<Page>,
     alloc: Allocator,
-    /// Buddy base address per page (Variable4 only).
-    buddy_base: AddrMap<u64>,
     predictor: OverflowPredictor,
-    prefetch: VecDeque<(u64, u32)>,
-    stats: DeviceEvents,
-    registry: Registry,
-    faults: Option<FaultPlan>,
     // -------- crash-consistency layer (DESIGN.md §10) --------
-    /// Write-ahead journal; `Some` iff `cfg.durability.journaling`.
-    journal: Option<Journal>,
     /// Durable metadata-region image (what a cold boot would read
     /// before replaying the journal); rot lands here.
     durable: BTreeMap<u64, [u8; PACKED_BYTES]>,
-    /// Last journal-committed ownership per page, for delta records.
-    committed: HashMap<u64, Vec<(u64, u32)>>,
-    /// Set when an armed crash fired: the journal is frozen and the
-    /// device stops mutating state (recovery trusts the journal only).
-    crashed: bool,
-    dur_events: DurabilityEvents,
     next_scrub_at: u64,
     scrub_cursor: u64,
-}
-
-/// One chunk allocation with bounded retry against an injected refusal.
-/// A genuine [`OutOfMpaSpace`](CompressoError::OutOfMpaSpace) fails
-/// immediately (retrying cannot clear real exhaustion — ballooning can).
-pub(crate) fn alloc_chunk_with_retry(
-    alloc: &mut ChunkAllocator,
-    faults: &mut Option<FaultPlan>,
-    stats: &mut DeviceEvents,
-) -> Result<u32, CompressoError> {
-    for attempt in 0..=MAX_ALLOC_RETRIES {
-        if let Some(f) = faults.as_mut() {
-            if f.alloc_refused() {
-                stats.injected_faults += 1;
-                if attempt == MAX_ALLOC_RETRIES {
-                    stats.alloc_failures += 1;
-                    return Err(CompressoError::OutOfMpaSpace);
-                }
-                stats.alloc_retries += 1;
-                continue;
-            }
-        }
-        return alloc.alloc().map_err(|e| {
-            stats.alloc_failures += 1;
-            e.into()
-        });
-    }
-    unreachable!("loop returns on the last attempt")
-}
-
-/// As [`alloc_chunk_with_retry`] for a variable-size buddy block.
-pub(crate) fn alloc_buddy_with_retry(
-    alloc: &mut BuddyAllocator,
-    bytes: u32,
-    faults: &mut Option<FaultPlan>,
-    stats: &mut DeviceEvents,
-) -> Result<u64, CompressoError> {
-    for attempt in 0..=MAX_ALLOC_RETRIES {
-        if let Some(f) = faults.as_mut() {
-            if f.alloc_refused() {
-                stats.injected_faults += 1;
-                if attempt == MAX_ALLOC_RETRIES {
-                    stats.alloc_failures += 1;
-                    return Err(CompressoError::OutOfMpaSpace);
-                }
-                stats.alloc_retries += 1;
-                continue;
-            }
-        }
-        return alloc.alloc(bytes).inspect_err(|&e| {
-            if e == CompressoError::OutOfMpaSpace {
-                stats.alloc_failures += 1;
-            }
-        });
-    }
-    unreachable!("loop returns on the last attempt")
 }
 
 impl std::fmt::Debug for CompressoDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompressoDevice")
             .field("pages", &self.pages.len())
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.ctl.stats.snapshot())
             .finish_non_exhaustive()
+    }
+}
+
+impl MetadataHooks for CompressoDevice {
+    fn controller(&mut self) -> &mut Controller {
+        &mut self.ctl
+    }
+
+    fn on_fetch(&mut self, t: u64, page: u64) -> u64 {
+        self.maybe_corrupt_metadata(t, page)
+    }
+
+    /// Every eviction feeds the predictor and is the repacking trigger
+    /// (§IV-B4).
+    fn on_evict(&mut self, t: u64, victim: u64) {
+        self.predictor.on_mcache_eviction(victim);
+        if self.cfg.repacking {
+            self.maybe_repack(t, victim);
+        }
     }
 }
 
@@ -225,28 +188,19 @@ impl CompressoDevice {
             }
             PageAllocation::Variable4 => Allocator::Buddy(BuddyAllocator::new(config.mpa_capacity)),
         };
-        let journal = config.durability.journaling.then(Journal::new);
-        let next_scrub_at = config.durability.scrub_interval;
         let device = Self {
-            mcache: MetadataCache::paper_default(config.mcache_half_entries),
-            mem: MainMemory::new(MemConfig::ddr4_2666()),
+            ctl: Controller::new(
+                world,
+                codec,
+                config.mcache_half_entries,
+                config.durability.journaling,
+            ),
+            next_scrub_at: config.durability.scrub_interval,
             cfg: config,
-            sizer: LineSizer::new(codec),
-            world,
             pages: AddrMap::default(),
             alloc,
-            buddy_base: AddrMap::default(),
             predictor: OverflowPredictor::new(),
-            prefetch: VecDeque::new(),
-            stats: DeviceEvents::new(),
-            registry: Registry::new(),
-            faults: None,
-            journal,
             durable: BTreeMap::new(),
-            committed: HashMap::new(),
-            crashed: false,
-            dur_events: DurabilityEvents::new(),
-            next_scrub_at,
             scrub_cursor: 0,
         };
         device.register_all_metrics();
@@ -256,16 +210,12 @@ impl CompressoDevice {
     /// Registers every subsystem's metrics into this device's registry
     /// under the DESIGN.md §9 prefixes.
     fn register_all_metrics(&self) {
-        self.stats.register_metrics(&self.registry, "compresso");
-        self.mem.register_metrics(&self.registry, "dram");
-        self.mcache.register_metrics(&self.registry, "mcache");
-        self.predictor.register_metrics(&self.registry, "predictor");
+        let registry = &self.ctl.registry;
+        self.ctl.register_metrics("compresso");
+        self.predictor.register_metrics(registry, "predictor");
         match &self.alloc {
-            Allocator::Chunks(a) => a.register_metrics(&self.registry, "alloc"),
-            Allocator::Buddy(a) => a.register_metrics(&self.registry, "alloc"),
-        }
-        if self.journal.is_some() {
-            self.dur_events.register_metrics(&self.registry);
+            Allocator::Chunks(a) => a.register_metrics(registry, "alloc"),
+            Allocator::Buddy(a) => a.register_metrics(registry, "alloc"),
         }
     }
 
@@ -274,18 +224,18 @@ impl CompressoDevice {
     /// the device degrades per the DESIGN.md fault policy instead of
     /// panicking.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(plan);
+        self.ctl.faults = Some(plan);
     }
 
     /// Injection counters of the attached fault plan, if any.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_ref().map(|f| f.stats())
+        self.ctl.faults.as_ref().map(|f| f.stats())
     }
 
     /// Records a balloon-driver inflate retry against this device's
     /// stats (the oskit `MpaController::on_balloon_retry` hook).
     pub fn note_balloon_retry(&mut self) {
-        self.stats.balloon_retries += 1;
+        self.ctl.stats.balloon_retries += 1;
     }
 
     /// The configuration in use.
@@ -295,7 +245,7 @@ impl CompressoDevice {
 
     /// The data world (e.g. to inspect versions in tests).
     pub fn world(&self) -> &dyn LineSource {
-        self.world.as_ref()
+        self.ctl.world.as_ref()
     }
 
     /// MPA bytes currently allocated to one OSPA page (excluding its
@@ -313,11 +263,11 @@ impl CompressoDevice {
     /// hardware half of ballooning: the Compresso driver hands freed page
     /// numbers to the controller, which drops them from metadata.
     pub fn invalidate_page(&mut self, page: u64) {
-        if self.crashed {
+        if self.ctl.crashed {
             return;
         }
         if let Some(Page { meta, .. }) = self.pages.remove(&page) {
-            self.release_chunks(page, &meta);
+            self.release_chunks(&meta);
             self.commit_page_free(page);
         }
     }
@@ -327,48 +277,28 @@ impl CompressoDevice {
     // (DESIGN.md §10)
     // ------------------------------------------------------------------
 
-    /// The MPA blocks `page` currently owns: one `(addr, bytes)` pair
-    /// per 512 B chunk (Chunks512) or one per buddy block (Variable4).
-    fn blocks_for(&self, page: u64, meta: &PageMeta) -> Vec<(u64, u32)> {
-        match self.cfg.allocation {
-            PageAllocation::Chunks512 => meta
+    /// The MPA blocks a page with entry `meta` owns: one `(addr, bytes)`
+    /// pair per 512 B chunk (Chunks512) or its one contiguous block,
+    /// based at its first chunk (Variable4).
+    fn blocks_of(&self, meta: &PageMeta) -> Vec<(u64, u32)> {
+        match (self.cfg.allocation, meta.chunks.first()) {
+            (PageAllocation::Chunks512, _) => meta
                 .chunks
                 .iter()
                 .map(|&c| (ChunkAllocator::chunk_addr(c), CHUNK_BYTES))
                 .collect(),
-            PageAllocation::Variable4 => match self.buddy_base.get(&page) {
-                Some(&base) if meta.page_bytes > 0 => vec![(base, meta.page_bytes)],
-                _ => Vec::new(),
-            },
-        }
-    }
-
-    /// Appends records in order, stopping (and freezing the device) if
-    /// an armed crash tears one of them.
-    fn append_all(&mut self, recs: &[JournalRecord]) {
-        let Some(j) = self.journal.as_mut() else {
-            return;
-        };
-        for rec in recs {
-            match j.append(rec, &mut self.faults) {
-                AppendOutcome::Written => self.dur_events.journal_appends += 1,
-                AppendOutcome::Crashed => {
-                    self.dur_events.journal_torn += 1;
-                    self.stats.injected_faults += 1;
-                    self.crashed = true;
-                    return;
-                }
-                AppendOutcome::Frozen => return,
+            (PageAllocation::Variable4, Some(&first)) if meta.page_bytes > 0 => {
+                vec![(ChunkAllocator::chunk_addr(first), meta.page_bytes)]
             }
+            (PageAllocation::Variable4, _) => Vec::new(),
         }
     }
 
-    /// Journals the page's new committed state: ownership deltas against
-    /// the last committed view, then the packed entry as the commit
-    /// point; finally writes the durable metadata image (where injected
-    /// rot may land).
+    /// Journals the page's new committed state (ownership deltas, then
+    /// the packed entry as the commit point); then writes the durable
+    /// metadata image, where injected rot may land.
     fn commit_meta(&mut self, page: u64) {
-        if self.journal.is_none() || self.crashed {
+        if !self.ctl.journaling() {
             return;
         }
         let Some(Page { meta, .. }) = self.pages.get(&page) else {
@@ -377,38 +307,28 @@ impl CompressoDevice {
         let Ok(packed) = metadata_codec::try_encode(meta, &self.cfg.bins) else {
             return;
         };
-        let new_blocks = self.blocks_for(page, meta);
-        let old_blocks = self.committed.get(&page).cloned().unwrap_or_default();
-        let mut recs = Vec::new();
-        for &(addr, bytes) in old_blocks.iter().filter(|b| !new_blocks.contains(b)) {
-            recs.push(JournalRecord::ChunkFree { page, addr, bytes });
+        let blocks = self.blocks_of(meta);
+        if self
+            .ctl
+            .commit(page, blocks, JournalRecord::EntryUpdate { page, packed })
+        {
+            self.durable.insert(page, packed);
+            self.apply_rot(page);
         }
-        for &(addr, bytes) in new_blocks.iter().filter(|b| !old_blocks.contains(b)) {
-            recs.push(JournalRecord::ChunkAlloc { page, addr, bytes });
-        }
-        recs.push(JournalRecord::EntryUpdate { page, packed });
-        self.append_all(&recs);
-        if self.crashed {
-            return;
-        }
-        self.dur_events.journal_commits += 1;
-        self.durable.insert(page, packed);
-        self.apply_rot(page);
-        self.committed.insert(page, new_blocks);
     }
 
     /// Journals a page invalidation (commit point releasing all its
     /// storage) and drops it from the durable image.
     fn commit_page_free(&mut self, page: u64) {
-        if self.journal.is_none() || self.crashed {
+        if !self.ctl.journaling() {
             return;
         }
-        let was_committed = self.committed.remove(&page).is_some();
+        let was_committed = self.ctl.committed.remove(&page).is_some();
         self.durable.remove(&page);
         if was_committed {
-            self.append_all(&[JournalRecord::PageFree { page }]);
-            if !self.crashed {
-                self.dur_events.journal_commits += 1;
+            self.ctl.append_all(&[JournalRecord::PageFree { page }]);
+            if !self.ctl.crashed {
+                self.ctl.dur_events.journal_commits += 1;
             }
         }
     }
@@ -417,27 +337,24 @@ impl CompressoDevice {
     /// entry update sit inside a `RepackBegin`/`RepackCommit` bracket,
     /// so a crash anywhere inside rolls the whole move back.
     fn commit_repack(&mut self, page: u64) {
-        if self.journal.is_none() || self.crashed {
+        if !self.ctl.journaling() {
             return;
         }
-        self.append_all(&[JournalRecord::RepackBegin { page }]);
-        if self.crashed {
-            return;
-        }
+        self.ctl.append_all(&[JournalRecord::RepackBegin { page }]);
         self.commit_meta(page);
-        if self.crashed {
+        if self.ctl.crashed {
             return;
         }
-        self.append_all(&[JournalRecord::RepackCommit { page }]);
+        self.ctl.append_all(&[JournalRecord::RepackCommit { page }]);
     }
 
     /// Injected media rot: one bit of the just-written durable entry
     /// decays. The journal (protected storage) keeps the good copy.
     fn apply_rot(&mut self, page: u64) {
-        if let Some(bit) = self.faults.as_mut().and_then(|f| f.durable_rot()) {
+        if let Some(bit) = self.ctl.faults.as_mut().and_then(|f| f.durable_rot()) {
             if let Some(img) = self.durable.get_mut(&page) {
                 img[bit / 8] ^= 1 << (bit % 8);
-                self.stats.injected_faults += 1;
+                self.ctl.stats.injected_faults += 1;
             }
         }
     }
@@ -449,14 +366,11 @@ impl CompressoDevice {
     /// repair source exists.
     fn maybe_scrub(&mut self, now: u64) {
         let d = self.cfg.durability;
-        if self.journal.is_none() || d.scrub_interval == 0 || self.crashed {
-            return;
-        }
-        if now < self.next_scrub_at {
+        if !self.ctl.journaling() || d.scrub_interval == 0 || now < self.next_scrub_at {
             return;
         }
         self.next_scrub_at = now + d.scrub_interval;
-        self.dur_events.scrub_passes += 1;
+        self.ctl.dur_events.scrub_passes += 1;
         let pages: Vec<u64> = self
             .durable
             .range(self.scrub_cursor..)
@@ -465,16 +379,17 @@ impl CompressoDevice {
             .take(d.scrub_pages_per_pass)
             .collect();
         for page in pages {
-            self.dur_events.scrub_pages_scanned += 1;
+            self.ctl.dur_events.scrub_pages_scanned += 1;
             self.scrub_cursor = page + 1;
             let img = self.durable[&page];
             let stored = u32::from_le_bytes(img[CRC_OFFSET..].try_into().expect("4 bytes"));
             if metadata_codec::crc32(&img[..CRC_OFFSET]) == stored {
                 continue;
             }
-            self.dur_events.scrub_crc_failures += 1;
-            self.stats.corruption_detected += 1;
+            self.ctl.dur_events.scrub_crc_failures += 1;
+            self.ctl.stats.corruption_detected += 1;
             let repair = self
+                .ctl
                 .journal
                 .as_ref()
                 .and_then(|j| j.last_entry_image(page))
@@ -482,13 +397,13 @@ impl CompressoDevice {
             match repair {
                 Some(good) => {
                     self.durable.insert(page, good);
-                    self.dur_events.scrub_repairs += 1;
+                    self.ctl.dur_events.scrub_repairs += 1;
                 }
                 None => {
                     // No committed image to repair from: degrade the
                     // page via the PR 1 uncompressed-fallback path and
                     // re-commit a fresh entry.
-                    self.dur_events.scrub_fallbacks += 1;
+                    self.ctl.dur_events.scrub_fallbacks += 1;
                     self.corruption_fallback(now, page);
                     self.commit_meta(page);
                 }
@@ -499,18 +414,18 @@ impl CompressoDevice {
     /// Raw bytes of the write-ahead journal (what survives a crash), if
     /// journaling is enabled.
     pub fn journal_bytes(&self) -> Option<&[u8]> {
-        self.journal.as_ref().map(|j| j.bytes())
+        self.ctl.journal.as_ref().map(|j| j.bytes())
     }
 
     /// Records fully appended to the journal so far.
     pub fn journal_records(&self) -> u64 {
-        self.journal.as_ref().map_or(0, |j| j.records())
+        self.ctl.journal.as_ref().map_or(0, |j| j.records())
     }
 
     /// Whether an armed crash fired (the device is frozen; recover from
     /// [`Self::journal_bytes`]).
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.ctl.crashed
     }
 
     /// Packed images of every live page, ordered by page number — the
@@ -551,7 +466,7 @@ impl CompressoDevice {
     /// ordered by address.
     pub fn owners_snapshot(&self) -> BTreeMap<u64, (u64, u32)> {
         let mut owners = BTreeMap::new();
-        for (&page, blocks) in &self.committed {
+        for (&page, blocks) in &self.ctl.committed {
             for &(addr, bytes) in blocks {
                 owners.insert(addr, (page, bytes));
             }
@@ -566,26 +481,21 @@ impl CompressoDevice {
     /// allocator free lists and the durable image, verifies layout
     /// invariants, prewarms the metadata cache by journal-tail recency,
     /// and writes a compacted checkpoint journal.
+    ///
+    /// [`ShadowModel`]: crate::journal::ShadowModel
     pub fn recover(
         config: CompressoConfig,
         world: Box<dyn LineSource>,
         journal_bytes: &[u8],
     ) -> (Self, RecoveryReport) {
-        let (records, parse_report) = journal::parse(journal_bytes);
-        let (shadow, rolled_back) = ShadowModel::replay(&records);
-        let mut report = RecoveryReport {
-            replayed: shadow.replayed(),
-            discarded_bytes: parse_report.discarded_bytes,
-            torn: parse_report.torn,
-            rolled_back,
-            violations: shadow.violations().to_vec(),
-            ..Default::default()
-        };
+        let (records, shadow, mut report) = Controller::replay(journal_bytes);
         let mut cfg = config;
         cfg.durability.journaling = true;
         let mut device = Self::new_boxed(cfg, world, Codec::bpc());
 
         // Rebuild pages and ownership from the committed shadow state.
+        // The allocator is rebuilt from the journal's ownership; a page's
+        // layout comes from its entry, checked against that ownership.
         let mut owned_chunks: Vec<u32> = Vec::new();
         let mut owned_blocks: Vec<(u64, u32)> = Vec::new();
         for (&page, image) in shadow.pages() {
@@ -610,15 +520,10 @@ impl CompressoDevice {
                 PageAllocation::Chunks512 => {
                     owned_chunks.extend(blocks.iter().map(|&(addr, _)| (addr / 512) as u32));
                 }
-                PageAllocation::Variable4 => {
-                    if let Some(&(base, bytes)) = blocks.first() {
-                        owned_blocks.push((base, bytes));
-                        device.buddy_base.insert(page, base);
-                    }
-                }
+                PageAllocation::Variable4 => owned_blocks.extend(blocks.first()),
             }
             device.durable.insert(page, *packed);
-            device.committed.insert(page, blocks);
+            device.ctl.committed.insert(page, blocks);
             device.pages.insert(
                 page,
                 Page {
@@ -628,23 +533,18 @@ impl CompressoDevice {
                 },
             );
         }
-        match &mut device.alloc {
-            Allocator::Chunks(_) => {
-                device.alloc = Allocator::Chunks(ChunkAllocator::rebuild(
-                    device.cfg.mpa_capacity,
-                    &owned_chunks,
-                ));
+        let capacity = device.cfg.mpa_capacity;
+        device.alloc = match device.cfg.allocation {
+            PageAllocation::Chunks512 => {
+                Allocator::Chunks(ChunkAllocator::rebuild(capacity, &owned_chunks))
             }
-            Allocator::Buddy(_) => {
-                device.alloc = Allocator::Buddy(BuddyAllocator::rebuild(
-                    device.cfg.mpa_capacity,
-                    &owned_blocks,
-                ));
+            PageAllocation::Variable4 => {
+                Allocator::Buddy(BuddyAllocator::rebuild(capacity, &owned_blocks))
             }
-        }
+        };
         // The rebuilt allocator replaced the one whose gauges were
         // registered at construction: re-register into a fresh registry.
-        device.registry = Registry::new();
+        device.ctl.registry = Registry::new();
         device.register_all_metrics();
         report.pages_rebuilt = device.pages.len();
 
@@ -663,28 +563,17 @@ impl CompressoDevice {
         }
         for &p in recent.iter().rev() {
             let uncompressed = !device.pages[&p].meta.compressed;
-            let _ = device.mcache.access(p, uncompressed, false);
+            let _ = device.ctl.mcache.access(p, uncompressed, false);
         }
         report.prewarmed = recent.len();
 
-        // Checkpoint: write a fresh compacted journal equivalent to the
-        // recovered state, so the next crash replays from here.
-        let pages: Vec<u64> = device.durable.keys().copied().collect();
-        for page in pages {
-            let packed = device.durable[&page];
-            let mut recs: Vec<JournalRecord> = device.committed[&page]
-                .iter()
-                .map(|&(addr, bytes)| JournalRecord::ChunkAlloc { page, addr, bytes })
-                .collect();
-            recs.push(JournalRecord::EntryUpdate { page, packed });
-            device.append_all(&recs);
-            device.dur_events.journal_commits += 1;
-        }
-
-        device.dur_events.recovery_replayed += report.replayed as u64;
-        device.dur_events.recovery_rolled_back += report.rolled_back as u64;
-        device.dur_events.recovery_violations += report.violations.len() as u64;
-        device.dur_events.recovery_prewarmed += report.prewarmed as u64;
+        let durable = &device.durable;
+        device
+            .ctl
+            .checkpoint(&report, |page| JournalRecord::EntryUpdate {
+                page,
+                packed: durable[&page],
+            });
         (device, report)
     }
 
@@ -727,6 +616,18 @@ impl CompressoDevice {
                         blocks.len()
                     ));
                 }
+                // The entry's chunks are the block: contiguous from the
+                // base the journal grants.
+                let base = meta.chunks.first().map(|&c| ChunkAllocator::chunk_addr(c));
+                let contiguous = meta.chunks.windows(2).all(|w| w[1] == w[0] + 1);
+                if !contiguous || base != blocks.first().map(|&(addr, _)| addr) {
+                    violations.push(format!(
+                        "page {page}: entry chunks {:?} are not the contiguous block the \
+                         journal grants at {:?}",
+                        meta.chunks,
+                        blocks.first()
+                    ));
+                }
             }
         }
         if meta.compressed && meta.used_bytes(&self.cfg.bins) > meta.page_bytes {
@@ -754,53 +655,42 @@ impl CompressoDevice {
     fn stored_bins(&mut self, page: u64) -> [u8; LINES_PER_PAGE] {
         let entry = self.pages.get_mut(&page).expect("page exists");
         let fresh = entry.sizes.is_none();
-        let sizes = self
-            .sizer
-            .stored(&mut entry.sizes, self.world.as_ref(), page, &self.stats);
+        let sizes = self.ctl.sizer.stored(
+            &mut entry.sizes,
+            self.ctl.world.as_ref(),
+            page,
+            &self.ctl.stats,
+        );
         if fresh {
             entry.binned = binned_bytes(&self.cfg.bins, &sizes);
         }
         self.bins_of(sizes)
     }
 
-    fn metadata_addr(page: u64) -> u64 {
-        METADATA_BASE + page * 64
-    }
-
-    /// Allocates backing storage of `bytes` for `page`, returning chunk
-    /// frame numbers covering the logical page in order. On failure no
-    /// storage is held (partial chunk grants are rolled back).
-    fn allocate_page(&mut self, page: u64, bytes: u32) -> Result<Vec<u32>, CompressoError> {
-        if bytes == 0 {
-            return Ok(Vec::new());
-        }
-        match &mut self.alloc {
-            Allocator::Chunks(a) => {
-                let mut chunks = Vec::new();
-                for _ in 0..bytes.div_ceil(CHUNK_BYTES) {
-                    match alloc_chunk_with_retry(a, &mut self.faults, &mut self.stats) {
-                        Ok(c) => chunks.push(c),
-                        Err(e) => {
-                            for c in chunks {
-                                a.free(c);
-                            }
-                            return Err(e);
-                        }
+    /// Allocates backing storage of `bytes` for a page that holds none,
+    /// returning chunk frame numbers covering the logical page in order.
+    /// On failure no storage is held (partial chunk grants are released
+    /// in grant order).
+    fn allocate_page(&mut self, bytes: u32) -> Result<Vec<u32>, CompressoError> {
+        let Allocator::Chunks(a) = &mut self.alloc else {
+            return self.resize_page(&PageMeta::zero_page(), bytes);
+        };
+        let mut chunks = Vec::new();
+        for _ in 0..bytes.div_ceil(CHUNK_BYTES) {
+            match self.ctl.alloc_with_retry(|| Ok(a.alloc()?)) {
+                Ok(c) => chunks.push(c),
+                Err(e) => {
+                    for c in chunks {
+                        a.free(c);
                     }
+                    return Err(e);
                 }
-                Ok(chunks)
-            }
-            Allocator::Buddy(a) => {
-                let base = alloc_buddy_with_retry(a, bytes, &mut self.faults, &mut self.stats)?;
-                self.buddy_base.insert(page, base);
-                Ok((0..bytes.div_ceil(CHUNK_BYTES))
-                    .map(|i| (base / 512) as u32 + i)
-                    .collect())
             }
         }
+        Ok(chunks)
     }
 
-    fn release_chunks(&mut self, page: u64, meta: &PageMeta) {
+    fn release_chunks(&mut self, meta: &PageMeta) {
         match &mut self.alloc {
             Allocator::Chunks(a) => {
                 for &c in &meta.chunks {
@@ -808,30 +698,27 @@ impl CompressoDevice {
                 }
             }
             Allocator::Buddy(a) => {
-                if let Some(base) = self.buddy_base.remove(&page) {
-                    a.free(base, meta.page_bytes);
+                if let Some(&first) = meta.chunks.first() {
+                    a.free(ChunkAllocator::chunk_addr(first), meta.page_bytes);
                 }
             }
         }
     }
 
-    /// Grows (or shrinks) a page's allocation to `new_bytes`, preserving
-    /// the chunk prefix where possible (Chunks512) or reallocating
-    /// (Variable4). Returns the new chunk list. On failure the page's
-    /// existing allocation is left untouched, so every caller can keep
-    /// the old layout as its degraded fallback.
-    fn resize_page(
-        &mut self,
-        page: u64,
-        meta: &PageMeta,
-        new_bytes: u32,
-    ) -> Result<Vec<u32>, CompressoError> {
+    /// Grows (or shrinks) the allocation of a page with entry `meta` to
+    /// `new_bytes`, preserving the chunk prefix where possible
+    /// (Chunks512) or reallocating its block (Variable4). Returns the new
+    /// chunk list. On failure the page's existing allocation is left
+    /// untouched (partial chunk grants are rolled back), so every caller
+    /// can keep the old layout as its degraded fallback.
+    fn resize_page(&mut self, meta: &PageMeta, new_bytes: u32) -> Result<Vec<u32>, CompressoError> {
+        let ctl = &mut self.ctl;
         match &mut self.alloc {
             Allocator::Chunks(a) => {
                 let mut chunks = meta.chunks.clone();
                 let want = new_bytes.div_ceil(CHUNK_BYTES) as usize;
                 while chunks.len() < want {
-                    match alloc_chunk_with_retry(a, &mut self.faults, &mut self.stats) {
+                    match ctl.alloc_with_retry(|| Ok(a.alloc()?)) {
                         Ok(c) => chunks.push(c),
                         Err(e) => {
                             while chunks.len() > meta.chunks.len() {
@@ -849,28 +736,14 @@ impl CompressoDevice {
             Allocator::Buddy(a) => {
                 // Allocate the new block before freeing the old one, so a
                 // refused allocation leaves the page's layout intact.
-                let new_base = if new_bytes == 0 {
-                    None
-                } else {
-                    Some(alloc_buddy_with_retry(
-                        a,
-                        new_bytes,
-                        &mut self.faults,
-                        &mut self.stats,
-                    )?)
+                let new_base = match new_bytes {
+                    0 => None,
+                    _ => Some(ctl.alloc_with_retry(|| a.alloc(new_bytes))?),
                 };
-                if let Some(old) = self.buddy_base.remove(&page) {
-                    a.free(old, meta.page_bytes.max(512));
+                if let Some(&first) = meta.chunks.first() {
+                    a.free(ChunkAllocator::chunk_addr(first), meta.page_bytes.max(512));
                 }
-                match new_base {
-                    None => Ok(Vec::new()),
-                    Some(base) => {
-                        self.buddy_base.insert(page, base);
-                        Ok((0..new_bytes.div_ceil(CHUNK_BYTES))
-                            .map(|i| (base / 512) as u32 + i)
-                            .collect())
-                    }
-                }
+                Ok(new_base.map_or_else(Vec::new, |base| block_chunks(base, new_bytes)))
             }
         }
     }
@@ -882,7 +755,7 @@ impl CompressoDevice {
         if self.pages.contains_key(&page) {
             return;
         }
-        let sizes = self.sizer.size_page(self.world.as_ref(), page, &self.stats);
+        let sizes = self.ctl.size_page(page);
         let bins = self.bins_of(sizes);
         let data_bytes = binned_bytes(&self.cfg.bins, &sizes);
         let meta = if data_bytes == 0 {
@@ -893,7 +766,7 @@ impl CompressoDevice {
             // half-entry optimization (§IV-B5).
             let compressed = data_bytes < PAGE_BYTES;
             let page_bytes = self.cfg.allocation.fit(data_bytes.max(1));
-            match self.allocate_page(page, page_bytes) {
+            match self.allocate_page(page_bytes) {
                 Ok(chunks) => PageMeta {
                     valid: true,
                     zero: false,
@@ -919,26 +792,6 @@ impl CompressoDevice {
         self.commit_meta(page);
     }
 
-    /// MPA address of the 64 B burst holding logical byte `offset` of a
-    /// page backed by `chunks`.
-    fn burst(chunks: &[u32], offset: u32) -> u64 {
-        let logical = offset / 64 * 64;
-        let chunk = chunks[(logical / CHUNK_BYTES) as usize];
-        ChunkAllocator::chunk_addr(chunk) + (logical % CHUNK_BYTES) as u64
-    }
-
-    /// MPA burst addresses covering `size` bytes at logical `offset` of a
-    /// page backed by `chunks`.
-    fn bursts(chunks: &[u32], offset: u32, size: u32) -> impl ExactSizeIterator<Item = u64> + '_ {
-        let first = offset / 64;
-        let end = if size == 0 {
-            first
-        } else {
-            (offset + size - 1) / 64 + 1
-        };
-        (first..end).map(move |unit| Self::burst(chunks, unit * 64))
-    }
-
     // ------------------------------------------------------------------
     // Metadata path
     // ------------------------------------------------------------------
@@ -946,53 +799,8 @@ impl CompressoDevice {
     /// Performs the metadata access for `page`, returning the cycle at
     /// which translation is available.
     fn metadata_access(&mut self, now: u64, page: u64, dirty: bool) -> u64 {
-        let uncompressed = self
-            .pages
-            .get(&page)
-            .map(|p| !p.meta.compressed)
-            .unwrap_or(false);
-        let access = self.mcache.access(page, uncompressed, dirty);
-        let mut t = now;
-        if access.hit {
-            self.stats.mcache_hits += 1;
-            t += self.cfg.mcache_hit_latency;
-        } else {
-            self.stats.mcache_misses += 1;
-            // Miss: fetch the entry from the metadata region in DRAM.
-            let r = self.mem.read(now, Self::metadata_addr(page));
-            self.stats.metadata_accesses += 1;
-            t = r.complete_at;
-            // The entry just crossed the DRAM bus: this is where an
-            // injected corruption lands.
-            t = self.maybe_corrupt_metadata(t, page);
-        }
-        for (victim, victim_dirty) in access.evicted {
-            if victim_dirty {
-                self.mem.write(t, Self::metadata_addr(victim));
-                self.stats.metadata_accesses += 1;
-            }
-            self.predictor.on_mcache_eviction(victim);
-            if self.cfg.repacking {
-                self.maybe_repack(t, victim);
-            }
-        }
-        // Forced eviction storm: flush extra LRU entries through the
-        // normal eviction pipeline (dirty writeback + repack trigger).
-        if let Some(n) = self.faults.as_mut().and_then(|f| f.eviction_storm()) {
-            self.stats.injected_faults += 1;
-            self.stats.eviction_storms += 1;
-            for (victim, victim_dirty) in self.mcache.evict_up_to(n) {
-                if victim_dirty {
-                    self.mem.write(t, Self::metadata_addr(victim));
-                    self.stats.metadata_accesses += 1;
-                }
-                self.predictor.on_mcache_eviction(victim);
-                if self.cfg.repacking {
-                    self.maybe_repack(t, victim);
-                }
-            }
-        }
-        t
+        let uncompressed = self.pages.get(&page).is_some_and(|p| !p.meta.compressed);
+        metadata_lookup(self, now, page, uncompressed, dirty).0
     }
 
     /// Fault hook on a metadata-cache miss: the 64 B entry fetched from
@@ -1005,39 +813,39 @@ impl CompressoDevice {
     /// by the fault tests now that the CRC covers padding and spare bits
     /// (DESIGN.md §10).
     fn maybe_corrupt_metadata(&mut self, now: u64, page: u64) -> u64 {
-        let Some(fault) = self.faults.as_mut().and_then(|f| f.metadata_fetch_fault()) else {
+        let Some(fault) = self
+            .ctl
+            .faults
+            .as_mut()
+            .and_then(|f| f.metadata_fetch_fault())
+        else {
             return now;
         };
-        self.stats.injected_faults += 1;
+        self.ctl.stats.injected_faults += 1;
         match fault {
             MetadataFault::DecodeFailure => {
-                self.stats.corruption_detected += 1;
+                self.ctl.stats.corruption_detected += 1;
                 self.corruption_fallback(now, page)
             }
             MetadataFault::BitFlip { bit } => {
                 let Some(Page { meta, .. }) = self.pages.get(&page) else {
                     return now;
                 };
-                let original = meta.clone();
                 let Ok(mut packed) = metadata_codec::try_encode(meta, &self.cfg.bins) else {
                     return now;
                 };
                 packed[(bit / 8) % metadata_codec::PACKED_BYTES] ^= 1 << (bit % 8);
                 match metadata_codec::decode(&packed, &self.cfg.bins) {
-                    Err(_) => {
-                        self.stats.corruption_detected += 1;
-                        self.corruption_fallback(now, page)
-                    }
-                    Ok(flipped) if flipped != original => {
-                        self.stats.corruption_detected += 1;
-                        self.corruption_fallback(now, page)
-                    }
-                    Ok(_) => {
+                    Ok(flipped) if flipped == *meta => {
                         // Silently accepted: the flip decoded back
                         // bit-identical. Impossible once the CRC covers
                         // the whole entry.
-                        self.stats.corruption_undetected += 1;
+                        self.ctl.stats.corruption_undetected += 1;
                         now
+                    }
+                    _ => {
+                        self.ctl.stats.corruption_detected += 1;
+                        self.corruption_fallback(now, page)
                     }
                 }
             }
@@ -1055,7 +863,7 @@ impl CompressoDevice {
         if !meta.valid {
             return now;
         }
-        self.stats.corruption_fallbacks += 1;
+        self.ctl.stats.corruption_fallbacks += 1;
         if meta.zero {
             self.pages.get_mut(&page).expect("cloned above").meta = PageMeta::zero_page();
             self.commit_meta(page);
@@ -1065,40 +873,55 @@ impl CompressoDevice {
             // Already stored raw: rebuilding the entry is metadata-only.
             return now;
         }
-        let old_used = meta.used_bytes(&self.cfg.bins);
-        match self.resize_page(page, &meta, PAGE_BYTES) {
+        match self.resize_page(&meta, PAGE_BYTES) {
             Ok(chunks) => {
-                let moves = old_used.div_ceil(64) + LINES_PER_PAGE as u32;
-                let mut t = now;
-                for i in 0..moves {
-                    let addr = page * PAGE_BYTES as u64 + (i as u64 % LINES_PER_PAGE as u64) * 64;
-                    let r = if i % 2 == 0 {
-                        self.mem.read(t, addr)
-                    } else {
-                        self.mem.write(t, addr)
-                    };
-                    t = t.max(r.complete_at);
-                }
-                self.stats.fault_extra += moves as u64;
-                let m = &mut self.pages.get_mut(&page).expect("cloned above").meta;
-                m.compressed = false;
-                m.zero = false;
-                m.inflated.clear();
-                m.chunks = chunks;
-                m.page_bytes = PAGE_BYTES;
-                self.commit_meta(page);
+                let moves = meta.used_bytes(&self.cfg.bins).div_ceil(64) + LINES_PER_PAGE as u32;
+                let t = self.ctl.move_page(now, page, moves, true);
+                self.ctl.stats.fault_extra += moves as u64;
+                self.store_raw(page, chunks);
                 t
             }
             Err(_) => {
                 // No room even for the raw frame: drop to the zero state
                 // and release the held storage; the next writeback with
                 // real data reallocates.
-                self.release_chunks(page, &meta);
+                self.release_chunks(&meta);
                 self.pages.get_mut(&page).expect("cloned above").meta = PageMeta::zero_page();
                 self.commit_meta(page);
                 now
             }
         }
+    }
+
+    /// Records `page` as stored uncompressed in the 4 KB allocation
+    /// `chunks`, and commits the entry.
+    fn store_raw(&mut self, page: u64, chunks: Vec<u32>) {
+        let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
+        meta.compressed = false;
+        meta.zero = false;
+        meta.inflated.clear();
+        meta.chunks = chunks;
+        meta.page_bytes = PAGE_BYTES;
+        self.commit_meta(page);
+    }
+
+    /// Records `page` repacked from its stored line `bins` into the
+    /// `new_bytes` allocation `chunks` holding `new_data` data bytes.
+    fn store_packed(
+        &mut self,
+        page: u64,
+        bins: [u8; LINES_PER_PAGE],
+        new_data: u32,
+        chunks: Vec<u32>,
+        new_bytes: u32,
+    ) {
+        let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
+        meta.line_bins = bins;
+        meta.inflated.clear();
+        meta.zero = new_data == 0;
+        meta.compressed = new_data < PAGE_BYTES;
+        meta.chunks = chunks;
+        meta.page_bytes = new_bytes;
     }
 
     // ------------------------------------------------------------------
@@ -1129,36 +952,19 @@ impl CompressoDevice {
         // Current line bins from the stored sizes (harvesting underflows,
         // inflated lines, and predictor-inflated pages).
         let bins = self.stored_bins(page);
-        let all_zero = new_data == 0;
         // Resize first: a refused allocation must leave the page (and the
         // stats) untouched — the repack simply does not happen.
-        let old_meta = self.pages.get(&page).expect("checked above").meta.clone();
-        let old_used = old_meta.used_bytes(&self.cfg.bins);
-        let Ok(chunks) = self.resize_page(page, &old_meta, new_bytes) else {
+        let old_meta = self.pages[&page].meta.clone();
+        let Ok(chunks) = self.resize_page(&old_meta, new_bytes) else {
             return;
         };
         // Movement: read the live data, write it repacked.
-        let moves = old_used.div_ceil(64) + new_data.div_ceil(64);
-        for i in 0..moves {
-            // Model the repack traffic as sequential bursts over the page.
-            let addr = page * PAGE_BYTES as u64 + (i as u64 % LINES_PER_PAGE as u64) * 64;
-            if i % 2 == 0 {
-                self.mem.read(now, addr);
-            } else {
-                self.mem.write(now, addr);
-            }
-        }
-        self.stats.repack_extra += moves as u64;
-        self.stats.repacks += 1;
+        let moves = old_meta.used_bytes(&self.cfg.bins).div_ceil(64) + new_data.div_ceil(64);
+        self.ctl.move_page(now, page, moves, false);
+        self.ctl.stats.repack_extra += moves as u64;
+        self.ctl.stats.repacks += 1;
         self.predictor.page_calm();
-
-        let meta = &mut self.pages.get_mut(&page).expect("checked above").meta;
-        meta.line_bins = bins;
-        meta.inflated.clear();
-        meta.zero = all_zero;
-        meta.compressed = new_data < PAGE_BYTES;
-        meta.chunks = chunks;
-        meta.page_bytes = new_bytes;
+        self.store_packed(page, bins, new_data, chunks, new_bytes);
         // Journal the move as one transaction: a crash anywhere inside
         // the bracket rolls the whole repack back to the old layout.
         self.commit_repack(page);
@@ -1172,7 +978,7 @@ impl CompressoDevice {
     /// could not absorb (Fig. 5c, Option 1). Returns the cycle the page is
     /// consistent again.
     fn recompress_page(&mut self, now: u64, page: u64) -> u64 {
-        let meta = self.pages.get(&page).expect("page exists").meta.clone();
+        let meta = self.pages[&page].meta.clone();
         let bins = self.stored_bins(page);
         let new_data: u32 = bins
             .iter()
@@ -1180,36 +986,19 @@ impl CompressoDevice {
             .sum();
         let new_bytes = self.cfg.allocation.fit(new_data.max(1));
         if new_bytes > meta.page_bytes {
-            self.stats.page_overflows += 1;
+            self.ctl.stats.page_overflows += 1;
             self.predictor.page_overflow();
         }
         // Resize before charging movement or touching metadata: a refused
         // allocation keeps the old (stale but consistent) layout.
-        let Ok(chunks) = self.resize_page(page, &meta, new_bytes) else {
+        let Ok(chunks) = self.resize_page(&meta, new_bytes) else {
             return now;
         };
-        let old_used = meta.used_bytes(&self.cfg.bins);
-        let moves = old_used.div_ceil(64) + new_data.div_ceil(64);
-        let mut t = now;
-        for i in 0..moves {
-            let addr = page * PAGE_BYTES as u64 + (i as u64 % LINES_PER_PAGE as u64) * 64;
-            let r = if i % 2 == 0 {
-                self.mem.read(t, addr)
-            } else {
-                self.mem.write(t, addr)
-            };
-            t = t.max(r.complete_at);
-        }
-        self.stats.overflow_extra += moves as u64;
-
-        let compressed = new_data < PAGE_BYTES;
-        let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
-        meta.line_bins = bins;
-        meta.inflated.clear();
-        meta.compressed = compressed;
-        meta.zero = false;
-        meta.chunks = chunks;
-        meta.page_bytes = new_bytes;
+        let moves = meta.used_bytes(&self.cfg.bins).div_ceil(64) + new_data.div_ceil(64);
+        let t = self.ctl.move_page(now, page, moves, true);
+        self.ctl.stats.overflow_extra += moves as u64;
+        // Never a zero page: the overflowing line holds data.
+        self.store_packed(page, bins, new_data.max(1), chunks, new_bytes);
         self.commit_meta(page);
         t
     }
@@ -1218,242 +1007,31 @@ impl CompressoDevice {
     /// Returns `false` (page untouched) if the allocation was refused —
     /// the caller falls back to ordinary overflow handling.
     fn inflate_page(&mut self, now: u64, page: u64) -> bool {
-        let meta = self.pages.get(&page).expect("page exists").meta.clone();
-        let Ok(chunks) = self.resize_page(page, &meta, PAGE_BYTES) else {
+        let meta = self.pages[&page].meta.clone();
+        let Ok(chunks) = self.resize_page(&meta, PAGE_BYTES) else {
             return false;
         };
-        let old_used = meta.used_bytes(&self.cfg.bins);
-        let moves = old_used.div_ceil(64) + LINES_PER_PAGE as u32;
-        for i in 0..moves {
-            let addr = page * PAGE_BYTES as u64 + (i as u64 % LINES_PER_PAGE as u64) * 64;
-            if i % 2 == 0 {
-                self.mem.read(now, addr);
-            } else {
-                self.mem.write(now, addr);
-            }
-        }
-        self.stats.overflow_extra += moves as u64;
-        self.stats.predictor_inflations += 1;
-
-        let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
-        meta.compressed = false;
-        meta.zero = false;
-        meta.inflated.clear();
-        meta.chunks = chunks;
-        meta.page_bytes = PAGE_BYTES;
-        self.commit_meta(page);
+        let moves = meta.used_bytes(&self.cfg.bins).div_ceil(64) + LINES_PER_PAGE as u32;
+        self.ctl.move_page(now, page, moves, false);
+        self.ctl.stats.overflow_extra += moves as u64;
+        self.ctl.stats.predictor_inflations += 1;
+        self.store_raw(page, chunks);
         true
     }
-}
 
-impl Backend for CompressoDevice {
-    fn fill(&mut self, now: u64, line_addr: u64) -> u64 {
-        if self.crashed {
-            return now; // frozen: recover from the journal
-        }
-        self.maybe_scrub(now);
-        self.stats.demand_fills += 1;
-        let page = line_addr / PAGE_BYTES as u64;
-        let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
-        self.ensure_page(page);
-
-        let t = self.metadata_access(now, page, false);
-        let meta = &self.pages.get(&page).expect("ensured").meta;
-        let location = meta.locate(line, &self.cfg.bins);
-        match location {
-            LineLocation::Zero => {
-                // Served from metadata alone: no DRAM access at all.
-                self.stats.zero_fills += 1;
-                t
-            }
-            LineLocation::Packed { offset, size } => {
-                let bursts = Self::bursts(&meta.chunks, offset, size);
-                // Free prefetch: a previously fetched compressed burst may
-                // already hold this line.
-                if bursts.len() == 1 && size < 64 {
-                    let unit = offset / 64;
-                    if self.prefetch.contains(&(page, unit)) {
-                        self.stats.prefetch_hits += 1;
-                        return t + self.cfg.offset_calc_latency + self.cfg.codec_latency;
-                    }
-                }
-                let mut done = t + self.cfg.offset_calc_latency;
-                let issue = done;
-                for (i, addr) in bursts.enumerate() {
-                    let r = self.mem.read(issue, addr);
-                    done = done.max(r.complete_at);
-                    if i == 0 {
-                        self.stats.data_accesses += 1;
-                    } else {
-                        self.stats.split_access_extra += 1;
-                    }
-                }
-                if size < 64 {
-                    // Remember the fetched logical 64 B units: neighbouring
-                    // compressed lines in them are free prefetches.
-                    let first_unit = offset / 64;
-                    let last_unit = (offset + size - 1) / 64;
-                    for unit in first_unit..=last_unit {
-                        if self.prefetch.len() >= PREFETCH_BUFFER {
-                            self.prefetch.pop_front();
-                        }
-                        self.prefetch.push_back((page, unit));
-                    }
-                }
-                if size < 64 {
-                    // 64 B bins are stored raw: no decompression latency.
-                    done += self.cfg.codec_latency;
-                }
-                done
-            }
-            LineLocation::Inflated { offset } => {
-                let mut done = t + self.cfg.offset_calc_latency;
-                for (i, addr) in Self::bursts(&meta.chunks, offset, 64).enumerate() {
-                    let r = self.mem.read(done, addr);
-                    done = done.max(r.complete_at);
-                    if i == 0 {
-                        self.stats.data_accesses += 1;
-                    } else {
-                        self.stats.split_access_extra += 1;
-                    }
-                }
-                done
-            }
-        }
-    }
-
-    fn writeback(&mut self, now: u64, line_addr: u64) -> u64 {
-        if self.crashed {
-            return now; // frozen: recover from the journal
-        }
-        self.maybe_scrub(now);
-        self.stats.demand_writebacks += 1;
-        let page = line_addr / PAGE_BYTES as u64;
-        let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
-        self.ensure_page(page);
-
-        let t = self.metadata_access(now, page, true);
-        self.mcache.mark_dirty(page);
-        // Stores invalidate any buffered bursts of this page.
-        self.prefetch.retain(|&(p, _)| p != page);
-
-        // The store stream changes the data.
-        self.world.on_writeback(line_addr);
-        let entry = self.pages.get_mut(&page).expect("ensured");
-        let old_size = entry.sizes.map(|sizes| sizes[line]);
-        let new_size = self.sizer.resize_line(
-            &mut entry.sizes,
-            self.world.as_ref(),
-            line_addr,
-            &self.stats,
-        );
-        let bins = &self.cfg.bins;
-        entry.binned = match old_size {
-            Some(old) => {
-                entry.binned + binned_bytes(bins, &[new_size]) - binned_bytes(bins, &[old])
-            }
-            // A recovered page was sized whole just now.
-            None => binned_bytes(bins, entry.sizes.as_ref().expect("sized")),
+    /// Writes `line` into a fresh inflation-room slot of `page` (§IV-B3).
+    fn write_inflated(&mut self, now: u64, page: u64, line: usize) -> bool {
+        let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
+        meta.inflated.push(line as u8);
+        let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) else {
+            return false;
         };
-        let new_bin = self.cfg.bins.quantize(new_size as usize);
-
-        let meta = &self.pages.get(&page).expect("ensured").meta;
-        // Zero-line writeback to a zero (or any) page slot of bin 0: pure
-        // metadata update.
-        if new_bin.bytes == 0 && matches!(meta.locate(line, &self.cfg.bins), LineLocation::Zero) {
-            self.stats.zero_writebacks += 1;
-            return t;
-        }
-
-        if meta.zero {
-            // First real data lands in an all-zero page: allocate the
-            // smallest page and place the line.
-            let page_bytes = self.cfg.allocation.fit(new_bin.bytes.max(1) as u32);
-            let Ok(chunks) = self.allocate_page(page, page_bytes) else {
-                // Degraded: absorb the write in metadata and stay a zero
-                // page; the next writeback retries the allocation.
-                self.stats.zero_writebacks += 1;
-                return t;
-            };
-            let meta = &mut self.pages.get_mut(&page).expect("ensured").meta;
-            meta.zero = false;
-            meta.page_bytes = page_bytes;
-            meta.chunks = chunks;
-            meta.line_bins = [0; LINES_PER_PAGE];
-            meta.line_bins[line] = new_bin.index;
-            let meta = &self.pages.get(&page).expect("ensured").meta;
-            if let LineLocation::Packed { offset, size } = meta.locate(line, &self.cfg.bins) {
-                for addr in Self::bursts(&meta.chunks, offset, size) {
-                    self.mem.write(t, addr);
-                }
-                self.stats.data_accesses += 1;
-            }
-            self.commit_meta(page);
-            return t;
-        }
-
-        if !meta.compressed {
-            // Raw page: identity placement, one burst.
-            let r = self
-                .mem
-                .write(t, Self::burst(&meta.chunks, line as u32 * 64));
-            self.stats.data_accesses += 1;
-            return r.complete_at.max(t);
-        }
-
-        if meta.is_inflated(line) {
-            // Already in the inflation room: overwrite its 64 B slot.
-            if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
-                self.mem.write(t, Self::burst(&meta.chunks, offset));
-                self.stats.data_accesses += 1;
-            }
-            return t;
-        }
-
-        let old_bin = meta.bin_of(line, &self.cfg.bins);
-        use std::cmp::Ordering;
-        match new_bin.index.cmp(&old_bin.index) {
-            Ordering::Equal | Ordering::Less => {
-                if new_bin.index < old_bin.index {
-                    // Underflow: data shrank; the slot keeps its size and
-                    // the potential free space is harvested by repacking.
-                    self.stats.line_underflows += 1;
-                    self.predictor.line_underflow(page);
-                }
-                if new_bin.bytes == 0 {
-                    // The line became all zeros: a pure metadata update
-                    // (the stale slot is reclaimed at repack time).
-                    self.stats.zero_writebacks += 1;
-                    return t;
-                }
-                if old_bin.bytes > 0 {
-                    if let LineLocation::Packed { offset, .. } = meta.locate(line, &self.cfg.bins) {
-                        let bursts =
-                            Self::bursts(&meta.chunks, offset, new_bin.bytes.max(1) as u32);
-                        for (i, addr) in bursts.enumerate() {
-                            self.mem.write(t, addr);
-                            if i == 0 {
-                                self.stats.data_accesses += 1;
-                            } else {
-                                self.stats.split_access_extra += 1;
-                            }
-                        }
-                    }
-                } else {
-                    // Old slot was the zero bin: the line needs a slot now
-                    // — treat as an overflow into the inflation room.
-                    return self.handle_overflow(t, page, line, new_bin.index);
-                }
-                t
-            }
-            Ordering::Greater => self.handle_overflow(t, page, line, new_bin.index),
-        }
+        self.ctl.write_bursts(now, bursts(&meta.chunks, offset, 64));
+        true
     }
-}
 
-impl CompressoDevice {
-    fn handle_overflow(&mut self, now: u64, page: u64, line: usize, _new_bin: u8) -> u64 {
-        self.stats.line_overflows += 1;
+    fn handle_overflow(&mut self, now: u64, page: u64, line: usize) -> u64 {
+        self.ctl.stats.line_overflows += 1;
         self.predictor.line_overflow(page);
 
         // Page-overflow prediction: store the whole page uncompressed.
@@ -1462,23 +1040,17 @@ impl CompressoDevice {
             && self.predictor.should_inflate(page)
             && self.inflate_page(now, page)
         {
-            let meta = &self.pages.get(&page).expect("page exists").meta;
-            self.mem
-                .write(now, Self::burst(&meta.chunks, line as u32 * 64));
-            self.stats.data_accesses += 1;
+            let meta = &self.pages[&page].meta;
+            self.ctl
+                .write_bursts(now, bursts(&meta.chunks, line as u32 * 64, 64));
             return now;
         }
 
-        let meta = &self.pages.get(&page).expect("page exists").meta;
+        let meta = &self.pages[&page].meta;
         // Inflation room: free space and a free pointer → 1 write.
-        if meta.inflated.len() < self.cfg.max_inflated && meta.free_bytes(&self.cfg.bins) >= 64 {
-            let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
-            meta.inflated.push(line as u8);
-            let meta = &self.pages.get(&page).expect("page exists").meta;
-            if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
-                self.mem.write(now, Self::burst(&meta.chunks, offset));
-                self.stats.data_accesses += 1;
-                self.stats.ir_placements += 1;
+        if meta.inflated.len() < MAX_INFLATED && meta.free_bytes(&self.cfg.bins) >= 64 {
+            if self.write_inflated(now, page, line) {
+                self.ctl.stats.ir_placements += 1;
             }
             self.commit_meta(page);
             return now;
@@ -1490,21 +1062,16 @@ impl CompressoDevice {
         if self.cfg.ir_expansion
             && self.cfg.allocation == PageAllocation::Chunks512
             && meta.chunks.len() < 8
-            && meta.inflated.len() < self.cfg.max_inflated
+            && meta.inflated.len() < MAX_INFLATED
         {
             let old = meta.clone();
             let new_bytes = old.page_bytes + CHUNK_BYTES;
-            if let Ok(chunks) = self.resize_page(page, &old, new_bytes) {
+            if let Ok(chunks) = self.resize_page(&old, new_bytes) {
                 let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
                 meta.chunks = chunks;
                 meta.page_bytes = new_bytes;
-                meta.inflated.push(line as u8);
-                self.stats.ir_expansions += 1;
-                let meta = &self.pages.get(&page).expect("page exists").meta;
-                if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
-                    self.mem.write(now, Self::burst(&meta.chunks, offset));
-                    self.stats.data_accesses += 1;
-                }
+                self.ctl.stats.ir_expansions += 1;
+                self.write_inflated(now, page, line);
                 self.commit_meta(page);
                 return now;
             }
@@ -1512,16 +1079,157 @@ impl CompressoDevice {
 
         // Worst case: recompress the page (Fig. 5c, Option 1).
         let t = self.recompress_page(now, page);
-        let meta = &self.pages.get(&page).expect("page exists").meta;
+        let meta = &self.pages[&page].meta;
         if let LineLocation::Packed { offset, size } = meta.locate(line, &self.cfg.bins) {
-            for (i, addr) in Self::bursts(&meta.chunks, offset, size).enumerate() {
-                self.mem.write(t, addr);
-                if i == 0 {
-                    self.stats.data_accesses += 1;
-                } else {
-                    self.stats.split_access_extra += 1;
-                }
+            self.ctl.write_bursts(t, bursts(&meta.chunks, offset, size));
+        }
+        t
+    }
+}
+
+impl Backend for CompressoDevice {
+    fn fill(&mut self, now: u64, line_addr: u64) -> u64 {
+        if self.ctl.crashed {
+            return now; // frozen: recover from the journal
+        }
+        self.maybe_scrub(now);
+        self.ctl.stats.demand_fills += 1;
+        let page = line_addr / PAGE_BYTES as u64;
+        let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
+        self.ensure_page(page);
+
+        let t = self.metadata_access(now, page, false);
+        let meta = &self.pages[&page].meta;
+        match meta.locate(line, &self.cfg.bins) {
+            LineLocation::Zero => {
+                // Served from metadata alone: no DRAM access at all.
+                self.ctl.stats.zero_fills += 1;
+                t
             }
+            LineLocation::Packed { offset, size } => {
+                let bursts = bursts(&meta.chunks, offset, size);
+                // Free prefetch: a previously fetched compressed burst may
+                // already hold this line (single-burst lines only).
+                if bursts.len() == 1 && self.ctl.prefetch_hit(page, offset, size) {
+                    return t + OFFSET_CALC_LATENCY + CODEC_LATENCY;
+                }
+                // A line straddling two bursts reads both in parallel.
+                let mut done = self.ctl.read_bursts(t + OFFSET_CALC_LATENCY, bursts, false);
+                if size < 64 {
+                    self.ctl.prefetch_record(page, offset, size);
+                    // 64 B bins are stored raw: no decompression latency.
+                    done += CODEC_LATENCY;
+                }
+                done
+            }
+            LineLocation::Inflated { offset } => self.ctl.read_bursts(
+                t + OFFSET_CALC_LATENCY,
+                bursts(&meta.chunks, offset, 64),
+                true,
+            ),
+        }
+    }
+
+    fn writeback(&mut self, now: u64, line_addr: u64) -> u64 {
+        if self.ctl.crashed {
+            return now; // frozen: recover from the journal
+        }
+        self.maybe_scrub(now);
+        self.ctl.stats.demand_writebacks += 1;
+        let page = line_addr / PAGE_BYTES as u64;
+        let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
+        self.ensure_page(page);
+
+        let t = self.metadata_access(now, page, true);
+        self.ctl.mcache.mark_dirty(page);
+        // Stores invalidate any buffered bursts of this page.
+        self.ctl.prefetch_invalidate(page);
+
+        // The store stream changes the data.
+        self.ctl.world.on_writeback(line_addr);
+        let entry = self.pages.get_mut(&page).expect("ensured");
+        let old_size = entry.sizes.map(|sizes| sizes[line]);
+        let new_size = self.ctl.sizer.resize_line(
+            &mut entry.sizes,
+            self.ctl.world.as_ref(),
+            line_addr,
+            &self.ctl.stats,
+        );
+        let bins = &self.cfg.bins;
+        entry.binned = match old_size {
+            Some(old) => {
+                entry.binned + binned_bytes(bins, &[new_size]) - binned_bytes(bins, &[old])
+            }
+            // A recovered page was sized whole just now.
+            None => binned_bytes(bins, entry.sizes.as_ref().expect("sized")),
+        };
+        let new_bin = self.cfg.bins.quantize(new_size as usize);
+
+        let meta = &self.pages[&page].meta;
+        // Zero-line writeback to a zero (or any) page slot of bin 0: pure
+        // metadata update.
+        if new_bin.bytes == 0 && matches!(meta.locate(line, &self.cfg.bins), LineLocation::Zero) {
+            self.ctl.stats.zero_writebacks += 1;
+            return t;
+        }
+
+        if meta.zero {
+            // First real data lands in an all-zero page: allocate the
+            // smallest page and place the line.
+            let page_bytes = self.cfg.allocation.fit(new_bin.bytes.max(1) as u32);
+            let Ok(chunks) = self.allocate_page(page_bytes) else {
+                // Degraded: absorb the write in metadata and stay a zero
+                // page; the next writeback retries the allocation.
+                self.ctl.stats.zero_writebacks += 1;
+                return t;
+            };
+            let meta = &mut self.pages.get_mut(&page).expect("ensured").meta;
+            meta.zero = false;
+            meta.page_bytes = page_bytes;
+            meta.chunks = chunks;
+            meta.line_bins = [0; LINES_PER_PAGE];
+            meta.line_bins[line] = new_bin.index;
+            if let LineLocation::Packed { offset, size } = meta.locate(line, &self.cfg.bins) {
+                self.ctl.write_bursts(t, bursts(&meta.chunks, offset, size));
+            }
+            self.commit_meta(page);
+            return t;
+        }
+
+        if !meta.compressed {
+            // Raw page: identity placement, one burst.
+            return self
+                .ctl
+                .write_bursts(t, bursts(&meta.chunks, line as u32 * 64, 64));
+        }
+
+        if meta.is_inflated(line) {
+            // Already in the inflation room: overwrite its 64 B slot.
+            if let LineLocation::Inflated { offset } = meta.locate(line, &self.cfg.bins) {
+                self.ctl.write_bursts(t, bursts(&meta.chunks, offset, 64));
+            }
+            return t;
+        }
+
+        let old_bin = meta.bin_of(line, &self.cfg.bins);
+        if new_bin.index > old_bin.index {
+            // Overflow (a line leaving the zero bin included: it needs a
+            // slot now).
+            return self.handle_overflow(t, page, line);
+        }
+        if new_bin.index < old_bin.index {
+            // Underflow: data shrank; the slot keeps its size and the
+            // potential free space is harvested by repacking.
+            self.ctl.stats.line_underflows += 1;
+            self.predictor.line_underflow(page);
+        }
+        if new_bin.bytes == 0 {
+            // The line became all zeros: a pure metadata update (the
+            // stale slot is reclaimed at repack time).
+            self.ctl.stats.zero_writebacks += 1;
+        } else if let LineLocation::Packed { offset, .. } = meta.locate(line, &self.cfg.bins) {
+            let size = new_bin.bytes.max(1) as u32;
+            self.ctl.write_bursts(t, bursts(&meta.chunks, offset, size));
         }
         t
     }
@@ -1533,34 +1241,26 @@ impl MemoryDevice for CompressoDevice {
     }
 
     fn device_stats(&self) -> DeviceStats {
-        self.stats.snapshot()
+        self.ctl.stats.snapshot()
     }
 
     fn dram_stats(&self) -> MemStats {
-        self.mem.stats()
+        self.ctl.mem.stats()
     }
 
     fn metrics(&self) -> &Registry {
-        &self.registry
+        &self.ctl.registry
     }
 
     fn compression_ratio(&self) -> f64 {
-        let used = self.mpa_used_bytes();
-        if used == 0 {
-            return 1.0;
-        }
-        self.touched_ospa_bytes() as f64 / used as f64
+        controller::compression_ratio(self.alloc.used_bytes(), self.pages.len())
     }
 
     fn mpa_used_bytes(&self) -> u64 {
-        let data = match &self.alloc {
-            Allocator::Chunks(a) => a.used_bytes(),
-            Allocator::Buddy(a) => a.used_bytes(),
-        };
-        data + self.pages.len() as u64 * 64 // metadata entries
+        controller::mpa_used_bytes(self.alloc.used_bytes(), self.pages.len())
     }
 
     fn touched_ospa_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_BYTES as u64
+        controller::touched_ospa_bytes(self.pages.len())
     }
 }

@@ -100,16 +100,6 @@ pub struct CompressoConfig {
     pub repacking: bool,
     /// Metadata-cache half-entry optimization (§IV-B5).
     pub mcache_half_entries: bool,
-    /// Metadata cache capacity in bytes (96 KB in the paper).
-    pub mcache_bytes: u64,
-    /// Maximum inflated lines per page (17 pointers in the metadata).
-    pub max_inflated: usize,
-    /// Compression/decompression latency in core cycles (12 for BPC).
-    pub codec_latency: u64,
-    /// Metadata-cache hit latency in cycles.
-    pub mcache_hit_latency: u64,
-    /// Extra cycle for the LinePack offset-calculation circuit (§VII-E).
-    pub offset_calc_latency: u64,
     /// MPA capacity in bytes available to this device.
     pub mpa_capacity: u64,
     /// Crash-consistency layer (journal + scrubber); disabled by default.
@@ -127,11 +117,6 @@ impl CompressoConfig {
             ir_expansion: true,
             repacking: true,
             mcache_half_entries: true,
-            mcache_bytes: 96 << 10,
-            max_inflated: 17,
-            codec_latency: 12,
-            mcache_hit_latency: 2,
-            offset_calc_latency: 1,
             mpa_capacity: 8 << 30,
             durability: DurabilityConfig::disabled(),
         }
@@ -261,11 +246,10 @@ mod tests {
 
     #[test]
     fn paper_latencies() {
-        let c = CompressoConfig::compresso();
-        assert_eq!(c.codec_latency, 12);
-        assert_eq!(c.mcache_hit_latency, 2);
-        assert_eq!(c.offset_calc_latency, 1);
-        assert_eq!(c.mcache_bytes, 96 << 10);
-        assert_eq!(c.max_inflated, 17);
+        use crate::controller::{CODEC_LATENCY, MCACHE_HIT_LATENCY, OFFSET_CALC_LATENCY};
+        assert_eq!(CODEC_LATENCY, 12);
+        assert_eq!(MCACHE_HIT_LATENCY, 2);
+        assert_eq!(OFFSET_CALC_LATENCY, 1);
+        assert_eq!(crate::metadata_codec::MAX_INFLATED, 17);
     }
 }

@@ -23,6 +23,14 @@
 //! `Backend`), so the same core/cache simulation runs against the
 //! uncompressed baseline, LCP, LCP+Align, or Compresso.
 //!
+//! As in the paper's §VI-F baseline, [`CompressoDevice`] and
+//! [`LcpDevice`] run on one controller core (the crate-private
+//! `controller` module): the metadata-cache lookup, DRAM burst issue and
+//! accounting, the free-prefetch buffer, page-move traffic, bounded
+//! allocation retry, the journal commit and recovery steps, and the
+//! fixed Tab. III latencies. Each device keeps only its layout and the
+//! policies that set it apart (DESIGN.md §3).
+//!
 //! # Example
 //!
 //! ```
@@ -41,6 +49,7 @@
 pub mod alloc;
 pub mod compresso;
 pub mod config;
+mod controller;
 pub mod device;
 pub mod error;
 pub mod faultkit;

@@ -39,6 +39,10 @@ pub const PACKED_BYTES: usize = 64;
 /// checksum covers bytes `[0, CRC_OFFSET)`.
 pub const CRC_OFFSET: usize = PACKED_BYTES - 4;
 
+/// Inflation pointers in an entry: the most lines a page's inflation
+/// room can hold (§IV-B3).
+pub const MAX_INFLATED: usize = 17;
+
 /// Table-driven CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 ///
 /// Shared by the packed-entry codec and the metadata journal
@@ -116,7 +120,7 @@ pub fn try_encode(meta: &PageMeta, bins: &BinSet) -> Result<[u8; PACKED_BYTES], 
             "more than 8 chunks per page",
         ));
     }
-    if meta.inflated.len() > 17 {
+    if meta.inflated.len() > MAX_INFLATED {
         return Err(CompressoError::UnencodableMetadata(
             "more than 17 inflation pointers",
         ));
@@ -148,7 +152,7 @@ pub fn try_encode(meta: &PageMeta, bins: &BinSet) -> Result<[u8; PACKED_BYTES], 
         w.write(code as u64, 2);
     }
     w.write(meta.inflated.len() as u64, 6);
-    for i in 0..17 {
+    for i in 0..MAX_INFLATED {
         let line = meta.inflated.get(i).copied().unwrap_or(0);
         w.write(line as u64, 6);
     }
@@ -218,11 +222,11 @@ pub fn decode(packed: &[u8; PACKED_BYTES], bins: &BinSet) -> Result<PageMeta, De
         *code = c;
     }
     let inflation_count = r.read(6) as u8;
-    if inflation_count > 17 {
+    if inflation_count as usize > MAX_INFLATED {
         return Err(DecodeMetadataError::BadInflationCount(inflation_count));
     }
     let mut inflated = Vec::with_capacity(inflation_count as usize);
-    for i in 0..17 {
+    for i in 0..MAX_INFLATED {
         let line = r.read(6) as u8;
         if i < inflation_count as usize {
             inflated.push(line);
@@ -338,7 +342,7 @@ mod tests {
         let bins = BinSet::aligned4();
         let mut m = sample();
         m.chunks = (0..8).map(|i| (1 << 24) - 1 - i).collect();
-        m.inflated = (0..17).map(|i| i as u8 * 3).collect();
+        m.inflated = (0..MAX_INFLATED).map(|i| i as u8 * 3).collect();
         m.line_bins = [3; LINES_PER_PAGE];
         m.page_bytes = 4096;
         let decoded = decode(&encode(&m, &bins), &bins).expect("valid entry");

@@ -13,8 +13,9 @@
 use compresso_cache_sim::Backend;
 use compresso_core::journal::{frame_boundaries, parse};
 use compresso_core::{
-    CompressoConfig, CompressoDevice, DurabilityConfig, FaultConfig, FaultPlan, LcpDevice,
-    MemoryDevice, PageImage, ShadowModel,
+    encode_metadata, CompressoConfig, CompressoDevice, DurabilityConfig, FaultConfig, FaultPlan,
+    Journal, JournalRecord, LcpDevice, MemoryDevice, PageAllocation, PageImage, PageMeta,
+    RecoveryReport, ShadowModel,
 };
 use compresso_workloads::{benchmark, BenchmarkProfile, DataWorld, PAGE_BYTES};
 use std::collections::BTreeMap;
@@ -358,4 +359,56 @@ fn journaling_is_transparent_to_the_demand_stream() {
         "journaling must not perturb the modeled access stream"
     );
     assert_eq!(plain.compression_ratio(), journaled.compression_ratio());
+}
+
+/// A Variable4 page's layout comes from its entry (its chunks are one
+/// contiguous block) while recovery rebuilds the allocator from the
+/// journal's ownership records: an entry whose chunks are not the block
+/// the journal grants must be reported, not silently trusted.
+#[test]
+fn variable4_entry_must_match_the_journal_block() {
+    let mut cfg = CompressoConfig::durable();
+    cfg.allocation = PageAllocation::Variable4;
+    // The journal grants page 3 the 1 KB block at chunk 8; the entry
+    // claims `chunks`.
+    let recover = |chunks: Vec<u32>| -> RecoveryReport {
+        let meta = PageMeta {
+            valid: true,
+            zero: false,
+            compressed: true,
+            page_bytes: 1024,
+            chunks,
+            line_bins: [1; 64],
+            inflated: Vec::new(),
+        };
+        let mut journal = Journal::new();
+        for rec in [
+            JournalRecord::ChunkAlloc {
+                page: 3,
+                addr: 8 * 512,
+                bytes: 1024,
+            },
+            JournalRecord::EntryUpdate {
+                page: 3,
+                packed: encode_metadata(&meta, &cfg.bins),
+            },
+        ] {
+            journal.append(&rec, &mut None);
+        }
+        let world = Box::new(DataWorld::new(&profile("gcc")));
+        CompressoDevice::recover(cfg.clone(), world, journal.bytes()).1
+    };
+    let disagrees = |report: &RecoveryReport| {
+        report
+            .violations
+            .iter()
+            .any(|v| v.contains("not the contiguous block"))
+    };
+
+    let agreed = recover(vec![8, 9]);
+    assert!(agreed.is_clean(), "{:?}", agreed.violations);
+    let shifted = recover(vec![10, 11]);
+    assert!(disagrees(&shifted), "{:?}", shifted.violations);
+    let scattered = recover(vec![8, 12]);
+    assert!(disagrees(&scattered), "{:?}", scattered.violations);
 }

@@ -10,7 +10,7 @@
 //! let profile = benchmark("zeusmp").expect("paper benchmark");
 //! let world = compresso_suite::workloads::DataWorld::new(&profile);
 //! let device = CompressoDevice::new(CompressoConfig::compresso(), world);
-//! assert_eq!(device.config().max_inflated, 17);
+//! assert!(device.config().repacking);
 //! ```
 
 pub use compresso_cache_sim as cache_sim;
