@@ -15,11 +15,11 @@
 //!
 //! Because each geometry has a fixed encoded length, picking the winner
 //! only requires an applicability scan per geometry — no encoding is
-//! materialized until [`Compressor::compress_into`] runs, and
+//! materialized until [`Compressor::compress`] runs, and
 //! [`Compressor::compressed_size`] never materializes one at all.
 
 use crate::bits::BitReader;
-use crate::{Algorithm, CompressedLine, CompressedLineRef, Compressor, Line, Scratch, LINE_SIZE};
+use crate::{Algorithm, CompressedLine, Compressor, Line, LINE_SIZE};
 
 const MODE_ZERO: u64 = 0;
 const MODE_REPEAT8: u64 = 1;
@@ -91,9 +91,9 @@ impl Compressor for Bdi {
         "BDI"
     }
 
-    fn compress_into<'s>(&self, line: &Line, scratch: &'s mut Scratch) -> CompressedLineRef<'s> {
+    fn compress(&self, line: &Line) -> CompressedLine {
         let choice = choose(line);
-        scratch.encode_with(Algorithm::Bdi, |w| match choice {
+        CompressedLine::encode(Algorithm::Bdi, |w| match choice {
             Choice::Zero => w.write(MODE_ZERO, 4),
             Choice::Repeat8(value) => {
                 w.write(MODE_REPEAT8, 4);

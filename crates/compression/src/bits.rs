@@ -7,9 +7,7 @@
 ///
 /// Fields are staged in a 64-bit accumulator and spilled to the byte
 /// buffer one whole word at a time, so a `write` costs a couple of
-/// shifts instead of a loop per bit. The buffer can be recycled across
-/// encodes via [`BitWriter::reusing`], making a warm encode path free of
-/// heap allocation.
+/// shifts instead of a loop per bit.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
@@ -23,17 +21,6 @@ impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a writer that recycles `bytes` as its backing storage
-    /// (cleared, capacity kept) so a warm encode allocates nothing.
-    pub fn reusing(mut bytes: Vec<u8>) -> Self {
-        bytes.clear();
-        Self {
-            bytes,
-            acc: 0,
-            acc_bits: 0,
-        }
     }
 
     /// Number of bits written so far.
@@ -209,20 +196,6 @@ mod tests {
         assert_eq!(r.read(3), 0x5);
         assert_eq!(r.read(64), u64::MAX);
         assert_eq!(r.read(4), 0b0110);
-    }
-
-    #[test]
-    fn reusing_clears_but_keeps_capacity() {
-        let mut w = BitWriter::new();
-        w.write(0xABCD, 16);
-        let (bytes, _) = w.into_parts();
-        let cap = bytes.capacity();
-        let mut w = BitWriter::reusing(bytes);
-        assert_eq!(w.bit_len(), 0);
-        w.write(0x12, 8);
-        let (bytes, len) = w.into_parts();
-        assert_eq!((bytes.as_slice(), len), (&[0x12u8][..], 8));
-        assert!(bytes.capacity() >= cap.min(1));
     }
 
     #[test]

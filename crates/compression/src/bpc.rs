@@ -38,7 +38,7 @@
 //! | `1`   + plane-width raw bits | verbatim plane                |
 
 use crate::bits::{BitReader, BitWriter};
-use crate::{Algorithm, CompressedLine, CompressedLineRef, Compressor, Line, Scratch, LINE_SIZE};
+use crate::{Algorithm, CompressedLine, Compressor, Line, LINE_SIZE};
 
 const SYMBOLS: usize = 32; // 16-bit symbols per line
 const DELTAS: usize = SYMBOLS - 1; // 31
@@ -95,9 +95,9 @@ impl Compressor for Bpc {
         "BPC"
     }
 
-    fn compress_into<'s>(&self, line: &Line, scratch: &'s mut Scratch) -> CompressedLineRef<'s> {
+    fn compress(&self, line: &Line) -> CompressedLine {
         if crate::is_zero_line(line) {
-            return scratch.encode_with(Algorithm::Bpc, |w| w.write(MODE_ZERO, 2));
+            return CompressedLine::encode(Algorithm::Bpc, |w| w.write(MODE_ZERO, 2));
         }
         // The paper's modification: race the transform against a direct
         // bit-plane encoding and keep the smaller result (transformed on
@@ -107,7 +107,7 @@ impl Compressor for Bpc {
         let planes = data_planes(line);
         let t_bits = transformed_bits(base, &dbx);
         let p_bits = 2 + planes_bits(&planes, SYMBOLS);
-        scratch.encode_with(Algorithm::Bpc, |w| {
+        CompressedLine::encode(Algorithm::Bpc, |w| {
             if t_bits.min(p_bits) >= LINE_SIZE * 8 {
                 emit_raw(w, line);
             } else if t_bits <= p_bits {

@@ -23,7 +23,7 @@
 //! instead of a front-removal shift.
 
 use crate::bits::BitReader;
-use crate::{Algorithm, CompressedLine, CompressedLineRef, Compressor, Line, Scratch, LINE_SIZE};
+use crate::{Algorithm, CompressedLine, Compressor, Line, LINE_SIZE};
 
 const WORDS: usize = LINE_SIZE / 4;
 const DICT: usize = 16;
@@ -123,8 +123,8 @@ impl Compressor for CPack {
         "C-Pack"
     }
 
-    fn compress_into<'s>(&self, line: &Line, scratch: &'s mut Scratch) -> CompressedLineRef<'s> {
-        scratch.encode_with(Algorithm::CPack, |w| {
+    fn compress(&self, line: &Line) -> CompressedLine {
+        CompressedLine::encode(Algorithm::CPack, |w| {
             let mut dict = Dictionary::default();
             for chunk in line.chunks_exact(4) {
                 let word = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));

@@ -18,7 +18,7 @@
 //! word and sums pattern costs without building the bit stream.
 
 use crate::bits::BitReader;
-use crate::{Algorithm, CompressedLine, CompressedLineRef, Compressor, Line, Scratch, LINE_SIZE};
+use crate::{Algorithm, CompressedLine, Compressor, Line, LINE_SIZE};
 
 const WORDS: usize = LINE_SIZE / 4;
 
@@ -91,13 +91,13 @@ impl Compressor for Fpc {
         "FPC"
     }
 
-    fn compress_into<'s>(&self, line: &Line, scratch: &'s mut Scratch) -> CompressedLineRef<'s> {
+    fn compress(&self, line: &Line) -> CompressedLine {
         let ws = words(line);
         // Decide up front whether the pattern stream is profitable; if not,
         // emit the all-uncompressed fallback stream (decoder-compatible,
         // exposes raw size via the clamp in `size_bytes`).
         let fallback = encoded_bits(&ws) >= LINE_SIZE * 8;
-        scratch.encode_with(Algorithm::Fpc, |w| {
+        CompressedLine::encode(Algorithm::Fpc, |w| {
             if fallback {
                 for &word in ws.iter() {
                     w.write(0b111, 3);

@@ -22,11 +22,9 @@
 //! (to pick a bin), not the encoded bytes. Every algorithm therefore
 //! implements [`Compressor::compressed_size`] as a dedicated size-only
 //! circuit that computes the exact encoded bit length with word-level
-//! arithmetic and no heap allocation. When the payload is needed,
-//! [`Compressor::compress_into`] encodes into a caller-provided
-//! [`Scratch`] buffer, so a warm full-encode path allocates nothing
-//! either; the classic allocating [`Compressor::compress`] remains as a
-//! thin wrapper.
+//! arithmetic and no heap allocation. The full encoder,
+//! [`Compressor::compress`], is the reference those circuits are tested
+//! against, and what the decoders and the size studies consume.
 //!
 //! # Example
 //!
@@ -94,52 +92,19 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Backing storage of a [`CompressedLine`] payload.
-///
-/// A raw line keeps the original 64 bytes inline instead of copying them
-/// into a heap buffer: size-only inspections of a raw wrapper touch no
-/// allocator, and the bytes materialize only when a caller actually asks
-/// for [`CompressedLine::payload`].
-#[derive(Debug, Clone)]
-enum Payload {
-    /// An encoded bit stream.
-    Bits(Vec<u8>),
-    /// An uncompressed line stored verbatim (the lazy raw marker).
-    RawLine(Line),
-}
-
-impl Payload {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Payload::Bits(v) => v,
-            Payload::RawLine(line) => line,
-        }
-    }
-}
-
 /// The result of compressing one cache line.
 ///
 /// Holds the exact encoded bit stream so that [`Compressor::decompress`] can
 /// reconstruct the original line. `size_bytes` is the byte size the line
 /// occupies in memory: the bit length rounded up, clamped to [`LINE_SIZE`]
 /// (a line that does not compress is stored raw).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedLine {
     algorithm: Algorithm,
     /// Encoded payload; `bit_len` bits of it are meaningful.
-    payload: Payload,
+    payload: Vec<u8>,
     bit_len: usize,
 }
-
-impl PartialEq for CompressedLine {
-    fn eq(&self, other: &Self) -> bool {
-        self.algorithm == other.algorithm
-            && self.bit_len == other.bit_len
-            && self.payload() == other.payload()
-    }
-}
-
-impl Eq for CompressedLine {}
 
 impl CompressedLine {
     /// Creates a compressed line from an encoded bit stream.
@@ -150,20 +115,22 @@ impl CompressedLine {
         debug_assert!(payload.len() * 8 >= bit_len);
         Self {
             algorithm,
-            payload: Payload::Bits(payload),
+            payload,
             bit_len,
         }
     }
 
-    /// Wraps an uncompressed line (occupies the full 64 bytes). Lazy: the
-    /// line is kept inline and no heap buffer is built unless
-    /// [`CompressedLine::payload`] is called.
+    /// Runs `encode` over a fresh [`BitWriter`] and wraps its stream.
+    pub(crate) fn encode(algorithm: Algorithm, encode: impl FnOnce(&mut BitWriter)) -> Self {
+        let mut w = BitWriter::new();
+        encode(&mut w);
+        let (bytes, bit_len) = w.into_parts();
+        Self::new(algorithm, bytes, bit_len)
+    }
+
+    /// Wraps an uncompressed line (occupies the full 64 bytes).
     pub fn raw(line: &Line) -> Self {
-        Self {
-            algorithm: Algorithm::Raw,
-            payload: Payload::RawLine(*line),
-            bit_len: LINE_SIZE * 8,
-        }
+        Self::new(Algorithm::Raw, line.to_vec(), LINE_SIZE * 8)
     }
 
     /// The algorithm that produced this encoding.
@@ -184,78 +151,7 @@ impl CompressedLine {
 
     /// The encoded payload bytes.
     pub fn payload(&self) -> &[u8] {
-        self.payload.bytes()
-    }
-}
-
-/// A reusable encode buffer. One `Scratch` per call site (typically per
-/// device) turns [`Compressor::compress_into`] into a zero-allocation
-/// operation after the first encode: the backing buffer is cleared and
-/// recycled, never reallocated (an encoded line is at most 72 bytes).
-#[derive(Debug, Default)]
-pub struct Scratch {
-    buf: Vec<u8>,
-}
-
-impl Scratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `encode` over a [`BitWriter`] that recycles this scratch's
-    /// buffer, and returns a borrowed view of the encoded stream.
-    pub(crate) fn encode_with(
-        &mut self,
-        algorithm: Algorithm,
-        encode: impl FnOnce(&mut BitWriter),
-    ) -> CompressedLineRef<'_> {
-        let mut w = BitWriter::reusing(std::mem::take(&mut self.buf));
-        encode(&mut w);
-        let (bytes, bit_len) = w.into_parts();
-        self.buf = bytes;
-        CompressedLineRef {
-            algorithm,
-            payload: &self.buf,
-            bit_len,
-        }
-    }
-}
-
-/// A borrowed view of one compressed line living in a [`Scratch`] buffer
-/// — the allocation-free counterpart of [`CompressedLine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompressedLineRef<'a> {
-    algorithm: Algorithm,
-    payload: &'a [u8],
-    bit_len: usize,
-}
-
-impl<'a> CompressedLineRef<'a> {
-    /// The algorithm that produced this encoding.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Exact encoded length in bits.
-    pub fn bit_len(&self) -> usize {
-        self.bit_len
-    }
-
-    /// Size in bytes this line occupies in memory (bits rounded up,
-    /// clamped to the raw line size).
-    pub fn size_bytes(&self) -> usize {
-        self.bit_len.div_ceil(8).min(LINE_SIZE)
-    }
-
-    /// The encoded payload bytes (borrowed from the scratch buffer).
-    pub fn payload(&self) -> &'a [u8] {
-        self.payload
-    }
-
-    /// Copies the borrowed stream into an owned [`CompressedLine`].
-    pub fn to_owned(&self) -> CompressedLine {
-        CompressedLine::new(self.algorithm, self.payload.to_vec(), self.bit_len)
+        &self.payload
     }
 }
 
@@ -268,18 +164,9 @@ pub trait Compressor {
     /// Short human-readable algorithm name.
     fn name(&self) -> &'static str;
 
-    /// Compresses one line into `scratch`, returning a borrowed view of
-    /// the encoded stream. Never returns an encoding larger than the raw
-    /// line. Allocation-free once the scratch buffer is warm.
-    fn compress_into<'s>(&self, line: &Line, scratch: &'s mut Scratch) -> CompressedLineRef<'s>;
-
-    /// Compresses one line into a fresh allocation. Never returns an
-    /// encoding larger than the raw line: incompressible input falls back
-    /// to a raw encoding. Thin wrapper over [`Compressor::compress_into`].
-    fn compress(&self, line: &Line) -> CompressedLine {
-        let mut scratch = Scratch::new();
-        self.compress_into(line, &mut scratch).to_owned()
-    }
+    /// Compresses one line. Never returns an encoding larger than the
+    /// raw line: incompressible input falls back to a raw encoding.
+    fn compress(&self, line: &Line) -> CompressedLine;
 
     /// Decompresses a line previously produced by [`Compressor::compress`].
     ///
@@ -350,41 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_raw_equals_eager_raw() {
-        // A raw wrapper and a heap-backed stream with identical bytes
-        // must compare equal regardless of the backing representation.
-        let line = [0x5Au8; LINE_SIZE];
-        let lazy = CompressedLine::raw(&line);
-        let eager = CompressedLine::new(Algorithm::Raw, line.to_vec(), LINE_SIZE * 8);
-        assert_eq!(lazy, eager);
-        assert_eq!(lazy.payload(), &line[..]);
-    }
-
-    #[test]
     fn size_bytes_rounds_up_and_clamps() {
         let c = CompressedLine::new(Algorithm::Bpc, vec![0; 2], 9);
         assert_eq!(c.size_bytes(), 2);
         let c = CompressedLine::new(Algorithm::Bpc, vec![0; 70], 70 * 8);
         assert_eq!(c.size_bytes(), LINE_SIZE);
-    }
-
-    #[test]
-    fn compress_into_matches_compress() {
-        let mut line = [0u8; LINE_SIZE];
-        for (i, chunk) in line.chunks_exact_mut(2).enumerate() {
-            chunk.copy_from_slice(&(7 * i as u16).to_le_bytes());
-        }
-        let mut scratch = Scratch::new();
-        for (owned, borrowed) in [
-            (Bpc::new().compress(&line), {
-                Bpc::new().compress_into(&line, &mut scratch).to_owned()
-            }),
-            (Bdi::new().compress(&line), {
-                Bdi::new().compress_into(&line, &mut scratch).to_owned()
-            }),
-        ] {
-            assert_eq!(owned, borrowed);
-        }
     }
 
     #[test]

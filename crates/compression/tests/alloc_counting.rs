@@ -1,6 +1,5 @@
 //! Proves the hot-path allocation contract with a counting global
-//! allocator: `compressed_size` never touches the heap, and a warm
-//! `compress_into` (scratch buffer already grown) allocates nothing.
+//! allocator: `compressed_size` never touches the heap.
 //!
 //! Deterministic corpus only — proptest itself allocates, which would
 //! drown the signal. Counting is per thread: the harness runs tests on
@@ -9,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use compresso_compression::{Bdi, Bpc, CPack, Compressor, Fpc, Line, Scratch, LINE_SIZE};
+use compresso_compression::{Bdi, Bpc, CPack, Compressor, Fpc, Line, LINE_SIZE};
 
 struct CountingAlloc;
 
@@ -102,27 +101,6 @@ fn assert_size_path_alloc_free<C: Compressor>(c: &C, lines: &[Line]) {
     );
 }
 
-fn assert_warm_encode_alloc_free<C: Compressor>(c: &C, lines: &[Line]) {
-    let mut scratch = Scratch::new();
-    // Warm the scratch buffer to its high-water mark (a raw encoding).
-    for line in lines {
-        let _ = c.compress_into(line, &mut scratch);
-    }
-    let mut sink = 0usize;
-    let allocs = allocations_during(|| {
-        for line in lines {
-            let r = c.compress_into(line, &mut scratch);
-            sink = sink.wrapping_add(r.size_bytes());
-        }
-    });
-    assert_eq!(
-        allocs,
-        0,
-        "{} warm compress_into allocated per line (sink={sink})",
-        c.name()
-    );
-}
-
 #[test]
 fn compressed_size_is_allocation_free() {
     let lines = corpus();
@@ -130,13 +108,4 @@ fn compressed_size_is_allocation_free() {
     assert_size_path_alloc_free(&Fpc::new(), &lines);
     assert_size_path_alloc_free(&Bpc::new(), &lines);
     assert_size_path_alloc_free(&CPack::new(), &lines);
-}
-
-#[test]
-fn warm_compress_into_is_allocation_free() {
-    let lines = corpus();
-    assert_warm_encode_alloc_free(&Bdi::new(), &lines);
-    assert_warm_encode_alloc_free(&Fpc::new(), &lines);
-    assert_warm_encode_alloc_free(&Bpc::new(), &lines);
-    assert_warm_encode_alloc_free(&CPack::new(), &lines);
 }

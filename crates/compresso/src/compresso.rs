@@ -15,57 +15,11 @@ use crate::metadata_codec::{self, CRC_OFFSET, MAX_INFLATED, PACKED_BYTES};
 use crate::predictor::OverflowPredictor;
 use crate::stats::DeviceStats;
 use compresso_cache_sim::Backend;
-use compresso_compression::{Bdi, BinSet, Bpc, CompressedLineRef, Compressor, Fpc, Line, Scratch};
+use compresso_compression::BinSet;
 use compresso_mem_sim::MemStats;
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrMap, LineSource};
 use std::collections::BTreeMap;
-
-/// The line compressor a device uses.
-#[derive(Debug, Clone, Copy)]
-pub enum Codec {
-    /// Modified Bit-Plane Compression (Compresso's default).
-    Bpc(Bpc),
-    /// Base-Delta-Immediate (for the Fig. 2 comparison).
-    Bdi(Bdi),
-    /// Frequent Pattern Compression.
-    Fpc(Fpc),
-}
-
-impl Codec {
-    /// The default modified-BPC codec.
-    pub fn bpc() -> Self {
-        Codec::Bpc(Bpc::new())
-    }
-
-    /// A BDI codec.
-    pub fn bdi() -> Self {
-        Codec::Bdi(Bdi::new())
-    }
-
-    /// Compressed size in bytes of `line` — the allocation-free size
-    /// kernel, never the full encoder.
-    pub fn compressed_size(&self, line: &Line) -> usize {
-        match self {
-            Codec::Bpc(c) => c.compressed_size(line),
-            Codec::Bdi(c) => c.compressed_size(line),
-            Codec::Fpc(c) => c.compressed_size(line),
-        }
-    }
-
-    /// Fully encodes `line` into `scratch` (zero-allocation once warm).
-    pub fn compress_into<'s>(
-        &self,
-        line: &Line,
-        scratch: &'s mut Scratch,
-    ) -> CompressedLineRef<'s> {
-        match self {
-            Codec::Bpc(c) => c.compress_into(line, scratch),
-            Codec::Bdi(c) => c.compress_into(line, scratch),
-            Codec::Fpc(c) => c.compress_into(line, scratch),
-        }
-    }
-}
 
 enum Allocator {
     Chunks(ChunkAllocator),
@@ -169,19 +123,10 @@ impl MetadataHooks for CompressoDevice {
 impl CompressoDevice {
     /// Creates a Compresso device over `world` with `config`.
     pub fn new(config: CompressoConfig, world: impl LineSource + 'static) -> Self {
-        Self::with_codec(config, world, Codec::bpc())
+        Self::new_boxed(config, Box::new(world))
     }
 
-    /// As [`CompressoDevice::new`] with an explicit codec.
-    pub fn with_codec(
-        config: CompressoConfig,
-        world: impl LineSource + 'static,
-        codec: Codec,
-    ) -> Self {
-        Self::new_boxed(config, Box::new(world), codec)
-    }
-
-    fn new_boxed(config: CompressoConfig, world: Box<dyn LineSource>, codec: Codec) -> Self {
+    fn new_boxed(config: CompressoConfig, world: Box<dyn LineSource>) -> Self {
         let alloc = match config.allocation {
             PageAllocation::Chunks512 => {
                 Allocator::Chunks(ChunkAllocator::new(config.mpa_capacity))
@@ -191,7 +136,6 @@ impl CompressoDevice {
         let device = Self {
             ctl: Controller::new(
                 world,
-                codec,
                 config.mcache_half_entries,
                 config.durability.journaling,
             ),
@@ -491,7 +435,7 @@ impl CompressoDevice {
         let (records, shadow, mut report) = Controller::replay(journal_bytes);
         let mut cfg = config;
         cfg.durability.journaling = true;
-        let mut device = Self::new_boxed(cfg, world, Codec::bpc());
+        let mut device = Self::new_boxed(cfg, world);
 
         // Rebuild pages and ownership from the committed shadow state.
         // The allocator is rebuilt from the journal's ownership; a page's

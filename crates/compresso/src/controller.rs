@@ -29,7 +29,6 @@
 //! prefetch buffer serves only single-burst lines while LCP's serves any
 //! compressed line whose bursts are all buffered.
 
-use crate::compresso::Codec;
 use crate::device::{LineSizer, LineSizes};
 use crate::error::CompressoError;
 use crate::faultkit::FaultPlan;
@@ -113,17 +112,12 @@ pub(crate) struct Controller {
 }
 
 impl Controller {
-    /// A controller over `world` sizing lines with `codec`, on the
-    /// paper's DDR4-2666 channel and 96 KB metadata cache.
-    pub fn new(
-        world: Box<dyn LineSource>,
-        codec: Codec,
-        half_entries: bool,
-        journaling: bool,
-    ) -> Self {
+    /// A controller over `world`, on the paper's DDR4-2666 channel and
+    /// 96 KB metadata cache.
+    pub fn new(world: Box<dyn LineSource>, half_entries: bool, journaling: bool) -> Self {
         Self {
             world,
-            sizer: LineSizer::new(codec),
+            sizer: LineSizer,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
             mcache: MetadataCache::paper_default(half_entries),
             stats: DeviceEvents::new(),

@@ -32,10 +32,10 @@
 //! stored sizes), and `size_calls` their sum. A repack check decided by
 //! the tracked sum reads no sizes and counts nothing.
 
-use crate::compresso::Codec;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::{DeviceEvents, DeviceStats};
 use compresso_cache_sim::Backend;
+use compresso_compression::{Bpc, Compressor};
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrSet, LineSource};
@@ -44,26 +44,15 @@ use compresso_workloads::{AddrSet, LineSource};
 /// line), as of that line's last writeback.
 pub type LineSizes = [u8; LINES_PER_PAGE];
 
-/// The size-only kernel of one device's codec, shared by
-/// [`crate::CompressoDevice`] and [`crate::LcpDevice`]. Every kernel run
-/// and every size served from stored state is counted in the device's
-/// [`DeviceEvents`] (see the [module documentation](self)).
+/// The size-only kernel of the devices' line codec, modified BPC
+/// (Tab. III), shared by [`crate::CompressoDevice`] and
+/// [`crate::LcpDevice`]. Every kernel run and every size served from
+/// stored state is counted in the device's [`DeviceEvents`] (see the
+/// [module documentation](self)).
 #[derive(Debug, Clone, Copy)]
-pub struct LineSizer {
-    codec: Codec,
-}
+pub struct LineSizer;
 
 impl LineSizer {
-    /// Creates a sizer for `codec`.
-    pub fn new(codec: Codec) -> Self {
-        Self { codec }
-    }
-
-    /// The codec this sizer runs.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
     /// Runs the kernel on the current bytes of the line at `line_addr`:
     /// its compressed size in bytes, 0 for an all-zero line.
     pub fn size(&self, world: &dyn LineSource, line_addr: u64, events: &DeviceEvents) -> u8 {
@@ -73,7 +62,7 @@ impl LineSizer {
         if compresso_compression::is_zero_line(&data) {
             0
         } else {
-            self.codec.compressed_size(&data) as u8
+            Bpc::new().compressed_size(&data) as u8
         }
     }
 

@@ -8,7 +8,6 @@
 //! (wrong speculation on exception lines costs an extra access).
 
 use crate::alloc::BuddyAllocator;
-use crate::compresso::Codec;
 use crate::config::PageAllocation;
 use crate::controller::{self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY};
 use crate::device::{LineSizes, MemoryDevice};
@@ -152,7 +151,7 @@ impl LcpDevice {
             name,
             bins,
             // No half-entry optimization; journaling is opt-in.
-            ctl: Controller::new(world, Codec::bpc(), false, false),
+            ctl: Controller::new(world, false, false),
             alloc: BuddyAllocator::new(MPA_CAPACITY),
             pages: AddrMap::default(),
         };

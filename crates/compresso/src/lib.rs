@@ -53,7 +53,6 @@ mod controller;
 pub mod device;
 pub mod error;
 pub mod faultkit;
-pub mod hugepage;
 pub mod journal;
 pub mod lcp;
 pub mod lcp_device;
@@ -64,13 +63,12 @@ pub mod offset_circuit;
 pub mod predictor;
 pub mod stats;
 
-pub use crate::compresso::{Codec, CompressoDevice};
+pub use crate::compresso::CompressoDevice;
 pub use alloc::{BuddyAllocator, ChunkAllocator, OutOfMpaSpace};
 pub use config::{CompressoConfig, DurabilityConfig, PageAllocation};
 pub use device::{MemoryDevice, UncompressedDevice};
 pub use error::CompressoError;
 pub use faultkit::{FaultConfig, FaultPlan, FaultStats, MetadataFault};
-pub use hugepage::{HugePageMap, OsPageSize};
 pub use journal::{
     parse as parse_journal, AppendOutcome, DurabilityEvents, Journal, JournalRecord, LcpImage,
     PageImage, ParseReport, RecoveryReport, ShadowModel,

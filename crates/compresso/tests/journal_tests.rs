@@ -256,11 +256,7 @@ fn scrubber_detects_and_repairs_rot() {
         scrub_interval: 2_000,
         scrub_pages_per_pass: 64,
     };
-    let mut device = CompressoDevice::with_codec(
-        cfg,
-        DataWorld::new(&profile("soplex")),
-        compresso_core::Codec::bpc(),
-    );
+    let mut device = CompressoDevice::new(cfg, DataWorld::new(&profile("soplex")));
     let rot_only = FaultConfig {
         rot_per_mille: 400,
         ..FaultConfig::default()

@@ -2,48 +2,27 @@
 //! gate.
 //!
 //! Usage: `metrics_check <file.json>...`. Each file must parse as JSON
-//! and validate as either `compresso.metrics.v1` or `compresso.bench.v1`
-//! (chosen by its `schema` field). Exits non-zero listing every problem
-//! found, so a binary that silently emits a malformed document fails CI
-//! rather than producing an unreadable artifact.
+//! and validate as `compresso.metrics.v1`. Exits non-zero listing every
+//! problem found, so a binary that silently emits a malformed document
+//! fails CI rather than producing an unreadable artifact.
 
-use compresso_telemetry::{
-    json, validate_bench_doc, validate_metrics_doc, BENCH_SCHEMA, METRICS_SCHEMA,
-};
+use compresso_telemetry::{json, validate_metrics_doc, METRICS_SCHEMA};
 
 fn check_file(path: &str) -> Result<String, Vec<String>> {
     let text =
         std::fs::read_to_string(path).map_err(|e| vec![format!("cannot read {path}: {e}")])?;
     let doc = json::parse(&text).map_err(|e| vec![format!("{path}: invalid JSON: {e}")])?;
-    let schema = doc.get("schema").and_then(|s| s.as_str()).unwrap_or("");
-    let errs = match schema {
-        METRICS_SCHEMA => validate_metrics_doc(&doc),
-        BENCH_SCHEMA => validate_bench_doc(&doc),
-        other => vec![format!(
-            "unknown schema `{other}` (expected `{METRICS_SCHEMA}` or `{BENCH_SCHEMA}`)"
-        )],
-    };
+    let errs = validate_metrics_doc(&doc);
     if errs.is_empty() {
-        let cells = doc
-            .get("cells")
-            .map(|c| {
-                c.as_arr()
-                    .map_or_else(|| c.as_u64().unwrap_or(0) as usize, <[_]>::len)
-            })
-            .unwrap_or(0);
-        let epochs: usize = doc
-            .get("cells")
-            .and_then(|c| c.as_arr())
-            .map(|cells| {
-                cells
-                    .iter()
-                    .filter_map(|cell| cell.get("epochs").and_then(|e| e.as_arr()))
-                    .map(<[_]>::len)
-                    .sum()
-            })
-            .unwrap_or(0);
+        let cells = doc.get("cells").and_then(|c| c.as_arr()).unwrap_or(&[]);
+        let epochs: usize = cells
+            .iter()
+            .filter_map(|cell| cell.get("epochs").and_then(|e| e.as_arr()))
+            .map(<[_]>::len)
+            .sum();
         Ok(format!(
-            "{path}: OK ({schema}, {cells} cells, {epochs} epoch snapshots)"
+            "{path}: OK ({METRICS_SCHEMA}, {} cells, {epochs} epoch snapshots)",
+            cells.len()
         ))
     } else {
         Err(errs.into_iter().map(|e| format!("{path}: {e}")).collect())

@@ -4,7 +4,7 @@
 //! A binary parses [`MetricsArgs`] once, sets `SweepOptions::epoch` from
 //! [`MetricsArgs::epoch_len`] so runs record an epoch time-series, and
 //! finishes with [`MetricsArgs::write`], which emits a
-//! `compresso.metrics.v1` document (JSON, or CSV for `.csv` paths).
+//! `compresso.metrics.v1` JSON document.
 //! Without `--metrics-out` everything is a no-op and runs pay nothing
 //! beyond the always-on counters.
 

@@ -9,7 +9,7 @@
 
 use crate::runner::{geomean, run_mix_epoch, run_single_epoch, RunResult, SystemKind};
 use crate::sweep::{run_cells, successes, SweepOptions};
-use compresso_oskit::{capacity_run, Budget};
+use compresso_oskit::{capacity_run, relative_performance, Budget};
 use compresso_telemetry::{CellMetrics, MetricsReport};
 use compresso_workloads::{
     all_benchmarks, benchmark, full_run, BenchmarkProfile, UnknownBenchmark, MIXES,
@@ -62,14 +62,34 @@ impl PerfRow {
     }
 }
 
-fn capacity_rel(profile: &BenchmarkProfile, fraction: f64, budget: &Budget, ops: usize) -> f64 {
-    let baseline = capacity_run(
-        profile,
-        &Budget::constrained(fraction, profile.footprint_pages),
-        ops,
-    );
-    let system = capacity_run(profile, budget, ops);
-    baseline.runtime_cycles as f64 / system.runtime_cycles.max(1) as f64
+/// Memory-capacity relative performance of LCP, Compresso and the
+/// unconstrained bound against the constrained baseline at `fraction`,
+/// and whether that baseline stalls. The compressed budgets follow the
+/// benchmark's compressibility phases anchored at each measured ratio.
+fn memcap_rels(
+    profile: &BenchmarkProfile,
+    fraction: f64,
+    ratio_lcp: f64,
+    ratio_compresso: f64,
+    cap_ops: usize,
+) -> ([f64; 3], bool) {
+    let footprint = profile.footprint_pages;
+    let baseline = capacity_run(profile, &Budget::constrained(fraction, footprint), cap_ops);
+    let rel =
+        |budget: Budget| relative_performance(&baseline, &capacity_run(profile, &budget, cap_ops));
+    let compressed = |ratio: f64| {
+        let phases = full_run(profile, ratio, 16)
+            .iter()
+            .map(|i| i.compression_ratio)
+            .collect();
+        Budget::compressed(fraction, footprint, phases)
+    };
+    let rels = [
+        rel(compressed(ratio_lcp)),
+        rel(compressed(ratio_compresso)),
+        rel(Budget::Unconstrained(0)),
+    ];
+    (rels, baseline.stalled())
 }
 
 /// Merges the per-system cycle-run metric bundles of one perf row under
@@ -104,37 +124,17 @@ pub fn perf_row(
     let comp = run_single_epoch(profile, &SystemKind::Compresso, cycle_ops, epoch);
 
     let rel = |r: &RunResult| base.cycles as f64 / r.cycles.max(1) as f64;
-
-    let footprint = profile.footprint_pages;
-    let ratios_lcp: Vec<f64> = full_run(profile, lcp.ratio, 16)
-        .iter()
-        .map(|i| i.compression_ratio)
-        .collect();
-    let ratios_comp: Vec<f64> = full_run(profile, comp.ratio, 16)
-        .iter()
-        .map(|i| i.compression_ratio)
-        .collect();
-
-    let baseline_run = capacity_run(profile, &Budget::constrained(fraction, footprint), cap_ops);
+    let ([memcap_lcp, memcap_compresso, memcap_unconstrained], stalled) =
+        memcap_rels(profile, fraction, lcp.ratio, comp.ratio, cap_ops);
     PerfRow {
         workload: profile.name.to_string(),
         cycle_lcp: rel(&lcp),
         cycle_align: rel(&align),
         cycle_compresso: rel(&comp),
-        memcap_lcp: capacity_rel(
-            profile,
-            fraction,
-            &Budget::compressed(fraction, footprint, ratios_lcp),
-            cap_ops,
-        ),
-        memcap_compresso: capacity_rel(
-            profile,
-            fraction,
-            &Budget::compressed(fraction, footprint, ratios_comp),
-            cap_ops,
-        ),
-        memcap_unconstrained: capacity_rel(profile, fraction, &Budget::Unconstrained(0), cap_ops),
-        stalled: baseline_run.stalled(),
+        memcap_lcp,
+        memcap_compresso,
+        memcap_unconstrained,
+        stalled,
         ratio_lcp: lcp.ratio,
         ratio_compresso: comp.ratio,
         metrics: merge_system_metrics(&base, &lcp, &align, &comp),
@@ -255,28 +255,10 @@ pub fn mix_row(
     let mut memcap = [0.0f64; 3]; // lcp, compresso, unconstrained
     for bench in benchmarks {
         let profile = benchmark(bench).expect("validated by run_mix above");
-        let footprint = profile.footprint_pages;
-        let ratios_lcp: Vec<f64> = full_run(&profile, lcp.ratio, 16)
-            .iter()
-            .map(|i| i.compression_ratio)
-            .collect();
-        let ratios_comp: Vec<f64> = full_run(&profile, comp.ratio, 16)
-            .iter()
-            .map(|i| i.compression_ratio)
-            .collect();
-        memcap[0] += capacity_rel(
-            &profile,
-            fraction,
-            &Budget::compressed(fraction, footprint, ratios_lcp),
-            cap_ops,
-        );
-        memcap[1] += capacity_rel(
-            &profile,
-            fraction,
-            &Budget::compressed(fraction, footprint, ratios_comp),
-            cap_ops,
-        );
-        memcap[2] += capacity_rel(&profile, fraction, &Budget::Unconstrained(0), cap_ops);
+        let (rels, _) = memcap_rels(&profile, fraction, lcp.ratio, comp.ratio, cap_ops);
+        for (sum, rel) in memcap.iter_mut().zip(rels) {
+            *sum += rel;
+        }
     }
     Ok(PerfRow {
         workload: name.to_string(),

@@ -5,10 +5,7 @@
 
 use compresso_exp::sweep::{run_grid, SweepCell, SweepOptions};
 use compresso_exp::{fig2, metrics, perf, SystemKind};
-use compresso_telemetry::{
-    json, render_bench, validate_bench_doc, validate_metrics_doc, BenchCell, BenchDoc, JsonSink,
-    MetricValue, MetricsDoc, MetricsSink, Snapshot,
-};
+use compresso_telemetry::{json, render_doc, validate_metrics_doc, MetricsDoc};
 
 fn epoch_grid() -> Vec<SweepCell> {
     let mut cells = Vec::new();
@@ -80,7 +77,7 @@ fn metrics_doc_round_trips_through_validator() {
     let cells = metrics::runs_to_cells(&outcomes);
     assert_eq!(cells.len(), 4, "all cells export metrics");
     let doc = MetricsDoc::new("test", "cycles", 500, cells);
-    let text = JsonSink.render(&doc);
+    let text = render_doc(&doc);
     let parsed = json::parse(&text).expect("exported JSON parses");
     assert_eq!(
         validate_metrics_doc(&parsed),
@@ -166,34 +163,4 @@ fn perf_row_records_epochs_under_every_system_prefix() {
             "`{prefix}` records a single epoch only"
         );
     }
-}
-
-#[test]
-fn bench_doc_round_trips_through_validator() {
-    let doc = BenchDoc {
-        bench: "sweep".into(),
-        jobs: 2,
-        ops: 8000,
-        cells: 3,
-        wall_millis: 120,
-        cells_per_sec: 25.0,
-        per_cell: vec![
-            BenchCell {
-                label: "gcc/Compresso".into(),
-                millis: 40,
-            },
-            BenchCell {
-                label: "gcc/LCP".into(),
-                millis: 80,
-            },
-        ],
-        summaries: Snapshot {
-            metrics: vec![("bench.page_overflow.total".into(), MetricValue::Counter(7))],
-        },
-    };
-    let text = render_bench(&doc);
-    let parsed = json::parse(&text).expect("bench JSON parses");
-    assert_eq!(validate_bench_doc(&parsed), Vec::<String>::new(), "{text}");
-    assert_eq!(parsed.get("cells_per_sec").unwrap().as_f64(), Some(25.0));
-    assert_eq!(parsed.get("ops").unwrap().as_u64(), Some(8000));
 }

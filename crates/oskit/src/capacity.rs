@@ -111,21 +111,10 @@ pub fn capacity_run(profile: &BenchmarkProfile, budget: &Budget, mem_ops: usize)
     }
 }
 
-/// Relative performance of `budget` versus the constrained uncompressed
-/// baseline at `fraction` (the Fig. 10/11 memory-capacity metric: >1 means
-/// the system outperforms the constrained baseline).
-pub fn relative_performance(
-    profile: &BenchmarkProfile,
-    fraction: f64,
-    budget: &Budget,
-    mem_ops: usize,
-) -> f64 {
-    let baseline = capacity_run(
-        profile,
-        &Budget::constrained(fraction, profile.footprint_pages),
-        mem_ops,
-    );
-    let system = capacity_run(profile, budget, mem_ops);
+/// Relative performance of `system` versus `baseline`, the constrained
+/// uncompressed run (the Fig. 10/11 memory-capacity metric: >1 means the
+/// system outperforms the constrained baseline).
+pub fn relative_performance(baseline: &CapacityResult, system: &CapacityResult) -> f64 {
     baseline.runtime_cycles as f64 / system.runtime_cycles.max(1) as f64
 }
 
@@ -188,10 +177,12 @@ mod tests {
     fn compression_budget_recovers_performance() {
         let p = benchmark("xalancbmk").unwrap();
         let rel = relative_performance(
-            &p,
-            0.7,
-            &Budget::compressed(0.7, p.footprint_pages, vec![1.8]),
-            OPS,
+            &capacity_run(&p, &Budget::constrained(0.7, p.footprint_pages), OPS),
+            &capacity_run(
+                &p,
+                &Budget::compressed(0.7, p.footprint_pages, vec![1.8]),
+                OPS,
+            ),
         );
         assert!(
             rel > 1.0,
@@ -202,7 +193,8 @@ mod tests {
     #[test]
     fn relative_performance_of_baseline_is_one() {
         let p = benchmark("povray").unwrap();
-        let rel = relative_performance(&p, 0.7, &Budget::constrained(0.7, p.footprint_pages), OPS);
+        let constrained = || capacity_run(&p, &Budget::constrained(0.7, p.footprint_pages), OPS);
+        let rel = relative_performance(&constrained(), &constrained());
         assert!((rel - 1.0).abs() < 1e-9);
     }
 

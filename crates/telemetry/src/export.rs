@@ -1,35 +1,13 @@
-//! Exporters: render a [`MetricsDoc`] to JSON (`compresso.metrics.v1`)
-//! or flat CSV.
+//! The exporter: renders a [`MetricsDoc`] as `compresso.metrics.v1`
+//! JSON.
 
 use crate::epoch::Epoch;
 use crate::json::{escape, fmt_f64};
 use crate::metric::HistogramSnapshot;
 use crate::registry::{MetricValue, Snapshot};
-use crate::schema::{BenchDoc, MetricsDoc, BENCH_SCHEMA, METRICS_SCHEMA};
+use crate::schema::{MetricsDoc, METRICS_SCHEMA};
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// A destination format for metric documents.
-pub trait MetricsSink {
-    /// Renders a full document to its textual form.
-    fn render(&self, doc: &MetricsDoc) -> String;
-    /// Preferred file extension (no dot).
-    fn extension(&self) -> &'static str;
-
-    /// Renders and writes `doc` to `path`.
-    fn write(&self, path: &Path, doc: &MetricsDoc) -> std::io::Result<()> {
-        std::fs::write(path, self.render(doc))
-    }
-}
-
-/// Emits the `compresso.metrics.v1` JSON schema.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct JsonSink;
-
-/// Emits flat CSV (`label,tick,metric,kind,field,value`), one row per
-/// scalar; histograms expand to count/sum/max/p50/p95/p99 rows.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CsvSink;
 
 fn render_histogram(out: &mut String, h: &HistogramSnapshot) {
     let join = |v: &[u64]| {
@@ -93,140 +71,43 @@ fn render_epochs(out: &mut String, epochs: &[Epoch], indent: &str) {
     out.push(']');
 }
 
-impl MetricsSink for JsonSink {
-    fn render(&self, doc: &MetricsDoc) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"{METRICS_SCHEMA}\",\n  \"source\": \"{}\",\n  \
-             \"epoch_unit\": \"{}\",\n  \"epoch_len\": {},\n  \"cells\": [",
-            escape(&doc.source),
-            escape(&doc.epoch_unit),
-            doc.epoch_len
-        );
-        for (i, cell) in doc.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\n      \"label\": \"{}\",\n      \"wall_millis\": {},\n      \
-                 \"metrics\": ",
-                escape(&cell.label),
-                cell.wall_millis
-            );
-            render_metric_map(&mut out, &cell.report.last, "      ");
-            out.push_str(",\n      \"epochs\": ");
-            render_epochs(&mut out, &cell.report.epochs, "      ");
-            out.push_str("\n    }");
-        }
-        if !doc.cells.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    fn extension(&self) -> &'static str {
-        "json"
-    }
-}
-
-fn csv_rows(out: &mut String, label: &str, tick: &str, snapshot: &Snapshot) {
-    for (name, value) in &snapshot.metrics {
-        match value {
-            MetricValue::Counter(c) => {
-                let _ = writeln!(out, "{label},{tick},{name},counter,value,{c}");
-            }
-            MetricValue::Gauge(g) => {
-                let _ = writeln!(out, "{label},{tick},{name},gauge,value,{g}");
-            }
-            MetricValue::Histogram(h) => {
-                for (field, v) in [
-                    ("count", h.count),
-                    ("sum", h.sum),
-                    ("max", h.max),
-                    ("p50", h.p50()),
-                    ("p95", h.p95()),
-                    ("p99", h.p99()),
-                ] {
-                    let _ = writeln!(out, "{label},{tick},{name},histogram,{field},{v}");
-                }
-            }
-        }
-    }
-}
-
-impl MetricsSink for CsvSink {
-    fn render(&self, doc: &MetricsDoc) -> String {
-        let mut out = String::from("label,tick,metric,kind,field,value\n");
-        for cell in &doc.cells {
-            for epoch in &cell.report.epochs {
-                csv_rows(
-                    &mut out,
-                    &cell.label,
-                    &epoch.tick.to_string(),
-                    &epoch.snapshot,
-                );
-            }
-            csv_rows(&mut out, &cell.label, "final", &cell.report.last);
-        }
-        out
-    }
-
-    fn extension(&self) -> &'static str {
-        "csv"
-    }
-}
-
-/// Renders a [`BenchDoc`] as `compresso.bench.v1` JSON.
-pub fn render_bench(doc: &BenchDoc) -> String {
+/// Renders `doc` as `compresso.metrics.v1` JSON.
+pub fn render_doc(doc: &MetricsDoc) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"bench\": \"{}\",\n  \
-         \"jobs\": {},\n  \"ops\": {},\n  \"cells\": {},\n  \"wall_millis\": {},\n  \
-         \"cells_per_sec\": {},\n  \"per_cell\": [",
-        escape(&doc.bench),
-        doc.jobs,
-        doc.ops,
-        doc.cells,
-        doc.wall_millis,
-        fmt_f64(doc.cells_per_sec)
+        "{{\n  \"schema\": \"{METRICS_SCHEMA}\",\n  \"source\": \"{}\",\n  \
+             \"epoch_unit\": \"{}\",\n  \"epoch_len\": {},\n  \"cells\": [",
+        escape(&doc.source),
+        escape(&doc.epoch_unit),
+        doc.epoch_len
     );
-    for (i, cell) in doc.per_cell.iter().enumerate() {
+    for (i, cell) in doc.cells.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\n    {{\"label\": \"{}\", \"millis\": {}}}",
+            "\n    {{\n      \"label\": \"{}\",\n      \"wall_millis\": {},\n      \
+                 \"metrics\": ",
             escape(&cell.label),
-            cell.millis
+            cell.wall_millis
         );
+        render_metric_map(&mut out, &cell.report.last, "      ");
+        out.push_str(",\n      \"epochs\": ");
+        render_epochs(&mut out, &cell.report.epochs, "      ");
+        out.push_str("\n    }");
     }
-    if !doc.per_cell.is_empty() {
+    if !doc.cells.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("],\n  \"summaries\": ");
-    render_metric_map(&mut out, &doc.summaries, "  ");
-    out.push_str("\n}\n");
+    out.push_str("]\n}\n");
     out
 }
 
-/// Writes a [`BenchDoc`] to `path` as JSON.
-pub fn write_bench(path: &Path, doc: &BenchDoc) -> std::io::Result<()> {
-    std::fs::write(path, render_bench(doc))
-}
-
-/// Writes `doc` to `path`, choosing the sink by file extension
-/// (`.csv` → CSV, anything else → JSON).
+/// Writes `doc` to `path` as `compresso.metrics.v1` JSON.
 pub fn write_doc(path: &Path, doc: &MetricsDoc) -> std::io::Result<()> {
-    if path.extension().and_then(|e| e.to_str()) == Some("csv") {
-        CsvSink.write(path, doc)
-    } else {
-        JsonSink.write(path, doc)
-    }
+    std::fs::write(path, render_doc(doc))
 }
 
 #[cfg(test)]
@@ -273,7 +154,7 @@ mod tests {
 
     #[test]
     fn json_output_parses_and_validates() {
-        let text = JsonSink.render(&sample_doc());
+        let text = render_doc(&sample_doc());
         let parsed = parse(&text).expect("valid json");
         assert_eq!(
             validate_metrics_doc(&parsed),
@@ -288,14 +169,5 @@ mod tests {
             .unwrap();
         assert_eq!(hist.get("count").unwrap().as_u64(), Some(2));
         assert_eq!(hist.get("max").unwrap().as_u64(), Some(5000));
-    }
-
-    #[test]
-    fn csv_output_has_expected_rows() {
-        let text = CsvSink.render(&sample_doc());
-        assert!(text.starts_with("label,tick,metric,kind,field,value\n"));
-        assert!(text.contains("cell/a,final,compresso.page_overflow.total,counter,value,42"));
-        assert!(text.contains("cell/a,100,balloon.held_pages,gauge,value,-3"));
-        assert!(text.contains("cell/a,final,dram.bank00.latency,histogram,p99,5000"));
     }
 }

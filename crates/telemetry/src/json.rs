@@ -1,9 +1,9 @@
 //! Minimal hand-rolled JSON: a [`JsonValue`] tree, a recursive-descent
 //! parser and string-escaping helpers.
 //!
-//! The crate has no dependencies, so the metrics exporters write JSON
-//! by hand; this parser reads it back for the `metrics_check` binary,
-//! `bench --baseline` and the round-trip tests. It accepts the JSON
+//! The crate has no dependencies, so the metrics exporter writes JSON
+//! by hand; this parser reads it back for the `metrics_check` binary
+//! and the round-trip tests. It accepts the JSON
 //! this crate emits (and standard JSON generally); it is not meant to
 //! be a full-spec validator. Nesting deeper than [`MAX_DEPTH`] is an
 //! error, so hostile input cannot overflow the stack.

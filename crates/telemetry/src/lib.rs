@@ -39,11 +39,8 @@ pub mod registry;
 pub mod schema;
 
 pub use epoch::{Epoch, EpochRecorder, MetricsReport};
-pub use export::{render_bench, write_bench, write_doc, CsvSink, JsonSink, MetricsSink};
+pub use export::{render_doc, write_doc};
 pub use json::JsonValue;
 pub use metric::{Counter, Gauge, HistogramSnapshot, LatencyHistogram};
 pub use registry::{Metric, MetricValue, Registry, Snapshot};
-pub use schema::{
-    validate_bench_doc, validate_metrics_doc, BenchCell, BenchDoc, CellMetrics, MetricsDoc,
-    BENCH_SCHEMA, METRICS_SCHEMA,
-};
+pub use schema::{validate_metrics_doc, CellMetrics, MetricsDoc, METRICS_SCHEMA};

@@ -273,21 +273,6 @@ impl HistogramSnapshot {
         self.percentile(99.0)
     }
 
-    /// Accumulates another snapshot with identical bounds (used to
-    /// aggregate per-cell histograms into one bench summary). Snapshots
-    /// with different bucket layouts are ignored.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if self.bounds != other.bounds || self.counts.len() != other.counts.len() {
-            return;
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// Mean sample value (0 if empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -1,26 +1,18 @@
-//! The stable on-disk metrics document model and schema validators.
+//! The stable on-disk metrics document model and its schema validator.
 //!
-//! Two document kinds are exchanged with CI:
+//! `compresso.metrics.v1` documents ([`MetricsDoc`]) hold per-cell
+//! metric bundles with an optional epoch time-series, produced by every
+//! figure binary's `--metrics-out` flag.
 //!
-//! * `compresso.metrics.v1` — per-cell metric bundles with an optional
-//!   epoch time-series, produced by every figure binary's
-//!   `--metrics-out` flag ([`MetricsDoc`]).
-//! * `compresso.bench.v1` — the perf-gate harness output
-//!   (`BENCH_compresso.json`): cells/sec, per-cell wall-times and key
-//!   histogram summaries.
-//!
-//! The validators run against parsed [`JsonValue`] trees so the
+//! The validator runs against parsed [`JsonValue`] trees so the
 //! `metrics_check` binary and the round-trip tests share one source of
 //! truth for what "schema-valid" means.
 
 use crate::epoch::MetricsReport;
 use crate::json::JsonValue;
-use crate::registry::Snapshot;
 
 /// Schema identifier for figure metric documents.
 pub const METRICS_SCHEMA: &str = "compresso.metrics.v1";
-/// Schema identifier for the perf-gate bench document.
-pub const BENCH_SCHEMA: &str = "compresso.bench.v1";
 
 /// Metrics for one sweep cell: its label, wall-clock duration and the
 /// full metric bundle (final snapshot + epoch series).
@@ -53,35 +45,6 @@ impl MetricsDoc {
             cells,
         }
     }
-}
-
-/// One per-cell timing entry of a bench document.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BenchCell {
-    pub label: String,
-    pub millis: u64,
-}
-
-/// A complete `compresso.bench.v1` document — the perf-gate harness
-/// output (`BENCH_compresso.json`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchDoc {
-    /// Bench harness name (`sweep`).
-    pub bench: String,
-    /// Sweep worker threads used.
-    pub jobs: u64,
-    /// Memory ops per cell.
-    pub ops: u64,
-    /// Number of sweep cells executed.
-    pub cells: u64,
-    /// End-to-end wall time of the sweep.
-    pub wall_millis: u64,
-    /// Throughput: `cells / wall seconds` — the number CI gates on.
-    pub cells_per_sec: f64,
-    /// Per-cell wall times, in sweep presentation order.
-    pub per_cell: Vec<BenchCell>,
-    /// Aggregated histogram/counter summaries across all cells.
-    pub summaries: Snapshot,
 }
 
 fn expect_str<'a>(v: &'a JsonValue, key: &str, errs: &mut Vec<String>) -> Option<&'a str> {
@@ -220,47 +183,6 @@ pub fn validate_metrics_doc(doc: &JsonValue) -> Vec<String> {
     errs
 }
 
-/// Validates a parsed `compresso.bench.v1` document (the perf-gate
-/// baseline/result format).
-pub fn validate_bench_doc(doc: &JsonValue) -> Vec<String> {
-    let mut errs = Vec::new();
-    match expect_str(doc, "schema", &mut errs) {
-        Some(BENCH_SCHEMA) => {}
-        Some(other) => errs.push(format!("schema is `{other}`, expected `{BENCH_SCHEMA}`")),
-        None => {}
-    }
-    expect_str(doc, "bench", &mut errs);
-    expect_u64(doc, "jobs", &mut errs);
-    expect_u64(doc, "ops", &mut errs);
-    expect_u64(doc, "cells", &mut errs);
-    expect_u64(doc, "wall_millis", &mut errs);
-    match doc.get("cells_per_sec").and_then(|v| v.as_f64()) {
-        Some(v) if v > 0.0 => {}
-        Some(_) => errs.push("`cells_per_sec` must be positive".into()),
-        None => errs.push("missing numeric `cells_per_sec`".into()),
-    }
-    match doc.get("per_cell").and_then(|c| c.as_arr()) {
-        Some(cells) => {
-            for (i, c) in cells.iter().enumerate() {
-                if c.get("label").and_then(|l| l.as_str()).is_none()
-                    || c.get("millis").and_then(|m| m.as_u64()).is_none()
-                {
-                    errs.push(format!("per_cell[{i}] needs `label` and integer `millis`"));
-                }
-            }
-        }
-        None => errs.push("missing `per_cell` array".into()),
-    }
-    if let Some(map) = doc.get("summaries").and_then(|s| s.as_obj()) {
-        for (name, m) in map {
-            validate_metric_entry(name, m, "summaries", &mut errs);
-        }
-    } else {
-        errs.push("missing `summaries` object".into());
-    }
-    errs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,22 +218,5 @@ mod tests {
         );
         assert!(errs.iter().any(|e| e.contains("counts.len")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("ascending")), "{errs:?}");
-    }
-
-    #[test]
-    fn bench_doc_validation() {
-        let text = r#"{"schema":"compresso.bench.v1","bench":"sweep","jobs":2,"ops":8000,
-            "cells":4,"wall_millis":100,"cells_per_sec":40.0,
-            "per_cell":[{"label":"a","millis":25}],
-            "summaries":{"fill":{"type":"histogram","bounds":[1],"counts":[1,0],
-            "count":1,"sum":1,"max":1,"p50":1,"p95":1,"p99":1}}}"#;
-        let good = parse(text).expect("parses");
-        assert_eq!(validate_bench_doc(&good), Vec::<String>::new());
-        let no_ops = parse(&text.replace(r#""ops":8000,"#, "")).expect("parses");
-        assert!(validate_bench_doc(&no_ops)
-            .iter()
-            .any(|e| e.contains("`ops`")));
-        let bad = parse(r#"{"schema":"compresso.bench.v1","cells_per_sec":0}"#).expect("parses");
-        assert!(!validate_bench_doc(&bad).is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use compresso_exp::{run_single, SystemKind};
-use compresso_oskit::{capacity_run, Budget};
+use compresso_oskit::{capacity_run, relative_performance, Budget};
 use compresso_workloads::{benchmark, full_run};
 
 fn main() {
@@ -37,9 +37,7 @@ fn main() {
         let compressed = capacity_run(&profile, &Budget::compressed(0.7, footprint, ratios), ops);
         let unconstrained = capacity_run(&profile, &Budget::Unconstrained(0), ops);
 
-        let rel = |r: &compresso_oskit::CapacityResult| {
-            constrained.runtime_cycles as f64 / r.runtime_cycles.max(1) as f64
-        };
+        let rel = |r| relative_performance(&constrained, r);
         let verdict = if constrained.stalled() {
             "stalls"
         } else if rel(&unconstrained) < 1.1 {
