@@ -1,17 +1,20 @@
 //! A set-associative, write-back, write-allocate cache with LRU
 //! replacement.
 
-use compresso_telemetry::{Counter, Registry};
+use compresso_telemetry::{counters, Registry};
 
-/// Per-cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Accesses that hit.
-    pub hits: u64,
-    /// Accesses that missed.
-    pub misses: u64,
-    /// Dirty lines evicted (writebacks to the next level).
-    pub writebacks: u64,
+counters! {
+    /// Per-cache statistics.
+    pub struct CacheStats;
+    /// Live counter handles behind [`CacheStats`].
+    struct CacheEvents {
+        /// Accesses that hit.
+        hits => "hit.total",
+        /// Accesses that missed.
+        misses => "miss.total",
+        /// Dirty lines evicted (writebacks to the next level).
+        writebacks => "writeback.total",
+    }
 }
 
 impl CacheStats {
@@ -24,14 +27,6 @@ impl CacheStats {
             self.misses as f64 / total as f64
         }
     }
-}
-
-/// Live counter handles behind [`CacheStats`].
-#[derive(Debug, Clone, Default)]
-struct CacheEvents {
-    hits: Counter,
-    misses: Counter,
-    writebacks: Counter,
 }
 
 /// Result of one cache access.
@@ -98,26 +93,13 @@ impl Cache {
 
     /// Snapshot of the accumulated statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.stats.hits.get(),
-            misses: self.stats.misses.get(),
-            writebacks: self.stats.writebacks.get(),
-        }
-    }
-
-    /// Resets statistics; contents are preserved.
-    pub fn reset_stats(&mut self) {
-        self.stats.hits.reset();
-        self.stats.misses.reset();
-        self.stats.writebacks.reset();
+        self.stats.snapshot()
     }
 
     /// Registers this cache's counters under `prefix` (e.g. `cache.l1`
     /// → `cache.l1.hit.total`).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.hit.total"), &self.stats.hits);
-        registry.register_counter(&format!("{prefix}.miss.total"), &self.stats.misses);
-        registry.register_counter(&format!("{prefix}.writeback.total"), &self.stats.writebacks);
+        self.stats.register_metrics(registry, prefix);
     }
 
     /// The set of `addr` and the key its line holds in that set.

@@ -1,6 +1,6 @@
 //! Three-level cache hierarchy in front of a pluggable memory backend.
 
-use crate::cache::{Cache, CacheStats};
+use crate::cache::Cache;
 use compresso_telemetry::Registry;
 
 /// Where in the hierarchy an access was satisfied.
@@ -65,16 +65,6 @@ impl PrivateCaches {
         }
     }
 
-    /// L1 statistics.
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
-    }
-
     /// Registers both private levels under `prefix` (`{prefix}.l1.*`,
     /// `{prefix}.l2.*`).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
@@ -112,16 +102,6 @@ impl Hierarchy {
     /// Builds from explicit parts (used by the multi-core wrapper).
     pub fn from_parts(private: PrivateCaches, l3: Cache) -> Self {
         Self { private, l3 }
-    }
-
-    /// Private cache stats.
-    pub fn private_caches(&self) -> &PrivateCaches {
-        &self.private
-    }
-
-    /// L3 stats.
-    pub fn l3_stats(&self) -> CacheStats {
-        self.l3.stats()
     }
 
     /// Registers per-level hit/miss/writeback counters for the whole
@@ -194,11 +174,6 @@ impl Hierarchy {
         if let Some(victim) = r.evicted_dirty {
             backend.writeback(now, victim);
         }
-    }
-
-    /// Consumes the hierarchy, returning the L3 (for shared-L3 reuse).
-    pub fn into_l3(self) -> Cache {
-        self.l3
     }
 
     /// Consumes the hierarchy into its private caches and L3 (used by the

@@ -77,7 +77,7 @@ pub fn run_multicore<B: Backend>(
             cores[i].step(traces[i][cursors[i]], &mut hierarchy, backend);
             cursors[i] += 1;
         }
-        let (private, shared) = decompose(hierarchy);
+        let (private, shared) = hierarchy.into_parts();
         privates[i] = Some(private);
         l3 = Some(shared);
     }
@@ -85,10 +85,6 @@ pub fn run_multicore<B: Backend>(
     let cycles = cores.iter_mut().map(|c| c.finish()).collect();
     let core_stats = cores.iter().map(|c| *c.stats()).collect();
     MulticoreResult { cycles, core_stats }
-}
-
-fn decompose(h: Hierarchy) -> (PrivateCaches, Cache) {
-    h.into_parts()
 }
 
 #[cfg(test)]

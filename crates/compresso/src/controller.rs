@@ -120,7 +120,7 @@ impl Controller {
             sizer: LineSizer,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
             mcache: MetadataCache::paper_default(half_entries),
-            stats: DeviceEvents::new(),
+            stats: DeviceEvents::default(),
             registry: Registry::new(),
             faults: None,
             prefetch: VecDeque::new(),

@@ -158,7 +158,7 @@ impl UncompressedDevice {
     /// Creates the baseline over an explicit DRAM configuration.
     pub fn with_config(config: MemConfig) -> Self {
         let registry = Registry::new();
-        let stats = DeviceEvents::new();
+        let stats = DeviceEvents::default();
         let mem = MainMemory::new(config);
         stats.register_metrics(&registry, "uncompressed");
         mem.register_metrics(&registry, "dram");

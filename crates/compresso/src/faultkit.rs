@@ -12,15 +12,16 @@
 //! stream injects the same faults in the same order, so a chaos run is
 //! exactly reproducible (asserted by `fault_tests.rs`).
 //!
-//! PR 4 adds two durability hooks: [`FaultPlan::durable_rot`] flips bits
-//! in the durable metadata image between writes (silent media rot,
-//! caught by the scrubber), and [`FaultPlan::crash_on_append`] crashes
-//! the device mid-journal-append so the journal ends in a torn record.
-//! Both [`FaultConfig`] and [`FaultPlan`] round-trip through JSON (the
-//! hand-rolled `telemetry::json` dialect) so a failing chaos/soak run
-//! prints a copy-pasteable repro line.
+//! Two durability hooks model storage faults: [`FaultPlan::durable_rot`]
+//! flips bits in the durable metadata image between writes (silent media
+//! rot, caught by the scrubber), and [`FaultPlan::crash_on_append`]
+//! crashes the device mid-journal-append so the journal ends in a torn
+//! record. [`FaultPlan::to_json`] prints a plan's seed, crash point and
+//! rates on a failing soak run's repro line. A soak schedule is a pure
+//! function of its seed and round count, so a failure is replayed with
+//! `soak --seeds 1 --base-seed S --rounds R`, taking `S` and `R` from
+//! that line.
 
-use compresso_telemetry::json::{self, JsonValue};
 use std::fmt::Write as _;
 
 /// A fault produced at a metadata-fetch hook.
@@ -107,50 +108,6 @@ impl FaultConfig {
             self.balloon_refusal_per_mille,
             self.rot_per_mille,
         )
-    }
-
-    /// Parses a config previously emitted by [`Self::to_json`]. Missing
-    /// keys fall back to [`FaultConfig::default`] so older repro lines
-    /// stay loadable.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
-        Self::from_json_value(&v)
-    }
-
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        if v.as_obj().is_none() {
-            return Err("FaultConfig: expected a JSON object".into());
-        }
-        let field = |key: &str, default: u64| -> Result<u64, String> {
-            match v.get(key) {
-                None => Ok(default),
-                Some(n) => n
-                    .as_u64()
-                    .ok_or_else(|| format!("FaultConfig: `{key}` must be a non-negative integer")),
-            }
-        };
-        let d = FaultConfig::default();
-        Ok(Self {
-            bit_flip_per_mille: field("bit_flip_per_mille", d.bit_flip_per_mille as u64)? as u32,
-            decode_failure_per_mille: field(
-                "decode_failure_per_mille",
-                d.decode_failure_per_mille as u64,
-            )? as u32,
-            alloc_failure_per_mille: field(
-                "alloc_failure_per_mille",
-                d.alloc_failure_per_mille as u64,
-            )? as u32,
-            eviction_storm_per_mille: field(
-                "eviction_storm_per_mille",
-                d.eviction_storm_per_mille as u64,
-            )? as u32,
-            storm_evictions: field("storm_evictions", d.storm_evictions as u64)? as usize,
-            balloon_refusal_per_mille: field(
-                "balloon_refusal_per_mille",
-                d.balloon_refusal_per_mille as u64,
-            )? as u32,
-            rot_per_mille: field("rot_per_mille", d.rot_per_mille as u64)? as u32,
-        })
     }
 }
 
@@ -376,31 +333,6 @@ impl FaultPlan {
         let _ = write!(out, ",\"config\":{}}}", self.cfg.to_json());
         out
     }
-
-    /// Reconstructs a fresh (no faults drawn yet) plan from a repro line
-    /// emitted by [`Self::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
-        let seed = v
-            .get("seed")
-            .and_then(|s| s.as_u64())
-            .ok_or("FaultPlan: missing or invalid `seed`")?;
-        let cfg = match v.get("config") {
-            None => FaultConfig::default(),
-            Some(c) => FaultConfig::from_json_value(c)?,
-        };
-        let mut plan = Self::new(seed, cfg);
-        match v.get("crash_at_record") {
-            None | Some(JsonValue::Null) => {}
-            Some(r) => {
-                let record = r
-                    .as_u64()
-                    .ok_or("FaultPlan: `crash_at_record` must be null or an integer")?;
-                plan = plan.with_crash_at(record);
-            }
-        }
-        Ok(plan)
-    }
 }
 
 #[cfg(test)]
@@ -471,41 +403,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_json_round_trips() {
-        let plan = FaultPlan::aggressive(0xDEAD_BEEF).with_crash_at(42);
-        let line = plan.to_json();
-        let back = FaultPlan::from_json(&line).expect("repro line parses");
-        assert_eq!(back.seed(), plan.seed());
-        assert_eq!(back.config(), plan.config());
-        assert_eq!(back.crash_at(), Some(42));
-        // The reconstructed plan replays the identical schedule (the
-        // original has drawn nothing yet, so both start fresh).
-        let (mut a, mut b) = (plan, back);
-        for _ in 0..500 {
-            assert_eq!(a.metadata_fetch_fault(), b.metadata_fetch_fault());
-            assert_eq!(a.durable_rot(), b.durable_rot());
-        }
-    }
-
-    #[test]
-    fn plan_json_without_crash_point() {
+    fn plan_json_names_seed_crash_point_and_rates() {
+        let rates = FaultConfig::default().to_json();
         let plan = FaultPlan::new(5, FaultConfig::default());
-        let line = plan.to_json();
-        assert!(line.contains("\"crash_at_record\":null"));
-        let back = FaultPlan::from_json(&line).expect("parses");
-        assert_eq!(back.crash_at(), None);
-        assert_eq!(back.config(), &FaultConfig::default());
-    }
-
-    #[test]
-    fn config_json_rejects_garbage_and_tolerates_missing_keys() {
-        assert!(FaultConfig::from_json("[1,2]").is_err());
-        assert!(FaultConfig::from_json("{\"bit_flip_per_mille\":\"x\"}").is_err());
-        let sparse = FaultConfig::from_json("{\"rot_per_mille\":9}").expect("sparse ok");
-        assert_eq!(sparse.rot_per_mille, 9);
         assert_eq!(
-            sparse.storm_evictions,
-            FaultConfig::default().storm_evictions
+            plan.to_json(),
+            format!("{{\"seed\":5,\"crash_at_record\":null,\"config\":{rates}}}")
+        );
+        assert_eq!(
+            plan.with_crash_at(42).to_json(),
+            format!("{{\"seed\":5,\"crash_at_record\":42,\"config\":{rates}}}")
         );
     }
 

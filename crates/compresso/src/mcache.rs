@@ -9,7 +9,7 @@
 //! Pagerank, Graph500 in Fig. 6).
 
 use crate::error::CompressoError;
-use compresso_telemetry::{Counter, Registry};
+use compresso_telemetry::{counters, Registry};
 
 /// Result of a metadata-cache access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,23 +30,18 @@ struct Slot {
     used: u64,
 }
 
-/// Metadata-cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct McStats {
-    /// Hits.
-    pub hits: u64,
-    /// Misses.
-    pub misses: u64,
-    /// Evictions (capacity).
-    pub evictions: u64,
-}
-
-/// Live counter handles behind [`McStats`].
-#[derive(Debug, Clone, Default)]
-struct McEvents {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
+counters! {
+    /// Metadata-cache statistics.
+    pub struct McStats;
+    /// Live counter handles behind [`McStats`].
+    struct McEvents {
+        /// Hits.
+        hits => "hit.total",
+        /// Misses.
+        misses => "miss.total",
+        /// Evictions (capacity).
+        evictions => "eviction.total",
+    }
 }
 
 /// A set-associative metadata cache with byte-budgeted sets.
@@ -98,19 +93,13 @@ impl MetadataCache {
 
     /// Snapshot of the statistics so far.
     pub fn stats(&self) -> McStats {
-        McStats {
-            hits: self.stats.hits.get(),
-            misses: self.stats.misses.get(),
-            evictions: self.stats.evictions.get(),
-        }
+        self.stats.snapshot()
     }
 
     /// Registers hit/miss/eviction counters under `prefix`
     /// (e.g. `mcache` -> `mcache.eviction.total`).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.hit.total"), &self.stats.hits);
-        registry.register_counter(&format!("{prefix}.miss.total"), &self.stats.misses);
-        registry.register_counter(&format!("{prefix}.eviction.total"), &self.stats.evictions);
+        self.stats.register_metrics(registry, prefix);
     }
 
     /// Whether `page`'s entry is currently cached (no state change).

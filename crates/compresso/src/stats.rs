@@ -4,168 +4,106 @@
 //! DRAM access a compressed system performs beyond what an uncompressed
 //! system would: split-access line reads, overflow handling (line/page
 //! overflows, inflation-room traffic, repacking), and metadata accesses.
+//! The one `counters!` list below declares each event once: its
+//! [`DeviceStats`] snapshot field, its [`DeviceEvents`] live handle and
+//! its registered metric name.
 
-use compresso_telemetry::{Counter, Registry};
+use compresso_telemetry::counters;
 
-/// Declares the live-counter twin of [`DeviceStats`]: same field names
-/// (so `events.field += 1` call sites look identical to the old plain
-/// struct), plus snapshot/reset/register derived from one field list.
-macro_rules! device_events {
-    ($( $field:ident => $name:literal ),+ $(,)?) => {
-        /// Live counter handles behind [`DeviceStats`]. Devices mutate
-        /// these on the hot path; a [`Registry`] holds clones of the
-        /// same handles, so snapshots and epoch series observe every
-        /// update without the device knowing about observers.
-        #[derive(Debug, Clone, Default)]
-        pub struct DeviceEvents {
-            $( pub $field: Counter, )+
-        }
+counters! {
+    /// Counters shared by all [`crate::MemoryDevice`] implementations.
+    pub struct DeviceStats;
+    /// Live counter handles behind [`DeviceStats`]. Devices bump these on
+    /// the hot path; a [`compresso_telemetry::Registry`] holds clones of
+    /// the same handles, so snapshots and epoch series observe every
+    /// update without the device knowing about observers. The names are
+    /// the paper-event names of DESIGN.md §9 (prefix `compresso` →
+    /// `compresso.page_overflow.total`).
+    pub struct DeviceEvents {
+        /// OSPA cache-line fills requested by the LLC.
+        demand_fills => "demand_fill.total",
+        /// OSPA writebacks from the LLC.
+        demand_writebacks => "demand_writeback.total",
 
-        impl DeviceEvents {
-            pub fn new() -> Self {
-                Self::default()
-            }
+        /// DRAM bursts for demand data (the uncompressed system would also
+        /// perform these, one per fill/writeback).
+        data_accesses => "data_access.total",
+        /// Extra DRAM bursts because a compressed line straddled a 64 B
+        /// boundary (§IV, source i).
+        split_access_extra => "split_access_extra.total",
+        /// Extra DRAM bursts handling line/page overflows, inflation-room
+        /// placement and expansion (§IV, source ii).
+        overflow_extra => "overflow_extra.total",
+        /// Extra DRAM bursts from repacking pages (Compresso only).
+        repack_extra => "repack_extra.total",
+        /// DRAM bursts for metadata (§IV, source iii: metadata-cache misses
+        /// and dirty metadata evictions).
+        metadata_accesses => "metadata_access.total",
 
-            /// Plain-data copy of every counter (the classic
-            /// [`DeviceStats`] view).
-            pub fn snapshot(&self) -> DeviceStats {
-                DeviceStats { $( $field: self.$field.get(), )+ }
-            }
+        /// Metadata cache hits.
+        mcache_hits => "mcache.hit.total",
+        /// Metadata cache misses.
+        mcache_misses => "mcache.miss.total",
 
-            pub fn reset(&self) {
-                $( self.$field.reset(); )+
-            }
+        /// Cache-line overflows (compressibility decreased on writeback).
+        line_overflows => "line_overflow.total",
+        /// Cache-line underflows (compressibility increased).
+        line_underflows => "line_underflow.total",
+        /// Page overflows (page no longer fits its allocation).
+        page_overflows => "page_overflow.total",
+        /// Dynamic inflation-room expansions (Compresso §IV-B3).
+        ir_expansions => "inflation_room.expansion.total",
+        /// Lines placed in an inflation room.
+        ir_placements => "inflation_room.placement.total",
+        /// Dynamic repacks performed (Compresso §IV-B4).
+        repacks => "repack.total",
+        /// Pages stored uncompressed by the overflow predictor (§IV-B2).
+        predictor_inflations => "predictor.inflation.total",
 
-            /// Registers every counter under `prefix` using the
-            /// paper-event names documented in DESIGN.md §9
-            /// (e.g. prefix `compresso` → `compresso.page_overflow.total`).
-            pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-                $( registry.register_counter(&format!("{prefix}.{}", $name), &self.$field); )+
-            }
-        }
-    };
-}
+        /// Fills of all-zero lines served from metadata alone.
+        zero_fills => "zero_fill.total",
+        /// Writebacks of all-zero lines absorbed by metadata alone.
+        zero_writebacks => "zero_writeback.total",
+        /// Fills served from the compressed-burst prefetch buffer
+        /// ("free prefetch", §VII-A).
+        prefetch_hits => "prefetch_hit.total",
 
-device_events! {
-    demand_fills => "demand_fill.total",
-    demand_writebacks => "demand_writeback.total",
-    data_accesses => "data_access.total",
-    split_access_extra => "split_access_extra.total",
-    overflow_extra => "overflow_extra.total",
-    repack_extra => "repack_extra.total",
-    metadata_accesses => "metadata_access.total",
-    mcache_hits => "mcache.hit.total",
-    mcache_misses => "mcache.miss.total",
-    line_overflows => "line_overflow.total",
-    line_underflows => "line_underflow.total",
-    page_overflows => "page_overflow.total",
-    ir_expansions => "inflation_room.expansion.total",
-    ir_placements => "inflation_room.placement.total",
-    repacks => "repack.total",
-    predictor_inflations => "predictor.inflation.total",
-    zero_fills => "zero_fill.total",
-    zero_writebacks => "zero_writeback.total",
-    prefetch_hits => "prefetch_hit.total",
-    injected_faults => "fault.injected.total",
-    corruption_fallbacks => "fault.corruption_fallback.total",
-    corruption_detected => "metadata.corruption_detected.total",
-    corruption_undetected => "metadata.corruption_undetected.total",
-    fault_extra => "fault.extra_access.total",
-    eviction_storms => "fault.eviction_storm.total",
-    alloc_retries => "alloc.retry.total",
-    alloc_failures => "alloc.failure.total",
-    balloon_retries => "balloon.retry.total",
-    size_calls => "codec.size_fastpath.call.total",
-    size_memo_hits => "codec.size_fastpath.memo_hit.total",
-    size_memo_misses => "codec.size_fastpath.memo_miss.total",
-}
+        /// Faults injected by an attached [`crate::FaultPlan`] (always zero
+        /// in production runs).
+        injected_faults => "fault.injected.total",
+        /// Pages degraded after metadata corruption: rewritten uncompressed
+        /// (Compresso) or re-planned via the OS path (LCP).
+        corruption_fallbacks => "fault.corruption_fallback.total",
+        /// Corrupted metadata entries *detected* (CRC or field validation
+        /// failed, or the entry disagreed with the committed view).
+        corruption_detected => "metadata.corruption_detected.total",
+        /// Corrupted metadata entries accepted silently — a flipped entry
+        /// that decoded back bit-identical. Nonzero only before the CRC
+        /// landed in the packed format; asserted zero since (DESIGN.md §10).
+        corruption_undetected => "metadata.corruption_undetected.total",
+        /// Extra DRAM bursts spent on corruption fallbacks.
+        fault_extra => "fault.extra_access.total",
+        /// Forced metadata-cache eviction storms processed.
+        eviction_storms => "fault.eviction_storm.total",
+        /// Allocation attempts retried after a refused chunk/block grant.
+        alloc_retries => "alloc.retry.total",
+        /// Allocations abandoned after the retry budget (page kept in a
+        /// degraded layout instead of asserting).
+        alloc_failures => "alloc.failure.total",
+        /// Balloon-driver inflate retries reported via
+        /// `MpaController::on_balloon_retry`.
+        balloon_retries => "balloon.retry.total",
 
-/// Counters shared by all [`crate::MemoryDevice`] implementations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// OSPA cache-line fills requested by the LLC.
-    pub demand_fills: u64,
-    /// OSPA writebacks from the LLC.
-    pub demand_writebacks: u64,
-
-    /// DRAM bursts for demand data (the uncompressed system would also
-    /// perform these, one per fill/writeback).
-    pub data_accesses: u64,
-    /// Extra DRAM bursts because a compressed line straddled a 64 B
-    /// boundary (§IV, source i).
-    pub split_access_extra: u64,
-    /// Extra DRAM bursts handling line/page overflows, inflation-room
-    /// placement and expansion (§IV, source ii).
-    pub overflow_extra: u64,
-    /// Extra DRAM bursts from repacking pages (Compresso only).
-    pub repack_extra: u64,
-    /// DRAM bursts for metadata (§IV, source iii: metadata-cache misses
-    /// and dirty metadata evictions).
-    pub metadata_accesses: u64,
-
-    /// Metadata cache hits / misses.
-    pub mcache_hits: u64,
-    /// Metadata cache misses.
-    pub mcache_misses: u64,
-
-    /// Cache-line overflows (compressibility decreased on writeback).
-    pub line_overflows: u64,
-    /// Cache-line underflows (compressibility increased).
-    pub line_underflows: u64,
-    /// Page overflows (page no longer fits its allocation).
-    pub page_overflows: u64,
-    /// Dynamic inflation-room expansions (Compresso §IV-B3).
-    pub ir_expansions: u64,
-    /// Lines placed in an inflation room.
-    pub ir_placements: u64,
-    /// Dynamic repacks performed (Compresso §IV-B4).
-    pub repacks: u64,
-    /// Pages stored uncompressed by the overflow predictor (§IV-B2).
-    pub predictor_inflations: u64,
-
-    /// Fills of all-zero lines served from metadata alone.
-    pub zero_fills: u64,
-    /// Writebacks of all-zero lines absorbed by metadata alone.
-    pub zero_writebacks: u64,
-    /// Fills served from the compressed-burst prefetch buffer
-    /// ("free prefetch", §VII-A).
-    pub prefetch_hits: u64,
-
-    /// Faults injected by an attached [`crate::FaultPlan`] (always zero
-    /// in production runs).
-    pub injected_faults: u64,
-    /// Pages degraded after metadata corruption: rewritten uncompressed
-    /// (Compresso) or re-planned via the OS path (LCP).
-    pub corruption_fallbacks: u64,
-    /// Corrupted metadata entries *detected* (CRC or field validation
-    /// failed, or the entry disagreed with the committed view).
-    pub corruption_detected: u64,
-    /// Corrupted metadata entries accepted silently — a flipped entry
-    /// that decoded back bit-identical. Nonzero only before the CRC
-    /// landed in the packed format; asserted zero since (DESIGN.md §10).
-    pub corruption_undetected: u64,
-    /// Extra DRAM bursts spent on corruption fallbacks.
-    pub fault_extra: u64,
-    /// Forced metadata-cache eviction storms processed.
-    pub eviction_storms: u64,
-    /// Allocation attempts retried after a refused chunk/block grant.
-    pub alloc_retries: u64,
-    /// Allocations abandoned after the retry budget (page kept in a
-    /// degraded layout instead of asserting).
-    pub alloc_failures: u64,
-    /// Balloon-driver inflate retries reported via
-    /// `MpaController::on_balloon_retry`.
-    pub balloon_retries: u64,
-
-    /// Line sizes the device consumed: `size_memo_hits +
-    /// size_memo_misses` (see [`crate::device`]).
-    pub size_calls: u64,
-    /// Line sizes served from the page's stored sizes, without touching
-    /// the line data or the kernel (repack, recompression, re-plan).
-    pub size_memo_hits: u64,
-    /// Size-kernel runs: one per line on a page's first touch (or first
-    /// need after recovery) and one per writeback.
-    pub size_memo_misses: u64,
+        /// Line sizes the device consumed: `size_memo_hits +
+        /// size_memo_misses` (see [`crate::device`]).
+        size_calls => "codec.size_fastpath.call.total",
+        /// Line sizes served from the page's stored sizes, without touching
+        /// the line data or the kernel (repack, recompression, re-plan).
+        size_memo_hits => "codec.size_fastpath.memo_hit.total",
+        /// Size-kernel runs: one per line on a page's first touch (or first
+        /// need after recovery) and one per writeback.
+        size_memo_misses => "codec.size_fastpath.memo_miss.total",
+    }
 }
 
 impl DeviceStats {
@@ -221,6 +159,7 @@ impl DeviceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use compresso_telemetry::Registry;
 
     #[test]
     fn totals_and_relative_extras() {
@@ -265,7 +204,7 @@ mod tests {
 
     #[test]
     fn events_snapshot_and_registry_agree() {
-        let mut ev = DeviceEvents::new();
+        let mut ev = DeviceEvents::default();
         ev.page_overflows += 3;
         ev.repacks += 1;
         let reg = Registry::new();
@@ -276,18 +215,11 @@ mod tests {
         let stats = ev.snapshot();
         assert_eq!(stats.page_overflows, 3);
         assert_eq!(stats.repacks, 1);
-        ev.reset();
-        assert_eq!(ev.snapshot(), DeviceStats::default());
-        // The registry sees the reset through the shared handles.
-        assert_eq!(
-            reg.snapshot().counter("compresso.page_overflow.total"),
-            Some(0)
-        );
     }
 
     #[test]
     fn size_fastpath_counters_are_registered() {
-        let mut ev = DeviceEvents::new();
+        let mut ev = DeviceEvents::default();
         ev.size_calls += 5;
         ev.size_memo_hits += 3;
         ev.size_memo_misses += 2;

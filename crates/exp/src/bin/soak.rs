@@ -8,11 +8,12 @@
 //! [`CompressoDevice`] and a journaled LCP baseline, the torn journal is
 //! cold-boot recovered, and every stage is diffed against the
 //! [`ShadowModel`] reference replay. Any divergence prints a one-line
-//! JSON repro (seed, stage, fault plan) — written to `--out` when given,
-//! so CI can upload it as an artifact — and exits non-zero.
+//! JSON repro (seed, rounds, stage, fault plan) — written to `--out` when
+//! given, so CI can upload it as an artifact — and exits non-zero.
 //!
-//! The schedules are deterministic: the same seed always reproduces the
-//! same run, so the repro line is sufficient to replay a failure.
+//! The schedules are deterministic: a run is a pure function of its seed
+//! and round count, so the repro line is sufficient to replay a failure
+//! with `soak --seeds 1 --base-seed S --rounds R`.
 
 use compresso_cache_sim::Backend;
 use compresso_core::journal::frame_boundaries;
@@ -27,6 +28,7 @@ const BENCHES: [&str; 4] = ["gcc", "mcf", "soplex", "zeusmp"];
 
 struct SoakFailure {
     seed: u64,
+    rounds: u64,
     stage: &'static str,
     detail: String,
     plan: FaultPlan,
@@ -36,8 +38,9 @@ impl SoakFailure {
     /// The one-line JSON repro printed on divergence.
     fn repro_line(&self) -> String {
         format!(
-            "{{\"schema\":\"compresso.soak.repro.v1\",\"seed\":{},\"stage\":\"{}\",\"detail\":{:?},\"plan\":{}}}",
+            "{{\"schema\":\"compresso.soak.repro.v1\",\"seed\":{},\"rounds\":{},\"stage\":\"{}\",\"detail\":{:?},\"plan\":{}}}",
             self.seed,
+            self.rounds,
             self.stage,
             self.detail,
             self.plan.to_json()
@@ -96,25 +99,15 @@ fn shadow_pages(shadow: &ShadowModel) -> BTreeMap<u64, [u8; 64]> {
         .collect()
 }
 
-/// Replays `bytes` through the shadow model, failing the soak on any
-/// replay violation.
-fn replay_clean(
-    bytes: &[u8],
-    seed: u64,
-    stage: &'static str,
-    plan: &FaultPlan,
-) -> Result<ShadowModel, Box<SoakFailure>> {
+/// Replays `bytes` through the shadow model; any replay violation is
+/// the failure detail.
+fn replay_clean(bytes: &[u8]) -> Result<ShadowModel, String> {
     let (records, _) = parse_journal(bytes);
     let (shadow, _) = ShadowModel::replay(&records);
     if shadow.violations().is_empty() {
         Ok(shadow)
     } else {
-        Err(Box::new(SoakFailure {
-            seed,
-            stage,
-            detail: format!("shadow violations: {:?}", shadow.violations()),
-            plan: plan.clone(),
-        }))
+        Err(format!("shadow violations: {:?}", shadow.violations()))
     }
 }
 
@@ -127,6 +120,7 @@ fn soak_compresso(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
     let fail = |stage: &'static str, detail: String| {
         Box::new(SoakFailure {
             seed,
+            rounds,
             stage,
             detail,
             plan: plan.clone(),
@@ -146,7 +140,7 @@ fn soak_compresso(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
     let torn = device.journal_bytes().expect("journaling on").to_vec();
     let records = frame_boundaries(&torn).len() - 1;
 
-    let shadow = replay_clean(&torn, seed, "replay-torn", &plan)?;
+    let shadow = replay_clean(&torn).map_err(|d| fail("replay-torn", d))?;
     let (mut recovered, report) =
         CompressoDevice::recover(durable_config(), Box::new(world()), &torn);
     if !report.is_clean() {
@@ -175,12 +169,8 @@ fn soak_compresso(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
     if recovered.is_crashed() {
         return Err(fail("post-recovery", "unarmed run must not crash".into()));
     }
-    let post = replay_clean(
-        recovered.journal_bytes().expect("journaling on"),
-        seed,
-        "replay-post",
-        &plan,
-    )?;
+    let post = replay_clean(recovered.journal_bytes().expect("journaling on"))
+        .map_err(|d| fail("replay-post", d))?;
     if recovered.pages_snapshot() != shadow_pages(&post) {
         return Err(fail(
             "diff-post",
@@ -218,6 +208,7 @@ fn soak_lcp(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
     let fail = |stage: &'static str, detail: String| {
         Box::new(SoakFailure {
             seed,
+            rounds,
             stage,
             detail,
             plan: plan.clone(),
@@ -235,7 +226,7 @@ fn soak_lcp(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
         ));
     }
     let torn = device.journal_bytes().expect("journaling on").to_vec();
-    let shadow = replay_clean(&torn, seed, "replay-torn", &plan)?;
+    let shadow = replay_clean(&torn).map_err(|d| fail("replay-torn", d))?;
     let (mut recovered, report) = LcpDevice::recover_lcp_align(Box::new(world()), &torn);
     if !report.is_clean() {
         return Err(fail(
@@ -244,12 +235,8 @@ fn soak_lcp(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
         ));
     }
     // The recovery checkpoint must replay to the crash-time state.
-    let ck = replay_clean(
-        recovered.journal_bytes().expect("journaling on"),
-        seed,
-        "replay-checkpoint",
-        &plan,
-    )?;
+    let ck = replay_clean(recovered.journal_bytes().expect("journaling on"))
+        .map_err(|d| fail("replay-checkpoint", d))?;
     if ck.pages() != shadow.pages() || ck.owners() != shadow.owners() {
         return Err(fail(
             "diff-checkpoint",
@@ -322,4 +309,28 @@ fn main() {
         }
     }
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use compresso_telemetry::json;
+
+    #[test]
+    fn repro_line_carries_seed_rounds_and_stage() {
+        let failure = SoakFailure {
+            seed: 17,
+            rounds: 2,
+            stage: "diff-pages",
+            detail: "recovered metadata != shadow replay".into(),
+            plan: fault_plan(17, 99),
+        };
+        let doc = json::parse(&failure.repro_line()).expect("repro line is JSON");
+        assert_eq!(doc.get("seed").and_then(|v| v.as_u64()), Some(17));
+        assert_eq!(doc.get("rounds").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(
+            doc.get("stage").and_then(|v| v.as_str()),
+            Some("diff-pages")
+        );
+    }
 }

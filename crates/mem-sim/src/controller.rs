@@ -2,7 +2,7 @@
 
 use crate::bank::{Bank, RowBufferOutcome};
 use crate::timing::MemConfig;
-use compresso_telemetry::{Counter, LatencyHistogram, Registry};
+use compresso_telemetry::{counters, LatencyHistogram, Registry};
 
 /// Outcome of a single 64 B access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,60 +23,27 @@ impl AccessResult {
     }
 }
 
-/// Aggregate statistics, including the energy-relevant event counts
-/// consumed by `compresso-energy`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Completed read bursts.
-    pub reads: u64,
-    /// Completed write bursts.
-    pub writes: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Accesses to a precharged bank.
-    pub row_closed: u64,
-    /// Row-buffer conflicts (precharge + activate).
-    pub row_conflicts: u64,
-    /// Row activations (closed + conflict accesses).
-    pub activations: u64,
-    /// Cycles any bank was occupied (approximate busy time).
-    pub busy_cycles: u64,
-}
-
-/// Live counter handles behind [`MemStats`]; clones share storage so
-/// the registry observes every update the controller makes.
-#[derive(Debug, Clone, Default)]
-struct MemEvents {
-    reads: Counter,
-    writes: Counter,
-    row_hits: Counter,
-    row_closed: Counter,
-    row_conflicts: Counter,
-    activations: Counter,
-    busy_cycles: Counter,
-}
-
-impl MemEvents {
-    fn snapshot(&self) -> MemStats {
-        MemStats {
-            reads: self.reads.get(),
-            writes: self.writes.get(),
-            row_hits: self.row_hits.get(),
-            row_closed: self.row_closed.get(),
-            row_conflicts: self.row_conflicts.get(),
-            activations: self.activations.get(),
-            busy_cycles: self.busy_cycles.get(),
-        }
-    }
-
-    fn reset(&self) {
-        self.reads.reset();
-        self.writes.reset();
-        self.row_hits.reset();
-        self.row_closed.reset();
-        self.row_conflicts.reset();
-        self.activations.reset();
-        self.busy_cycles.reset();
+counters! {
+    /// Aggregate statistics, including the energy-relevant event counts
+    /// consumed by `compresso-energy`.
+    pub struct MemStats;
+    /// Live counter handles behind [`MemStats`]; clones share storage so
+    /// the registry observes every update the controller makes.
+    struct MemEvents {
+        /// Completed read bursts.
+        reads => "read.total",
+        /// Completed write bursts.
+        writes => "write.total",
+        /// Row-buffer hits.
+        row_hits => "row_hit.total",
+        /// Accesses to a precharged bank.
+        row_closed => "row_closed.total",
+        /// Row-buffer conflicts (precharge + activate).
+        row_conflicts => "row_conflict.total",
+        /// Row activations (closed + conflict accesses).
+        activations => "activation.total",
+        /// Cycles any bank was occupied (approximate busy time).
+        busy_cycles => "busy_cycles.total",
     }
 }
 
@@ -142,38 +109,11 @@ impl MainMemory {
         self.stats.snapshot()
     }
 
-    /// Resets statistics and latency histograms (bank state is
-    /// preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-        for h in &self.bank_latency {
-            h.reset();
-        }
-    }
-
     /// Registers this controller's counters and per-bank latency
     /// histograms under `prefix` (e.g. `dram` →
     /// `dram.read.total`, `dram.bank03.latency`).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}.read.total"), &self.stats.reads);
-        registry.register_counter(&format!("{prefix}.write.total"), &self.stats.writes);
-        registry.register_counter(&format!("{prefix}.row_hit.total"), &self.stats.row_hits);
-        registry.register_counter(
-            &format!("{prefix}.row_closed.total"),
-            &self.stats.row_closed,
-        );
-        registry.register_counter(
-            &format!("{prefix}.row_conflict.total"),
-            &self.stats.row_conflicts,
-        );
-        registry.register_counter(
-            &format!("{prefix}.activation.total"),
-            &self.stats.activations,
-        );
-        registry.register_counter(
-            &format!("{prefix}.busy_cycles.total"),
-            &self.stats.busy_cycles,
-        );
+        self.stats.register_metrics(registry, prefix);
         for (i, hist) in self.bank_latency.iter().enumerate() {
             registry.register_histogram(&format!("{prefix}.bank{i:02}.latency"), hist);
         }
@@ -329,8 +269,6 @@ mod tests {
         assert_eq!(m.stats().writes, 1);
         assert_eq!(m.stats().accesses(), 2);
         assert!(m.stats().row_hit_rate() > 0.0);
-        m.reset_stats();
-        assert_eq!(m.stats().accesses(), 0);
     }
 
     #[test]

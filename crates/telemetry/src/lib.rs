@@ -7,7 +7,9 @@
 //! (`compresso.page_overflow.total`, `dram.bank03.latency`, ...); the
 //! experiment harness snapshots the registry — once at the end of a run
 //! and periodically via an [`EpochRecorder`] — into plain, ordered
-//! [`Snapshot`]s that serialize deterministically.
+//! [`Snapshot`]s that serialize deterministically. A component declares
+//! a counter set once with [`counters!`], which generates its plain
+//! snapshot struct, its live handle struct and their registration.
 //!
 //! The crate is zero-dependency by design: JSON is hand-rolled, and a
 //! minimal depth-bounded [`json`] parser backs the schema checker and
@@ -31,6 +33,7 @@
 //! assert_eq!(snap.counter("cache.l1.hit.total"), Some(3));
 //! ```
 
+mod counters;
 pub mod epoch;
 pub mod export;
 pub mod json;

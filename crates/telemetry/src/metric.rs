@@ -61,11 +61,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Zeroes the counter (used by `reset_stats` paths).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 impl AddAssign<u64> for Counter {
@@ -108,10 +103,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.set(0);
     }
 }
 
@@ -193,15 +184,6 @@ impl LatencyHistogram {
 
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        for b in &self.inner.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.inner.count.store(0, Ordering::Relaxed);
-        self.inner.sum.store(0, Ordering::Relaxed);
-        self.inner.max.store(0, Ordering::Relaxed);
     }
 
     /// Plain-data copy of the current distribution.
@@ -295,8 +277,6 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 3);
         assert_eq!(b.get(), 3);
-        a.reset();
-        assert_eq!(b.get(), 0);
     }
 
     #[test]

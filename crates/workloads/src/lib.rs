@@ -39,7 +39,6 @@ pub mod points;
 pub mod profile;
 pub mod source;
 pub mod trace;
-pub mod trace_io;
 pub mod world;
 
 pub use addr_map::{AddrHasher, AddrMap, AddrSet};
@@ -52,5 +51,4 @@ pub use profile::{
 };
 pub use source::{offset_trace, CombinedWorld, LineSource, CORE_STRIDE};
 pub use trace::{trace_for, TraceGenerator};
-pub use trace_io::{read_trace, write_trace, ReadTraceError};
 pub use world::{DataWorld, LINES_PER_PAGE, PAGE_BYTES};
