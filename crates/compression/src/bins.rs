@@ -145,11 +145,6 @@ impl BinSet {
             bytes: self.sizes[index as usize],
         }
     }
-
-    /// Largest (uncompressed) bin.
-    pub fn max_bin(&self) -> SizeBin {
-        self.bin(self.sizes.len() as u8 - 1)
-    }
 }
 
 /// Number of 64 B memory bursts needed to fetch `size` bytes stored at

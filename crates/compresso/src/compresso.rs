@@ -4,7 +4,8 @@
 use crate::alloc::{BuddyAllocator, ChunkAllocator};
 use crate::config::{CompressoConfig, PageAllocation};
 use crate::controller::{
-    self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY, OFFSET_CALC_LATENCY,
+    self, check_ownership, metadata_lookup, Committed, Controller, MetadataHooks, CODEC_LATENCY,
+    OFFSET_CALC_LATENCY,
 };
 use crate::device::{LineSizes, MemoryDevice};
 use crate::error::CompressoError;
@@ -20,6 +21,9 @@ use compresso_mem_sim::MemStats;
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrMap, LineSource};
 use std::collections::BTreeMap;
+
+/// Durable entries the background scrubber CRC-verifies per pass.
+const SCRUB_PAGES_PER_PASS: usize = 64;
 
 enum Allocator {
     Chunks(ChunkAllocator),
@@ -222,20 +226,20 @@ impl CompressoDevice {
     // ------------------------------------------------------------------
 
     /// The MPA blocks a page with entry `meta` owns: one `(addr, bytes)`
-    /// pair per 512 B chunk (Chunks512) or its one contiguous block,
-    /// based at its first chunk (Variable4).
+    /// pair per 512 B chunk (Chunks512) or per run of adjacent chunks
+    /// (Variable4, whose live pages are one contiguous block).
     fn blocks_of(&self, meta: &PageMeta) -> Vec<(u64, u32)> {
-        match (self.cfg.allocation, meta.chunks.first()) {
-            (PageAllocation::Chunks512, _) => meta
-                .chunks
-                .iter()
-                .map(|&c| (ChunkAllocator::chunk_addr(c), CHUNK_BYTES))
-                .collect(),
-            (PageAllocation::Variable4, Some(&first)) if meta.page_bytes > 0 => {
-                vec![(ChunkAllocator::chunk_addr(first), meta.page_bytes)]
+        let runs = self.cfg.allocation == PageAllocation::Variable4;
+        let mut blocks: Vec<(u64, u32)> = Vec::new();
+        for addr in meta.chunks.iter().map(|&c| ChunkAllocator::chunk_addr(c)) {
+            match blocks.last_mut() {
+                Some((base, bytes)) if runs && *base + *bytes as u64 == addr => {
+                    *bytes += CHUNK_BYTES
+                }
+                _ => blocks.push((addr, CHUNK_BYTES)),
             }
-            (PageAllocation::Variable4, _) => Vec::new(),
         }
+        blocks
     }
 
     /// Journals the page's new committed state (ownership deltas, then
@@ -304,23 +308,23 @@ impl CompressoDevice {
     }
 
     /// Background scrubber (simulated time): every `scrub_interval`
-    /// cycles, CRC-verify the next `scrub_pages_per_pass` durable
-    /// entries; repair rotted ones from the journal's last committed
-    /// image, falling back to the uncompressed-degradation path when no
-    /// repair source exists.
+    /// cycles, CRC-verify the next [`SCRUB_PAGES_PER_PASS`] durable
+    /// entries; repair rotted ones from the image of the page's last
+    /// journal commit, falling back to the uncompressed-degradation path
+    /// when no repair source exists.
     fn maybe_scrub(&mut self, now: u64) {
-        let d = self.cfg.durability;
-        if !self.ctl.journaling() || d.scrub_interval == 0 || now < self.next_scrub_at {
+        let interval = self.cfg.durability.scrub_interval;
+        if !self.ctl.journaling() || interval == 0 || now < self.next_scrub_at {
             return;
         }
-        self.next_scrub_at = now + d.scrub_interval;
+        self.next_scrub_at = now + interval;
         self.ctl.dur_events.scrub_passes += 1;
         let pages: Vec<u64> = self
             .durable
             .range(self.scrub_cursor..)
             .map(|(&p, _)| p)
             .chain(self.durable.range(..self.scrub_cursor).map(|(&p, _)| p))
-            .take(d.scrub_pages_per_pass)
+            .take(SCRUB_PAGES_PER_PASS)
             .collect();
         for page in pages {
             self.ctl.dur_events.scrub_pages_scanned += 1;
@@ -332,18 +336,12 @@ impl CompressoDevice {
             }
             self.ctl.dur_events.scrub_crc_failures += 1;
             self.ctl.stats.corruption_detected += 1;
-            let repair = self
-                .ctl
-                .journal
-                .as_ref()
-                .and_then(|j| j.last_entry_image(page))
-                .copied();
-            match repair {
-                Some(good) => {
+            match self.ctl.committed.get(&page).map(|c| &c.entry) {
+                Some(&JournalRecord::EntryUpdate { packed: good, .. }) => {
                     self.durable.insert(page, good);
                     self.ctl.dur_events.scrub_repairs += 1;
                 }
-                None => {
+                _ => {
                     // No committed image to repair from: degrade the
                     // page via the PR 1 uncompressed-fallback path and
                     // re-commit a fresh entry.
@@ -410,8 +408,8 @@ impl CompressoDevice {
     /// ordered by address.
     pub fn owners_snapshot(&self) -> BTreeMap<u64, (u64, u32)> {
         let mut owners = BTreeMap::new();
-        for (&page, blocks) in &self.ctl.committed {
-            for &(addr, bytes) in blocks {
+        for (&page, committed) in &self.ctl.committed {
+            for &(addr, bytes) in &committed.blocks {
                 owners.insert(addr, (page, bytes));
             }
         }
@@ -467,7 +465,14 @@ impl CompressoDevice {
                 PageAllocation::Variable4 => owned_blocks.extend(blocks.first()),
             }
             device.durable.insert(page, *packed);
-            device.ctl.committed.insert(page, blocks);
+            let entry = JournalRecord::EntryUpdate {
+                page,
+                packed: *packed,
+            };
+            device
+                .ctl
+                .committed
+                .insert(page, Committed { blocks, entry });
             device.pages.insert(
                 page,
                 Page {
@@ -511,13 +516,7 @@ impl CompressoDevice {
         }
         report.prewarmed = recent.len();
 
-        let durable = &device.durable;
-        device
-            .ctl
-            .checkpoint(&report, |page| JournalRecord::EntryUpdate {
-                page,
-                packed: durable[&page],
-            });
+        device.ctl.checkpoint(&report);
         (device, report)
     }
 
@@ -530,50 +529,7 @@ impl CompressoDevice {
         blocks: &[(u64, u32)],
         violations: &mut Vec<String>,
     ) {
-        let owned: u32 = blocks.iter().map(|&(_, b)| b).sum();
-        if owned != meta.page_bytes {
-            violations.push(format!(
-                "page {page}: entry claims {} B but journal grants {owned} B",
-                meta.page_bytes
-            ));
-        }
-        match self.cfg.allocation {
-            PageAllocation::Chunks512 => {
-                let mut journal_chunks: Vec<u32> = blocks
-                    .iter()
-                    .map(|&(addr, _)| (addr / 512) as u32)
-                    .collect();
-                journal_chunks.sort_unstable();
-                let mut meta_chunks = meta.chunks.clone();
-                meta_chunks.sort_unstable();
-                if journal_chunks != meta_chunks {
-                    violations.push(format!(
-                        "page {page}: entry chunks {meta_chunks:?} disagree with journal \
-                         ownership {journal_chunks:?}"
-                    ));
-                }
-            }
-            PageAllocation::Variable4 => {
-                if blocks.len() > 1 {
-                    violations.push(format!(
-                        "page {page}: {} blocks owned under variable allocation",
-                        blocks.len()
-                    ));
-                }
-                // The entry's chunks are the block: contiguous from the
-                // base the journal grants.
-                let base = meta.chunks.first().map(|&c| ChunkAllocator::chunk_addr(c));
-                let contiguous = meta.chunks.windows(2).all(|w| w[1] == w[0] + 1);
-                if !contiguous || base != blocks.first().map(|&(addr, _)| addr) {
-                    violations.push(format!(
-                        "page {page}: entry chunks {:?} are not the contiguous block the \
-                         journal grants at {:?}",
-                        meta.chunks,
-                        blocks.first()
-                    ));
-                }
-            }
-        }
+        violations.extend(check_ownership(page, self.blocks_of(meta), blocks));
         if meta.compressed && meta.used_bytes(&self.cfg.bins) > meta.page_bytes {
             violations.push(format!(
                 "page {page}: lines occupy {} B of a {} B allocation",
@@ -599,12 +555,7 @@ impl CompressoDevice {
     fn stored_bins(&mut self, page: u64) -> [u8; LINES_PER_PAGE] {
         let entry = self.pages.get_mut(&page).expect("page exists");
         let fresh = entry.sizes.is_none();
-        let sizes = self.ctl.sizer.stored(
-            &mut entry.sizes,
-            self.ctl.world.as_ref(),
-            page,
-            &self.ctl.stats,
-        );
+        let sizes = self.ctl.stored_sizes(&mut entry.sizes, page);
         if fresh {
             entry.binned = binned_bytes(&self.cfg.bins, &sizes);
         }
@@ -1085,7 +1036,6 @@ impl Backend for CompressoDevice {
         self.ensure_page(page);
 
         let t = self.metadata_access(now, page, true);
-        self.ctl.mcache.mark_dirty(page);
         // Stores invalidate any buffered bursts of this page.
         self.ctl.prefetch_invalidate(page);
 
@@ -1093,12 +1043,7 @@ impl Backend for CompressoDevice {
         self.ctl.world.on_writeback(line_addr);
         let entry = self.pages.get_mut(&page).expect("ensured");
         let old_size = entry.sizes.map(|sizes| sizes[line]);
-        let new_size = self.ctl.sizer.resize_line(
-            &mut entry.sizes,
-            self.ctl.world.as_ref(),
-            line_addr,
-            &self.ctl.stats,
-        );
+        let new_size = self.ctl.resize_line(&mut entry.sizes, line_addr);
         let bins = &self.cfg.bins;
         entry.binned = match old_size {
             Some(old) => {

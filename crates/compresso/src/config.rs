@@ -52,8 +52,6 @@ pub struct DurabilityConfig {
     /// Simulated-time interval between background scrub passes
     /// (0 = scrubbing off). Only meaningful with `journaling`.
     pub scrub_interval: u64,
-    /// Durable entries CRC-verified per scrub pass.
-    pub scrub_pages_per_pass: usize,
 }
 
 impl DurabilityConfig {
@@ -62,7 +60,6 @@ impl DurabilityConfig {
         Self {
             journaling: false,
             scrub_interval: 0,
-            scrub_pages_per_pass: 0,
         }
     }
 
@@ -71,7 +68,6 @@ impl DurabilityConfig {
         Self {
             journaling: true,
             scrub_interval: 100_000,
-            scrub_pages_per_pass: 64,
         }
     }
 }

@@ -2,11 +2,15 @@
 //!
 //! The paper's LCP baseline (§VI-F) is built on Compresso's own
 //! controller parts: the same BPC, the same-size metadata cache, the same
-//! DRAM channel. [`Controller`] holds that common state (data world and
-//! [`LineSizer`], DRAM, metadata cache, event counters and metrics
-//! registry, fault plan, free-prefetch buffer, write-ahead journal) and
-//! makes each shared decision once:
+//! DRAM channel. [`Controller`] holds that common state (data world,
+//! DRAM, metadata cache, event counters and metrics registry, fault
+//! plan, free-prefetch buffer, write-ahead journal and each page's last
+//! commit) and makes each shared decision once:
 //!
+//! * line sizing ([`Controller::size_page`],
+//!   [`Controller::stored_sizes`], [`Controller::resize_line`]): the
+//!   modified-BPC size kernel and the stored per-page sizes it fills
+//!   (see [`crate::device`]);
 //! * the metadata lookup ([`metadata_lookup`]): hit latency, the miss
 //!   read at [`METADATA_BASE`]` + page * 64`, dirty-victim writeback and
 //!   the injected eviction-storm drain;
@@ -17,8 +21,10 @@
 //! * page-move traffic ([`Controller::move_page`]);
 //! * bounded allocation retry ([`Controller::alloc_with_retry`]);
 //! * the durability glue (DESIGN.md §10): journal appends, the
-//!   ownership-delta commit, the recovery preamble, the compacted
-//!   checkpoint and the `recovery.*` counters;
+//!   ownership-delta commit and the per-page [`Committed`] record it
+//!   keeps, the recovery preamble, the ownership rule
+//!   ([`check_ownership`]), the compacted checkpoint and the
+//!   `recovery.*` counters;
 //! * the [`MemoryDevice`](crate::MemoryDevice) capacity accounting.
 //!
 //! What differs stays in the devices: Compresso's LinePack layout,
@@ -29,7 +35,7 @@
 //! prefetch buffer serves only single-burst lines while LCP's serves any
 //! compressed line whose bursts are all buffered.
 
-use crate::device::{LineSizer, LineSizes};
+use crate::device::LineSizes;
 use crate::error::CompressoError;
 use crate::faultkit::FaultPlan;
 use crate::journal::{
@@ -38,6 +44,7 @@ use crate::journal::{
 use crate::mcache::MetadataCache;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::DeviceEvents;
+use compresso_compression::{Bpc, Compressor};
 use compresso_mem_sim::{MainMemory, MemConfig};
 use compresso_telemetry::Registry;
 use compresso_workloads::LineSource;
@@ -90,11 +97,34 @@ pub(crate) fn compression_ratio(data: u64, pages: usize) -> f64 {
     touched_ospa_bytes(pages) as f64 / used as f64
 }
 
+/// Recovery's ownership rule: a committed entry must imply exactly the
+/// blocks the journal granted its page. `implied` comes from the entry
+/// (in any order), `granted` from the replayed journal (ascending by
+/// address, as [`ShadowModel::blocks_of`] returns them). Returns the
+/// violation, naming the page, if they differ.
+pub(crate) fn check_ownership(
+    page: u64,
+    mut implied: Vec<(u64, u32)>,
+    granted: &[(u64, u32)],
+) -> Option<String> {
+    implied.sort_unstable();
+    (implied != granted).then(|| {
+        format!("page {page}: entry implies blocks {implied:?} but the journal grants {granted:?}")
+    })
+}
+
+/// What the journal last committed for a page: the MPA blocks it owns
+/// and its commit record (the entry image). The scrubber repairs from
+/// it and the recovery checkpoint re-appends it.
+pub(crate) struct Committed {
+    pub blocks: Vec<(u64, u32)>,
+    pub entry: JournalRecord,
+}
+
 /// The controller state both compressed devices keep (see the
 /// [module documentation](self)).
 pub(crate) struct Controller {
     pub world: Box<dyn LineSource>,
-    pub sizer: LineSizer,
     pub mem: MainMemory,
     pub mcache: MetadataCache,
     pub stats: DeviceEvents,
@@ -103,8 +133,9 @@ pub(crate) struct Controller {
     prefetch: VecDeque<(u64, u32)>,
     /// Write-ahead journal; `Some` iff journaling is on.
     pub journal: Option<Journal>,
-    /// Last journal-committed ownership per page, for delta records.
-    pub committed: HashMap<u64, Vec<(u64, u32)>>,
+    /// Each page's last journal commit: the base of the next delta
+    /// records, the scrubber's repair source and the checkpoint.
+    pub committed: HashMap<u64, Committed>,
     /// Set when an armed crash fired: the journal is frozen and the
     /// device stops mutating state (recovery trusts the journal only).
     pub crashed: bool,
@@ -117,7 +148,6 @@ impl Controller {
     pub fn new(world: Box<dyn LineSource>, half_entries: bool, journaling: bool) -> Self {
         Self {
             world,
-            sizer: LineSizer,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
             mcache: MetadataCache::paper_default(half_entries),
             stats: DeviceEvents::default(),
@@ -127,7 +157,7 @@ impl Controller {
             journal: journaling.then(Journal::new),
             committed: HashMap::new(),
             crashed: false,
-            dur_events: DurabilityEvents::new(),
+            dur_events: DurabilityEvents::default(),
         }
     }
 
@@ -139,13 +169,57 @@ impl Controller {
         self.mem.register_metrics(&self.registry, "dram");
         self.mcache.register_metrics(&self.registry, "mcache");
         if self.journal.is_some() {
-            self.dur_events.register_metrics(&self.registry);
+            self.dur_events.register_metrics(&self.registry, "");
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Line sizing (see `crate::device`)
+    // ------------------------------------------------------------------
+
+    /// Runs the size kernel, modified BPC (Tab. III), on the current
+    /// bytes of the line at `line_addr`: its compressed size in bytes, 0
+    /// for an all-zero line. Counted as one kernel run.
+    fn size_line(&self, line_addr: u64) -> u8 {
+        self.stats.size_calls.add(1);
+        self.stats.size_memo_misses.add(1);
+        let data = self.world.line_data(line_addr);
+        if compresso_compression::is_zero_line(&data) {
+            0
+        } else {
+            Bpc::new().compressed_size(&data) as u8
         }
     }
 
     /// Runs the size kernel on every line of `page`.
     pub fn size_page(&self, page: u64) -> LineSizes {
-        self.sizer.size_page(self.world.as_ref(), page, &self.stats)
+        let base = page * PAGE_BYTES as u64;
+        std::array::from_fn(|line| self.size_line(base + line as u64 * 64))
+    }
+
+    /// The sizes of `page`'s lines, served from `stored`; a page without
+    /// stored sizes (recovered, not yet needed) is sized now.
+    pub fn stored_sizes(&self, stored: &mut Option<LineSizes>, page: u64) -> LineSizes {
+        if let Some(sizes) = stored {
+            self.stats.size_calls.add(LINES_PER_PAGE as u64);
+            self.stats.size_memo_hits.add(LINES_PER_PAGE as u64);
+            return *sizes;
+        }
+        *stored.insert(self.size_page(page))
+    }
+
+    /// Re-sizes the line at `line_addr` after its writeback, updating
+    /// its page's `stored` sizes, and returns its new size.
+    pub fn resize_line(&self, stored: &mut Option<LineSizes>, line_addr: u64) -> u8 {
+        let page = line_addr / PAGE_BYTES as u64;
+        let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
+        match stored {
+            Some(sizes) => {
+                sizes[line] = self.size_line(line_addr);
+                sizes[line]
+            }
+            None => stored.insert(self.size_page(page))[line],
+        }
     }
 
     // ------------------------------------------------------------------
@@ -306,10 +380,11 @@ impl Controller {
 
     /// Journals `page`'s new committed state: `ChunkFree`/`ChunkAlloc`
     /// deltas from the last committed ownership to `blocks`, then `entry`
-    /// as the commit point. Returns whether the commit landed (an armed
-    /// crash may tear it).
+    /// as the commit point, and records both as the page's [`Committed`]
+    /// state. Returns whether the commit landed (an armed crash may tear
+    /// it).
     pub fn commit(&mut self, page: u64, blocks: Vec<(u64, u32)>, entry: JournalRecord) -> bool {
-        let old = self.committed.get(&page).map_or(&[][..], Vec::as_slice);
+        let old = self.committed.get(&page).map_or(&[][..], |c| &c.blocks);
         let mut recs: Vec<JournalRecord> = old
             .iter()
             .filter(|b| !blocks.contains(b))
@@ -327,7 +402,8 @@ impl Controller {
             return false;
         }
         self.dur_events.journal_commits += 1;
-        self.committed.insert(page, blocks);
+        let entry = recs.pop().expect("the commit record");
+        self.committed.insert(page, Committed { blocks, entry });
         true
     }
 
@@ -351,18 +427,20 @@ impl Controller {
     }
 
     /// Finishes a cold-boot recovery: writes a fresh compacted journal
-    /// equivalent to the recovered committed ownership, page by page with
-    /// `entry(page)` as each commit record, so the next crash replays
-    /// from here; then adds `report` to the `recovery.*` counters.
-    pub fn checkpoint(&mut self, report: &RecoveryReport, entry: impl Fn(u64) -> JournalRecord) {
+    /// equivalent to the recovered [`Committed`] state, page by page, so
+    /// the next crash replays from here; then adds `report` to the
+    /// `recovery.*` counters.
+    pub fn checkpoint(&mut self, report: &RecoveryReport) {
         let mut pages: Vec<u64> = self.committed.keys().copied().collect();
         pages.sort_unstable();
         for page in pages {
-            let mut recs: Vec<JournalRecord> = self.committed[&page]
+            let committed = &self.committed[&page];
+            let mut recs: Vec<JournalRecord> = committed
+                .blocks
                 .iter()
                 .map(|&(addr, bytes)| JournalRecord::ChunkAlloc { page, addr, bytes })
                 .collect();
-            recs.push(entry(page));
+            recs.push(committed.entry.clone());
             self.append_all(&recs);
             self.dur_events.journal_commits += 1;
         }

@@ -1,5 +1,5 @@
 //! The memory-device abstraction, the uncompressed baseline, and the
-//! shared line-size kernel ([`LineSizer`]) the compressed devices sit on.
+//! stored line sizes the compressed devices keep.
 //!
 //! # Stored per-page line sizes
 //!
@@ -7,18 +7,21 @@
 //! and compresses a line again only when that line is written back
 //! (§IV-B). The compressed devices mirror that: next to each page's
 //! metadata they keep the compressed size of every line ([`LineSizes`]).
-//! The kernel runs 64 times on a page's first touch and once per
+//! The size kernel is the devices' line codec, modified BPC (Tab. III);
+//! the controller core both devices share runs it and serves the stored
+//! sizes. The kernel runs 64 times on a page's first touch and once per
 //! writeback; repacking, full-page recompression and LCP's re-plan read
 //! the stored sizes and never run it. A recovered device has no stored
 //! sizes: it sizes a page's lines the first time it needs them.
 //!
 //! The stored sizes are exact because the device is the **sole writer**
 //! of its world: it is the only code that calls
-//! [`LineSource::on_writeback`], and it re-sizes the line right after
-//! each call. Traces stay inside the world's footprint, so an address
-//! never aliases another line's bytes, and a line's bytes change only at
-//! its own writeback. The sizes are simulator bookkeeping: they are not
-//! part of the packed 64 B entry, its CRC or the journal.
+//! [`LineSource::on_writeback`](compresso_workloads::LineSource::on_writeback),
+//! and it re-sizes the line right after each call. Traces stay inside
+//! the world's footprint, so an address never aliases another line's
+//! bytes, and a line's bytes change only at its own writeback. The
+//! sizes are simulator bookkeeping: they are not part of the packed 64 B
+//! entry, its CRC or the journal.
 //!
 //! Compresso also tracks, per page, the sum of its stored sizes' bin
 //! bytes: the data bytes the page would hold once repacked (the
@@ -32,83 +35,16 @@
 //! stored sizes), and `size_calls` their sum. A repack check decided by
 //! the tracked sum reads no sizes and counts nothing.
 
-use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
+use crate::metadata::LINES_PER_PAGE;
 use crate::stats::{DeviceEvents, DeviceStats};
 use compresso_cache_sim::Backend;
-use compresso_compression::{Bpc, Compressor};
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
-use compresso_workloads::{AddrSet, LineSource};
+use compresso_workloads::AddrSet;
 
 /// Compressed size in bytes of each line of a page (0 for an all-zero
 /// line), as of that line's last writeback.
 pub type LineSizes = [u8; LINES_PER_PAGE];
-
-/// The size-only kernel of the devices' line codec, modified BPC
-/// (Tab. III), shared by [`crate::CompressoDevice`] and
-/// [`crate::LcpDevice`]. Every kernel run and every size served from
-/// stored state is counted in the device's [`DeviceEvents`] (see the
-/// [module documentation](self)).
-#[derive(Debug, Clone, Copy)]
-pub struct LineSizer;
-
-impl LineSizer {
-    /// Runs the kernel on the current bytes of the line at `line_addr`:
-    /// its compressed size in bytes, 0 for an all-zero line.
-    pub fn size(&self, world: &dyn LineSource, line_addr: u64, events: &DeviceEvents) -> u8 {
-        events.size_calls.add(1);
-        events.size_memo_misses.add(1);
-        let data = world.line_data(line_addr);
-        if compresso_compression::is_zero_line(&data) {
-            0
-        } else {
-            Bpc::new().compressed_size(&data) as u8
-        }
-    }
-
-    /// Runs the kernel on every line of `page`.
-    pub fn size_page(&self, world: &dyn LineSource, page: u64, events: &DeviceEvents) -> LineSizes {
-        let base = page * PAGE_BYTES as u64;
-        std::array::from_fn(|line| self.size(world, base + line as u64 * 64, events))
-    }
-
-    /// The sizes of `page`'s lines, served from `stored`; a page without
-    /// stored sizes (recovered, not yet needed) is sized now.
-    pub fn stored(
-        &self,
-        stored: &mut Option<LineSizes>,
-        world: &dyn LineSource,
-        page: u64,
-        events: &DeviceEvents,
-    ) -> LineSizes {
-        if let Some(sizes) = stored {
-            events.size_calls.add(LINES_PER_PAGE as u64);
-            events.size_memo_hits.add(LINES_PER_PAGE as u64);
-            return *sizes;
-        }
-        *stored.insert(self.size_page(world, page, events))
-    }
-
-    /// Re-sizes the line at `line_addr` after its writeback, updating
-    /// the page's `stored` sizes, and returns its new size.
-    pub fn resize_line(
-        &self,
-        stored: &mut Option<LineSizes>,
-        world: &dyn LineSource,
-        line_addr: u64,
-        events: &DeviceEvents,
-    ) -> u8 {
-        let page = line_addr / PAGE_BYTES as u64;
-        let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
-        match stored {
-            Some(sizes) => {
-                sizes[line] = self.size(world, line_addr, events);
-                sizes[line]
-            }
-            None => stored.insert(self.size_page(world, page, events))[line],
-        }
-    }
-}
 
 /// A main-memory device: the uncompressed baseline, Compresso, or an LCP
 /// variant. All devices speak OSPA line addresses on the LLC side and

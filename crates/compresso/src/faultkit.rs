@@ -22,6 +22,7 @@
 //! `soak --seeds 1 --base-seed S --rounds R`, taking `S` and `R` from
 //! that line.
 
+use compresso_workloads::mix64;
 use std::fmt::Write as _;
 
 /// A fault produced at a metadata-fetch hook.
@@ -175,16 +176,11 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Creates a plan drawing from `seed` with the given rates.
     pub fn new(seed: u64, cfg: FaultConfig) -> Self {
-        // SplitMix64 finalizer spreads nearby seeds apart and keeps the
-        // xorshift state nonzero.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         Self {
             seed,
             cfg,
-            state: z | 1,
+            // Spread nearby seeds apart; keep the xorshift state nonzero.
+            state: mix64(seed) | 1,
             stats: FaultStats::default(),
             crash_at_record: None,
             crash_armed: false,

@@ -12,8 +12,9 @@
 //!   [`JournalRecord::RepackBegin`] / [`JournalRecord::RepackCommit`] so
 //!   a crash mid-repack rolls the whole transaction back;
 //! * the journal device is modeled as protected storage (ECC / battery
-//!   backed): its bytes survive the crash and are also the scrubber's
-//!   repair source for rotted durable-image entries.
+//!   backed): its bytes survive the crash, and the entry image of each
+//!   page's last commit is the scrubber's repair source for rotted
+//!   durable-image entries.
 //!
 //! ## Wire format
 //!
@@ -43,7 +44,7 @@
 
 use crate::faultkit::FaultPlan;
 use crate::metadata_codec::{crc32, PACKED_BYTES};
-use compresso_telemetry::{Counter, Registry};
+use compresso_telemetry::counters;
 use std::collections::{BTreeMap, HashMap};
 
 /// Record framing magic byte.
@@ -310,15 +311,12 @@ pub enum AppendOutcome {
     Frozen,
 }
 
-/// The write-ahead journal: an append-only byte log plus the most recent
-/// committed entry image per page (the scrubber's repair source).
+/// The write-ahead journal: an append-only byte log.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
     bytes: Vec<u8>,
     seq: u64,
     frozen: bool,
-    /// Last fully-written `EntryUpdate` image per page.
-    last_images: HashMap<u64, [u8; PACKED_BYTES]>,
 }
 
 impl Journal {
@@ -344,12 +342,6 @@ impl Journal {
         }
         self.bytes.extend_from_slice(&frame);
         self.seq += 1;
-        if let JournalRecord::EntryUpdate { page, packed } = rec {
-            self.last_images.insert(*page, *packed);
-        }
-        if let JournalRecord::PageFree { page } = rec {
-            self.last_images.remove(page);
-        }
         AppendOutcome::Written
     }
 
@@ -366,12 +358,6 @@ impl Journal {
     /// Whether a crash froze this journal.
     pub fn is_frozen(&self) -> bool {
         self.frozen
-    }
-
-    /// The most recent committed entry image for `page` — the scrubber's
-    /// repair source for a rotted durable entry.
-    pub fn last_entry_image(&self, page: u64) -> Option<&[u8; PACKED_BYTES]> {
-        self.last_images.get(&page)
     }
 }
 
@@ -600,43 +586,37 @@ impl RecoveryReport {
     }
 }
 
-/// Durability counters: journal, scrubber and recovery activity,
-/// registered under the bare `journal.*` / `scrub.*` / `recovery.*`
-/// names (DESIGN.md §10).
-#[derive(Debug, Clone, Default)]
-pub struct DurabilityEvents {
-    pub journal_appends: Counter,
-    pub journal_commits: Counter,
-    pub journal_torn: Counter,
-    pub scrub_passes: Counter,
-    pub scrub_pages_scanned: Counter,
-    pub scrub_crc_failures: Counter,
-    pub scrub_repairs: Counter,
-    pub scrub_fallbacks: Counter,
-    pub recovery_replayed: Counter,
-    pub recovery_rolled_back: Counter,
-    pub recovery_violations: Counter,
-    pub recovery_prewarmed: Counter,
-}
-
-impl DurabilityEvents {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn register_metrics(&self, registry: &Registry) {
-        registry.register_counter("journal.append.total", &self.journal_appends);
-        registry.register_counter("journal.commit.total", &self.journal_commits);
-        registry.register_counter("journal.torn.total", &self.journal_torn);
-        registry.register_counter("scrub.pass.total", &self.scrub_passes);
-        registry.register_counter("scrub.page_scanned.total", &self.scrub_pages_scanned);
-        registry.register_counter("scrub.crc_failure.total", &self.scrub_crc_failures);
-        registry.register_counter("scrub.repair.total", &self.scrub_repairs);
-        registry.register_counter("scrub.fallback.total", &self.scrub_fallbacks);
-        registry.register_counter("recovery.replayed.total", &self.recovery_replayed);
-        registry.register_counter("recovery.rolled_back.total", &self.recovery_rolled_back);
-        registry.register_counter("recovery.violation.total", &self.recovery_violations);
-        registry.register_counter("recovery.prewarmed.total", &self.recovery_prewarmed);
+counters! {
+    /// Plain-data copy of the [`DurabilityEvents`] counters.
+    pub struct DurabilityStats;
+    /// Durability counters: journal, scrubber and recovery activity,
+    /// registered under the bare `journal.*` / `scrub.*` / `recovery.*`
+    /// names (an empty prefix; DESIGN.md §10).
+    pub struct DurabilityEvents {
+        /// Journal records fully appended.
+        journal_appends => "journal.append.total",
+        /// Commit points journaled, recovery checkpoints included.
+        journal_commits => "journal.commit.total",
+        /// Appends torn by an armed crash.
+        journal_torn => "journal.torn.total",
+        /// Background scrub passes run.
+        scrub_passes => "scrub.pass.total",
+        /// Durable entries CRC-verified by the scrubber.
+        scrub_pages_scanned => "scrub.page_scanned.total",
+        /// Durable entries whose CRC failed.
+        scrub_crc_failures => "scrub.crc_failure.total",
+        /// Rotted entries repaired from the last commit's image.
+        scrub_repairs => "scrub.repair.total",
+        /// Rotted entries with no commit to repair from (degraded).
+        scrub_fallbacks => "scrub.fallback.total",
+        /// Journal records replayed by recovery.
+        recovery_replayed => "recovery.replayed.total",
+        /// Records recovery rolled back.
+        recovery_rolled_back => "recovery.rolled_back.total",
+        /// Invariant violations recovery found.
+        recovery_violations => "recovery.violation.total",
+        /// Metadata-cache entries recovery prewarmed.
+        recovery_prewarmed => "recovery.prewarmed.total",
     }
 }
 
@@ -864,22 +844,12 @@ mod tests {
     }
 
     #[test]
-    fn last_entry_image_tracks_commits() {
-        let mut journal = Journal::new();
-        journal.append(&entry(1, 0x10), &mut None);
-        journal.append(&entry(1, 0x20), &mut None);
-        assert_eq!(journal.last_entry_image(1), Some(&[0x20; 64]));
-        journal.append(&JournalRecord::PageFree { page: 1 }, &mut None);
-        assert_eq!(journal.last_entry_image(1), None);
-    }
-
-    #[test]
     fn durability_counters_register() {
-        let mut ev = DurabilityEvents::new();
+        let mut ev = DurabilityEvents::default();
         ev.journal_appends += 2;
         ev.scrub_repairs += 1;
-        let reg = Registry::new();
-        ev.register_metrics(&reg);
+        let reg = compresso_telemetry::Registry::new();
+        ev.register_metrics(&reg, "");
         let snap = reg.snapshot();
         assert_eq!(snap.counter("journal.append.total"), Some(2));
         assert_eq!(snap.counter("scrub.repair.total"), Some(1));

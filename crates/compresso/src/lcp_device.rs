@@ -9,7 +9,9 @@
 
 use crate::alloc::BuddyAllocator;
 use crate::config::PageAllocation;
-use crate::controller::{self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY};
+use crate::controller::{
+    self, check_ownership, metadata_lookup, Committed, Controller, MetadataHooks, CODEC_LATENCY,
+};
 use crate::device::{LineSizes, MemoryDevice};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats};
@@ -172,7 +174,7 @@ impl LcpDevice {
     pub fn enable_journaling(&mut self) {
         if self.ctl.journal.is_none() {
             self.ctl.journal = Some(Journal::new());
-            self.ctl.dur_events.register_metrics(&self.ctl.registry);
+            self.ctl.dur_events.register_metrics(&self.ctl.registry, "");
         }
     }
 
@@ -249,12 +251,7 @@ impl LcpDevice {
     /// `overflow_extra`.
     fn replan_page(&mut self, now: u64, page: u64, fault: bool) -> u64 {
         let meta = self.pages.get_mut(&page).expect("page exists");
-        let sizes = self.ctl.sizer.stored(
-            &mut meta.sizes,
-            self.ctl.world.as_ref(),
-            page,
-            &self.ctl.stats,
-        );
+        let sizes = self.ctl.stored_sizes(&mut meta.sizes, page);
         let mut new = LcpMeta::new(sizes, &self.bins);
         // Allocate the new frame before freeing the old one, so a refused
         // allocation leaves the page's layout intact.
@@ -349,58 +346,38 @@ impl LcpDevice {
                     .push(format!("page {page}: non-LCP record in journal"));
                 continue;
             };
-            let blocks = shadow.blocks_of(page);
-            let owned: u32 = blocks.iter().map(|&(_, b)| b).sum();
-            if owned != img.page_bytes {
-                report.violations.push(format!(
-                    "page {page}: plan claims {} B but journal grants {owned} B",
-                    img.page_bytes
-                ));
-            }
-            if blocks.len() > 1 {
-                report.violations.push(format!(
-                    "page {page}: {} blocks owned under LCP allocation",
-                    blocks.len()
-                ));
-            }
-            if let Some(&(addr, _)) = blocks.first() {
-                if addr != img.base {
-                    report.violations.push(format!(
-                        "page {page}: plan base {:#x} but journal grants {addr:#x}",
-                        img.base
-                    ));
-                }
-            }
-            device.pages.insert(
-                page,
-                LcpMeta {
-                    plan: LcpPlan {
-                        target: img.target,
-                        exceptions: img.exceptions.clone(),
-                        needed_bytes: img.needed_bytes,
-                    },
-                    page_bytes: img.page_bytes,
-                    base: img.base,
-                    zero_lines: std::array::from_fn(|line| img.zero_bitmap >> line & 1 != 0),
-                    all_zero: img.all_zero,
-                    sizes: None,
+            let meta = LcpMeta {
+                plan: LcpPlan {
+                    target: img.target,
+                    exceptions: img.exceptions.clone(),
+                    needed_bytes: img.needed_bytes,
                 },
-            );
+                page_bytes: img.page_bytes,
+                base: img.base,
+                zero_lines: std::array::from_fn(|line| img.zero_bitmap >> line & 1 != 0),
+                all_zero: img.all_zero,
+                sizes: None,
+            };
+            let blocks = shadow.blocks_of(page);
+            report
+                .violations
+                .extend(check_ownership(page, meta.blocks(), &blocks));
+            device.pages.insert(page, meta);
             owned_blocks.extend(&blocks);
-            device.ctl.committed.insert(page, blocks);
+            let entry = JournalRecord::LcpEntryUpdate {
+                page,
+                image: img.clone(),
+            };
+            device
+                .ctl
+                .committed
+                .insert(page, Committed { blocks, entry });
         }
         device.alloc = BuddyAllocator::rebuild(MPA_CAPACITY, &owned_blocks);
         device.ctl.registry = Registry::new();
         device.register_all_metrics();
         report.pages_rebuilt = device.pages.len();
-
-        let pages = &device.pages;
-        device
-            .ctl
-            .checkpoint(&report, |page| JournalRecord::LcpEntryUpdate {
-                page,
-                image: pages[&page].image(),
-            });
+        device.ctl.checkpoint(&report);
         (device, report)
     }
 }
@@ -477,12 +454,7 @@ impl Backend for LcpDevice {
 
         self.ctl.world.on_writeback(line_addr);
         let meta = self.pages.get_mut(&page).expect("ensured");
-        let new_size = self.ctl.sizer.resize_line(
-            &mut meta.sizes,
-            self.ctl.world.as_ref(),
-            line_addr,
-            &self.ctl.stats,
-        ) as u32;
+        let new_size = self.ctl.resize_line(&mut meta.sizes, line_addr) as u32;
 
         meta.zero_lines[line] = new_size == 0;
         if new_size == 0 {

@@ -192,14 +192,6 @@ impl MetadataCache {
         out
     }
 
-    /// Marks a cached entry dirty (no-op if absent).
-    pub fn mark_dirty(&mut self, page: u64) {
-        let set = (page % self.sets.len() as u64) as usize;
-        if let Some(slot) = self.sets[set].iter_mut().find(|s| s.page == page) {
-            slot.dirty = true;
-        }
-    }
-
     /// Number of entries currently cached (for tests).
     pub fn len(&self) -> usize {
         self.sets.iter().map(|s| s.len()).sum()
@@ -301,23 +293,6 @@ mod tests {
             }
         }
         panic!("entry 0 was never evicted");
-    }
-
-    #[test]
-    fn mark_dirty_applies_to_cached_entry() {
-        let mut mc = MetadataCache::new(64 * 64, false).expect("valid geometry");
-        mc.access(3, false, false);
-        mc.mark_dirty(3);
-        let set_stride = 8u64;
-        for i in 1..=8 {
-            let r = mc.access(3 + i * set_stride, false, false);
-            if let Some(&(page, dirty)) = r.evicted.first() {
-                assert_eq!(page, 3);
-                assert!(dirty);
-                return;
-            }
-        }
-        panic!("entry 3 was never evicted");
     }
 
     #[test]

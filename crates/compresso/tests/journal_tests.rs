@@ -14,7 +14,7 @@ use compresso_cache_sim::Backend;
 use compresso_core::journal::{frame_boundaries, parse};
 use compresso_core::{
     encode_metadata, CompressoConfig, CompressoDevice, DurabilityConfig, FaultConfig, FaultPlan,
-    Journal, JournalRecord, LcpDevice, MemoryDevice, PageAllocation, PageImage, PageMeta,
+    Journal, JournalRecord, LcpDevice, LcpImage, MemoryDevice, PageAllocation, PageImage, PageMeta,
     RecoveryReport, ShadowModel,
 };
 use compresso_workloads::{benchmark, BenchmarkProfile, DataWorld, PAGE_BYTES};
@@ -254,7 +254,6 @@ fn scrubber_detects_and_repairs_rot() {
     cfg.durability = DurabilityConfig {
         journaling: true,
         scrub_interval: 2_000,
-        scrub_pages_per_pass: 64,
     };
     let mut device = CompressoDevice::new(cfg, DataWorld::new(&profile("soplex")));
     let rot_only = FaultConfig {
@@ -357,54 +356,109 @@ fn journaling_is_transparent_to_the_demand_stream() {
     assert_eq!(plain.compression_ratio(), journaled.compression_ratio());
 }
 
-/// A Variable4 page's layout comes from its entry (its chunks are one
-/// contiguous block) while recovery rebuilds the allocator from the
-/// journal's ownership records: an entry whose chunks are not the block
-/// the journal grants must be reported, not silently trusted.
+/// A recovered page's layout comes from its entry while recovery
+/// rebuilds the allocator from the journal's ownership records: an
+/// entry that does not imply exactly the blocks the journal grants must
+/// be reported, not silently trusted. One rule covers Chunks512,
+/// Variable4 (one contiguous block) and the LCP baselines.
 #[test]
-fn variable4_entry_must_match_the_journal_block() {
-    let mut cfg = CompressoConfig::durable();
-    cfg.allocation = PageAllocation::Variable4;
-    // The journal grants page 3 the 1 KB block at chunk 8; the entry
-    // claims `chunks`.
-    let recover = |chunks: Vec<u32>| -> RecoveryReport {
+fn entry_must_own_exactly_the_journal_blocks() {
+    let world = || Box::new(DataWorld::new(&profile("gcc")));
+    let journal = |records: &[JournalRecord]| {
+        let mut journal = Journal::new();
+        for rec in records {
+            journal.append(rec, &mut None);
+        }
+        journal.bytes().to_vec()
+    };
+    let grant = |addr: u64, bytes: u32| JournalRecord::ChunkAlloc {
+        page: 3,
+        addr,
+        bytes,
+    };
+    // Page 3 of a Compresso device under `allocation`: the journal
+    // grants `granted`; the entry claims `chunks`.
+    let compresso = |allocation, granted: &[(u64, u32)], chunks: Vec<u32>| {
+        let mut cfg = CompressoConfig::durable();
+        cfg.allocation = allocation;
         let meta = PageMeta {
             valid: true,
             zero: false,
             compressed: true,
-            page_bytes: 1024,
+            page_bytes: chunks.len() as u32 * 512,
             chunks,
             line_bins: [1; 64],
             inflated: Vec::new(),
         };
-        let mut journal = Journal::new();
-        for rec in [
-            JournalRecord::ChunkAlloc {
-                page: 3,
-                addr: 8 * 512,
-                bytes: 1024,
-            },
-            JournalRecord::EntryUpdate {
-                page: 3,
-                packed: encode_metadata(&meta, &cfg.bins),
-            },
-        ] {
-            journal.append(&rec, &mut None);
-        }
-        let world = Box::new(DataWorld::new(&profile("gcc")));
-        CompressoDevice::recover(cfg.clone(), world, journal.bytes()).1
+        let mut records: Vec<_> = granted.iter().map(|&(a, b)| grant(a, b)).collect();
+        records.push(JournalRecord::EntryUpdate {
+            page: 3,
+            packed: encode_metadata(&meta, &cfg.bins),
+        });
+        CompressoDevice::recover(cfg, world(), &journal(&records)).1
     };
-    let disagrees = |report: &RecoveryReport| {
-        report
+    // Page 3 of an LCP+Align device: the journal grants the 1 KB block
+    // at 0x8000; the plan claims `page_bytes` at `base`.
+    let lcp = |base: u64, page_bytes: u32| {
+        let image = LcpImage {
+            target: 8,
+            needed_bytes: 512,
+            page_bytes,
+            base,
+            all_zero: false,
+            zero_bitmap: 0,
+            exceptions: Vec::new(),
+        };
+        let records = [
+            grant(0x8000, 1024),
+            JournalRecord::LcpEntryUpdate { page: 3, image },
+        ];
+        LcpDevice::recover_lcp_align(world(), &journal(&records)).1
+    };
+    let chunks512 = PageAllocation::Chunks512;
+    let variable4 = PageAllocation::Variable4;
+    let v4_block = [(8 * 512, 1024)];
+    let rows: [(&str, RecoveryReport, bool); 10] = [
+        (
+            "Chunks512, granted chunks",
+            compresso(chunks512, &[(8 * 512, 512), (12 * 512, 512)], vec![12, 8]),
+            true,
+        ),
+        (
+            "Chunks512, a chunk never granted",
+            compresso(chunks512, &[(8 * 512, 512), (12 * 512, 512)], vec![8, 9]),
+            false,
+        ),
+        (
+            "Variable4, the granted block",
+            compresso(variable4, &v4_block, vec![8, 9]),
+            true,
+        ),
+        (
+            "Variable4, shifted base",
+            compresso(variable4, &v4_block, vec![10, 11]),
+            false,
+        ),
+        (
+            "Variable4, scattered chunks",
+            compresso(variable4, &v4_block, vec![8, 12]),
+            false,
+        ),
+        ("LCP, the granted block", lcp(0x8000, 1024), true),
+        ("LCP, base disagrees", lcp(0x9000, 1024), false),
+        ("LCP, page_bytes disagrees", lcp(0x8000, 2048), false),
+        ("LCP, smaller page_bytes", lcp(0x8000, 512), false),
+        ("LCP, no storage claimed", lcp(0, 0), false),
+    ];
+    for (name, report, matches) in rows {
+        let named = report
             .violations
             .iter()
-            .any(|v| v.contains("not the contiguous block"))
-    };
-
-    let agreed = recover(vec![8, 9]);
-    assert!(agreed.is_clean(), "{:?}", agreed.violations);
-    let shifted = recover(vec![10, 11]);
-    assert!(disagrees(&shifted), "{:?}", shifted.violations);
-    let scattered = recover(vec![8, 12]);
-    assert!(disagrees(&scattered), "{:?}", scattered.violations);
+            .any(|v| v.contains("page 3") && v.contains("but the journal grants"));
+        if matches {
+            assert!(report.is_clean(), "{name}: {:?}", report.violations);
+        } else {
+            assert!(named, "{name}: {:?}", report.violations);
+        }
+    }
 }

@@ -74,7 +74,6 @@ fn durable_config() -> CompressoConfig {
     cfg.durability = DurabilityConfig {
         journaling: true,
         scrub_interval: 25_000,
-        scrub_pages_per_pass: 64,
     };
     cfg
 }

@@ -65,15 +65,6 @@ impl MetricsArgs {
             Err(e) => eprintln!("[metrics] FAILED to write {}: {e}", path.display()),
         }
     }
-
-    /// [`MetricsArgs::write`] for cycle-run sweeps: one metrics cell per
-    /// successful [`RunResult`] outcome, in presentation order.
-    pub fn write_runs(&self, source: &str, outcomes: &[CellOutcome<RunResult>]) {
-        if !self.enabled() {
-            return;
-        }
-        self.write(source, "cycles", runs_to_cells(outcomes));
-    }
 }
 
 /// One exportable metrics cell from any labelled, timed report.

@@ -14,7 +14,8 @@
 /// - `snapshot()` on the live struct, the plain-data copy of every
 ///   counter;
 /// - `register_metrics(registry, prefix)` on the live struct, which
-///   registers each counter as `{prefix}.{name}`.
+///   registers each counter as `{prefix}.{name}`, or under its bare
+///   `name` when `prefix` is empty.
 ///
 /// Both structs keep the entries' order, so a snapshot's `Debug` output
 /// lists the fields as declared.
@@ -69,10 +70,17 @@ macro_rules! counters {
                 $snap { $( $field: self.$field.get(), )+ }
             }
 
-            /// Registers every counter as `{prefix}.{name}`; the registry
-            /// shares the handles, so it sees every later update.
+            /// Registers every counter as `{prefix}.{name}` (bare `name`
+            /// when `prefix` is empty); the registry shares the handles,
+            /// so it sees every later update.
             pub fn register_metrics(&self, registry: &$crate::Registry, prefix: &str) {
-                $( registry.register_counter(&format!("{prefix}.{}", $name), &self.$field); )+
+                $(
+                    let name = match prefix {
+                        "" => $name.to_string(),
+                        _ => format!("{prefix}.{}", $name),
+                    };
+                    registry.register_counter(&name, &self.$field);
+                )+
             }
         }
     };

@@ -47,8 +47,10 @@ impl DataClass {
     ];
 }
 
-/// A small, fast, deterministic mixer (splitmix64).
-fn mix(mut x: u64) -> u64 {
+/// A small, fast, deterministic mixer: the splitmix64 finalizer, which
+/// spreads nearby inputs apart. Every seeded stream of the simulator
+/// derives from it.
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -61,7 +63,7 @@ fn mix(mut x: u64) -> u64 {
 /// stores the line has absorbed.
 pub fn materialize(class: DataClass, seed: u64, key: u64, version: u32) -> Line {
     let mut line = [0u8; LINE_SIZE];
-    let h = mix(seed ^ mix(key) ^ ((version as u64) << 48));
+    let h = mix64(seed ^ mix64(key) ^ ((version as u64) << 48));
     match class {
         DataClass::Zero => {}
         DataClass::Constant => {
@@ -79,7 +81,7 @@ pub fn materialize(class: DataClass, seed: u64, key: u64, version: u32) -> Line 
             let mut v = (h & 0x3FF) as u16;
             for (i, chunk) in line.chunks_exact_mut(2).enumerate() {
                 chunk.copy_from_slice(&v.to_le_bytes());
-                let step = (mix(h ^ (0x51 + i as u64)) % 33) as i32 - 16;
+                let step = (mix64(h ^ (0x51 + i as u64)) % 33) as i32 - 16;
                 v = (v as i32).wrapping_add(step).unsigned_abs() as u16;
             }
         }
@@ -95,11 +97,11 @@ pub fn materialize(class: DataClass, seed: u64, key: u64, version: u32) -> Line 
             // Heap pointers into one region: shared high bits, offsets
             // that walk in ±512 B steps — BDI's base8-delta2 sweet spot.
             let region = (h & 0x0000_7FFF_FF00_0000) | 0x10_0000;
-            let mut offset: i64 = (mix(h ^ 0xA11C) % 4096) as i64 * 8;
+            let mut offset: i64 = (mix64(h ^ 0xA11C) % 4096) as i64 * 8;
             for (i, chunk) in line.chunks_exact_mut(8).enumerate() {
                 let v = (region as i64 + offset) as u64;
                 chunk.copy_from_slice(&v.to_le_bytes());
-                let step = ((mix(h ^ (0x9 + i as u64)) % 129) as i64 - 64) * 8;
+                let step = ((mix64(h ^ (0x9 + i as u64)) % 129) as i64 - 64) * 8;
                 offset += step;
             }
         }
@@ -108,20 +110,20 @@ pub fn materialize(class: DataClass, seed: u64, key: u64, version: u32) -> Line 
             // bits, noisy mantissa low bits.
             let exp = 1023 + (h % 16); // biased exponent
             for (i, chunk) in line.chunks_exact_mut(8).enumerate() {
-                let mantissa = mix(h ^ (0xF100 + i as u64)) & 0x000F_FFFF_0000_0000;
+                let mantissa = mix64(h ^ (0xF100 + i as u64)) & 0x000F_FFFF_0000_0000;
                 let v = (exp << 52) | mantissa;
                 chunk.copy_from_slice(&v.to_le_bytes());
             }
         }
         DataClass::Text => {
             for (i, byte) in line.iter_mut().enumerate() {
-                let r = mix(h ^ (0x7E47 + i as u64));
+                let r = mix64(h ^ (0x7E47 + i as u64));
                 *byte = b'a' + (r % 26) as u8;
             }
         }
         DataClass::Random => {
             for (i, chunk) in line.chunks_exact_mut(8).enumerate() {
-                let v = mix(h ^ (0xDEAD_0000 + i as u64));
+                let v = mix64(h ^ (0xDEAD_0000 + i as u64));
                 chunk.copy_from_slice(&v.to_le_bytes());
             }
         }

@@ -42,7 +42,7 @@ pub mod trace;
 pub mod world;
 
 pub use addr_map::{AddrHasher, AddrMap, AddrSet};
-pub use data::DataClass;
+pub use data::{mix64, DataClass};
 pub use mixes::{mix, MIXES};
 pub use points::{compresspoint, full_run, run_average_ratio, simpoint, Interval};
 pub use profile::{

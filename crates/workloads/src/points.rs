@@ -8,6 +8,7 @@
 //! order of magnitude, because compressibility phases are invisible to
 //! BBVs.
 
+use crate::data::mix64;
 use crate::profile::{BenchmarkProfile, PhaseShape};
 
 /// One 200M-instruction interval of a full benchmark run.
@@ -25,15 +26,8 @@ pub struct Interval {
     pub memory_usage: f64,
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn noise(seed: u64, i: u64, scale: f64) -> f64 {
-    ((mix(seed ^ i) % 1000) as f64 / 1000.0 - 0.5) * 2.0 * scale
+    ((mix64(seed ^ i) % 1000) as f64 / 1000.0 - 0.5) * 2.0 * scale
 }
 
 /// Generates the full-run phase trace of a benchmark: `n` intervals with
@@ -66,7 +60,7 @@ pub fn full_run(profile: &BenchmarkProfile, base_ratio: f64, n: usize) -> Vec<In
             let mut bbv = [0.0f64; 8];
             for (b, slot) in bbv.iter_mut().enumerate() {
                 // A stable code signature plus shape-dependent drift.
-                let base = ((mix(seed ^ 0xBB ^ b as u64) % 100) as f64 + 10.0) / 100.0;
+                let base = ((mix64(seed ^ 0xBB ^ b as u64) % 100) as f64 + 10.0) / 100.0;
                 *slot = base + noise(seed ^ 0xB2, (i * 8 + b) as u64, bbv_drift);
             }
             let norm: f64 = bbv.iter().sum();

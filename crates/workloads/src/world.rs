@@ -8,7 +8,7 @@
 //! when data (and hence compressibility) changes.
 
 use crate::addr_map::AddrMap;
-use crate::data::{materialize, DataClass};
+use crate::data::{materialize, mix64, DataClass};
 use crate::profile::{BenchmarkProfile, Evolution, PageSpec};
 use compresso_compression::Line;
 
@@ -16,13 +16,6 @@ use compresso_compression::Line;
 pub const PAGE_BYTES: u64 = 4096;
 /// Cache lines per page.
 pub const LINES_PER_PAGE: u64 = PAGE_BYTES / 64;
-
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 #[derive(Debug, Clone, Copy)]
 struct PageState {
