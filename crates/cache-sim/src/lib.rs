@@ -25,6 +25,8 @@
 //! assert!(cycles > 100);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod core;
 pub mod hierarchy;

@@ -19,11 +19,25 @@
 //! without building planes. A plane's code depends only on its class
 //! (zero, all-ones, one 1, two adjacent 1s, other), and each class is a
 //! reduction over the lanes at one bit position: OR, AND, "at least two
-//! lanes", "at least three lanes" and "two neighbouring lanes". The
-//! kernel computes these for all 16 bit positions at once, SWAR over the
-//! line's 8 little-endian words, for the symbols and for the DBX'd
-//! deltas (`Classes`). The encoder builds and costs real planes
-//! and is the reference the kernel is tested against.
+//! lanes", "at least three lanes" and "two neighbouring lanes". On
+//! x86_64 the kernel (`kernel::Classes`) holds the 32 symbols in four
+//! SSE2 vectors of eight 16-bit lanes, so every bit position of a lane is
+//! one plane's bit, and computes:
+//!
+//! * the deltas with `psubw` against the successor lanes, their borrow
+//!   bits with a signed compare after flipping the top bits, and the DBX
+//!   planes as `d ^ (d << 1)`;
+//! * the five reductions down the four vectors, for the symbols and for
+//!   the deltas (lane 31, which has no delta, masked off);
+//! * a 3-step horizontal fold of both sets at once, to one mask per
+//!   reduction with one bit per plane;
+//! * the borrow-mixed top plane with `movemask` as a 31-bit word,
+//!   classified directly.
+//!
+//! Both sets are then costed from popcounts of those masks. On other
+//! targets the size path costs the encoder's own planes. The encoder
+//! builds and costs real planes and is the reference the kernel is tested
+//! against.
 //!
 //! # Code table
 //!
@@ -140,11 +154,7 @@ impl Compressor for Bpc {
         if crate::is_zero_line(line) {
             return 1; // 2-bit mode header
         }
-        let w = words(line);
-        let base = w[0] as u16;
-        let base_bits = if base == 0 { 1 } else { 1 + 16 };
-        let t_bits = 2 + base_bits + Classes::of_deltas(&w).bits(DELTAS, DELTA_PLANES);
-        let p_bits = 2 + Classes::of_lanes(&w, 0).bits(SYMBOLS, LANE_PLANES);
+        let (t_bits, p_bits) = race_bits(line);
         let best = t_bits.min(p_bits);
         if best >= LINE_SIZE * 8 {
             LINE_SIZE // raw fallback
@@ -152,6 +162,27 @@ impl Compressor for Bpc {
             best.div_ceil(8)
         }
     }
+}
+
+/// Exact bit lengths of a non-zero line's transformed and untransformed
+/// encodings, mode header included, from the SSE2 plane classes.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+fn race_bits(line: &Line) -> (usize, usize) {
+    let w = words(line);
+    let (t_planes, p_planes) = kernel::Classes::of(&w).bits();
+    let base_bits = if w[0] as u16 == 0 { 1 } else { 1 + 16 };
+    (2 + base_bits + t_planes, 2 + p_planes)
+}
+
+/// Exact bit lengths of a non-zero line's transformed and untransformed
+/// encodings, mode header included, costed on the encoder's own planes.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+fn race_bits(line: &Line) -> (usize, usize) {
+    let (base, dbx) = transformed_planes(line);
+    (
+        transformed_bits(base, &dbx),
+        2 + planes_bits(&data_planes(line), SYMBOLS),
+    )
 }
 
 fn line_from_symbols(syms: &[u16; SYMBOLS]) -> Line {
@@ -232,122 +263,6 @@ fn gather_bytes(blocks: &[u64; 4], planes: &mut [u32]) {
         planes[first + 4] = (near >> 32) as u32;
         planes[first + 2] = far as u32;
         planes[first + 6] = (far >> 32) as u32;
-    }
-}
-
-/// Bit `k` set for each of the 16 lane bit-planes.
-const LANE_PLANES: u32 = 0xFFFF;
-/// The 16 DBX planes of the delta low bits plus, at bit 16, the plane
-/// that mixes in the borrow.
-const DELTA_PLANES: u32 = 0x1_FFFF;
-/// The lowest bit of every 16-bit lane.
-const LANE_LSB: u64 = 0x0001_0001_0001_0001;
-/// Lane 31, the last word's top lane.
-const LAST_LANE: u64 = 0xFFFF << 48;
-
-/// The code-table class of every plane of a plane set, as masks with one
-/// bit per plane: plane `k` is zero unless `any` has bit `k`, all-ones if
-/// `all` has it, a single 1 if `two` lacks it, and two adjacent 1s if
-/// `two` and `adjacent` have it but `three` does not. The size kernel
-/// costs a plane set from these masks alone, without building planes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Classes {
-    /// Some lane has the bit.
-    any: u32,
-    /// Every lane has the bit.
-    all: u32,
-    /// At least two lanes have the bit.
-    two: u32,
-    /// At least three lanes have the bit.
-    three: u32,
-    /// Two neighbouring lanes both have the bit.
-    adjacent: u32,
-}
-
-impl Classes {
-    /// The classes of the 16 bit-planes of the 32 lanes held in `words`
-    /// (lane `4w + l` in bits `16l..16l + 16` of word `w`). Bits set in
-    /// `pad` count as set for `all` only: a lane that is not part of the
-    /// set is zero in `words` and all-ones in `pad`.
-    ///
-    /// The reductions run over the 8 words with each of a word's four
-    /// 16-bit fields keeping its own saturating lane count (1, ≥2, ≥3),
-    /// then fold the four fields into one.
-    fn of_lanes(words: &[u64; 8], pad: u64) -> Classes {
-        let (mut one, mut two, mut three, mut adjacent) = (0u64, 0u64, 0u64, 0u64);
-        for (i, &x) in words.iter().enumerate() {
-            three |= two & x;
-            two |= one & x;
-            one |= x;
-            // Field l of `next` holds lane 4i + l + 1.
-            let next = (x >> 16) | words.get(i + 1).map_or(0, |n| n << 48);
-            adjacent |= x & next;
-        }
-        let mut all = words[..7].iter().fold(words[7] | pad, |a, &x| a & x);
-        for shift in [32, 16] {
-            three |= (three >> shift) | (two & (one >> shift)) | (one & (two >> shift));
-            two |= (two >> shift) | (one & (one >> shift));
-            one |= one >> shift;
-            all &= all >> shift;
-            adjacent |= adjacent >> shift;
-        }
-        let low = |x: u64| (x & 0xFFFF) as u32;
-        Classes {
-            any: low(one),
-            all: low(all),
-            two: low(two),
-            three: low(three),
-            adjacent: low(adjacent),
-        }
-    }
-
-    /// The classes of the transformed-mode planes of the line held in
-    /// `words`. Plane `k < 16` is bit `k` of `y = d ^ (d << 1)` over the
-    /// 31 wrapping 16-bit deltas `d` (the DBX of delta bits `k` and
-    /// `k - 1`); plane 16 is borrow ⊕ delta bit 15, gathered into one
-    /// 31-bit plane and classified directly.
-    fn of_deltas(words: &[u64; 8]) -> Classes {
-        let mut y = [0u64; 8];
-        let mut top = 0u32;
-        for i in 0..8 {
-            // Lane l of `next` is symbol 4i + l + 1; the last word's top
-            // lane has no successor and is masked off below.
-            let next = (words[i] >> 16) | words.get(i + 1).map_or(0, |n| n << 48);
-            let cur = words[i];
-            let diff = ((next | LANE_MSB) - (cur & !LANE_MSB)) ^ ((next ^ !cur) & LANE_MSB);
-            let borrow = ((!next & cur) | (!(next ^ cur) & diff)) & LANE_MSB;
-            y[i] = diff ^ ((diff << 1) & !LANE_LSB);
-            let msb = (borrow ^ diff) & LANE_MSB;
-            let nibble = ((msb >> 15) & 1) | ((msb >> 30) & 2) | ((msb >> 45) & 4) | (msb >> 60);
-            top |= (nibble as u32) << (4 * i);
-        }
-        y[7] &= !LAST_LANE;
-        let top = top & DELTA_MASK;
-        let mut classes = Classes::of_lanes(&y, LAST_LANE);
-        let flag = |set: bool| (set as u32) << 16;
-        classes.any |= flag(top != 0);
-        classes.all |= flag(top == DELTA_MASK);
-        classes.two |= flag(top.count_ones() >= 2);
-        classes.three |= flag(top.count_ones() >= 3);
-        classes.adjacent |= flag(top & (top >> 1) != 0);
-        classes
-    }
-
-    /// Exact bit length of [`encode_planes`] over the planes in
-    /// `planes`, each `width` bits wide, emitted from the highest plane
-    /// down. A zero run is counted at its first (highest) plane.
-    fn bits(self, width: usize, planes: u32) -> usize {
-        let single = self.any & !self.two;
-        let pair = self.two & !self.three & self.adjacent;
-        let raw = self.any & !(self.all | single | pair);
-        let zero = !self.any & planes;
-        let runs = zero & !(zero >> 1);
-        let count = |mask: u32| mask.count_ones() as usize;
-        3 * count(self.all)
-            + (4 + 5) * count(single)
-            + (5 + 5) * count(pair)
-            + (1 + width) * count(raw)
-            + (2 + 5) * count(runs)
     }
 }
 
@@ -576,6 +491,224 @@ fn decode_planes(r: &mut BitReader<'_>, planes: &mut [u32], width: usize) {
     }
 }
 
+/// The size kernel: the code-table class of every plane of both plane
+/// sets, computed with SSE2 over the line's 32 symbols as four vectors of
+/// eight 16-bit lanes, without building planes.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+mod kernel {
+    use super::{DELTAS, DELTA_MASK, SYMBOLS};
+    use std::arch::x86_64::*;
+
+    /// Where untransformed plane `k` (symbol bit `k`) sits in a
+    /// [`Classes`] mask: bit `DATA + k`. Transformed plane `k` sits at
+    /// bit `k`: for `k < 16` the DBX of delta bits `k` and `k - 1`, bit
+    /// `k` of `y = d ^ (d << 1)` over the 31 wrapping 16-bit deltas `d`;
+    /// at 16, borrow ⊕ delta bit 15.
+    pub(super) const DATA: u32 = 32;
+    /// Every plane of both sets.
+    const PLANES: u64 = 0xFFFF << DATA | 0x1_FFFF;
+    /// Both 16-bit lane-0 fields of a folded mask.
+    const FIELDS: u64 = 0xFFFF << DATA | 0xFFFF;
+
+    /// The code-table class of every plane of both plane sets, as masks
+    /// with one bit per plane (see [`DATA`]): plane `k` is zero unless
+    /// `any` has bit `k`, all-ones if `all` has it, a single 1 if `two`
+    /// lacks it, and two adjacent 1s if `two` and `adjacent` have it but
+    /// `three` does not.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Classes {
+        /// Some lane has the bit.
+        pub any: u64,
+        /// Every lane has the bit.
+        pub all: u64,
+        /// At least two lanes have the bit.
+        pub two: u64,
+        /// At least three lanes have the bit.
+        pub three: u64,
+        /// Two neighbouring lanes both have the bit.
+        pub adjacent: u64,
+    }
+
+    impl Classes {
+        /// The classes of the line held in `words` (symbol `4w + l` in
+        /// bits `16l..16l + 16` of word `w`).
+        pub(super) fn of(words: &[u64; 8]) -> Classes {
+            // SAFETY: `classes` needs only SSE2, which is part of the
+            // x86_64 baseline; this module compiles only where
+            // `target_feature = "sse2"` holds.
+            unsafe { classes(words) }
+        }
+
+        /// Exact bit lengths of [`super::encode_planes`] over the
+        /// transformed planes (31 bits wide) and over the untransformed
+        /// ones (32 bits wide). A zero run is counted at its first
+        /// (highest) plane.
+        pub(super) fn bits(self) -> (usize, usize) {
+            let single = self.any & !self.two;
+            let pair = self.two & !self.three & self.adjacent;
+            let raw = self.any & !(self.all | single | pair);
+            let zero = !self.any & PLANES;
+            let runs = zero & !(zero >> 1);
+            let coded = 3 * counts(self.all)
+                + (4 + 5) * counts(single)
+                + (5 + 5) * counts(pair)
+                + (2 + 5) * counts(runs);
+            let raw = counts(raw);
+            let half = |x: u64, set: u32| (x >> set) as u32 as usize;
+            (
+                half(coded, 0) + (1 + DELTAS) * half(raw, 0),
+                half(coded, DATA) + (1 + SYMBOLS) * half(raw, DATA),
+            )
+        }
+    }
+
+    /// The population counts of the two 32-bit halves of `x`, each in
+    /// its own half (baseline x86_64 has no `popcnt`).
+    fn counts(x: u64) -> u64 {
+        let x = x - ((x >> 1) & 0x5555_5555_5555_5555);
+        let x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
+        let x = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+        let x = x + (x >> 8);
+        (x + (x >> 16)) & 0x0000_00FF_0000_00FF
+    }
+
+    /// Per bit position of each 16-bit lane, saturating counts of the
+    /// lanes folded into it (1, ≥2, ≥3), their AND, and whether two
+    /// neighbouring lanes both have the bit.
+    #[derive(Clone, Copy)]
+    struct Counts {
+        one: __m128i,
+        two: __m128i,
+        three: __m128i,
+        all: __m128i,
+        adjacent: __m128i,
+    }
+
+    impl Counts {
+        #[target_feature(enable = "sse2")]
+        fn new() -> Counts {
+            let zero = _mm_setzero_si128();
+            Counts {
+                one: zero,
+                two: zero,
+                three: zero,
+                all: _mm_set1_epi16(-1),
+                adjacent: zero,
+            }
+        }
+
+        /// Adds the lanes `x`, whose successor lanes are `next`; bits
+        /// set in `pad` count as set for `all` only.
+        #[target_feature(enable = "sse2")]
+        fn add(&mut self, x: __m128i, next: __m128i, pad: __m128i) {
+            self.three = _mm_or_si128(self.three, _mm_and_si128(self.two, x));
+            self.two = _mm_or_si128(self.two, _mm_and_si128(self.one, x));
+            self.one = _mm_or_si128(self.one, x);
+            self.all = _mm_and_si128(self.all, _mm_or_si128(x, pad));
+            self.adjacent = _mm_or_si128(self.adjacent, _mm_and_si128(x, next));
+        }
+
+        /// Folds `other` into `self`, lane by lane.
+        #[target_feature(enable = "sse2")]
+        fn merge(self, other: Counts) -> Counts {
+            let (p, q) = (self, other);
+            let or3 = |a, b, c| _mm_or_si128(_mm_or_si128(a, b), c);
+            Counts {
+                three: _mm_or_si128(
+                    or3(p.three, q.three, _mm_and_si128(p.two, q.one)),
+                    _mm_and_si128(p.one, q.two),
+                ),
+                two: or3(p.two, q.two, _mm_and_si128(p.one, q.one)),
+                one: _mm_or_si128(p.one, q.one),
+                all: _mm_and_si128(p.all, q.all),
+                adjacent: _mm_or_si128(p.adjacent, q.adjacent),
+            }
+        }
+
+        /// Applies `f` to every field.
+        fn map(self, f: impl Fn(__m128i) -> __m128i) -> Counts {
+            Counts {
+                one: f(self.one),
+                two: f(self.two),
+                three: f(self.three),
+                all: f(self.all),
+                adjacent: f(self.adjacent),
+            }
+        }
+
+        /// Applies `f` to every pair of fields.
+        fn zip(self, other: Counts, f: impl Fn(__m128i, __m128i) -> __m128i) -> Counts {
+            Counts {
+                one: f(self.one, other.one),
+                two: f(self.two, other.two),
+                three: f(self.three, other.three),
+                all: f(self.all, other.all),
+                adjacent: f(self.adjacent, other.adjacent),
+            }
+        }
+    }
+
+    /// Lanes `l + 1` of `v` then `next`: lane 7 takes lane 0 of `next`.
+    #[target_feature(enable = "sse2")]
+    fn successors(v: __m128i, next: __m128i) -> __m128i {
+        _mm_or_si128(_mm_srli_si128::<2>(v), _mm_slli_si128::<14>(next))
+    }
+
+    /// The kernel behind [`Classes::of`].
+    #[target_feature(enable = "sse2")]
+    fn classes(words: &[u64; 8]) -> Classes {
+        let zero = _mm_setzero_si128();
+        let sign = _mm_set1_epi16(i16::MIN);
+        // Lane 7 of the last vector is symbol 31, which has no delta.
+        let last = _mm_set_epi16(-1, 0, 0, 0, 0, 0, 0, 0);
+        // Lane l of sym[v] is symbol 8v + l; of next[v], symbol 8v + l + 1
+        // (0 past the line).
+        let sym: [__m128i; 4] =
+            std::array::from_fn(|v| _mm_set_epi64x(words[2 * v + 1] as i64, words[2 * v] as i64));
+        let next: [__m128i; 4] =
+            std::array::from_fn(|v| successors(sym[v], *sym.get(v + 1).unwrap_or(&zero)));
+        let mut y = [zero; 4];
+        let mut msb = [zero; 4];
+        for v in 0..4 {
+            let diff = _mm_sub_epi16(next[v], sym[v]);
+            // The borrow out of the 16-bit difference: symbol > successor
+            // as unsigned, a signed compare after flipping the top bits.
+            let borrow = _mm_cmpgt_epi16(_mm_xor_si128(sym[v], sign), _mm_xor_si128(next[v], sign));
+            y[v] = _mm_xor_si128(diff, _mm_slli_epi16::<1>(diff));
+            msb[v] = _mm_xor_si128(borrow, diff);
+        }
+        y[3] = _mm_andnot_si128(last, y[3]);
+        let mut data = Counts::new();
+        let mut delta = Counts::new();
+        for v in 0..4 {
+            data.add(sym[v], next[v], zero);
+            let pad = if v == 3 { last } else { zero };
+            delta.add(y[v], successors(y[v], *y.get(v + 1).unwrap_or(&zero)), pad);
+        }
+        // The borrow-mixed plane's 31 bits: the sign of each lane.
+        let signs = |a, b| _mm_movemask_epi8(_mm_packs_epi16(a, b)) as u32;
+        let top = (signs(msb[0], msb[1]) | signs(msb[2], msb[3]) << 16) & DELTA_MASK;
+        // Fold each set's eight lanes into lane 0 (transformed) and lane
+        // 4 (untransformed) of one vector.
+        let folded = delta
+            .zip(data, |t, d| _mm_unpacklo_epi64(t, d))
+            .merge(delta.zip(data, |t, d| _mm_unpackhi_epi64(t, d)));
+        let folded = folded.merge(folded.map(|x| _mm_srli_si128::<4>(x)));
+        let folded = folded.merge(folded.map(|x| _mm_srli_si128::<2>(x)));
+        // Lane 0 to bits 0..16, lane 4 to bits 32..48.
+        let mask = |x| _mm_cvtsi128_si64(_mm_shuffle_epi32::<0b00_00_10_00>(x)) as u64 & FIELDS;
+        let rest = top & top.wrapping_sub(1);
+        let flag = |set: bool| (set as u64) << 16;
+        Classes {
+            any: mask(folded.one) | flag(top != 0),
+            all: mask(folded.all) | flag(top == DELTA_MASK),
+            two: mask(folded.two) | flag(rest != 0),
+            three: mask(folded.three) | flag(rest & rest.wrapping_sub(1) != 0),
+            adjacent: mask(folded.adjacent) | flag(top & (top >> 1) != 0),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,6 +880,7 @@ mod tests {
 
     /// Single and adjacent-pair planes at both ends of `lanes` lanes,
     /// all-ones, and their inversions.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     fn edge_planes(lanes: u32) -> Vec<u32> {
         let ones = u32::MAX >> (32 - lanes);
         let mut planes = vec![ones];
@@ -759,10 +893,11 @@ mod tests {
         planes
     }
 
-    /// The class bit of plane `k` that `plane` must set, checked against
+    /// The class bit `k` that `plane` must set, checked against
     /// `classes`.
-    fn assert_class(classes: Classes, k: usize, plane: u32, ones: u32) {
-        let bit = |mask: u32| mask >> k & 1 == 1;
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn assert_class(classes: kernel::Classes, k: u32, plane: u32, ones: u32) {
+        let bit = |mask: u64| mask >> k & 1 == 1;
         assert!(bit(classes.any), "plane {k} {plane:#x}: not non-zero");
         assert_eq!(bit(classes.all), plane == ones, "plane {k} {plane:#x}: all");
         assert_eq!(bit(classes.two), plane.count_ones() >= 2, "plane {k}");
@@ -771,6 +906,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     fn lane_classes_reach_every_code_table_edge() {
         for k in 0..16 {
             for plane in edge_planes(32) {
@@ -778,15 +914,16 @@ mod tests {
                 // it, or at one end when k is 0 or 15.
                 let syms = std::array::from_fn(|j| ((plane >> j & 1) as u16) << k);
                 let line = line_from_symbols(&syms);
-                let classes = Classes::of_lanes(&words(&line), 0);
-                assert_eq!(classes.any, 1 << k);
-                assert_class(classes, k, plane, u32::MAX);
+                let classes = kernel::Classes::of(&words(&line));
+                assert_eq!(classes.any >> kernel::DATA, 1 << k);
+                assert_class(classes, kernel::DATA + k, plane, u32::MAX);
                 roundtrip(&line);
             }
         }
     }
 
     #[test]
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     fn delta_classes_reach_every_code_table_edge() {
         for k in 0..16 {
             for plane in edge_planes(31) {
@@ -800,8 +937,8 @@ mod tests {
                         syms[j + 1] = syms[j].wrapping_add(d);
                     }
                     let line = line_from_symbols(&syms);
-                    let classes = Classes::of_deltas(&words(&line));
-                    assert_eq!(classes.any & LANE_PLANES, 1 << k);
+                    let classes = kernel::Classes::of(&words(&line));
+                    assert_eq!(classes.any & 0xFFFF, 1 << k);
                     assert_class(classes, k, plane, DELTA_MASK);
                     roundtrip(&line);
                 }
@@ -810,6 +947,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     fn borrow_plane_classes() {
         // The top plane holds borrow ⊕ delta bit 15: set exactly where
         // a symbol rises by at least 0x8000 or falls by more. It is never
@@ -822,11 +960,24 @@ mod tests {
                 let jump = plane >> j & 1 == 1;
                 syms[j + 1] = if jump { !syms[j] } else { syms[j] };
             }
-            let classes = Classes::of_deltas(&words(&line_from_symbols(&syms)));
+            let classes = kernel::Classes::of(&words(&line_from_symbols(&syms)));
             assert_class(classes, 16, plane, DELTA_MASK);
             for offset in [0, 1, 0x8000, 0xBEEF] {
                 roundtrip(&line_from_symbols(&syms.map(|s| s.wrapping_add(offset))));
             }
+        }
+    }
+
+    #[test]
+    fn only_the_zero_line_takes_one_byte() {
+        // Device metadata stores a 1-byte size as a zero line. Any other
+        // line has a non-zero plane (3+ bits) and, unless every plane is
+        // non-zero, a zero run (7 bits): 12+ bits with the mode header.
+        assert_eq!(Bpc::new().compressed_size(&[0; LINE_SIZE]), 1);
+        for bit in 0..LINE_SIZE * 8 {
+            let mut line = [0u8; LINE_SIZE];
+            line[bit / 8] = 1 << (bit % 8);
+            assert!(roundtrip(&line) >= 2, "bit {bit}");
         }
     }
 

@@ -44,6 +44,8 @@
 //! assert_eq!(roundtrip, line);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod bdi;
 pub mod bins;
 mod bits;
@@ -193,7 +195,7 @@ pub trait Compressor {
 /// all-zero lines are handled purely in (cached) metadata and require no
 /// DRAM data access (§VII-A).
 pub fn is_zero_line(line: &Line) -> bool {
-    line.iter().all(|&b| b == 0)
+    *line == [0; LINE_SIZE]
 }
 
 /// Decompresses any [`CompressedLine`] by dispatching on its algorithm tag.

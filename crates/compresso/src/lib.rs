@@ -46,6 +46,8 @@
 //! assert!(device.compression_ratio() >= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod compresso;
 pub mod config;

@@ -14,6 +14,8 @@
 //! only the ratios between these constants matter, and those are anchored
 //! to the paper's reported percentages.
 
+#![forbid(unsafe_code)]
+
 use compresso_core::DeviceStats;
 use compresso_mem_sim::MemStats;
 

@@ -7,12 +7,14 @@
 //! with BDI (because BPC produces more size-diverse lines).
 
 use crate::sweep::{run_cells, successes, SweepOptions};
-use compresso_compression::{Bdi, BinSet, Bpc, Compressor};
+use compresso_compression::{Bdi, BinSet, Bpc, Compressor, LINE_SIZE};
 use compresso_core::{lcp_plan, PageAllocation};
 use compresso_telemetry::{
     CellMetrics, Counter, EpochRecorder, LatencyHistogram, MetricsReport, Registry,
 };
-use compresso_workloads::{all_benchmarks, BenchmarkProfile, DataWorld, PAGE_BYTES};
+use compresso_workloads::{
+    all_benchmarks, BenchmarkProfile, DataWorld, LINES_PER_PAGE, PAGE_BYTES,
+};
 
 /// Ratios for one benchmark.
 #[derive(Debug, Clone)]
@@ -75,20 +77,21 @@ pub fn ratios_for(
 
     let pages = profile.footprint_pages.min(max_pages) as u64;
     let mut totals = [0u64; 4]; // bpc_lp, bpc_lcp, bdi_lp, bdi_lcp
+    let mut lines = [[0; LINE_SIZE]; LINES_PER_PAGE as usize];
     for page in 0..pages {
         let mut bpc_sizes = [0usize; 64];
         let mut bdi_sizes = [0usize; 64];
-        for line in 0..64u64 {
-            let data = world.line_data(page * PAGE_BYTES + line * 64);
+        world.page_lines(page * PAGE_BYTES, &mut lines);
+        for (line, data) in lines.iter().enumerate() {
             lines_scanned += 1;
-            if compresso_compression::is_zero_line(&data) {
+            if compresso_compression::is_zero_line(data) {
                 zero_lines += 1;
                 continue;
             }
-            bpc_sizes[line as usize] = bpc.compressed_size(&data);
-            bdi_sizes[line as usize] = bdi.compressed_size(&data);
-            bpc_bytes.record(bpc_sizes[line as usize] as u64);
-            bdi_bytes.record(bdi_sizes[line as usize] as u64);
+            bpc_sizes[line] = bpc.compressed_size(data);
+            bdi_sizes[line] = bdi.compressed_size(data);
+            bpc_bytes.record(bpc_sizes[line] as u64);
+            bdi_bytes.record(bdi_sizes[line] as u64);
         }
         totals[0] += page_bytes_linepack(&bpc_sizes, &bins);
         totals[1] += page_bytes_lcp(&bpc_sizes, &bins);
@@ -151,16 +154,17 @@ pub fn bpc_modification_gain(profile: &BenchmarkProfile, max_pages: usize) -> (f
     let bpc = Bpc::new();
     let pages = profile.footprint_pages.min(max_pages) as u64;
     let (mut modified, mut baseline) = (0u64, 0u64);
+    let mut lines = [[0; LINE_SIZE]; LINES_PER_PAGE as usize];
     for page in 0..pages {
         let mut mod_sizes = [0usize; 64];
         let mut base_sizes = [0usize; 64];
-        for line in 0..64u64 {
-            let data = world.line_data(page * PAGE_BYTES + line * 64);
-            if compresso_compression::is_zero_line(&data) {
+        world.page_lines(page * PAGE_BYTES, &mut lines);
+        for (line, data) in lines.iter().enumerate() {
+            if compresso_compression::is_zero_line(data) {
                 continue;
             }
-            mod_sizes[line as usize] = bpc.compress(&data).size_bytes();
-            base_sizes[line as usize] = bpc.compress_transform_only(&data).size_bytes();
+            mod_sizes[line] = bpc.compress(data).size_bytes();
+            base_sizes[line] = bpc.compress_transform_only(data).size_bytes();
         }
         modified += page_bytes_linepack(&mod_sizes, &bins);
         baseline += page_bytes_linepack(&base_sizes, &bins);

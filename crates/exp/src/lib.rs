@@ -35,6 +35,8 @@
 //! rows together with one exportable metric bundle per sweep cell;
 //! callers that only want the rows take `.0`.
 
+#![forbid(unsafe_code)]
+
 pub mod energy_fig;
 pub mod fig2;
 pub mod fig7;

@@ -16,7 +16,7 @@ use compresso_workloads::{
 };
 
 /// Performance numbers for one workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfRow {
     /// Benchmark or mix name.
     pub workload: String,
@@ -118,27 +118,47 @@ pub fn perf_row(
     cap_ops: usize,
     epoch: u64,
 ) -> PerfRow {
+    perf_rows(profile, &[fraction], cycle_ops, cap_ops, epoch)
+        .pop()
+        .expect("one row per fraction")
+}
+
+/// [`perf_row`] at each of `fractions`, sharing one set of cycle runs:
+/// the capacity fraction enters only the memory-capacity side.
+fn perf_rows(
+    profile: &BenchmarkProfile,
+    fractions: &[f64],
+    cycle_ops: usize,
+    cap_ops: usize,
+    epoch: u64,
+) -> Vec<PerfRow> {
     let base = run_single_epoch(profile, &SystemKind::Uncompressed, cycle_ops, epoch);
     let lcp = run_single_epoch(profile, &SystemKind::Lcp, cycle_ops, epoch);
     let align = run_single_epoch(profile, &SystemKind::LcpAlign, cycle_ops, epoch);
     let comp = run_single_epoch(profile, &SystemKind::Compresso, cycle_ops, epoch);
 
     let rel = |r: &RunResult| base.cycles as f64 / r.cycles.max(1) as f64;
-    let ([memcap_lcp, memcap_compresso, memcap_unconstrained], stalled) =
-        memcap_rels(profile, fraction, lcp.ratio, comp.ratio, cap_ops);
-    PerfRow {
-        workload: profile.name.to_string(),
-        cycle_lcp: rel(&lcp),
-        cycle_align: rel(&align),
-        cycle_compresso: rel(&comp),
-        memcap_lcp,
-        memcap_compresso,
-        memcap_unconstrained,
-        stalled,
-        ratio_lcp: lcp.ratio,
-        ratio_compresso: comp.ratio,
-        metrics: merge_system_metrics(&base, &lcp, &align, &comp),
-    }
+    let metrics = merge_system_metrics(&base, &lcp, &align, &comp);
+    fractions
+        .iter()
+        .map(|&fraction| {
+            let ([memcap_lcp, memcap_compresso, memcap_unconstrained], stalled) =
+                memcap_rels(profile, fraction, lcp.ratio, comp.ratio, cap_ops);
+            PerfRow {
+                workload: profile.name.to_string(),
+                cycle_lcp: rel(&lcp),
+                cycle_align: rel(&align),
+                cycle_compresso: rel(&comp),
+                memcap_lcp,
+                memcap_compresso,
+                memcap_unconstrained,
+                stalled,
+                ratio_lcp: lcp.ratio,
+                ratio_compresso: comp.ratio,
+                metrics: metrics.clone(),
+            }
+        })
+        .collect()
 }
 
 /// Fig. 10: all 30 single-core benchmarks at 70% constrained memory,
@@ -285,41 +305,51 @@ pub struct Tab2Row {
     pub single_core: (f64, f64, f64),
 }
 
+/// The memory constraints of Tab. II, as fractions of the footprint.
+const TAB2_FRACTIONS: [f64; 3] = [0.8, 0.7, 0.6];
+
 /// Runs the Tab. II sweep on the single-core benchmark set, with
-/// per-cell metric export. The whole (fraction × benchmark) grid is one
-/// flat sweep; rows regroup by fraction afterwards.
+/// per-cell metric export. Each benchmark is one sweep cell that runs its
+/// cycle simulations once and its capacity runs at every fraction; the
+/// exported cells are one per (fraction, benchmark), fraction-major, each
+/// carrying its benchmark cell's wall-clock.
 pub fn tab2(
     cycle_ops: usize,
     cap_ops: usize,
     opts: &SweepOptions,
 ) -> (Vec<Tab2Row>, Vec<CellMetrics>) {
-    const FRACTIONS: [f64; 3] = [0.8, 0.7, 0.6];
-    let benchmarks = all_benchmarks();
-    let per_fraction = benchmarks.len();
-    let cells: Vec<(String, (f64, BenchmarkProfile))> = FRACTIONS
-        .iter()
-        .flat_map(|&fraction| {
-            benchmarks.iter().map(move |p| {
-                (
-                    format!("tab2/{}@{:.0}%", p.name, fraction * 100.0),
-                    (fraction, p.clone()),
-                )
-            })
-        })
+    let cells: Vec<(String, BenchmarkProfile)> = all_benchmarks()
+        .into_iter()
+        .map(|p| (format!("tab2/{}", p.name), p))
         .collect();
     let outcomes = run_cells(
         cells,
-        |(fraction, p)| perf_row(&p, fraction, cycle_ops, cap_ops, opts.epoch),
+        |p| perf_rows(&p, &TAB2_FRACTIONS, cycle_ops, cap_ops, opts.epoch),
         opts,
     );
-    let metrics = crate::metrics::collect(&outcomes, |r| &r.metrics);
-    let rows = successes(outcomes);
-    let tab = FRACTIONS
+    let metrics = TAB2_FRACTIONS
         .iter()
-        .zip(rows.chunks(per_fraction))
-        .map(|(&fraction, chunk)| Tab2Row {
+        .enumerate()
+        .flat_map(|(i, fraction)| {
+            outcomes.iter().filter_map(move |o| {
+                let label = format!("{}@{:.0}%", o.label, fraction * 100.0);
+                let rows = o.result.as_ref().ok()?;
+                Some(crate::metrics::cell(&label, o.millis, &rows[i].metrics))
+            })
+        })
+        .collect();
+    let mut by_fraction = vec![Vec::new(); TAB2_FRACTIONS.len()];
+    for rows in successes(outcomes) {
+        for (column, row) in by_fraction.iter_mut().zip(rows) {
+            column.push(row);
+        }
+    }
+    let tab = TAB2_FRACTIONS
+        .iter()
+        .zip(&by_fraction)
+        .map(|(&fraction, rows)| Tab2Row {
             fraction,
-            single_core: summarize(chunk).memcap,
+            single_core: summarize(rows).memcap,
         })
         .collect();
     (tab, metrics)
@@ -338,6 +368,17 @@ mod tests {
         assert!(row.memcap_compresso >= 0.95);
         // Compresso's ratio should beat LCP's.
         assert!(row.ratio_compresso >= row.ratio_lcp * 0.95);
+    }
+
+    #[test]
+    fn shared_cycle_runs_match_one_perf_row_per_fraction() {
+        let p = benchmark("mcf").unwrap();
+        let rows = perf_rows(&p, &TAB2_FRACTIONS, 2_000, 200_000, 0);
+        assert_eq!(rows.len(), TAB2_FRACTIONS.len());
+        for (row, &fraction) in rows.iter().zip(&TAB2_FRACTIONS) {
+            let alone = perf_row(&p, fraction, 2_000, 200_000, 0);
+            assert_eq!(row, &alone, "at {fraction}");
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 
 use crate::runner::SystemKind;
 use crate::sweep::{run_cells, run_grid, successes, SweepCell, SweepOptions};
-use compresso_compression::{BinSet, Bpc, Compressor};
+use compresso_compression::{BinSet, Bpc, Compressor, LINE_SIZE};
 use compresso_core::{CompressoConfig, PageAllocation};
 use compresso_telemetry::CellMetrics;
-use compresso_workloads::{all_benchmarks, BenchmarkProfile, DataWorld, PAGE_BYTES};
+use compresso_workloads::{
+    all_benchmarks, BenchmarkProfile, DataWorld, LINES_PER_PAGE, PAGE_BYTES,
+};
 
 /// Benchmarks whose cycle runs supply the overflow counts.
 const OVERFLOW_BENCHMARKS: [&str; 4] = ["gcc", "lbm", "libquantum", "Forestfire"];
@@ -34,16 +36,17 @@ fn static_ratio_of(
     let world = DataWorld::new(profile);
     let pages = profile.footprint_pages.min(max_pages) as u64;
     let mut mpa = 0u64;
+    let mut lines = [[0; LINE_SIZE]; LINES_PER_PAGE as usize];
     for page in 0..pages {
         let mut data_bytes = 0u32;
         let mut all_zero = true;
-        for line in 0..64u64 {
-            let data = world.line_data(page * PAGE_BYTES + line * 64);
-            if compresso_compression::is_zero_line(&data) {
+        world.page_lines(page * PAGE_BYTES, &mut lines);
+        for data in &lines {
+            if compresso_compression::is_zero_line(data) {
                 continue;
             }
             all_zero = false;
-            data_bytes += bins.quantize(bpc.compressed_size(&data)).bytes as u32;
+            data_bytes += bins.quantize(bpc.compressed_size(data)).bytes as u32;
         }
         if !all_zero {
             mpa += allocation.fit(data_bytes.max(1)) as u64;

@@ -18,6 +18,8 @@
 //! assert!(result.paging_fraction() < 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod balloon;
 pub mod budget;
 pub mod capacity;

@@ -33,6 +33,8 @@
 //! assert_eq!(snap.counter("cache.l1.hit.total"), Some(3));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod counters;
 pub mod epoch;
 pub mod export;

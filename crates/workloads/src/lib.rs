@@ -32,6 +32,8 @@
 //! let _ = world.line_data(0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr_map;
 pub mod data;
 pub mod mixes;

@@ -5,7 +5,7 @@
 //! worlds into a [`CombinedWorld`], one per core, separated in the OSPA
 //! space by [`CORE_STRIDE`].
 
-use crate::world::DataWorld;
+use crate::world::{DataWorld, LINES_PER_PAGE};
 use compresso_cache_sim::TraceOp;
 use compresso_compression::Line;
 
@@ -17,6 +17,16 @@ pub trait LineSource {
     /// Current bytes of the 64 B line at `line_addr`.
     fn line_data(&self, line_addr: u64) -> Line;
 
+    /// Current bytes of the 64 lines of the page at the page-aligned
+    /// `page_addr`, line `i` from `page_addr + 64 i`. The provided
+    /// implementation calls [`LineSource::line_data`] once per line;
+    /// worlds override it to do their per-page work once.
+    fn page_lines(&self, page_addr: u64, out: &mut [Line; LINES_PER_PAGE as usize]) {
+        for (addr, data) in (page_addr..).step_by(64).zip(out.iter_mut()) {
+            *data = self.line_data(addr);
+        }
+    }
+
     /// A dirty copy of `line_addr` reached memory: contents change.
     fn on_writeback(&mut self, line_addr: u64);
 
@@ -27,6 +37,10 @@ pub trait LineSource {
 impl LineSource for DataWorld {
     fn line_data(&self, line_addr: u64) -> Line {
         DataWorld::line_data(self, line_addr)
+    }
+
+    fn page_lines(&self, page_addr: u64, out: &mut [Line; LINES_PER_PAGE as usize]) {
+        DataWorld::page_lines(self, page_addr, out);
     }
 
     fn on_writeback(&mut self, line_addr: u64) {
@@ -66,6 +80,12 @@ impl LineSource for CombinedWorld {
     fn line_data(&self, line_addr: u64) -> Line {
         let (idx, inner) = self.split(line_addr);
         self.worlds[idx].line_data(inner)
+    }
+
+    fn page_lines(&self, page_addr: u64, out: &mut [Line; LINES_PER_PAGE as usize]) {
+        // CORE_STRIDE is a whole number of pages: a page has one world.
+        let (idx, inner) = self.split(page_addr);
+        self.worlds[idx].page_lines(inner, out);
     }
 
     fn on_writeback(&mut self, line_addr: u64) {

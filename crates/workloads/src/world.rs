@@ -10,7 +10,7 @@
 use crate::addr_map::AddrMap;
 use crate::data::{materialize, mix64, DataClass};
 use crate::profile::{BenchmarkProfile, Evolution, PageSpec};
-use compresso_compression::Line;
+use compresso_compression::{Line, LINE_SIZE};
 
 /// Number of bytes in an OSPA page.
 pub const PAGE_BYTES: u64 = 4096;
@@ -98,12 +98,17 @@ impl DataWorld {
     /// The *current* data class of one line, accounting for writes.
     pub fn class_of(&self, line_addr: u64) -> DataClass {
         let line = self.line_of(line_addr);
-        self.class_at(line, self.version(line))
+        self.class_in(self.page_state(line), line, self.version(line))
     }
 
-    /// The data class of canonical line `line` at write `version`.
-    fn class_at(&self, line: u64, version: u32) -> DataClass {
-        let page = &self.pages[(line / LINES_PER_PAGE) as usize];
+    /// The state of the page holding canonical line `line`.
+    fn page_state(&self, line: u64) -> &PageState {
+        &self.pages[(line / LINES_PER_PAGE) as usize]
+    }
+
+    /// The data class of canonical line `line`, on `page`, at write
+    /// `version`.
+    fn class_in(&self, page: &PageState, line: u64, version: u32) -> DataClass {
         match page.evolution {
             // Written lines of a degrading page turn incompressible.
             Evolution::Degrading if version > 0 => DataClass::Random,
@@ -111,9 +116,11 @@ impl DataWorld {
             // compressible (e.g. a sparse structure densifying to small
             // deltas).
             Evolution::Improving if version >= 3 => DataClass::DeltaInt,
+            // Static composition: secondary_pct% of lines are the
+            // secondary class, chosen by a per-line hash (which no line
+            // can pass at 0%).
+            _ if page.spec.secondary_pct == 0 => page.spec.primary,
             _ => {
-                // Static composition: secondary_pct% of lines are the
-                // secondary class, chosen by a per-line hash.
                 let r = mix64(self.seed ^ mix64(line) ^ 0x51EC) % 100;
                 if (r as u8) < page.spec.secondary_pct {
                     page.spec.secondary
@@ -121,6 +128,16 @@ impl DataWorld {
                     page.spec.primary
                 }
             }
+        }
+    }
+
+    /// The bytes of canonical line `line`, on `page`, at write `version`:
+    /// the one synthesis [`DataWorld::line_data`] and
+    /// [`DataWorld::page_lines`] share.
+    fn synthesize(&self, page: &PageState, line: u64, version: u32) -> Line {
+        match self.class_in(page, line, version) {
+            DataClass::Zero => [0; LINE_SIZE],
+            class => materialize(class, self.seed, line, version),
         }
     }
 
@@ -137,8 +154,23 @@ impl DataWorld {
     /// Materializes the current bytes of the line at `line_addr`.
     pub fn line_data(&self, line_addr: u64) -> Line {
         let line = self.line_of(line_addr);
-        let version = self.version(line);
-        materialize(self.class_at(line, version), self.seed, line, version)
+        self.synthesize(self.page_state(line), line, self.version(line))
+    }
+
+    /// Materializes the current bytes of the 64 lines of the page-aligned
+    /// `page_addr` into `out`, line `i` from `page_addr + 64 i`: the same
+    /// bytes as 64 [`DataWorld::line_data`] calls, with the footprint
+    /// wrap and the page lookup done once, and no version lookups while
+    /// no line has been written.
+    pub fn page_lines(&self, page_addr: u64, out: &mut [Line; LINES_PER_PAGE as usize]) {
+        debug_assert_eq!(page_addr % PAGE_BYTES, 0, "page_addr must be page-aligned");
+        let first = self.line_of(page_addr);
+        let page = self.page_state(first);
+        let written = !self.versions.is_empty();
+        for (line, data) in (first..).zip(out.iter_mut()) {
+            let version = if written { self.version(line) } else { 0 };
+            *data = self.synthesize(page, line, version);
+        }
     }
 
     /// Records that a dirty copy of `line_addr` reached memory: the line's

@@ -13,6 +13,8 @@
 //! assert!(device.config().repacking);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use compresso_cache_sim as cache_sim;
 pub use compresso_compression as compression;
 pub use compresso_core as core;
