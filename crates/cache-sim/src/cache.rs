@@ -42,22 +42,17 @@ pub struct CacheAccess {
 ///
 /// Addresses are byte addresses; lines are 64 B. The ways are stored
 /// flat and set-major: way `w` of set `s` is slot `s * assoc + w` of
-/// `keys` and `stamps`.
+/// `ways`.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// Per slot: 0 when the way is invalid, else its line's tag + 1.
-    keys: Vec<u64>,
-    /// Per slot: the way's last-use stamp, 0 when invalid. Valid stamps
-    /// are unique and at least 1, so the first smallest stamp of a set is
-    /// its first invalid way, else its LRU way.
-    stamps: Vec<u64>,
-    /// Per set: bit `w` is set while way `w` holds a dirty line. An
-    /// invalid way is never dirty.
-    dirty: Vec<u64>,
+    /// Per slot: 0 when the way is invalid, else `(tag + 1) << 1 | dirty`.
+    /// Each set is kept in recency order, most recently used first and
+    /// invalid ways at the tail, so a set's last slot is its victim: an
+    /// invalid way if the set has one, else the LRU line.
+    ways: Vec<u64>,
     assoc: usize,
     set_bits: u32,
     set_mask: u64,
-    stamp: u64,
     stats: CacheEvents,
 }
 
@@ -69,24 +64,17 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two number of sets, or if
-    /// `assoc` is 0 or above 64.
+    /// Panics if `assoc` is 0 or the geometry is not a power-of-two number
+    /// of sets.
     pub fn new(capacity_bytes: u64, assoc: usize) -> Self {
-        assert!(
-            (1..=64).contains(&assoc),
-            "associativity must be 1 to 64 (one dirty bit per way)"
-        );
+        assert!(assoc >= 1, "associativity must be at least 1");
         let sets = capacity_bytes / LINE_BYTES / assoc as u64;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        let slots = sets as usize * assoc;
         Self {
-            keys: vec![0; slots],
-            stamps: vec![0; slots],
-            dirty: vec![0; sets as usize],
+            ways: vec![0; sets as usize * assoc],
             assoc,
             set_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
-            stamp: 0,
             stats: CacheEvents::default(),
         }
     }
@@ -102,13 +90,16 @@ impl Cache {
         self.stats.register_metrics(registry, prefix);
     }
 
-    /// The set of `addr` and the key its line holds in that set.
+    /// The set of `addr` and the way word of its line when clean.
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr / LINE_BYTES;
-        ((line & self.set_mask) as usize, (line >> self.set_bits) + 1)
+        (
+            (line & self.set_mask) as usize,
+            ((line >> self.set_bits) + 1) << 1,
+        )
     }
 
-    /// The slot range of `set` in `keys` and `stamps`.
+    /// The slot range of `set` in `ways`.
     fn slots(&self, set: usize) -> std::ops::Range<usize> {
         set * self.assoc..(set + 1) * self.assoc
     }
@@ -116,46 +107,33 @@ impl Cache {
     /// Looks up `addr` without changing state; returns `true` on hit.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, key) = self.index(addr);
-        self.keys[self.slots(set)].contains(&key)
+        self.ways[self.slots(set)].iter().any(|&w| w & !1 == key)
     }
 
     /// Accesses `addr`, allocating on miss. `is_write` marks the line
     /// dirty. Returns hit/miss and any dirty eviction.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
-        self.stamp += 1;
         let (set, key) = self.index(addr);
+        let dirty = u64::from(is_write);
         let slots = self.slots(set);
-        let keys = &mut self.keys[slots.clone()];
-        let stamps = &mut self.stamps[slots];
-        let write_bit = |way: usize| u64::from(is_write) << way;
-        if let Some(way) = keys.iter().position(|&k| k == key) {
-            stamps[way] = self.stamp;
-            self.dirty[set] |= write_bit(way);
+        let ways = &mut self.ways[slots];
+        if let Some(pos) = ways.iter().position(|&w| w & !1 == key) {
+            ways[..=pos].rotate_right(1);
+            ways[0] |= dirty;
             self.stats.hits += 1;
             return CacheAccess {
                 hit: true,
                 evicted_dirty: None,
             };
         }
+        let victim = *ways.last().expect("associativity >= 1");
+        ways.rotate_right(1);
+        ways[0] = key | dirty;
         self.stats.misses += 1;
-        // Victim: the first invalid way, else the LRU way.
-        let victim = stamps
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &stamp)| stamp)
-            .map(|(way, _)| way)
-            .expect("associativity >= 1");
-        let old_key = keys[victim];
-        keys[victim] = key;
-        stamps[victim] = self.stamp;
-        let was_dirty = self.dirty[set] >> victim & 1 == 1;
-        self.dirty[set] = self.dirty[set] & !(1 << victim) | write_bit(victim);
-        let evicted_dirty = if was_dirty {
+        let evicted_dirty = (victim & 1 == 1).then(|| {
             self.stats.writebacks += 1;
-            Some(self.line_addr(set, old_key - 1))
-        } else {
-            None
-        };
+            self.line_addr(set, (victim >> 1) - 1)
+        });
         CacheAccess {
             hit: false,
             evicted_dirty,
@@ -167,11 +145,11 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) -> Option<u64> {
         let (set, key) = self.index(addr);
         let slots = self.slots(set);
-        let way = self.keys[slots.clone()].iter().position(|&k| k == key)?;
-        self.keys[slots.start + way] = 0;
-        self.stamps[slots.start + way] = 0;
-        let was_dirty = self.dirty[set] >> way & 1 == 1;
-        self.dirty[set] &= !(1 << way);
+        let ways = &mut self.ways[slots];
+        let pos = ways.iter().position(|&w| w & !1 == key)?;
+        let was_dirty = ways[pos] & 1 == 1;
+        ways[pos..].rotate_left(1);
+        *ways.last_mut().expect("associativity >= 1") = 0;
         was_dirty.then_some(addr / LINE_BYTES * LINE_BYTES)
     }
 

@@ -4,9 +4,11 @@
 //! (Tab. III). We approximate out-of-order execution the way many
 //! memory-system studies do: non-memory instructions retire at the issue
 //! width; cache hits below L1 expose a small fixed penalty (most of their
-//! latency is hidden by the ROB); main-memory misses are fully exposed but
-//! may overlap with each other up to a memory-level-parallelism (MLP)
+//! latency is hidden by the ROB); main-memory misses, loads and stores
+//! alike, overlap with each other up to a memory-level-parallelism (MLP)
 //! window, modelling the ROB's ability to keep several misses in flight.
+//! The core waits for a miss only when the window is full, and then only
+//! until the oldest one completes.
 
 use crate::hierarchy::{Backend, Hierarchy, HitLevel};
 use std::collections::VecDeque;
@@ -115,14 +117,14 @@ impl Core {
             TraceOp::Read(addr) => {
                 self.stats.instructions += 1;
                 self.stats.loads += 1;
-                self.mem_access(addr, false, hierarchy, backend, true);
+                self.mem_access(addr, false, hierarchy, backend);
             }
             TraceOp::Write(addr) => {
                 self.stats.instructions += 1;
                 self.stats.stores += 1;
-                // Stores retire through the store buffer: the fill (RFO)
-                // consumes an MLP slot but the core does not wait for it.
-                self.mem_access(addr, true, hierarchy, backend, false);
+                // Like a load's, a store's fill (RFO) takes an MLP slot
+                // and the core waits for it only once the window is full.
+                self.mem_access(addr, true, hierarchy, backend);
             }
         }
     }
@@ -133,7 +135,6 @@ impl Core {
         is_write: bool,
         hierarchy: &mut Hierarchy,
         backend: &mut B,
-        _blocking: bool,
     ) {
         let access = hierarchy.access(self.cycle, addr, is_write, backend);
         match access.level {

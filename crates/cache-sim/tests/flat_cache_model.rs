@@ -1,8 +1,8 @@
-//! The flat set-major [`Cache`] against a reference model: the
-//! straightforward `Vec<Vec<Way>>` cache it replaced, with a valid flag,
-//! dirty flag and use stamp per way. Random access / write / invalidate
-//! streams must give identical results, probes and statistics at every
-//! step.
+//! The recency-ordered [`Cache`] against a reference model: a
+//! straightforward `Vec<Vec<Way>>` cache with a valid flag, dirty flag and
+//! use stamp per way, whose victim is found by the smallest stamp. Random
+//! access / write / invalidate streams must give identical results, probes
+//! and statistics at every step.
 
 use compresso_cache_sim::{Cache, CacheAccess, CacheStats, LINE_BYTES};
 use proptest::prelude::*;
@@ -148,7 +148,7 @@ proptest! {
 
     #[test]
     fn flat_cache_matches_the_way_vector_model(
-        assoc in prop::sample::select(vec![1usize, 2, 8, 16]),
+        assoc in prop::sample::select(vec![1usize, 2, 8, 16, 64]),
         sets in prop::sample::select(vec![1u64, 2, 8]),
         steps in prop::collection::vec((0u8..3, any::<u64>()), 1..600),
     ) {
@@ -157,7 +157,7 @@ proptest! {
 
     #[test]
     fn flat_cache_matches_the_model_on_write_heavy_streams(
-        assoc in prop::sample::select(vec![1usize, 2, 8, 16]),
+        assoc in prop::sample::select(vec![1usize, 2, 8, 16, 64]),
         steps in prop::collection::vec((0u8..2, any::<u64>()), 1..600),
     ) {
         // Reads and writes only: every set fills and keeps evicting.

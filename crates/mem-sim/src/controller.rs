@@ -71,6 +71,16 @@ impl MemStats {
 #[derive(Debug, Clone)]
 pub struct MainMemory {
     config: MemConfig,
+    /// Service cycles of a row hit, a closed row and a row conflict, and
+    /// the data burst's share of each, all in core cycles.
+    hit_cycles: u64,
+    closed_cycles: u64,
+    conflict_cycles: u64,
+    burst_cycles: u64,
+    /// `log2(row_bytes)` and `log2(banks)`: above an address's row
+    /// offset come its bank bits, then its row.
+    row_shift: u32,
+    bank_bits: u32,
     banks: Vec<Bank>,
     /// Cycle the shared data bus frees.
     bus_free_at: u64,
@@ -84,12 +94,31 @@ pub struct MainMemory {
 
 impl MainMemory {
     /// Creates a memory from `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `config.banks` and `config.row_bytes` are powers of
+    /// two.
     pub fn new(config: MemConfig) -> Self {
+        assert!(
+            config.banks.is_power_of_two(),
+            "bank count must be a power of two"
+        );
+        assert!(
+            config.row_bytes.is_power_of_two(),
+            "row size must be a power of two"
+        );
         let banks: Vec<Bank> = (0..config.banks).map(|_| Bank::new()).collect();
         let bank_latency = (0..config.banks)
             .map(|_| LatencyHistogram::cycles())
             .collect();
         Self {
+            hit_cycles: config.row_hit_cycles(),
+            closed_cycles: config.row_closed_cycles(),
+            conflict_cycles: config.row_conflict_cycles(),
+            burst_cycles: config.to_core_cycles(config.timing.burst_cycles()),
+            row_shift: config.row_bytes.trailing_zeros(),
+            bank_bits: config.banks.trailing_zeros(),
             config,
             banks,
             bus_free_at: 0,
@@ -119,10 +148,12 @@ impl MainMemory {
         }
     }
 
+    /// The bank and row of `addr`: consecutive rows interleave across
+    /// the banks.
     fn map(&self, addr: u64) -> (usize, u64) {
-        let row_bytes = self.config.row_bytes;
-        let bank = ((addr / row_bytes) % self.config.banks as u64) as usize;
-        let row = addr / (row_bytes * self.config.banks as u64);
+        let row_index = addr >> self.row_shift;
+        let bank = (row_index & ((1 << self.bank_bits) - 1)) as usize;
+        let row = row_index >> self.bank_bits;
         (bank, row)
     }
 
@@ -132,24 +163,21 @@ impl MainMemory {
         let service = match outcome {
             RowBufferOutcome::Hit => {
                 self.stats.row_hits += 1;
-                self.config.row_hit_cycles()
+                self.hit_cycles
             }
             RowBufferOutcome::Closed => {
                 self.stats.row_closed += 1;
                 self.stats.activations += 1;
-                self.config.row_closed_cycles()
+                self.closed_cycles
             }
             RowBufferOutcome::Conflict => {
                 self.stats.row_conflicts += 1;
                 self.stats.activations += 1;
-                self.config.row_conflict_cycles()
+                self.conflict_cycles
             }
         };
         // Data bus occupancy: one burst per access.
-        let burst = self
-            .config
-            .to_core_cycles(self.config.timing.burst_cycles());
-        let earliest = now.max(self.bus_free_at.saturating_sub(service - burst));
+        let earliest = now.max(self.bus_free_at.saturating_sub(service - self.burst_cycles));
         let start = self.banks[bank_idx].access(earliest, row, service);
         let complete = start + service;
         self.bus_free_at = self.bus_free_at.max(complete);
@@ -286,6 +314,15 @@ mod tests {
             .expect("bank 0 histogram");
         assert_eq!(bank0.count, 2, "both accesses map to bank 0");
         assert!(bank0.p50() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two")]
+    fn non_power_of_two_bank_count_is_rejected() {
+        MainMemory::new(MemConfig {
+            banks: 12,
+            ..MemConfig::ddr4_2666()
+        });
     }
 
     #[test]
