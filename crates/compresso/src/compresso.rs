@@ -114,10 +114,8 @@ impl MetadataHooks for CompressoDevice {
         self.maybe_corrupt_metadata(t, page)
     }
 
-    /// Every eviction feeds the predictor and is the repacking trigger
-    /// (§IV-B4).
+    /// Every eviction is the repacking trigger (§IV-B4).
     fn on_evict(&mut self, t: u64, victim: u64) {
-        self.predictor.on_mcache_eviction(victim);
         if self.cfg.repacking {
             self.maybe_repack(t, victim);
         }
@@ -336,20 +334,17 @@ impl CompressoDevice {
             }
             self.ctl.dur_events.scrub_crc_failures += 1;
             self.ctl.stats.corruption_detected += 1;
-            match self.ctl.committed.get(&page).map(|c| &c.entry) {
-                Some(&JournalRecord::EntryUpdate { packed: good, .. }) => {
-                    self.durable.insert(page, good);
-                    self.ctl.dur_events.scrub_repairs += 1;
-                }
-                _ => {
-                    // No committed image to repair from: degrade the
-                    // page via the PR 1 uncompressed-fallback path and
-                    // re-commit a fresh entry.
-                    self.ctl.dur_events.scrub_fallbacks += 1;
-                    self.corruption_fallback(now, page);
-                    self.commit_meta(page);
-                }
+            // A page enters `durable` with its committed entry image
+            // (`commit_meta`, `recover`) and leaves with it
+            // (`commit_page_free`), so every rotted entry has a repair
+            // source.
+            let good = match self.ctl.committed.get(&page).map(|c| &c.entry) {
+                Some(&JournalRecord::EntryUpdate { packed, .. }) => Some(packed),
+                _ => None,
             }
+            .expect("a durable page has a committed entry image");
+            self.durable.insert(page, good);
+            self.ctl.dur_events.scrub_repairs += 1;
         }
     }
 
@@ -927,12 +922,15 @@ impl CompressoDevice {
 
     fn handle_overflow(&mut self, now: u64, page: u64, line: usize) -> u64 {
         self.ctl.stats.line_overflows += 1;
-        self.predictor.line_overflow(page);
+        let local = self.ctl.mcache.local_counter(page).map(|c| {
+            c.up();
+            *c
+        });
 
         // Page-overflow prediction: store the whole page uncompressed.
         // A refused inflation falls through to the ordinary handling.
         if self.cfg.prediction
-            && self.predictor.should_inflate(page)
+            && local.is_some_and(|c| self.predictor.should_inflate(c))
             && self.inflate_page(now, page)
         {
             let meta = &self.pages[&page].meta;
@@ -1110,7 +1108,9 @@ impl Backend for CompressoDevice {
             // Underflow: data shrank; the slot keeps its size and the
             // potential free space is harvested by repacking.
             self.ctl.stats.line_underflows += 1;
-            self.predictor.line_underflow(page);
+            if let Some(c) = self.ctl.mcache.local_counter(page) {
+                c.down();
+            }
         }
         if new_bin.bytes == 0 {
             // The line became all zeros: a pure metadata update (the

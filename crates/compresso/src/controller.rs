@@ -160,7 +160,7 @@ impl Controller {
         Self {
             world,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
-            mcache: MetadataCache::paper_default(half_entries),
+            mcache: MetadataCache::new(96 * 1024, half_entries),
             stats: DeviceEvents::default(),
             registry: Registry::new(),
             faults: None,

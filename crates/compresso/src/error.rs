@@ -7,7 +7,6 @@
 //! (see the "Fault model & degradation policy" section of DESIGN.md).
 
 use crate::alloc::OutOfMpaSpace;
-use crate::metadata_codec::DecodeMetadataError;
 
 /// Any error the Compresso / LCP device stack can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,25 +17,11 @@ pub enum CompressoError {
     /// An allocation was requested in a size the buddy allocator does not
     /// offer (not one of 512/1024/2048/4096 bytes).
     UnsupportedAllocSize(u32),
-    /// A packed metadata entry failed to decode (§Fig. 3 field out of
-    /// range).
-    DecodeMetadata(DecodeMetadataError),
-    /// A metadata entry was detected as corrupted (e.g. an injected bit
-    /// flip); the page can no longer be located through it.
-    CorruptMetadata {
-        /// The OSPA page whose entry is corrupt.
-        page: u64,
-    },
     /// A 2-bit LinePack size code outside the bin set reached the offset
     /// circuit.
     InvalidLineCode(u8),
     /// A line index at or above 64 reached the offset circuit.
     LineIndexOutOfRange(usize),
-    /// A metadata-cache capacity that does not yield a valid set count.
-    InvalidCacheGeometry {
-        /// The rejected capacity.
-        capacity_bytes: u64,
-    },
     /// An in-memory entry violates the packed format's hardware limits
     /// and cannot be serialized.
     UnencodableMetadata(&'static str),
@@ -52,19 +37,9 @@ impl std::fmt::Display for CompressoError {
                     "buddy allocator supports 512/1024/2048/4096 byte blocks, got {bytes}"
                 )
             }
-            CompressoError::DecodeMetadata(e) => write!(f, "metadata decode failed: {e}"),
-            CompressoError::CorruptMetadata { page } => {
-                write!(f, "metadata entry for page {page} is corrupt")
-            }
             CompressoError::InvalidLineCode(c) => write!(f, "invalid 2-bit size code {c}"),
             CompressoError::LineIndexOutOfRange(i) => {
                 write!(f, "line index {i} out of range (0..64)")
-            }
-            CompressoError::InvalidCacheGeometry { capacity_bytes } => {
-                write!(
-                    f,
-                    "metadata cache capacity {capacity_bytes} B yields no valid set count"
-                )
             }
             CompressoError::UnencodableMetadata(why) => {
                 write!(f, "metadata entry cannot be packed: {why}")
@@ -73,24 +48,11 @@ impl std::fmt::Display for CompressoError {
     }
 }
 
-impl std::error::Error for CompressoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CompressoError::DecodeMetadata(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for CompressoError {}
 
 impl From<OutOfMpaSpace> for CompressoError {
     fn from(_: OutOfMpaSpace) -> Self {
         CompressoError::OutOfMpaSpace
-    }
-}
-
-impl From<DecodeMetadataError> for CompressoError {
-    fn from(e: DecodeMetadataError) -> Self {
-        CompressoError::DecodeMetadata(e)
     }
 }
 
@@ -107,9 +69,9 @@ mod tests {
             .to_string()
             .contains("1536"));
         assert!(CompressoError::InvalidLineCode(4).to_string().contains('4'));
-        assert!(CompressoError::CorruptMetadata { page: 7 }
+        assert!(CompressoError::UnencodableMetadata("MPFN must fit 24 bits")
             .to_string()
-            .contains('7'));
+            .contains("MPFN"));
         assert!(CompressoError::LineIndexOutOfRange(64)
             .to_string()
             .contains("64"));
@@ -119,12 +81,7 @@ mod tests {
     fn conversions_preserve_meaning() {
         let e: CompressoError = OutOfMpaSpace.into();
         assert_eq!(e, CompressoError::OutOfMpaSpace);
-        let e: CompressoError = DecodeMetadataError::BadChunkCount(9).into();
-        assert_eq!(
-            e,
-            CompressoError::DecodeMetadata(DecodeMetadataError::BadChunkCount(9))
-        );
         use std::error::Error;
-        assert!(e.source().is_some());
+        assert!(e.source().is_none());
     }
 }

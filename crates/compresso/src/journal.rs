@@ -607,8 +607,6 @@ counters! {
         scrub_crc_failures => "scrub.crc_failure.total",
         /// Rotted entries repaired from the last commit's image.
         scrub_repairs => "scrub.repair.total",
-        /// Rotted entries with no commit to repair from (degraded).
-        scrub_fallbacks => "scrub.fallback.total",
         /// Journal records replayed by recovery.
         recovery_replayed => "recovery.replayed.total",
         /// Records recovery rolled back.

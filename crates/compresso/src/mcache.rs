@@ -7,9 +7,16 @@
 //! 32 B of its metadata (control + MPFNs) need caching — doubling the
 //! effective capacity for incompressible data (omnetpp, Forestfire,
 //! Pagerank, Graph500 in Fig. 6).
+//!
+//! Each cached entry also carries the page-overflow predictor's 2-bit
+//! local counter (§IV-B2, [`crate::predictor`]): a new entry starts it at
+//! 0, hits keep it, and it leaves with the entry on eviction.
 
-use crate::error::CompressoError;
+use crate::predictor::Counter2;
 use compresso_telemetry::{counters, Registry};
+
+/// Bytes of entry a set holds: eight full 64 B entries.
+const SET_BYTES: u32 = 8 * 64;
 
 /// Result of a metadata-cache access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +35,8 @@ struct Slot {
     bytes: u32,
     dirty: bool,
     used: u64,
+    /// The overflow predictor's local counter for `page`.
+    local: Counter2,
 }
 
 counters! {
@@ -35,10 +44,6 @@ counters! {
     pub struct McStats;
     /// Live counter handles behind [`McStats`].
     struct McEvents {
-        /// Hits.
-        hits => "hit.total",
-        /// Misses.
-        misses => "miss.total",
         /// Evictions (capacity).
         evictions => "eviction.total",
     }
@@ -48,43 +53,25 @@ counters! {
 #[derive(Debug, Clone)]
 pub struct MetadataCache {
     sets: Vec<Vec<Slot>>,
-    set_budget: u32,
     half_entries: bool,
     stamp: u64,
     stats: McEvents,
 }
 
 impl MetadataCache {
-    /// Creates a cache of `capacity_bytes` with 8-way-equivalent sets of
-    /// full 64 B entries. `half_entries` enables the §IV-B5 optimization.
+    /// Creates a cache of `capacity_bytes` in sets of eight full 64 B
+    /// entries, indexed by page modulo the set count; the paper's 96 KB
+    /// cache has 192 sets. `half_entries` enables the §IV-B5
+    /// optimization.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`CompressoError::InvalidCacheGeometry`] if the capacity
-    /// does not yield a power-of-two set count.
-    pub fn new(capacity_bytes: u64, half_entries: bool) -> Result<Self, CompressoError> {
-        let set_budget = 8 * 64u32;
-        let sets = capacity_bytes / set_budget as u64;
-        if !sets.is_power_of_two() {
-            return Err(CompressoError::InvalidCacheGeometry { capacity_bytes });
-        }
-        Ok(Self {
-            sets: vec![Vec::new(); sets as usize],
-            set_budget,
-            half_entries,
-            stamp: 0,
-            stats: McEvents::default(),
-        })
-    }
-
-    /// The paper's 96 KB metadata cache.
-    ///
-    /// 96 KB / 512 B-sets = 192 sets — not a power of two, so we index
-    /// modulo the set count instead.
-    pub fn paper_default(half_entries: bool) -> Self {
+    /// Panics if `capacity_bytes` holds no whole set (512 B).
+    pub fn new(capacity_bytes: u64, half_entries: bool) -> Self {
+        let sets = capacity_bytes / SET_BYTES as u64;
+        assert!(sets > 0, "a {capacity_bytes} B metadata cache holds no set");
         Self {
-            sets: vec![Vec::new(); 192],
-            set_budget: 8 * 64,
+            sets: vec![Vec::new(); sets as usize],
             half_entries,
             stamp: 0,
             stats: McEvents::default(),
@@ -96,16 +83,29 @@ impl MetadataCache {
         self.stats.snapshot()
     }
 
-    /// Registers hit/miss/eviction counters under `prefix`
+    /// Registers the eviction counter under `prefix`
     /// (e.g. `mcache` -> `mcache.eviction.total`).
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
         self.stats.register_metrics(registry, prefix);
     }
 
+    fn set_of(&self, page: u64) -> usize {
+        (page % self.sets.len() as u64) as usize
+    }
+
     /// Whether `page`'s entry is currently cached (no state change).
     pub fn probe(&self, page: u64) -> bool {
-        let set = (page % self.sets.len() as u64) as usize;
-        self.sets[set].iter().any(|s| s.page == page)
+        self.sets[self.set_of(page)].iter().any(|s| s.page == page)
+    }
+
+    /// The overflow predictor's local counter in `page`'s entry, if the
+    /// entry is cached (no recency change).
+    pub fn local_counter(&mut self, page: u64) -> Option<&mut Counter2> {
+        let set = self.set_of(page);
+        self.sets[set]
+            .iter_mut()
+            .find(|s| s.page == page)
+            .map(|s| &mut s.local)
     }
 
     fn entry_bytes(&self, uncompressed_page: bool) -> u32 {
@@ -125,8 +125,7 @@ impl MetadataCache {
         self.stamp += 1;
         let stamp = self.stamp;
         let bytes = self.entry_bytes(uncompressed_page);
-        let set_idx = (page % self.sets.len() as u64) as usize;
-        let budget = self.set_budget;
+        let set_idx = self.set_of(page);
         let set = &mut self.sets[set_idx];
 
         if let Some(slot) = set.iter_mut().find(|s| s.page == page) {
@@ -135,17 +134,15 @@ impl MetadataCache {
             // Entry size can change (page transitions compressed <->
             // uncompressed); adopt the new footprint.
             slot.bytes = bytes;
-            self.stats.hits += 1;
             return McAccess {
                 hit: true,
                 evicted: Vec::new(),
             };
         }
 
-        self.stats.misses += 1;
         let mut evicted = Vec::new();
         let mut used: u32 = set.iter().map(|s| s.bytes).sum();
-        while used + bytes > budget {
+        while used + bytes > SET_BYTES {
             let victim_idx = set
                 .iter()
                 .enumerate()
@@ -162,6 +159,7 @@ impl MetadataCache {
             bytes,
             dirty,
             used: stamp,
+            local: Counter2::default(),
         });
         McAccess {
             hit: false,
@@ -207,23 +205,20 @@ impl MetadataCache {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bad_geometry_is_a_typed_error() {
-        assert!(matches!(
-            MetadataCache::new(3 * 8 * 64, false),
-            Err(CompressoError::InvalidCacheGeometry {
-                capacity_bytes: 1536
-            })
-        ));
-        assert!(matches!(
-            MetadataCache::new(0, false),
-            Err(CompressoError::InvalidCacheGeometry { .. })
-        ));
+    /// Raises `page`'s local counter `n` times.
+    fn bump(mc: &mut MetadataCache, page: u64, n: usize) {
+        for _ in 0..n {
+            mc.local_counter(page).expect("cached").up();
+        }
+    }
+
+    fn local(mc: &mut MetadataCache, page: u64) -> Option<u8> {
+        mc.local_counter(page).map(|c| c.value())
     }
 
     #[test]
     fn evict_up_to_flushes_lru_first() {
-        let mut mc = MetadataCache::new(64 * 64, false).expect("valid geometry");
+        let mut mc = MetadataCache::new(64 * 64, false);
         mc.access(1, false, true); // oldest, dirty
         mc.access(2, false, false);
         mc.access(3, false, false);
@@ -239,16 +234,15 @@ mod tests {
 
     #[test]
     fn hit_after_insert() {
-        let mut mc = MetadataCache::new(64 * 64, false).expect("valid geometry"); // 8 sets
+        let mut mc = MetadataCache::new(64 * 64, false); // 8 sets
         assert!(!mc.access(5, false, false).hit);
         assert!(mc.access(5, false, false).hit);
-        assert_eq!(mc.stats().hits, 1);
-        assert_eq!(mc.stats().misses, 1);
+        assert_eq!(mc.stats().evictions, 0);
     }
 
     #[test]
     fn full_entries_evict_lru() {
-        let mut mc = MetadataCache::new(64 * 64, false).expect("valid geometry"); // 8 sets, 8 ways
+        let mut mc = MetadataCache::new(64 * 64, false); // 8 sets, 8 ways
         let set_stride = 8u64;
         // Fill set 0 with 8 entries, then touch entry 0 and add a ninth.
         for i in 0..8 {
@@ -260,12 +254,13 @@ mod tests {
         assert_eq!(r.evicted.len(), 1);
         assert_eq!(r.evicted[0].0, set_stride, "LRU entry (page 8) must go");
         assert!(mc.probe(0));
+        assert_eq!(mc.stats().evictions, 1);
     }
 
     #[test]
     fn half_entries_double_capacity_for_uncompressed() {
-        let mut full = MetadataCache::new(64 * 64, false).expect("valid geometry");
-        let mut half = MetadataCache::new(64 * 64, true).expect("valid geometry");
+        let mut full = MetadataCache::new(64 * 64, false);
+        let mut half = MetadataCache::new(64 * 64, true);
         let set_stride = 8u64;
         // 16 uncompressed pages mapping to one set.
         for i in 0..16 {
@@ -281,7 +276,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_is_flagged() {
-        let mut mc = MetadataCache::new(64 * 64, false).expect("valid geometry");
+        let mut mc = MetadataCache::new(64 * 64, false);
         let set_stride = 8u64;
         mc.access(0, false, true); // dirty
         for i in 1..=8 {
@@ -296,8 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_has_1536_full_entries() {
-        let mut mc = MetadataCache::paper_default(false);
+    fn paper_capacity_has_1536_full_entries() {
+        let mut mc = MetadataCache::new(96 * 1024, false); // 192 sets
         for i in 0..2000u64 {
             mc.access(i, false, false);
         }
@@ -311,9 +306,52 @@ mod tests {
 
     #[test]
     fn size_transition_adopts_new_footprint() {
-        let mut mc = MetadataCache::new(64 * 64, true).expect("valid geometry");
+        let mut mc = MetadataCache::new(64 * 64, true);
         mc.access(1, true, false); // 32B
         mc.access(1, false, false); // becomes 64B (page got compressed)
         assert!(mc.probe(1));
+    }
+
+    #[test]
+    fn local_counter_lives_in_the_entry() {
+        let mut mc = MetadataCache::new(64 * 64, true);
+        assert_eq!(local(&mut mc, 3), None, "no entry, no counter");
+        mc.access(3, false, false);
+        assert_eq!(local(&mut mc, 3), Some(0), "a new entry starts at 0");
+        bump(&mut mc, 3, 2);
+        assert!(mc.access(3, false, true).hit);
+        assert_eq!(local(&mut mc, 3), Some(2), "hits keep it");
+        mc.access(3, true, false); // 64 B -> 32 B
+        assert_eq!(local(&mut mc, 3), Some(2));
+        mc.access(3, false, false); // 32 B -> 64 B
+        assert_eq!(local(&mut mc, 3), Some(2));
+        assert_eq!(local(&mut mc, 11), None, "other pages unaffected");
+    }
+
+    #[test]
+    fn eviction_clears_local_state() {
+        let mut mc = MetadataCache::new(64 * 64, false);
+        let set_stride = 8u64;
+        mc.access(0, false, false);
+        bump(&mut mc, 0, 2);
+        // Eight newer entries in the same set push page 0 out.
+        for i in 1..=8 {
+            mc.access(i * set_stride, false, false);
+        }
+        assert!(!mc.probe(0));
+        assert_eq!(local(&mut mc, 0), None);
+        mc.access(0, false, false);
+        assert_eq!(local(&mut mc, 0), Some(0), "re-inserted entry starts at 0");
+    }
+
+    #[test]
+    fn evict_up_to_drops_the_local_counter() {
+        let mut mc = MetadataCache::new(64 * 64, false);
+        mc.access(5, false, false);
+        bump(&mut mc, 5, 3);
+        assert_eq!(mc.evict_up_to(1), vec![(5, false)]);
+        assert_eq!(local(&mut mc, 5), None);
+        mc.access(5, false, false);
+        assert_eq!(local(&mut mc, 5), Some(0));
     }
 }

@@ -1,14 +1,16 @@
 //! The page-overflow predictor (§IV-B2, Fig. 5b).
 //!
-//! A 2-bit saturating counter per metadata-cache entry learns whether a
-//! page is receiving streaming incompressible writebacks; a 3-bit global
-//! counter learns whether the system as a whole is experiencing page
-//! overflows. When both have their high bit set, the page is
-//! speculatively stored uncompressed (grown to 4 KB) to avoid repeated
-//! overflow data movement.
+//! A 2-bit saturating local counter learns whether a page is receiving
+//! streaming incompressible writebacks: line overflows raise it and
+//! underflows lower it. It lives in the page's metadata-cache entry
+//! ([`MetadataCache::local_counter`](crate::MetadataCache::local_counter)),
+//! so it starts at 0 when the entry is filled and is lost when the entry
+//! is evicted. A 3-bit global counter, kept here, learns whether the
+//! system as a whole is experiencing page overflows. When both have their
+//! high bit set, the page is speculatively stored uncompressed (grown to
+//! 4 KB) to avoid repeated overflow data movement.
 
 use compresso_telemetry::{Gauge, Registry};
-use compresso_workloads::AddrMap;
 
 /// 2-bit saturating counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,36 +38,20 @@ impl Counter2 {
     }
 }
 
-/// The combined local + global overflow predictor.
+/// The global half of the overflow predictor; each page's local half is
+/// a [`Counter2`] in its metadata-cache entry.
 #[derive(Debug, Clone, Default)]
 pub struct OverflowPredictor {
-    /// Local 2-bit counters, keyed by page; lifetime tied to the
-    /// metadata-cache residency of the page's entry.
-    local: AddrMap<Counter2>,
     /// 3-bit global counter (0–7).
     global: u8,
     /// Telemetry mirror of `global` (0–7).
     global_gauge: Gauge,
-    /// Telemetry mirror of the tracked-page count.
-    tracked_gauge: Gauge,
 }
 
 impl OverflowPredictor {
-    /// Creates a predictor with all counters at zero.
+    /// Creates a predictor with the global counter at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A writeback to `page` caused a cache-line overflow.
-    pub fn line_overflow(&mut self, page: u64) {
-        self.local.entry(page).or_default().up();
-        self.tracked_gauge.set(self.local.len() as i64);
-    }
-
-    /// A writeback to `page` caused a cache-line underflow.
-    pub fn line_underflow(&mut self, page: u64) {
-        self.local.entry(page).or_default().down();
-        self.tracked_gauge.set(self.local.len() as i64);
     }
 
     /// A page overflow occurred somewhere in the system.
@@ -80,34 +66,21 @@ impl OverflowPredictor {
         self.global_gauge.set(self.global as i64);
     }
 
-    /// Should `page` be speculatively stored uncompressed?
-    /// True when the local and global high bits are both set.
-    pub fn should_inflate(&self, page: u64) -> bool {
-        self.global >= 4 && self.local.get(&page).is_some_and(|c| c.high())
+    /// Should the page whose entry holds `local` be speculatively stored
+    /// uncompressed? True when the local and global high bits are both
+    /// set.
+    pub fn should_inflate(&self, local: Counter2) -> bool {
+        self.global >= 4 && local.high()
     }
 
-    /// The metadata-cache entry for `page` was evicted: its local counter
-    /// disappears with it.
-    pub fn on_mcache_eviction(&mut self, page: u64) {
-        self.local.remove(&page);
-        self.tracked_gauge.set(self.local.len() as i64);
-    }
-
-    /// Registers the predictor's levels under `prefix`
-    /// (`{prefix}.global_level`, `{prefix}.tracked_pages`).
+    /// Registers the global level as `{prefix}.global_level`.
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
         registry.register_gauge(&format!("{prefix}.global_level"), &self.global_gauge);
-        registry.register_gauge(&format!("{prefix}.tracked_pages"), &self.tracked_gauge);
     }
 
     /// Current global counter value (0–7).
     pub fn global_value(&self) -> u8 {
         self.global
-    }
-
-    /// Local counter value for `page`, if tracked.
-    pub fn local_value(&self, page: u64) -> Option<u8> {
-        self.local.get(&page).map(|c| c.value())
     }
 }
 
@@ -135,14 +108,18 @@ mod tests {
     #[test]
     fn inflation_requires_both_local_and_global() {
         let mut p = OverflowPredictor::new();
-        p.line_overflow(7);
-        p.line_overflow(7);
-        assert!(!p.should_inflate(7), "global counter still low");
+        let mut local = Counter2::default();
+        local.up();
+        local.up();
+        assert!(!p.should_inflate(local), "global counter still low");
         for _ in 0..4 {
             p.page_overflow();
         }
-        assert!(p.should_inflate(7));
-        assert!(!p.should_inflate(8), "other pages unaffected");
+        assert!(p.should_inflate(local));
+        assert!(
+            !p.should_inflate(Counter2::default()),
+            "a fresh entry's counter is low"
+        );
     }
 
     #[test]
@@ -151,11 +128,12 @@ mod tests {
         for _ in 0..4 {
             p.page_overflow();
         }
-        p.line_overflow(1);
-        p.line_overflow(1);
-        assert!(p.should_inflate(1));
-        p.line_underflow(1);
-        assert!(!p.should_inflate(1));
+        let mut local = Counter2::default();
+        local.up();
+        local.up();
+        assert!(p.should_inflate(local));
+        local.down();
+        assert!(!p.should_inflate(local));
     }
 
     #[test]
@@ -169,15 +147,5 @@ mod tests {
             p.page_calm();
         }
         assert_eq!(p.global_value(), 0);
-    }
-
-    #[test]
-    fn eviction_clears_local_state() {
-        let mut p = OverflowPredictor::new();
-        p.line_overflow(5);
-        p.line_overflow(5);
-        assert_eq!(p.local_value(5), Some(2));
-        p.on_mcache_eviction(5);
-        assert_eq!(p.local_value(5), None);
     }
 }

@@ -99,6 +99,44 @@ fn streaming_overwrites_cause_overflows_and_ir_placements() {
 }
 
 #[test]
+fn streaming_incompressible_writebacks_trigger_predictor_inflation() {
+    // §IV-B2: once page overflows are common (global counter) and a
+    // page's metadata-cache entry has seen repeated line overflows (its
+    // local counter), the page is stored uncompressed outright.
+    let (_, config) = CompressoConfig::ablation_ladder(PageAllocation::Chunks512)
+        .into_iter()
+        .find(|(rung, _)| *rung == "+prediction")
+        .expect("the ladder has a prediction rung");
+    let profile = benchmark("gcc").unwrap();
+    let w = DataWorld::new(&profile);
+    let pages: Vec<u64> = (0..profile.footprint_pages as u64)
+        .filter(|&p| w.evolution_of(p * PAGE_BYTES) == Evolution::Degrading)
+        .take(16)
+        .collect();
+    assert_eq!(pages.len(), 16, "gcc has degrading pages");
+    let mut d = CompressoDevice::new(config, w);
+    let mut t = 0;
+    for &page in &pages {
+        for line in 0..64u64 {
+            t = d.fill(t, page * PAGE_BYTES + line * 64).max(t);
+        }
+    }
+    for _round in 0..4 {
+        for &page in &pages {
+            for line in 0..64u64 {
+                t = d.writeback(t, page * PAGE_BYTES + line * 64).max(t);
+            }
+        }
+    }
+    let s = d.device_stats();
+    assert!(s.page_overflows > 0, "degrading pages must overflow: {s:?}");
+    assert!(
+        s.predictor_inflations > 0,
+        "the predictor must inflate streaming pages: {s:?}"
+    );
+}
+
+#[test]
 fn unoptimized_config_moves_more_data_than_compresso() {
     // The Fig. 6 headline: full Compresso drastically reduces extra
     // accesses vs the unoptimized legacy-bin configuration.

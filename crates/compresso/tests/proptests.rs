@@ -142,7 +142,7 @@ proptest! {
 
     #[test]
     fn mcache_never_exceeds_budget(ops in prop::collection::vec((0u64..64, any::<bool>(), any::<bool>()), 1..300)) {
-        let mut mc = MetadataCache::new(8 * 64 * 4, true).expect("valid geometry"); // 4 sets
+        let mut mc = MetadataCache::new(8 * 64 * 4, true); // 4 sets
         for (page, uncompressed, dirty) in ops {
             mc.access(page, uncompressed, dirty);
         }
