@@ -88,14 +88,9 @@ pub struct UncompressedDevice {
 impl UncompressedDevice {
     /// Creates the baseline over the paper's DDR4-2666 channel.
     pub fn new() -> Self {
-        Self::with_config(MemConfig::ddr4_2666())
-    }
-
-    /// Creates the baseline over an explicit DRAM configuration.
-    pub fn with_config(config: MemConfig) -> Self {
         let registry = Registry::new();
         let stats = DeviceEvents::default();
-        let mem = MainMemory::new(config);
+        let mem = MainMemory::new(MemConfig::ddr4_2666());
         stats.register_metrics(&registry, "uncompressed");
         mem.register_metrics(&registry, "dram");
         Self {

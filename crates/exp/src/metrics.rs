@@ -46,11 +46,6 @@ impl MetricsArgs {
         }
     }
 
-    /// Whether an output file was requested.
-    pub fn enabled(&self) -> bool {
-        self.out.is_some()
-    }
-
     /// Writes the document if `--metrics-out` was given; reports the
     /// path (or the error) on stderr, never aborting the run.
     pub fn write(&self, source: &str, epoch_unit: &str, cells: Vec<CellMetrics>) {
@@ -117,12 +112,11 @@ mod tests {
         ]));
         assert_eq!(m.out.as_deref(), Some(std::path::Path::new("m.json")));
         assert_eq!(m.epoch_len(), 500);
-        assert!(m.enabled());
 
         // --epoch without --metrics-out records nothing.
         let silent = MetricsArgs::from_args(&argv(&["prog", "--epoch", "500"]));
         assert_eq!(silent.epoch_len(), 0);
-        assert!(!silent.enabled());
+        assert!(silent.out.is_none());
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! benchmark's compressibility vector (its profiling-stage phase trace
 //! anchored at the ratio measured in the cycle simulation).
 
-use crate::runner::{geomean, run_mix_epoch, run_single_epoch, RunResult, SystemKind};
+use crate::runner::{geomean, run_profiles, RunResult, SystemKind};
 use crate::sweep::{run_cells, successes, SweepOptions};
 use compresso_oskit::{capacity_run, relative_performance, Budget};
 use compresso_telemetry::{CellMetrics, MetricsReport};
-use compresso_workloads::{
-    all_benchmarks, benchmark, full_run, BenchmarkProfile, UnknownBenchmark, MIXES,
-};
+use compresso_workloads::{all_benchmarks, benchmark, full_run, BenchmarkProfile, MIXES};
+use std::slice;
 
 /// Performance numbers for one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,25 +86,9 @@ fn memcap_rels(
     let rels = [
         rel(compressed(ratio_lcp)),
         rel(compressed(ratio_compresso)),
-        rel(Budget::Unconstrained(0)),
+        rel(Budget::Unconstrained),
     ];
     (rels, baseline.stalled())
-}
-
-/// Merges the per-system cycle-run metric bundles of one perf row under
-/// stable system prefixes.
-fn merge_system_metrics(
-    base: &RunResult,
-    lcp: &RunResult,
-    align: &RunResult,
-    comp: &RunResult,
-) -> MetricsReport {
-    MetricsReport::merged_prefixed(&[
-        ("uncompressed", &base.metrics),
-        ("lcp", &lcp.metrics),
-        ("lcp_align", &align.metrics),
-        ("compresso", &comp.metrics),
-    ])
 }
 
 /// Evaluates one benchmark at a capacity `fraction` (0.7 for Fig. 10),
@@ -118,41 +101,70 @@ pub fn perf_row(
     cap_ops: usize,
     epoch: u64,
 ) -> PerfRow {
-    perf_rows(profile, &[fraction], cycle_ops, cap_ops, epoch)
-        .pop()
-        .expect("one row per fraction")
+    perf_rows(
+        profile.name,
+        slice::from_ref(profile),
+        &[fraction],
+        cycle_ops,
+        cap_ops,
+        epoch,
+    )
+    .pop()
+    .expect("one row per fraction")
 }
 
-/// [`perf_row`] at each of `fractions`, sharing one set of cycle runs:
-/// the capacity fraction enters only the memory-capacity side.
+/// Evaluates a workload of one benchmark per core (one for Fig. 10 and
+/// Tab. II, a 4-benchmark mix for Fig. 11) at each of `fractions`,
+/// sharing one set of cycle runs: the capacity fraction enters only the
+/// memory-capacity side. That side averages the members' relative
+/// performance (the paper's "average progress" metric for mixes, the
+/// benchmark's own for one member); each member's budget follows the
+/// ratio the workload's device measured.
 fn perf_rows(
-    profile: &BenchmarkProfile,
+    name: &str,
+    profiles: &[BenchmarkProfile],
     fractions: &[f64],
     cycle_ops: usize,
     cap_ops: usize,
     epoch: u64,
 ) -> Vec<PerfRow> {
-    let base = run_single_epoch(profile, &SystemKind::Uncompressed, cycle_ops, epoch);
-    let lcp = run_single_epoch(profile, &SystemKind::Lcp, cycle_ops, epoch);
-    let align = run_single_epoch(profile, &SystemKind::LcpAlign, cycle_ops, epoch);
-    let comp = run_single_epoch(profile, &SystemKind::Compresso, cycle_ops, epoch);
+    let run = |system: SystemKind| run_profiles(name, profiles, &system, cycle_ops, epoch);
+    let base = run(SystemKind::Uncompressed);
+    let lcp = run(SystemKind::Lcp);
+    let align = run(SystemKind::LcpAlign);
+    let comp = run(SystemKind::Compresso);
 
     let rel = |r: &RunResult| base.cycles as f64 / r.cycles.max(1) as f64;
-    let metrics = merge_system_metrics(&base, &lcp, &align, &comp);
+    let metrics = MetricsReport::merged_prefixed(&[
+        ("uncompressed", &base.metrics),
+        ("lcp", &lcp.metrics),
+        ("lcp_align", &align.metrics),
+        ("compresso", &comp.metrics),
+    ]);
     fractions
         .iter()
         .map(|&fraction| {
-            let ([memcap_lcp, memcap_compresso, memcap_unconstrained], stalled) =
-                memcap_rels(profile, fraction, lcp.ratio, comp.ratio, cap_ops);
+            let mut memcap = [0.0f64; 3]; // lcp, compresso, unconstrained
+            let mut stalled = false;
+            for profile in profiles {
+                let (rels, member_stalled) =
+                    memcap_rels(profile, fraction, lcp.ratio, comp.ratio, cap_ops);
+                for (sum, rel) in memcap.iter_mut().zip(rels) {
+                    *sum += rel;
+                }
+                stalled |= member_stalled;
+            }
+            let members = profiles.len() as f64;
             PerfRow {
-                workload: profile.name.to_string(),
+                workload: name.to_string(),
                 cycle_lcp: rel(&lcp),
                 cycle_align: rel(&align),
                 cycle_compresso: rel(&comp),
-                memcap_lcp,
-                memcap_compresso,
-                memcap_unconstrained,
-                stalled,
+                memcap_lcp: memcap[0] / members,
+                memcap_compresso: memcap[1] / members,
+                memcap_unconstrained: memcap[2] / members,
+                // Mixes never fully stall: compressible co-runners free space.
+                stalled: stalled && profiles.len() == 1,
                 ratio_lcp: lcp.ratio,
                 ratio_compresso: comp.ratio,
                 metrics: metrics.clone(),
@@ -219,81 +231,32 @@ pub fn summarize(rows: &[PerfRow]) -> PerfSummary {
 }
 
 /// Fig. 11: the ten 4-core mixes, with per-cell metric export.
-///
-/// The memory-capacity side averages per-benchmark relative performance
-/// (the paper's "average progress" metric); each benchmark's budget uses
-/// the mix device's measured ratio.
 pub fn fig11(
     cycle_ops: usize,
     cap_ops: usize,
     opts: &SweepOptions,
 ) -> (Vec<PerfRow>, Vec<CellMetrics>) {
-    let cells: Vec<(String, (&str, [&str; 4]))> = MIXES
+    let cells: Vec<(String, (&str, Vec<BenchmarkProfile>))> = MIXES
         .iter()
-        .map(|(name, benchmarks)| (format!("fig11/{name}"), (*name, *benchmarks)))
+        .map(|(name, members)| {
+            let profiles = members
+                .iter()
+                .map(|m| benchmark(m).expect("paper mix names are valid"))
+                .collect();
+            (format!("fig11/{name}"), (*name, profiles))
+        })
         .collect();
     let outcomes = run_cells(
         cells,
-        |(name, benchmarks)| {
-            mix_row(name, benchmarks, 0.7, cycle_ops, cap_ops, opts.epoch)
-                .expect("paper mix names are valid")
+        |(name, profiles)| {
+            perf_rows(name, &profiles, &[0.7], cycle_ops, cap_ops, opts.epoch)
+                .pop()
+                .expect("one row per fraction")
         },
         opts,
     );
     let metrics = crate::metrics::collect(&outcomes, |r| &r.metrics);
     (successes(outcomes), metrics)
-}
-
-/// Evaluates one mix, recording an epoch metrics series every `epoch`
-/// cycles in each of the four cycle runs (0 = final snapshots only).
-///
-/// # Errors
-///
-/// Returns [`UnknownBenchmark`] (listing the valid names) if any mix
-/// member is unknown.
-pub fn mix_row(
-    name: &str,
-    benchmarks: [&str; 4],
-    fraction: f64,
-    cycle_ops: usize,
-    cap_ops: usize,
-    epoch: u64,
-) -> Result<PerfRow, UnknownBenchmark> {
-    let base = run_mix_epoch(
-        name,
-        benchmarks,
-        &SystemKind::Uncompressed,
-        cycle_ops,
-        epoch,
-    )?;
-    let lcp = run_mix_epoch(name, benchmarks, &SystemKind::Lcp, cycle_ops, epoch)?;
-    let align = run_mix_epoch(name, benchmarks, &SystemKind::LcpAlign, cycle_ops, epoch)?;
-    let comp = run_mix_epoch(name, benchmarks, &SystemKind::Compresso, cycle_ops, epoch)?;
-    let rel = |r: &RunResult| base.cycles as f64 / r.cycles.max(1) as f64;
-
-    // Memory-capacity: average progress across the mix's benchmarks.
-    let mut memcap = [0.0f64; 3]; // lcp, compresso, unconstrained
-    for bench in benchmarks {
-        let profile = benchmark(bench).expect("validated by run_mix above");
-        let (rels, _) = memcap_rels(&profile, fraction, lcp.ratio, comp.ratio, cap_ops);
-        for (sum, rel) in memcap.iter_mut().zip(rels) {
-            *sum += rel;
-        }
-    }
-    Ok(PerfRow {
-        workload: name.to_string(),
-        cycle_lcp: rel(&lcp),
-        cycle_align: rel(&align),
-        cycle_compresso: rel(&comp),
-        memcap_lcp: memcap[0] / 4.0,
-        memcap_compresso: memcap[1] / 4.0,
-        memcap_unconstrained: memcap[2] / 4.0,
-        // Mixes never fully stall: compressible co-runners free space.
-        stalled: false,
-        ratio_lcp: lcp.ratio,
-        ratio_compresso: comp.ratio,
-        metrics: merge_system_metrics(&base, &lcp, &align, &comp),
-    })
 }
 
 /// Tab. II: geomean speedups at 80/70/60% constrained memory.
@@ -324,7 +287,16 @@ pub fn tab2(
         .collect();
     let outcomes = run_cells(
         cells,
-        |p| perf_rows(&p, &TAB2_FRACTIONS, cycle_ops, cap_ops, opts.epoch),
+        |p| {
+            perf_rows(
+                p.name,
+                &[p],
+                &TAB2_FRACTIONS,
+                cycle_ops,
+                cap_ops,
+                opts.epoch,
+            )
+        },
         opts,
     );
     let metrics = TAB2_FRACTIONS
@@ -373,7 +345,14 @@ mod tests {
     #[test]
     fn shared_cycle_runs_match_one_perf_row_per_fraction() {
         let p = benchmark("mcf").unwrap();
-        let rows = perf_rows(&p, &TAB2_FRACTIONS, 2_000, 200_000, 0);
+        let rows = perf_rows(
+            p.name,
+            slice::from_ref(&p),
+            &TAB2_FRACTIONS,
+            2_000,
+            200_000,
+            0,
+        );
         assert_eq!(rows.len(), TAB2_FRACTIONS.len());
         for (row, &fraction) in rows.iter().zip(&TAB2_FRACTIONS) {
             let alone = perf_row(&p, fraction, 2_000, 200_000, 0);

@@ -1,7 +1,8 @@
-//! Cycle-based simulation runners: one core or a 4-core mix, against any
-//! evaluated system.
+//! Cycle-based simulation runner: one core or a 4-core mix, against any
+//! evaluated system, through one path ([`run_single`] and [`run_mix`]
+//! are its public callers).
 
-use compresso_cache_sim::{run_multicore, Backend, Core, CoreParams, Hierarchy, TraceOp};
+use compresso_cache_sim::{run_multicore, Backend, Core, CoreParams, Hierarchy};
 use compresso_core::DeviceStats;
 use compresso_core::{
     CompressoConfig, CompressoDevice, LcpDevice, MemoryDevice, UncompressedDevice,
@@ -12,6 +13,7 @@ use compresso_workloads::{
     offset_trace, require_benchmark, BenchmarkProfile, CombinedWorld, DataWorld, TraceGenerator,
     UnknownBenchmark,
 };
+use std::slice;
 
 /// Which memory system to simulate.
 #[derive(Debug, Clone)]
@@ -142,40 +144,7 @@ impl<B: Backend> Backend for InstrumentedBackend<B> {
 
 /// Runs one benchmark on one core (Tab. III single-core platform).
 pub fn run_single(profile: &BenchmarkProfile, system: &SystemKind, mem_ops: usize) -> RunResult {
-    run_single_epoch(profile, system, mem_ops, 0)
-}
-
-/// As [`run_single`], recording an epoch snapshot every `epoch` core
-/// cycles into the result's [`MetricsReport`] (`0` disables the
-/// series; the final snapshot is always captured).
-pub(crate) fn run_single_epoch(
-    profile: &BenchmarkProfile,
-    system: &SystemKind,
-    mem_ops: usize,
-    epoch: u64,
-) -> RunResult {
-    let world = DataWorld::new(profile);
-    let mut generator = TraceGenerator::new(profile);
-    let trace = generator.generate(&world, mem_ops);
-    let mut device = system.build(CombinedWorld::new(vec![world]));
-    let registry = device.metrics().clone();
-
-    let mut core = Core::new(CoreParams::paper_default());
-    let mut hierarchy = Hierarchy::single_core();
-    hierarchy.register_metrics(&registry, "cache");
-    let mut backend = InstrumentedBackend::new(&mut device, &registry, epoch);
-    let cycles = core.run(trace, &mut hierarchy, &mut backend);
-    let metrics = MetricsReport::from_parts(registry.snapshot(), backend.recorder);
-    RunResult {
-        system: system.label().to_string(),
-        workload: profile.name.to_string(),
-        cycles,
-        instructions: core.stats().instructions,
-        device: device.device_stats(),
-        dram: device.dram_stats(),
-        ratio: device.compression_ratio(),
-        metrics,
-    }
+    run_profiles(profile.name, slice::from_ref(profile), system, mem_ops, 0)
 }
 
 /// Runs a 4-benchmark mix on the 4-core shared-L3 platform.
@@ -190,43 +159,67 @@ pub fn run_mix(
     system: &SystemKind,
     mem_ops: usize,
 ) -> Result<RunResult, UnknownBenchmark> {
-    run_mix_epoch(name, benchmarks, system, mem_ops, 0)
+    let profiles = benchmarks
+        .iter()
+        .map(|b| require_benchmark(b))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(run_profiles(name, &profiles, system, mem_ops, 0))
 }
 
-/// As [`run_mix`] with an epoch length for the metrics time-series.
-pub(crate) fn run_mix_epoch(
+/// Runs `profiles`, one per core, against `system`, recording an epoch
+/// snapshot every `epoch` core cycles into the result's
+/// [`MetricsReport`] (`0` disables the series; the final snapshot is
+/// always captured). One profile runs on the single-core platform
+/// (private 2 MB L3, `cache.*` metrics); more run on the shared-L3
+/// multi-core platform. Core *i*'s trace is offset into its own address
+/// range, which for core 0 is the identity.
+pub(crate) fn run_profiles(
     name: &str,
-    benchmarks: [&str; 4],
+    profiles: &[BenchmarkProfile],
     system: &SystemKind,
     mem_ops: usize,
     epoch: u64,
-) -> Result<RunResult, UnknownBenchmark> {
-    let mut worlds = Vec::new();
-    let mut traces: Vec<Vec<TraceOp>> = Vec::new();
-    for (core, bench) in benchmarks.iter().enumerate() {
-        let profile = require_benchmark(bench)?;
-        let world = DataWorld::new(&profile);
-        let mut generator = TraceGenerator::new(&profile);
-        let mut trace = generator.generate(&world, mem_ops);
+) -> RunResult {
+    let mut worlds = Vec::with_capacity(profiles.len());
+    let mut traces = Vec::with_capacity(profiles.len());
+    for (core, profile) in profiles.iter().enumerate() {
+        let world = DataWorld::new(profile);
+        let mut trace = TraceGenerator::new(profile).generate(&world, mem_ops);
         offset_trace(&mut trace, core);
         worlds.push(world);
         traces.push(trace);
     }
     let mut device = system.build(CombinedWorld::new(worlds));
     let registry = device.metrics().clone();
-    let mut backend = InstrumentedBackend::new(&mut device, &registry, epoch);
-    let result = run_multicore(traces, CoreParams::paper_default(), &mut backend, &registry);
-    let metrics = MetricsReport::from_parts(registry.snapshot(), backend.recorder);
-    Ok(RunResult {
+    let params = CoreParams::paper_default();
+
+    let (cycles, instructions, recorder) = match <[_; 1]>::try_from(traces) {
+        Ok([trace]) => {
+            let mut core = Core::new(params);
+            let mut hierarchy = Hierarchy::single_core();
+            hierarchy.register_metrics(&registry, "cache");
+            let mut backend = InstrumentedBackend::new(&mut device, &registry, epoch);
+            let cycles = core.run(trace, &mut hierarchy, &mut backend);
+            (cycles, core.stats().instructions, backend.recorder)
+        }
+        Err(traces) => {
+            let mut backend = InstrumentedBackend::new(&mut device, &registry, epoch);
+            let result = run_multicore(traces, params, &mut backend, &registry);
+            let instructions = result.core_stats.iter().map(|s| s.instructions).sum();
+            (result.max_cycles(), instructions, backend.recorder)
+        }
+    };
+    let metrics = MetricsReport::from_parts(registry.snapshot(), recorder);
+    RunResult {
         system: system.label().to_string(),
         workload: name.to_string(),
-        cycles: result.max_cycles(),
-        instructions: result.core_stats.iter().map(|s| s.instructions).sum(),
+        cycles,
+        instructions,
         device: device.device_stats(),
         dram: device.dram_stats(),
         ratio: device.compression_ratio(),
         metrics,
-    })
+    }
 }
 
 /// Geometric mean of positive values (1.0 when empty).

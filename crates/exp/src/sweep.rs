@@ -1,4 +1,4 @@
-//! Work-stealing parallel sweep engine for the experiment harness.
+//! Parallel sweep engine for the experiment harness.
 //!
 //! Every paper figure is a (workload × system) grid; this module runs
 //! the grid cells concurrently on a scoped-thread worker pool and
@@ -10,25 +10,24 @@
 //!
 //! Concurrency model:
 //!
-//! - cells are fed through an `mpsc` channel that the workers drain,
-//!   so a slow cell never blocks the rest of the queue (work stealing
-//!   by contention on the shared receiver);
-//! - workers are scoped (`std::thread::scope`), so the engine borrows
-//!   the work closure and cell inputs without `'static` bounds;
+//! - one worker loop claims the next cell from a shared atomic cursor,
+//!   so a slow cell never blocks the rest of the grid;
+//! - `jobs = 1` runs that loop on the caller's thread; otherwise
+//!   `min(jobs, cells)` scoped threads (`std::thread::scope`) run it, so
+//!   the engine borrows the work closure and cell inputs without
+//!   `'static` bounds;
 //! - a panicking cell is contained by `catch_unwind` and reported as a
-//!   failed [`CellOutcome`]; the rest of the sweep completes;
-//! - `jobs = 1` executes the exact same per-cell code path inline,
-//!   without spawning, which is what the determinism tests diff against.
+//!   failed [`CellOutcome`]; the rest of the sweep completes.
 //!
 //! The worker count comes from `--jobs N` (every figure binary), the
 //! `COMPRESSO_JOBS` environment variable, or the machine's available
 //! parallelism, in that order of precedence.
 
-use crate::runner::{run_mix_epoch, run_single_epoch, RunResult, SystemKind};
-use compresso_workloads::{require_benchmark, UnknownBenchmark};
+use crate::runner::{run_profiles, RunResult, SystemKind};
+use compresso_workloads::{require_benchmark, BenchmarkProfile, UnknownBenchmark};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Environment variable controlling the default worker count.
@@ -44,10 +43,6 @@ pub struct SweepOptions {
     /// Epoch length for the cells' metrics time-series, in the
     /// figure's simulated ticks (0 = final snapshot only).
     pub epoch: u64,
-    /// Faultkit-style chaos hook: the cell with this label panics before
-    /// its work runs. Used by the scheduler tests to prove panic
-    /// containment; `None` (the default) costs one never-taken branch.
-    pub panic_label: Option<String>,
 }
 
 impl SweepOptions {
@@ -62,7 +57,6 @@ impl SweepOptions {
             jobs,
             progress: false,
             epoch: 0,
-            panic_label: None,
         }
     }
 
@@ -159,22 +153,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn exec_cell<I, T>(
-    label: &str,
-    item: I,
-    work: &(impl Fn(I) -> T + Sync),
-    opts: &SweepOptions,
-) -> CellOutcome<T> {
+fn exec_cell<I, T>(label: String, item: I, work: &impl Fn(I) -> T) -> CellOutcome<T> {
     let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if opts.panic_label.as_deref() == Some(label) {
-            panic!("injected sweep fault: cell `{label}`");
-        }
-        work(item)
-    }))
-    .map_err(|payload| CellError::Panicked(panic_message(payload.as_ref())));
+    let result = catch_unwind(AssertUnwindSafe(|| work(item)))
+        .map_err(|payload| CellError::Panicked(panic_message(payload.as_ref())));
     CellOutcome {
-        label: label.to_string(),
+        label,
         result,
         millis: start.elapsed().as_millis(),
     }
@@ -193,10 +177,9 @@ fn report_progress<T>(outcome: &CellOutcome<T>, done: usize, total: usize, worke
     );
 }
 
-/// Runs `(label, item)` cells through `work` on a pool of
-/// `opts.jobs` scoped worker threads, returning outcomes in the input
-/// (presentation) order regardless of completion order. Panics and the
-/// chaos hook are contained per cell.
+/// Runs `(label, item)` cells through `work` on `opts.jobs` workers,
+/// returning outcomes in the input (presentation) order regardless of
+/// completion order. Panics are contained per cell.
 pub fn run_cells<I, T, F>(
     cells: Vec<(String, I)>,
     work: F,
@@ -208,76 +191,51 @@ where
     F: Fn(I) -> T + Sync,
 {
     let total = cells.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let jobs = opts.jobs.max(1).min(total);
-
-    if jobs == 1 {
-        // Same per-cell code path, executed inline: this is the serial
-        // reference the determinism suite compares parallel runs against.
-        return cells
-            .into_iter()
-            .enumerate()
-            .map(|(i, (label, item))| {
-                let outcome = exec_cell(&label, item, &work, opts);
-                if opts.progress {
-                    report_progress(&outcome, i + 1, total, 0);
-                }
-                outcome
-            })
-            .collect();
-    }
-
-    let mut labels = Vec::with_capacity(total);
-    let mut slots: Vec<Mutex<Option<I>>> = Vec::with_capacity(total);
-    for (label, item) in cells {
-        labels.push(label);
-        slots.push(Mutex::new(Some(item)));
-    }
+    let slots: Vec<Mutex<Option<(String, I)>>> = cells
+        .into_iter()
+        .map(|cell| Mutex::new(Some(cell)))
+        .collect();
     let results: Vec<Mutex<Option<CellOutcome<T>>>> =
         (0..total).map(|_| Mutex::new(None)).collect();
-
-    let (tx, rx) = mpsc::channel();
-    for i in 0..total {
-        tx.send(i).expect("queue alive while feeding");
-    }
-    drop(tx);
-    let queue = Mutex::new(rx);
+    let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for worker in 0..jobs {
-            let (labels, slots, results) = (&labels, &slots, &results);
-            let (queue, done, work, opts) = (&queue, &done, &work, opts);
-            scope.spawn(move || loop {
-                // Hold the queue lock only for the dequeue: whichever
-                // worker is idle steals the next cell.
-                let index = match queue.lock().expect("queue lock").recv() {
-                    Ok(index) => index,
-                    Err(_) => break, // queue drained
-                };
-                let item = slots[index]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .expect("each cell dispatched once");
-                let outcome = exec_cell(&labels[index], item, work, opts);
-                if opts.progress {
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    report_progress(&outcome, n, total, worker);
-                }
-                *results[index].lock().expect("result lock") = Some(outcome);
-            });
+    // Whichever worker is idle claims the next cell. `Relaxed` suffices:
+    // the atomic add hands out each index once, and the cells and their
+    // outcomes pass between threads through their mutexes.
+    let worker = |worker: usize| loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(index) else { break };
+        let (label, item) = slot
+            .lock()
+            .expect("slot lock")
+            .take()
+            .expect("each cell claimed once");
+        let outcome = exec_cell(label, item, &work);
+        if opts.progress {
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            report_progress(&outcome, n, total, worker);
         }
-    });
+        *results[index].lock().expect("result lock") = Some(outcome);
+    };
+    let jobs = opts.jobs.max(1).min(total);
+    if jobs <= 1 {
+        worker(0);
+    } else {
+        let worker = &worker;
+        std::thread::scope(|scope| {
+            for w in 0..jobs {
+                scope.spawn(move || worker(w));
+            }
+        });
+    }
 
     results
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("no worker panicked holding a result lock")
-                .expect("every queued cell ran")
+                .expect("every cell ran")
         })
         .collect()
 }
@@ -302,6 +260,19 @@ impl Workload {
         match self {
             Workload::Single(name) => name,
             Workload::Mix { name, .. } => name,
+        }
+    }
+
+    /// The member profiles, one per core.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownBenchmark`] for the first name that is not a
+    /// known profile.
+    pub fn profiles(&self) -> Result<Vec<BenchmarkProfile>, UnknownBenchmark> {
+        match self {
+            Workload::Single(name) => Ok(vec![require_benchmark(name)?]),
+            Workload::Mix { members, .. } => members.iter().map(|m| require_benchmark(m)).collect(),
         }
     }
 }
@@ -354,21 +325,14 @@ impl SweepCell {
     /// Returns [`UnknownBenchmark`] if the benchmark or a mix member is
     /// not a known profile.
     pub fn run(&self, epoch: u64) -> Result<RunResult, UnknownBenchmark> {
-        match &self.workload {
-            Workload::Single(name) => {
-                let profile = require_benchmark(name)?;
-                Ok(run_single_epoch(
-                    &profile,
-                    &self.system,
-                    self.mem_ops,
-                    epoch,
-                ))
-            }
-            Workload::Mix { name, members } => {
-                let members: [&str; 4] = [&members[0], &members[1], &members[2], &members[3]];
-                run_mix_epoch(name, members, &self.system, self.mem_ops, epoch)
-            }
-        }
+        let profiles = self.workload.profiles()?;
+        Ok(run_profiles(
+            self.workload.name(),
+            &profiles,
+            &self.system,
+            self.mem_ops,
+            epoch,
+        ))
     }
 }
 
@@ -471,14 +435,25 @@ mod tests {
     }
 
     #[test]
-    fn chaos_hook_isolates_one_grid_cell() {
-        let cells: Vec<SweepCell> = ["gcc", "mcf", "povray"]
+    fn panicking_grid_cell_is_isolated() {
+        let cells: Vec<(String, SweepCell)> = ["gcc", "mcf", "povray"]
             .iter()
             .map(|b| SweepCell::single(b, SystemKind::Compresso, 500))
+            .map(|cell| (cell.label(), cell))
             .collect();
-        let mut opts = quiet(2);
-        opts.panic_label = Some("mcf/Compresso".to_string());
-        let outcomes = run_grid(cells, &opts);
+        let outcomes: Vec<CellOutcome<RunResult>> = run_cells(
+            cells,
+            |cell| {
+                if cell.label() == "mcf/Compresso" {
+                    panic!("injected sweep fault: cell `{}`", cell.label());
+                }
+                cell.run(0)
+            },
+            &quiet(2),
+        )
+        .into_iter()
+        .map(CellOutcome::flatten)
+        .collect();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].result.is_ok(), "gcc survives");
         assert!(outcomes[2].result.is_ok(), "povray survives");

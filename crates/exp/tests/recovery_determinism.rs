@@ -3,7 +3,8 @@
 //! produce bit-identical recovered state — journal bytes, rebuilt page
 //! images, ownership map, recovery report, and the compression ratio
 //! down to the f64 bit pattern. Cold-boot recovery is part of the
-//! device's deterministic contract, so work stealing may not perturb it.
+//! device's deterministic contract, so the order in which workers
+//! claim cells may not perturb it.
 
 use compresso_cache_sim::Backend;
 use compresso_core::{CompressoConfig, CompressoDevice, FaultConfig, FaultPlan, MemoryDevice};

@@ -145,3 +145,37 @@ fn perf_rows_are_jobs_invariant() {
         row_bits(&SweepOptions::with_jobs(4))
     );
 }
+
+#[test]
+fn fig11_mix_rows_are_jobs_invariant() {
+    // The mix branch of the perf-row builder through both branches of the
+    // sweep's worker loop: the caller's thread (jobs = 1) and a pool.
+    let row_bits = |jobs: usize| -> Vec<String> {
+        perf::fig11(1_500, 100_000, &SweepOptions::with_jobs(jobs))
+            .0
+            .iter()
+            .map(|r| {
+                format!(
+                    "{}|{:#x}|{:#x}|{:#x}|{:#x}|{:#x}|{:#x}|{}|{:#x}|{:#x}",
+                    r.workload,
+                    r.cycle_lcp.to_bits(),
+                    r.cycle_align.to_bits(),
+                    r.cycle_compresso.to_bits(),
+                    r.memcap_lcp.to_bits(),
+                    r.memcap_compresso.to_bits(),
+                    r.memcap_unconstrained.to_bits(),
+                    r.stalled,
+                    r.ratio_lcp.to_bits(),
+                    r.ratio_compresso.to_bits(),
+                )
+            })
+            .collect()
+    };
+    let serial = row_bits(1);
+    assert_eq!(serial.len(), 10, "one row per Tab. IV mix");
+    assert_eq!(
+        serial,
+        row_bits(4),
+        "jobs=4 must be bit-identical to serial"
+    );
+}

@@ -11,8 +11,6 @@ pub struct DramTiming {
     pub t_rp: u64,
     /// Burst length in beats (BL8).
     pub burst_length: u64,
-    /// Write recovery time.
-    pub t_wr: u64,
 }
 
 impl DramTiming {
@@ -24,7 +22,6 @@ impl DramTiming {
             t_rcd: 18,
             t_rp: 18,
             burst_length: 8,
-            t_wr: 14,
         }
     }
 
@@ -47,8 +44,6 @@ pub struct MemConfig {
     /// Core cycles per DRAM cycle, as a (numerator, denominator) ratio.
     /// 3 GHz core over a 1333 MHz DRAM clock is 9/4.
     pub core_per_dram: (u64, u64),
-    /// Capacity in bytes (8 GB by default; varied in capacity studies).
-    pub capacity_bytes: u64,
     /// Write-queue drain threshold: writes are buffered and only consume
     /// visible latency when the queue backs up.
     pub write_queue_depth: usize,
@@ -62,7 +57,6 @@ impl MemConfig {
             banks: 16,
             row_bytes: 8192,
             core_per_dram: (9, 4),
-            capacity_bytes: 8 << 30,
             write_queue_depth: 32,
         }
     }

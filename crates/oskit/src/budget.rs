@@ -20,8 +20,9 @@ pub enum Budget {
         /// Compression ratio per interval (the profiling-stage vector).
         ratios: Vec<f64>,
     },
-    /// Effectively unlimited (the unconstrained upper bound).
-    Unconstrained(usize),
+    /// Effectively unlimited (the unconstrained upper bound): the whole
+    /// footprint is resident.
+    Unconstrained,
 }
 
 impl Budget {
@@ -39,7 +40,7 @@ impl Budget {
                 let effective = (*base_pages as f64 * ratios[idx]) as usize;
                 effective.min(footprint).max(1)
             }
-            Budget::Unconstrained(footprint_hint) => (*footprint_hint).max(footprint),
+            Budget::Unconstrained => footprint,
         }
     }
 
@@ -86,7 +87,7 @@ mod tests {
 
     #[test]
     fn unconstrained_covers_footprint() {
-        let b = Budget::Unconstrained(0);
+        let b = Budget::Unconstrained;
         assert_eq!(b.pages_at(0.3, 12345), 12345);
     }
 

@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn unconstrained_run_has_no_faults() {
         let p = benchmark("gcc").unwrap();
-        let r = capacity_run(&p, &Budget::Unconstrained(0), OPS);
+        let r = capacity_run(&p, &Budget::Unconstrained, OPS);
         assert_eq!(r.paging.major_faults, 0);
         assert_eq!(r.fault_cycles, 0);
     }
@@ -138,7 +138,7 @@ mod tests {
         // gamess: hot set 8% of footprint, 99% hot probability.
         let p = benchmark("gamess").unwrap();
         let constrained = capacity_run(&p, &Budget::constrained(0.7, p.footprint_pages), OPS);
-        let free = capacity_run(&p, &Budget::Unconstrained(0), OPS);
+        let free = capacity_run(&p, &Budget::Unconstrained, OPS);
         let slowdown = constrained.runtime_cycles as f64 / free.runtime_cycles as f64;
         assert!(
             slowdown < 1.15,
@@ -152,7 +152,7 @@ mod tests {
         // xalancbmk: sensitive but not stalling (Fig. 10a shape).
         let p = benchmark("xalancbmk").unwrap();
         let constrained = capacity_run(&p, &Budget::constrained(0.7, p.footprint_pages), OPS);
-        let free = capacity_run(&p, &Budget::Unconstrained(0), OPS);
+        let free = capacity_run(&p, &Budget::Unconstrained, OPS);
         let slowdown = constrained.runtime_cycles as f64 / free.runtime_cycles as f64;
         assert!(
             (1.05..8.0).contains(&slowdown),

@@ -50,18 +50,12 @@ pub struct PagingSim {
     /// Pages that have ever been resident (their content is in swap once
     /// evicted).
     touched: HashSet<u64>,
-    swap_in_cycles: u64,
     stats: PagingStats,
 }
 
 impl PagingSim {
     /// Creates a paging simulation with an initial `budget` (pages).
     pub fn new(budget: usize) -> Self {
-        Self::with_swap_cost(budget, SWAP_IN_CYCLES)
-    }
-
-    /// As [`PagingSim::new`] with an explicit swap-in cost.
-    pub fn with_swap_cost(budget: usize, swap_in_cycles: u64) -> Self {
         Self {
             budget: budget.max(1),
             resident: HashSet::new(),
@@ -69,7 +63,6 @@ impl PagingSim {
             stamp: HashMap::new(),
             tick: 0,
             touched: HashSet::new(),
-            swap_in_cycles,
             stats: PagingStats::default(),
         }
     }
@@ -135,7 +128,7 @@ impl PagingSim {
             0
         } else if self.touched.contains(&page) {
             self.stats.major_faults += 1;
-            self.swap_in_cycles
+            SWAP_IN_CYCLES
         } else {
             self.stats.minor_faults += 1;
             self.touched.insert(page);

@@ -35,7 +35,7 @@ fn main() {
 
         let constrained = capacity_run(&profile, &Budget::constrained(0.7, footprint), ops);
         let compressed = capacity_run(&profile, &Budget::compressed(0.7, footprint, ratios), ops);
-        let unconstrained = capacity_run(&profile, &Budget::Unconstrained(0), ops);
+        let unconstrained = capacity_run(&profile, &Budget::Unconstrained, ops);
 
         let rel = |r| relative_performance(&constrained, r);
         let verdict = if constrained.stalled() {

@@ -129,7 +129,7 @@ fn capacity_and_cycle_stacks_share_the_same_traces() {
     let t1 = TraceGenerator::new(&profile).generate(&w1, 2_000);
     let t2 = TraceGenerator::new(&profile).generate(&w2, 2_000);
     assert_eq!(t1, t2);
-    let r = capacity_run(&profile, &Budget::Unconstrained(0), 2_000);
+    let r = capacity_run(&profile, &Budget::Unconstrained, 2_000);
     assert!(r.runtime_cycles > 0);
 }
 
