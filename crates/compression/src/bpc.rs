@@ -64,11 +64,6 @@ const MODE_TRANSFORMED: u64 = 0b01;
 const MODE_BITPLANE: u64 = 0b10;
 const MODE_RAW: u64 = 0b11;
 
-/// Latency of the BPC compression/decompression unit in core cycles
-/// (Tab. III: 8 cycles DDR4 buffering + 2 cycles for 17 bit-planes + 2
-/// cycles concatenation).
-pub const BPC_LATENCY_CYCLES: u64 = 12;
-
 /// The Bit-Plane Compression algorithm with Compresso's modifications.
 ///
 /// See the [module documentation](self) for the exact encoding.
@@ -979,10 +974,5 @@ mod tests {
             line[bit / 8] = 1 << (bit % 8);
             assert!(roundtrip(&line) >= 2, "bit {bit}");
         }
-    }
-
-    #[test]
-    fn latency_constant_matches_paper() {
-        assert_eq!(BPC_LATENCY_CYCLES, 12);
     }
 }

@@ -11,12 +11,13 @@ use crate::device::{LineSizes, MemoryDevice};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{JournalRecord, PageImage, RecoveryReport};
-use crate::metadata::{LineLocation, PageMeta, CHUNK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
-use crate::metadata_codec::{self, CRC_OFFSET, MAX_INFLATED, PACKED_BYTES};
+use crate::metadata::{
+    linepack_bytes, LineLocation, PageMeta, CHUNK_BYTES, LINES_PER_PAGE, PAGE_BYTES,
+};
+use crate::metadata_codec::{self, CRC_OFFSET, LINE_CODE_BITS, MAX_INFLATED, PACKED_BYTES};
 use crate::predictor::OverflowPredictor;
 use crate::stats::DeviceStats;
 use compresso_cache_sim::Backend;
-use compresso_compression::BinSet;
 use compresso_mem_sim::MemStats;
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrMap, LineSource};
@@ -47,19 +48,10 @@ struct Page {
     meta: PageMeta,
     /// `None` on a recovered page until it is first needed.
     sizes: Option<LineSizes>,
-    /// The bin bytes of `sizes`, summed: the data bytes the page would
-    /// hold once repacked (Fig. 3's tracked free space). Kept with
-    /// `sizes` and meaningful only while they are stored. It is 0
-    /// exactly when every line is zero, since only bin 0 is empty.
+    /// [`linepack_bytes`] of `sizes`: the data bytes the page would hold
+    /// once repacked (Fig. 3's tracked free space). Kept with `sizes` and
+    /// meaningful only while they are stored.
     binned: u32,
-}
-
-/// The bin bytes of lines of compressed `sizes`, summed.
-fn binned_bytes(bins: &BinSet, sizes: &[u8]) -> u32 {
-    sizes
-        .iter()
-        .map(|&size| bins.quantize(size as usize).bytes as u32)
-        .sum()
 }
 
 /// MPA addresses of the 64 B bursts covering `size` bytes at logical
@@ -124,11 +116,24 @@ impl MetadataHooks for CompressoDevice {
 
 impl CompressoDevice {
     /// Creates a Compresso device over `world` with `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if journaling is on and `config.bins` needs line codes wider
+    /// than the packed entry's 2-bit field: such entries cannot be
+    /// journaled.
     pub fn new(config: CompressoConfig, world: impl LineSource + 'static) -> Self {
         Self::new_boxed(config, Box::new(world))
     }
 
     fn new_boxed(config: CompressoConfig, world: Box<dyn LineSource>) -> Self {
+        assert!(
+            !config.durability.journaling || config.bins.code_bits() <= LINE_CODE_BITS,
+            "a journaled device packs 64 B entries with {LINE_CODE_BITS}-bit line codes; \
+             bin set {} needs {}-bit codes",
+            config.bins.name(),
+            config.bins.code_bits(),
+        );
         let alloc = match config.allocation {
             PageAllocation::Chunks512 => {
                 Allocator::Chunks(ChunkAllocator::new(config.mpa_capacity))
@@ -552,7 +557,7 @@ impl CompressoDevice {
         let fresh = entry.sizes.is_none();
         let sizes = self.ctl.stored_sizes(&mut entry.sizes, page);
         if fresh {
-            entry.binned = binned_bytes(&self.cfg.bins, &sizes);
+            entry.binned = linepack_bytes(&sizes, &self.cfg.bins);
         }
         self.bins_of(sizes)
     }
@@ -647,7 +652,7 @@ impl CompressoDevice {
         }
         let sizes = self.ctl.size_page(page);
         let bins = self.bins_of(sizes);
-        let data_bytes = binned_bytes(&self.cfg.bins, &sizes);
+        let data_bytes = linepack_bytes(&sizes, &self.cfg.bins);
         let meta = if data_bytes == 0 {
             PageMeta::zero_page()
         } else {
@@ -655,7 +660,7 @@ impl CompressoDevice {
             // store it raw, which also makes its metadata eligible for the
             // half-entry optimization (§IV-B5).
             let compressed = data_bytes < PAGE_BYTES;
-            let page_bytes = self.cfg.allocation.fit(data_bytes.max(1));
+            let page_bytes = self.cfg.allocation.fit(data_bytes);
             match self.allocate_page(page_bytes) {
                 Ok(chunks) => PageMeta {
                     valid: true,
@@ -870,10 +875,7 @@ impl CompressoDevice {
     fn recompress_page(&mut self, now: u64, page: u64) -> u64 {
         let meta = self.pages[&page].meta.clone();
         let bins = self.stored_bins(page);
-        let new_data: u32 = bins
-            .iter()
-            .map(|&b| self.cfg.bins.bin(b).bytes as u32)
-            .sum();
+        let new_data = self.pages[&page].binned;
         let new_bytes = self.cfg.allocation.fit(new_data.max(1));
         if new_bytes > meta.page_bytes {
             self.ctl.stats.page_overflows += 1;
@@ -1045,10 +1047,10 @@ impl Backend for CompressoDevice {
         let bins = &self.cfg.bins;
         entry.binned = match old_size {
             Some(old) => {
-                entry.binned + binned_bytes(bins, &[new_size]) - binned_bytes(bins, &[old])
+                entry.binned + linepack_bytes(&[new_size], bins) - linepack_bytes(&[old], bins)
             }
             // A recovered page was sized whole just now.
-            None => binned_bytes(bins, entry.sizes.as_ref().expect("sized")),
+            None => linepack_bytes(entry.sizes.as_ref().expect("sized"), bins),
         };
         let new_bin = self.cfg.bins.quantize(new_size as usize);
 

@@ -17,11 +17,6 @@ pub enum CompressoError {
     /// An allocation was requested in a size the buddy allocator does not
     /// offer (not one of 512/1024/2048/4096 bytes).
     UnsupportedAllocSize(u32),
-    /// A 2-bit LinePack size code outside the bin set reached the offset
-    /// circuit.
-    InvalidLineCode(u8),
-    /// A line index at or above 64 reached the offset circuit.
-    LineIndexOutOfRange(usize),
     /// An in-memory entry violates the packed format's hardware limits
     /// and cannot be serialized.
     UnencodableMetadata(&'static str),
@@ -36,10 +31,6 @@ impl std::fmt::Display for CompressoError {
                     f,
                     "buddy allocator supports 512/1024/2048/4096 byte blocks, got {bytes}"
                 )
-            }
-            CompressoError::InvalidLineCode(c) => write!(f, "invalid 2-bit size code {c}"),
-            CompressoError::LineIndexOutOfRange(i) => {
-                write!(f, "line index {i} out of range (0..64)")
             }
             CompressoError::UnencodableMetadata(why) => {
                 write!(f, "metadata entry cannot be packed: {why}")
@@ -68,13 +59,9 @@ mod tests {
         assert!(CompressoError::UnsupportedAllocSize(1536)
             .to_string()
             .contains("1536"));
-        assert!(CompressoError::InvalidLineCode(4).to_string().contains('4'));
         assert!(CompressoError::UnencodableMetadata("MPFN must fit 24 bits")
             .to_string()
             .contains("MPFN"));
-        assert!(CompressoError::LineIndexOutOfRange(64)
-            .to_string()
-            .contains("64"));
     }
 
     #[test]

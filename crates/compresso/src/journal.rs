@@ -43,6 +43,7 @@
 //! it.
 
 use crate::faultkit::FaultPlan;
+use crate::lcp::{LcpImage, LcpPlan};
 use crate::metadata_codec::{crc32, PACKED_BYTES};
 use compresso_telemetry::counters;
 use std::collections::{BTreeMap, HashMap};
@@ -79,20 +80,6 @@ pub enum JournalRecord {
     /// Commit point for the OS-aware LCP baseline: the page's layout
     /// plan after the mutation.
     LcpEntryUpdate { page: u64, image: LcpImage },
-}
-
-/// Serialized layout state of one LCP page (the journal's view of
-/// `LcpDevice`'s per-page metadata).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LcpImage {
-    pub target: u32,
-    pub needed_bytes: u32,
-    pub page_bytes: u32,
-    pub base: u64,
-    pub all_zero: bool,
-    /// Bit `i` set ⇔ line `i` is all-zero.
-    pub zero_bitmap: u64,
-    pub exceptions: Vec<u8>,
 }
 
 impl JournalRecord {
@@ -135,15 +122,16 @@ impl JournalRecord {
             | JournalRecord::RepackBegin { .. }
             | JournalRecord::RepackCommit { .. } => Vec::new(),
             JournalRecord::LcpEntryUpdate { image, .. } => {
-                let mut p = Vec::with_capacity(30 + image.exceptions.len());
-                p.extend_from_slice(&image.target.to_le_bytes());
-                p.extend_from_slice(&image.needed_bytes.to_le_bytes());
+                let plan = &image.plan;
+                let mut p = Vec::with_capacity(30 + plan.exceptions.len());
+                p.extend_from_slice(&plan.target.to_le_bytes());
+                p.extend_from_slice(&plan.needed_bytes.to_le_bytes());
                 p.extend_from_slice(&image.page_bytes.to_le_bytes());
                 p.extend_from_slice(&image.base.to_le_bytes());
-                p.push(image.all_zero as u8);
+                p.push(image.all_zero() as u8);
                 p.extend_from_slice(&image.zero_bitmap.to_le_bytes());
-                p.push(image.exceptions.len() as u8);
-                p.extend_from_slice(&image.exceptions);
+                p.push(plan.exceptions.len() as u8);
+                p.extend_from_slice(&plan.exceptions);
                 p
             }
         }
@@ -184,7 +172,10 @@ impl JournalRecord {
                 let needed_bytes = u32::from_le_bytes(payload[4..8].try_into().ok()?);
                 let page_bytes = u32::from_le_bytes(payload[8..12].try_into().ok()?);
                 let base = u64::from_le_bytes(payload[12..20].try_into().ok()?);
-                let all_zero = payload[20] != 0;
+                // The all-zero byte is derived from the target.
+                if payload[20] != u8::from(target == 0) {
+                    return None;
+                }
                 let zero_bitmap = u64::from_le_bytes(payload[21..29].try_into().ok()?);
                 let n = payload[29] as usize;
                 if payload.len() != 30 + n {
@@ -193,13 +184,14 @@ impl JournalRecord {
                 Some(JournalRecord::LcpEntryUpdate {
                     page,
                     image: LcpImage {
-                        target,
-                        needed_bytes,
+                        plan: LcpPlan {
+                            target,
+                            exceptions: payload[30..].to_vec(),
+                            needed_bytes,
+                        },
                         page_bytes,
                         base,
-                        all_zero,
                         zero_bitmap,
-                        exceptions: payload[30..].to_vec(),
                     },
                 })
             }
@@ -622,6 +614,65 @@ counters! {
 mod tests {
     use super::*;
     use crate::faultkit::{FaultConfig, FaultPlan};
+    use proptest::prelude::*;
+
+    fn lcp_entry(target: u32, exceptions: Vec<u8>) -> JournalRecord {
+        JournalRecord::LcpEntryUpdate {
+            page: 9,
+            image: LcpImage {
+                plan: LcpPlan {
+                    target,
+                    exceptions,
+                    needed_bytes: 2200,
+                },
+                page_bytes: 4096,
+                base: 0x8000,
+                zero_bitmap: 0b1010,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lcp_entry_records_round_trip_and_reject_every_truncation(
+            page in any::<u64>(),
+            target in prop::sample::select(vec![0u32, 8, 22, 32, 44, 64]),
+            fields in (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
+            exceptions in prop::collection::vec(0u8..64, 0..=64),
+        ) {
+            let (needed_bytes, page_bytes, base, zero_bitmap) = fields;
+            let plan = LcpPlan { target, exceptions, needed_bytes };
+            let image = LcpImage { plan, page_bytes, base, zero_bitmap };
+            let rec = JournalRecord::LcpEntryUpdate { page, image };
+            let mut journal = Journal::new();
+            prop_assert_eq!(journal.append(&rec, &mut None), AppendOutcome::Written);
+            let bytes = journal.bytes();
+            let (parsed, report) = parse(bytes);
+            prop_assert_eq!(parsed, vec![rec]);
+            prop_assert!(!report.torn);
+            for len in 0..bytes.len() {
+                let (parsed, report) = parse(&bytes[..len]);
+                prop_assert!(parsed.is_empty(), "a {len}-byte prefix parsed");
+                prop_assert_eq!(report.discarded_bytes, len);
+            }
+        }
+    }
+
+    #[test]
+    fn lcp_all_zero_byte_must_match_the_target() {
+        for target in [0, 32] {
+            let mut frame = encode_record(0, &lcp_entry(target, Vec::new()));
+            // Payload byte 20 is the all-zero flag; flip it and re-seal.
+            frame[HEADER_BYTES + 20] ^= 1;
+            let end = frame.len() - TRAILER_BYTES;
+            let crc = crc32(&frame[..end]);
+            frame[end..].copy_from_slice(&crc.to_le_bytes());
+            let (parsed, report) = parse(&frame);
+            assert!(parsed.is_empty() && report.torn, "target {target}");
+        }
+    }
 
     fn entry(page: u64, fill: u8) -> JournalRecord {
         JournalRecord::EntryUpdate {
@@ -647,18 +698,7 @@ mod tests {
             },
             entry(3, 0xCD),
             JournalRecord::RepackCommit { page: 3 },
-            JournalRecord::LcpEntryUpdate {
-                page: 9,
-                image: LcpImage {
-                    target: 32,
-                    needed_bytes: 2200,
-                    page_bytes: 4096,
-                    base: 0x8000,
-                    all_zero: false,
-                    zero_bitmap: 0b1010,
-                    exceptions: vec![1, 7, 63],
-                },
-            },
+            lcp_entry(32, vec![1, 7, 63]),
             JournalRecord::PageFree { page: 3 },
         ];
         let mut journal = Journal::new();

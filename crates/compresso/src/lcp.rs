@@ -7,6 +7,7 @@
 //! for this simplicity — Fig. 2 quantifies the loss (13% with BPC, 2.3%
 //! with BDI).
 
+use crate::config::PageAllocation;
 use crate::metadata::LINES_PER_PAGE;
 use compresso_compression::BinSet;
 
@@ -27,6 +28,12 @@ impl LcpPlan {
         self.target * LINES_PER_PAGE as u32
     }
 
+    /// The page's allocation: the smallest Variable4 block holding
+    /// [`Self::needed_bytes`] (0 for an all-zero page).
+    pub fn page_bytes(&self) -> u32 {
+        PageAllocation::Variable4.fit(self.needed_bytes)
+    }
+
     /// Logical offset of `line` given this plan: a slot in the data
     /// region, or an exception slot after it.
     ///
@@ -43,13 +50,69 @@ impl LcpPlan {
     }
 }
 
+/// One LCP page's layout: its plan, its block and its zero lines. It is
+/// what [`crate::LcpDevice`] keeps per page and what the journal records
+/// as the page's commit point ([`crate::JournalRecord::LcpEntryUpdate`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LcpImage {
+    /// The target and exceptions. A writeback may add exceptions after
+    /// planning; `needed_bytes` stays as planned.
+    pub plan: LcpPlan,
+    /// The allocation in bytes (0: no storage).
+    pub page_bytes: u32,
+    /// MPA base of the page's one block.
+    pub base: u64,
+    /// Bit `i` set ⇔ line `i` is all-zero.
+    pub zero_bitmap: u64,
+}
+
+impl LcpImage {
+    /// The layout of a page whose lines compress to `sizes`, planned with
+    /// `bins` and sized for a block of the variable allocator (base
+    /// still 0).
+    pub fn new(sizes: &[u8], bins: &BinSet) -> Self {
+        let plan = plan(sizes, bins);
+        Self {
+            page_bytes: plan.page_bytes(),
+            plan,
+            base: 0,
+            zero_bitmap: sizes.iter().enumerate().fold(0, |bitmap, (line, &size)| {
+                bitmap | u64::from(size == 0) << line
+            }),
+        }
+    }
+
+    /// Whether every line is zero: the plan has no target.
+    pub fn all_zero(&self) -> bool {
+        self.plan.target == 0
+    }
+
+    /// Whether `line` is all-zero.
+    pub fn is_zero_line(&self, line: usize) -> bool {
+        self.zero_bitmap >> line & 1 != 0
+    }
+
+    /// Records whether `line` is all-zero.
+    pub fn set_zero_line(&mut self, line: usize, zero: bool) {
+        self.zero_bitmap = self.zero_bitmap & !(1 << line) | u64::from(zero) << line;
+    }
+
+    /// The page's one block, if it holds storage.
+    pub fn blocks(&self) -> Vec<(u64, u32)> {
+        match self.page_bytes {
+            0 => Vec::new(),
+            bytes => vec![(self.base, bytes)],
+        }
+    }
+}
+
 /// Plans an LCP page for the given per-line compressed sizes: picks the
 /// target from `bins` minimizing the total footprint.
 ///
 /// # Panics
 ///
 /// Panics if `sizes` is not 64 entries.
-pub fn plan(sizes: &[usize], bins: &BinSet) -> LcpPlan {
+pub fn plan(sizes: &[u8], bins: &BinSet) -> LcpPlan {
     assert_eq!(sizes.len(), LINES_PER_PAGE, "a page has 64 lines");
     if sizes.iter().all(|&s| s == 0) {
         return LcpPlan {
@@ -60,16 +123,15 @@ pub fn plan(sizes: &[usize], bins: &BinSet) -> LcpPlan {
     }
     let mut best: Option<LcpPlan> = None;
     for &t in bins.sizes().iter().skip(1) {
-        let t = t as u32;
         let exceptions: Vec<u8> = sizes
             .iter()
             .enumerate()
-            .filter(|&(_, &s)| s as u32 > t)
+            .filter(|&(_, &s)| s > t)
             .map(|(i, _)| i as u8)
             .collect();
-        let needed = t * LINES_PER_PAGE as u32 + 64 * exceptions.len() as u32;
+        let needed = t as u32 * LINES_PER_PAGE as u32 + 64 * exceptions.len() as u32;
         let candidate = LcpPlan {
-            target: t,
+            target: t as u32,
             exceptions,
             needed_bytes: needed,
         };
@@ -92,6 +154,7 @@ mod tests {
         let p = plan(&[0; 64], &BinSet::aligned4());
         assert_eq!(p.target, 0);
         assert_eq!(p.needed_bytes, 0);
+        assert_eq!(p.page_bytes(), 0);
         assert_eq!(p.offset_of(0), None);
     }
 
@@ -106,13 +169,14 @@ mod tests {
 
     #[test]
     fn outliers_become_exceptions() {
-        let mut sizes = [8usize; 64];
+        let mut sizes = [8u8; 64];
         sizes[10] = 64;
         sizes[20] = 50;
         let p = plan(&sizes, &BinSet::aligned4());
         assert_eq!(p.target, 8);
         assert_eq!(p.exceptions, vec![10, 20]);
         assert_eq!(p.needed_bytes, 512 + 128);
+        assert_eq!(p.page_bytes(), 1024);
         // Exception slots sit after the data region.
         assert_eq!(p.offset_of(10), Some((512, 64)));
         assert_eq!(p.offset_of(20), Some((576, 64)));
@@ -123,13 +187,13 @@ mod tests {
     fn mixed_sizes_hurt_lcp_more_than_linepack() {
         // Half the lines at 8 B, half at 32 B: LinePack needs 20 B/line
         // average; LCP must pick a single target.
-        let mut sizes = [8usize; 64];
+        let mut sizes = [8u8; 64];
         for s in sizes.iter_mut().skip(32) {
             *s = 32;
         }
         let bins = BinSet::aligned4();
         let p = plan(&sizes, &bins);
-        let linepack: u32 = sizes.iter().map(|&s| bins.quantize(s).bytes as u32).sum();
+        let linepack = crate::metadata::linepack_bytes(&sizes, &bins);
         assert!(
             p.needed_bytes > linepack,
             "LCP ({}) must lose to LinePack ({}) on heterogeneous pages",

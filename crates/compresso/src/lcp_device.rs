@@ -8,15 +8,14 @@
 //! (wrong speculation on exception lines costs an extra access).
 
 use crate::alloc::BuddyAllocator;
-use crate::config::PageAllocation;
 use crate::controller::{
     self, check_ownership, metadata_lookup, Committed, Controller, MetadataHooks, CODEC_LATENCY,
 };
 use crate::device::{LineSizes, MemoryDevice};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats};
-use crate::journal::{Journal, JournalRecord, LcpImage, PageImage, RecoveryReport};
-use crate::lcp::{plan, LcpPlan};
+use crate::journal::{Journal, JournalRecord, PageImage, RecoveryReport};
+use crate::lcp::LcpImage;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::DeviceStats;
 use compresso_cache_sim::Backend;
@@ -33,57 +32,14 @@ pub const OS_PAGE_FAULT_CYCLES: u64 = 5000;
 /// MPA capacity of the LCP devices' buddy allocator.
 const MPA_CAPACITY: u64 = 8 << 30;
 
+/// One touched LCP page: its layout, as journaled, plus the stored
+/// sizes of its lines (see [`crate::device`]).
 #[derive(Debug, Clone)]
-struct LcpMeta {
-    plan: LcpPlan,
-    page_bytes: u32,
-    base: u64,
-    zero_lines: [bool; LINES_PER_PAGE],
-    all_zero: bool,
-    /// Stored line sizes (see [`crate::device`]): not part of the
-    /// journaled image; `None` on a recovered page until first needed.
+struct LcpPage {
+    layout: LcpImage,
+    /// Not part of the journaled layout; `None` on a recovered page
+    /// until first needed.
     sizes: Option<LineSizes>,
-}
-
-impl LcpMeta {
-    /// The layout of `sizes` planned with `bins`, sized for a block of
-    /// the variable allocator (base still 0).
-    fn new(sizes: LineSizes, bins: &BinSet) -> Self {
-        let plan = plan(&sizes.map(usize::from), bins);
-        Self {
-            all_zero: plan.target == 0,
-            page_bytes: PageAllocation::Variable4.fit(plan.needed_bytes),
-            plan,
-            base: 0,
-            zero_lines: sizes.map(|size| size == 0),
-            sizes: Some(sizes),
-        }
-    }
-
-    /// Serializes the layout for the journal.
-    fn image(&self) -> LcpImage {
-        let mut zero_bitmap = 0u64;
-        for (line, &z) in self.zero_lines.iter().enumerate() {
-            zero_bitmap |= (z as u64) << line;
-        }
-        LcpImage {
-            target: self.plan.target,
-            needed_bytes: self.plan.needed_bytes,
-            page_bytes: self.page_bytes,
-            base: self.base,
-            all_zero: self.all_zero,
-            zero_bitmap,
-            exceptions: self.plan.exceptions.clone(),
-        }
-    }
-
-    /// The page's one block, if it holds storage.
-    fn blocks(&self) -> Vec<(u64, u32)> {
-        match self.page_bytes {
-            0 => Vec::new(),
-            bytes => vec![(self.base, bytes)],
-        }
-    }
 }
 
 /// MPA addresses of the 64 B bursts covering `size` bytes at logical
@@ -98,7 +54,7 @@ pub struct LcpDevice {
     bins: BinSet,
     ctl: Controller,
     alloc: BuddyAllocator,
-    pages: AddrMap<LcpMeta>,
+    pages: AddrMap<LcpPage>,
 }
 
 impl std::fmt::Debug for LcpDevice {
@@ -200,7 +156,7 @@ impl LcpDevice {
     pub fn stored_sizes(&self) -> BTreeMap<u64, LineSizes> {
         self.pages
             .iter()
-            .filter_map(|(&p, meta)| Some((p, meta.sizes?)))
+            .filter_map(|(&p, entry)| Some((p, entry.sizes?)))
             .collect()
     }
 
@@ -219,20 +175,16 @@ impl LcpDevice {
             return;
         }
         let sizes = self.ctl.size_page(page);
-        let mut meta = LcpMeta::new(sizes, &self.bins);
-        match self.alloc_block(meta.page_bytes) {
-            Ok(base) => meta.base = base,
-            Err(_) => {
-                // Degraded: hold the page as an unmapped all-zero plan;
-                // the first writeback with real data re-plans it through
-                // the OS page-fault path.
-                meta = LcpMeta {
-                    sizes: Some(sizes),
-                    ..LcpMeta::new([0; LINES_PER_PAGE], &self.bins)
-                };
-            }
+        let mut layout = LcpImage::new(&sizes, &self.bins);
+        match self.alloc_block(layout.page_bytes) {
+            Ok(base) => layout.base = base,
+            // Degraded: hold the page as an unmapped all-zero plan; the
+            // first writeback with real data re-plans it through the OS
+            // page-fault path.
+            Err(_) => layout = LcpImage::new(&[0; LINES_PER_PAGE], &self.bins),
         }
-        self.pages.insert(page, meta);
+        let sizes = Some(sizes);
+        self.pages.insert(page, LcpPage { layout, sizes });
         self.commit_lcp(page);
     }
 
@@ -250,16 +202,16 @@ impl LcpDevice {
     /// [`DeviceStats::fault_extra`] (corruption recovery) instead of
     /// `overflow_extra`.
     fn replan_page(&mut self, now: u64, page: u64, fault: bool) -> u64 {
-        let meta = self.pages.get_mut(&page).expect("page exists");
-        let sizes = self.ctl.stored_sizes(&mut meta.sizes, page);
-        let mut new = LcpMeta::new(sizes, &self.bins);
+        let entry = self.pages.get_mut(&page).expect("page exists");
+        let sizes = self.ctl.stored_sizes(&mut entry.sizes, page);
+        let mut new = LcpImage::new(&sizes, &self.bins);
         // Allocate the new frame before freeing the old one, so a refused
         // allocation leaves the page's layout intact.
         let Ok(base) = self.alloc_block(new.page_bytes) else {
             return now + OS_PAGE_FAULT_CYCLES;
         };
         new.base = base;
-        let old = &self.pages[&page];
+        let old = &self.pages[&page].layout;
         let moves = old.plan.needed_bytes.div_ceil(64) + new.plan.needed_bytes.div_ceil(64);
         let t = self.ctl.move_page(now, page, moves, true);
         if fault {
@@ -270,7 +222,7 @@ impl LcpDevice {
         if old.page_bytes > 0 {
             self.alloc.free(old.base, old.page_bytes);
         }
-        self.pages.insert(page, new);
+        self.pages.get_mut(&page).expect("page exists").layout = new;
         self.commit_lcp(page);
         // The OS trap dominates the latency of an OS-aware overflow.
         t + OS_PAGE_FAULT_CYCLES
@@ -287,14 +239,16 @@ impl LcpDevice {
         if !self.ctl.journaling() {
             return;
         }
-        let Some(meta) = self.pages.get(&page) else {
+        let Some(LcpPage { layout, .. }) = self.pages.get(&page) else {
             return;
         };
-        let image = meta.image();
         self.ctl.commit(
             page,
-            meta.blocks(),
-            JournalRecord::LcpEntryUpdate { page, image },
+            layout.blocks(),
+            JournalRecord::LcpEntryUpdate {
+                page,
+                image: layout.clone(),
+            },
         );
     }
 
@@ -346,23 +300,18 @@ impl LcpDevice {
                     .push(format!("page {page}: non-LCP record in journal"));
                 continue;
             };
-            let meta = LcpMeta {
-                plan: LcpPlan {
-                    target: img.target,
-                    exceptions: img.exceptions.clone(),
-                    needed_bytes: img.needed_bytes,
-                },
-                page_bytes: img.page_bytes,
-                base: img.base,
-                zero_lines: std::array::from_fn(|line| img.zero_bitmap >> line & 1 != 0),
-                all_zero: img.all_zero,
-                sizes: None,
-            };
             let blocks = shadow.blocks_of(page);
             report
                 .violations
-                .extend(check_ownership(page, meta.blocks(), &blocks));
-            device.pages.insert(page, meta);
+                .extend(check_ownership(page, img.blocks(), &blocks));
+            let layout = img.clone();
+            device.pages.insert(
+                page,
+                LcpPage {
+                    layout,
+                    sizes: None,
+                },
+            );
             owned_blocks.extend(&blocks);
             let entry = JournalRecord::LcpEntryUpdate {
                 page,
@@ -395,10 +344,10 @@ impl Backend for LcpDevice {
         // Metadata access, possibly with a parallel speculative data read.
         let (t_meta, miss) = metadata_lookup(self, now, page, false, false);
 
-        let meta = &self.pages[&page];
+        let meta = &self.pages[&page].layout;
         let target = meta.plan.target;
         let base = meta.base;
-        if meta.all_zero || meta.zero_lines[line] {
+        if meta.all_zero() || meta.is_zero_line(line) {
             self.ctl.stats.zero_fills += 1;
             return t_meta;
         }
@@ -453,17 +402,18 @@ impl Backend for LcpDevice {
         let (t, _) = metadata_lookup(self, now, page, false, true);
 
         self.ctl.world.on_writeback(line_addr);
-        let meta = self.pages.get_mut(&page).expect("ensured");
-        let new_size = self.ctl.resize_line(&mut meta.sizes, line_addr) as u32;
+        let entry = self.pages.get_mut(&page).expect("ensured");
+        let new_size = self.ctl.resize_line(&mut entry.sizes, line_addr) as u32;
+        let meta = &mut entry.layout;
 
-        meta.zero_lines[line] = new_size == 0;
+        meta.set_zero_line(line, new_size == 0);
         if new_size == 0 {
             self.ctl.stats.zero_writebacks += 1;
             self.commit_lcp(page);
             return t;
         }
 
-        if meta.all_zero {
+        if meta.all_zero() {
             // First data into an all-zero page: plan it as a page of one
             // line (OS-aware: this too traps, but the common path in the
             // paper's model charges it as an overflow re-plan).
@@ -501,7 +451,7 @@ impl Backend for LcpDevice {
         }
         // Exception region full: OS-visible page overflow.
         let done = self.page_overflow(t, page);
-        let meta = &self.pages[&page];
+        let meta = &self.pages[&page].layout;
         if let Some((offset, size)) = meta.plan.offset_of(line) {
             self.ctl.write_bursts(done, bursts(meta.base, offset, size));
         }

@@ -72,13 +72,15 @@ pub use device::{MemoryDevice, UncompressedDevice};
 pub use error::CompressoError;
 pub use faultkit::{FaultConfig, FaultPlan, FaultStats, MetadataFault};
 pub use journal::{
-    parse as parse_journal, AppendOutcome, DurabilityEvents, Journal, JournalRecord, LcpImage,
-    PageImage, ParseReport, RecoveryReport, ShadowModel,
+    parse as parse_journal, AppendOutcome, DurabilityEvents, Journal, JournalRecord, PageImage,
+    ParseReport, RecoveryReport, ShadowModel,
 };
-pub use lcp::{plan as lcp_plan, LcpPlan};
+pub use lcp::{plan as lcp_plan, LcpImage, LcpPlan};
 pub use lcp_device::{LcpDevice, OS_PAGE_FAULT_CYCLES};
 pub use mcache::{McAccess, McStats, MetadataCache};
-pub use metadata::{LineLocation, PageMeta, CHUNK_BYTES, LINES_PER_PAGE, PAGE_BYTES};
+pub use metadata::{
+    linepack_bytes, LineLocation, PageMeta, CHUNK_BYTES, LINES_PER_PAGE, PAGE_BYTES,
+};
 pub use metadata_codec::{
     decode as decode_metadata, encode as encode_metadata, DecodeMetadataError,
 };

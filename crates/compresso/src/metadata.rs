@@ -1,10 +1,12 @@
-//! Per-OSPA-page metadata (Fig. 3).
+//! Per-OSPA-page metadata (Fig. 3) and the LinePack layout it describes.
 //!
 //! Compresso keeps one 64 B metadata entry per OSPA page in dedicated MPA
-//! space (1.6% storage overhead). An entry holds: control flags, the page
-//! size, tracked free space, up to 8 machine page-frame numbers (MPFNs) of
-//! 512 B chunks, 2-bit encoded sizes for all 64 lines, and 17 six-bit
-//! inflation pointers plus a count.
+//! space (1.6% storage overhead). [`PageMeta`] is the in-memory entry:
+//! control flags, the allocation, its chunk frames, one size bin per line
+//! and the inflation pointers. Its packed DRAM format, every field width
+//! included, is defined once by [`crate::metadata_codec`] (the Fig. 3
+//! table there). [`PageMeta::locate`] is the one LinePack offset formula,
+//! and [`linepack_bytes`] the one LinePack page-size sum.
 
 use compresso_compression::{BinSet, SizeBin};
 
@@ -165,18 +167,18 @@ impl PageMeta {
     pub fn is_inflated(&self, line: usize) -> bool {
         self.inflated.iter().any(|&l| l as usize == line)
     }
+}
 
-    /// The encoded size of this entry in bits, given `bins` (checked
-    /// against the 64 B budget in tests).
-    pub fn encoded_bits(bins: &BinSet) -> u32 {
-        let control = 4; // valid, zero, compressed, spare
-        let page_size = 3; // 8 page sizes
-        let free_space = 12;
-        let mpfns = 8 * 24; // 24-bit chunk frame numbers (8 GB / 512 B)
-        let line_codes = 64 * bins.code_bits();
-        let inflation = 17 * 6 + 6;
-        control + page_size + free_space + mpfns + line_codes + inflation
-    }
+/// The LinePack data bytes of a page whose lines compress to `sizes`:
+/// each size rounded up to its bin, summed. Only bin 0 is empty, so the
+/// sum is 0 exactly when every line is zero, and
+/// [`PageAllocation::fit`](crate::PageAllocation::fit) of it is the
+/// page's allocation (0 for an all-zero page).
+pub fn linepack_bytes(sizes: &[u8], bins: &BinSet) -> u32 {
+    sizes
+        .iter()
+        .map(|&size| bins.quantize(size as usize).bytes as u32)
+        .sum()
 }
 
 /// The number of `line_bins` entries equal to `bin`: at most 64, so the
@@ -264,14 +266,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn entry_fits_in_64_bytes() {
-        // Fig. 3: with 4 bins (2-bit codes) the entry must fit in 64 B;
-        // with 8 bins (3-bit codes) it still must (§IV-A1 notes the cost).
-        assert!(PageMeta::encoded_bits(&BinSet::aligned4()) <= 512);
-        assert!(PageMeta::encoded_bits(&BinSet::eight()) <= 512);
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub const PACKED_BYTES: usize = 64;
 /// checksum covers bytes `[0, CRC_OFFSET)`.
 pub const CRC_OFFSET: usize = PACKED_BYTES - 4;
 
+/// Width of each line-size code: the packed entry holds 64 of them, so
+/// a bin set of more than four bins cannot be packed (§IV-A1).
+pub const LINE_CODE_BITS: u32 = 2;
+
 /// Inflation pointers in an entry: the most lines a page's inflation
 /// room can hold (§IV-B3).
 pub const MAX_INFLATED: usize = 17;
@@ -111,7 +115,8 @@ impl std::error::Error for DecodeMetadataError {}
 ///
 /// Returns [`CompressoError::UnencodableMetadata`] if the entry violates
 /// hardware limits (more than 8 chunks, more than 17 inflated lines, a
-/// chunk frame number above 2^24, or a line code outside the bin set) —
+/// chunk frame number above 2^24, or a line code outside the bin set or
+/// wider than [`LINE_CODE_BITS`]) —
 /// such an entry cannot exist in a correct controller, but fault-injected
 /// runs must not abort on it.
 pub fn try_encode(meta: &PageMeta, bins: &BinSet) -> Result<[u8; PACKED_BYTES], CompressoError> {
@@ -126,12 +131,11 @@ pub fn try_encode(meta: &PageMeta, bins: &BinSet) -> Result<[u8; PACKED_BYTES], 
         ));
     }
     // Validate line codes before `free_bytes` indexes the bin set.
-    for &code in meta.line_bins.iter() {
-        if (code as usize) >= bins.len() {
-            return Err(CompressoError::UnencodableMetadata(
-                "line code outside the bin set",
-            ));
-        }
+    let codes = bins.len().min(1 << LINE_CODE_BITS);
+    if meta.line_bins.iter().any(|&code| code as usize >= codes) {
+        return Err(CompressoError::UnencodableMetadata(
+            "line code outside the bin set or its 2-bit field",
+        ));
     }
     let mut w = BitWriter::new();
     w.write_bit(meta.valid);
@@ -149,7 +153,7 @@ pub fn try_encode(meta: &PageMeta, bins: &BinSet) -> Result<[u8; PACKED_BYTES], 
         w.write(mpfn as u64, 24);
     }
     for &code in meta.line_bins.iter() {
-        w.write(code as u64, 2);
+        w.write(code as u64, LINE_CODE_BITS as usize);
     }
     w.write(meta.inflated.len() as u64, 6);
     for i in 0..MAX_INFLATED {
@@ -215,7 +219,7 @@ pub fn decode(packed: &[u8; PACKED_BYTES], bins: &BinSet) -> Result<PageMeta, De
     }
     let mut line_bins = [0u8; LINES_PER_PAGE];
     for code in line_bins.iter_mut() {
-        let c = r.read(2) as u8;
+        let c = r.read(LINE_CODE_BITS as usize) as u8;
         if (c as usize) >= bins.len() {
             return Err(DecodeMetadataError::BadLineCode(c));
         }
@@ -384,6 +388,16 @@ mod tests {
         m.line_bins[0] = 4; // aligned4 has exactly 4 bins: codes 0..=3
         assert!(matches!(
             try_encode(&m, &bins),
+            Err(CompressoError::UnencodableMetadata(_))
+        ));
+        // Eight bins need 3-bit codes: code 5 is in the bin set but not
+        // in the 2-bit field, so it must not be truncated to 1.
+        let eight = BinSet::eight();
+        assert!(try_encode(&sample(), &eight).is_ok());
+        let mut m = sample();
+        m.line_bins[0] = 5;
+        assert!(matches!(
+            try_encode(&m, &eight),
             Err(CompressoError::UnencodableMetadata(_))
         ));
     }

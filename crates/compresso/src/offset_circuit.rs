@@ -9,10 +9,11 @@
 //! LinePack access.
 //!
 //! This module reproduces that sizing analytically (carry-save adder tree
-//! arithmetic) and provides the exact functional computation so the claim
-//! is checkable, not just quoted.
-
-use crate::error::CompressoError;
+//! arithmetic), so the claim is checkable, not just quoted. The function
+//! the unit computes is [`PageMeta::locate`]'s packed offset, the one
+//! definition of the LinePack layout.
+//!
+//! [`PageMeta::locate`]: crate::metadata::PageMeta::locate
 
 /// Per-input width after the >>3 normalization: values {0, 1, 4, 8} fit 4
 /// bits.
@@ -70,41 +71,6 @@ pub fn linepack_offset_unit() -> CircuitEstimate {
     }
 }
 
-/// Functional model: the offset (in bytes) of the line at `index` given
-/// the 2-bit size codes of all 64 lines, for bins {0, 8, 32, 64}
-/// **within its size group** (grouped packing, largest bins first).
-///
-/// # Errors
-///
-/// Returns [`CompressoError::LineIndexOutOfRange`] if `index >= 64` and
-/// [`CompressoError::InvalidLineCode`] if any code exceeds 3 — a real
-/// circuit fed a corrupted metadata entry would flag exactly these.
-pub fn offset_of(codes: &[u8; 64], index: usize) -> Result<u32, CompressoError> {
-    if index >= 64 {
-        return Err(CompressoError::LineIndexOutOfRange(index));
-    }
-    let size = |code: u8| -> Result<u32, CompressoError> {
-        match code {
-            0 => Ok(0),
-            1 => Ok(8),
-            2 => Ok(32),
-            3 => Ok(64),
-            c => Err(CompressoError::InvalidLineCode(c)),
-        }
-    };
-    let my = codes[index];
-    let mut sum = 0u32;
-    for (i, &code) in codes.iter().enumerate() {
-        // Validate every code, contributing or not: the adder tree sees
-        // all 64 inputs.
-        let bytes = size(code)?;
-        if code > my || (code == my && i < index) {
-            sum += bytes;
-        }
-    }
-    Ok(sum)
-}
-
 /// Gate-delay budget of one DDR4-2666 memory-controller cycle (§VII-E:
 /// "DDR4-2666MHz allows only ~30 gate delays in one cycle").
 pub const CYCLE_GATE_DELAY_BUDGET: u32 = 30;
@@ -135,90 +101,11 @@ mod tests {
     }
 
     #[test]
-    fn functional_offsets_match_pagemeta_locate() {
-        use crate::metadata::{LineLocation, PageMeta};
-        use compresso_compression::BinSet;
-        let bins = BinSet::aligned4();
-        let mut codes = [0u8; 64];
-        for (i, c) in codes.iter_mut().enumerate() {
-            *c = ((i * 7) % 4) as u8;
-        }
-        let meta = PageMeta {
-            valid: true,
-            page_bytes: 4096,
-            line_bins: codes,
-            ..PageMeta::invalid()
-        };
-        for line in 0..64 {
-            let expected = match meta.locate(line, &bins) {
-                LineLocation::Packed { offset, .. } => Some(offset),
-                LineLocation::Zero => None,
-                LineLocation::Inflated { .. } => unreachable!("no inflated lines"),
-            };
-            if let Some(expected) = expected {
-                assert_eq!(offset_of(&codes, line), Ok(expected), "line {line}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_max_codes_offset() {
-        let codes = [3u8; 64];
-        assert_eq!(offset_of(&codes, 0), Ok(0));
-        assert_eq!(offset_of(&codes, 63), Ok(63 * 64));
-    }
-
-    #[test]
-    fn every_valid_code_and_out_of_range_inputs() {
-        // All four valid codes compute; grouped layout: 64 B group first,
-        // then 32, then 8, zero lines placeless.
-        let mut codes = [0u8; 64];
-        codes[0] = 1; // 8 B
-        codes[1] = 2; // 32 B
-        codes[2] = 3; // 64 B
-        codes[3] = 0; // zero
-        assert_eq!(offset_of(&codes, 2), Ok(0));
-        assert_eq!(offset_of(&codes, 1), Ok(64));
-        assert_eq!(offset_of(&codes, 0), Ok(96));
-        assert_eq!(offset_of(&codes, 3), Ok(96 + 8));
-        // Out-of-range line index.
-        assert_eq!(
-            offset_of(&codes, 64),
-            Err(CompressoError::LineIndexOutOfRange(64))
-        );
-        assert_eq!(
-            offset_of(&codes, usize::MAX),
-            Err(CompressoError::LineIndexOutOfRange(usize::MAX))
-        );
-    }
-
-    #[test]
     fn popcount_sizing_is_monotone() {
         let (fa8, lv8) = size_popcount(8);
         let (fa63, lv63) = size_popcount(63);
         assert!(fa63 > fa8);
         assert!(lv63 >= lv8);
         assert_eq!(fa63, 63 - 6, "63 bits reduce to a 6-bit count");
-    }
-
-    #[test]
-    fn bad_code_is_a_typed_error() {
-        let mut codes = [0u8; 64];
-        codes[1] = 4;
-        // The bad code errors whether it is the indexed line...
-        assert_eq!(
-            offset_of(&codes, 1),
-            Err(CompressoError::InvalidLineCode(4))
-        );
-        // ...or any other input to the adder tree.
-        assert_eq!(
-            offset_of(&codes, 0),
-            Err(CompressoError::InvalidLineCode(4))
-        );
-        codes[1] = 255;
-        assert_eq!(
-            offset_of(&codes, 5),
-            Err(CompressoError::InvalidLineCode(255))
-        );
     }
 }

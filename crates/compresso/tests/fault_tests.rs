@@ -7,8 +7,8 @@ use compresso_cache_sim::Backend;
 use compresso_compression::{is_zero_line, Bpc, Compressor};
 use compresso_core::device::LineSizes;
 use compresso_core::{
-    CompressoConfig, CompressoDevice, DeviceStats, FaultPlan, FaultStats, LcpDevice, MemoryDevice,
-    PageAllocation,
+    linepack_bytes, CompressoConfig, CompressoDevice, DeviceStats, FaultPlan, FaultStats,
+    LcpDevice, MemoryDevice, PageAllocation,
 };
 use compresso_workloads::{benchmark, DataWorld, Evolution, LineSource, PAGE_BYTES};
 use proptest::prelude::*;
@@ -235,12 +235,7 @@ fn assert_binned_recount(label: &str, d: &CompressoDevice) {
     let stored = d.stored_sizes();
     let recount: BTreeMap<u64, u32> = stored
         .iter()
-        .map(|(&page, sizes)| {
-            let bytes = sizes
-                .iter()
-                .map(|&s| bins.quantize(s as usize).bytes as u32);
-            (page, bytes.sum())
-        })
+        .map(|(&page, sizes)| (page, linepack_bytes(sizes, bins)))
         .collect();
     assert_eq!(
         d.stored_binned_bytes(),

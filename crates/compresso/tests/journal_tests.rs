@@ -14,8 +14,8 @@ use compresso_cache_sim::Backend;
 use compresso_core::journal::{frame_boundaries, parse};
 use compresso_core::{
     encode_metadata, CompressoConfig, CompressoDevice, DurabilityConfig, FaultConfig, FaultPlan,
-    Journal, JournalRecord, LcpDevice, LcpImage, MemoryDevice, PageAllocation, PageImage, PageMeta,
-    RecoveryReport, ShadowModel,
+    Journal, JournalRecord, LcpDevice, LcpImage, LcpPlan, MemoryDevice, PageAllocation, PageImage,
+    PageMeta, RecoveryReport, ShadowModel,
 };
 use compresso_workloads::{benchmark, BenchmarkProfile, DataWorld, PAGE_BYTES};
 use std::collections::BTreeMap;
@@ -399,13 +399,14 @@ fn entry_must_own_exactly_the_journal_blocks() {
     // at 0x8000; the plan claims `page_bytes` at `base`.
     let lcp = |base: u64, page_bytes: u32| {
         let image = LcpImage {
-            target: 8,
-            needed_bytes: 512,
+            plan: LcpPlan {
+                target: 8,
+                exceptions: Vec::new(),
+                needed_bytes: 512,
+            },
             page_bytes,
             base,
-            all_zero: false,
             zero_bitmap: 0,
-            exceptions: Vec::new(),
         };
         let records = [
             grant(0x8000, 1024),
@@ -459,4 +460,16 @@ fn entry_must_own_exactly_the_journal_blocks() {
             assert!(named, "{name}: {:?}", report.violations);
         }
     }
+}
+
+/// The packed entry holds 2-bit line codes, so a journaled device with
+/// eight bins would fail to encode its entries and skip every commit.
+#[test]
+#[should_panic(expected = "2-bit line codes")]
+fn journaled_eight_bin_device_is_refused() {
+    let cfg = CompressoConfig {
+        bins: compresso_compression::BinSet::eight(),
+        ..CompressoConfig::durable()
+    };
+    let _ = CompressoDevice::new(cfg, DataWorld::new(&profile("gcc")));
 }

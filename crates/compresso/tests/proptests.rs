@@ -1,6 +1,7 @@
 //! Property-based tests on Compresso's core data structures.
 
 use compresso_compression::{bins::is_split_access, BinSet};
+use compresso_core::metadata_codec::{crc32, CRC_OFFSET, MAX_INFLATED, PACKED_BYTES};
 use compresso_core::{
     decode_metadata, encode_metadata, lcp_plan, LineLocation, MetadataCache, PageMeta,
     LINES_PER_PAGE,
@@ -38,11 +39,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn metadata_codec_roundtrips(meta in arb_meta()) {
-        let bins = BinSet::aligned4();
+    fn metadata_codec_roundtrips(meta in arb_meta(), legacy in any::<bool>()) {
+        // Both 4-bin sets pack into the same 2-bit codes.
+        let bins = if legacy { BinSet::legacy4() } else { BinSet::aligned4() };
         let packed = encode_metadata(&meta, &bins);
         let decoded = decode_metadata(&packed, &bins).expect("valid entry");
         prop_assert_eq!(decoded, meta);
+    }
+
+    #[test]
+    fn decode_metadata_is_total(
+        bytes in prop::collection::vec(any::<u8>(), PACKED_BYTES),
+        seal in any::<bool>(),
+        set in 0usize..3,
+    ) {
+        // Any 64 bytes decode to an entry or an error, never a panic.
+        // Half the inputs carry a valid CRC, so the field checks run too.
+        let bins = [BinSet::aligned4(), BinSet::legacy4(), BinSet::eight()][set].clone();
+        let mut packed: [u8; PACKED_BYTES] = bytes.try_into().expect("64 bytes");
+        if seal {
+            let crc = crc32(&packed[..CRC_OFFSET]);
+            packed[CRC_OFFSET..].copy_from_slice(&crc.to_le_bytes());
+        }
+        if let Ok(meta) = decode_metadata(&packed, &bins) {
+            prop_assert!(seal, "an unsealed entry passed the CRC");
+            prop_assert!(meta.chunks.len() <= 8);
+            prop_assert!(meta.inflated.len() <= MAX_INFLATED);
+            prop_assert!(meta.line_bins.iter().all(|&b| (b as usize) < bins.len()));
+        }
     }
 
     #[test]
@@ -122,7 +146,7 @@ proptest! {
     }
 
     #[test]
-    fn lcp_plan_covers_all_sizes(sizes in prop::collection::vec(0usize..=64, 64)) {
+    fn lcp_plan_covers_all_sizes(sizes in prop::collection::vec(0u8..=64, 64)) {
         let bins = BinSet::aligned4();
         let plan = lcp_plan(&sizes, &bins);
         for (i, &s) in sizes.iter().enumerate() {

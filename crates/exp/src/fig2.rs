@@ -8,7 +8,7 @@
 
 use crate::sweep::{run_cells, successes, SweepOptions};
 use compresso_compression::{Bdi, BinSet, Bpc, Compressor, LINE_SIZE};
-use compresso_core::{lcp_plan, PageAllocation};
+use compresso_core::{lcp_plan, linepack_bytes, PageAllocation};
 use compresso_telemetry::{
     CellMetrics, Counter, EpochRecorder, LatencyHistogram, MetricsReport, Registry,
 };
@@ -31,20 +31,10 @@ pub struct Fig2Row {
     pub bdi_lcp: f64,
 }
 
-fn page_bytes_linepack(sizes: &[usize], bins: &BinSet) -> u64 {
-    if sizes.iter().all(|&s| s == 0) {
-        return 0;
-    }
-    let data: u32 = sizes.iter().map(|&s| bins.quantize(s).bytes as u32).sum();
-    PageAllocation::Chunks512.fit(data.max(1)) as u64
-}
-
-fn page_bytes_lcp(sizes: &[usize], bins: &BinSet) -> u64 {
-    let plan = lcp_plan(sizes, bins);
-    if plan.needed_bytes == 0 {
-        return 0;
-    }
-    PageAllocation::Variable4.fit(plan.needed_bytes.clamp(1, 4096)) as u64
+/// MPA bytes of a LinePack page of 512 B chunks whose lines compress to
+/// `sizes`.
+fn linepack_page_bytes(sizes: &[u8], bins: &BinSet) -> u64 {
+    PageAllocation::Chunks512.fit(linepack_bytes(sizes, bins)) as u64
 }
 
 /// Computes the four ratios for one benchmark, sampling at most
@@ -79,8 +69,8 @@ pub fn ratios_for(
     let mut totals = [0u64; 4]; // bpc_lp, bpc_lcp, bdi_lp, bdi_lcp
     let mut lines = [[0; LINE_SIZE]; LINES_PER_PAGE as usize];
     for page in 0..pages {
-        let mut bpc_sizes = [0usize; 64];
-        let mut bdi_sizes = [0usize; 64];
+        let mut bpc_sizes = [0u8; LINES_PER_PAGE as usize];
+        let mut bdi_sizes = [0u8; LINES_PER_PAGE as usize];
         world.page_lines(page * PAGE_BYTES, &mut lines);
         for (line, data) in lines.iter().enumerate() {
             lines_scanned += 1;
@@ -88,15 +78,15 @@ pub fn ratios_for(
                 zero_lines += 1;
                 continue;
             }
-            bpc_sizes[line] = bpc.compressed_size(data);
-            bdi_sizes[line] = bdi.compressed_size(data);
+            bpc_sizes[line] = bpc.compressed_size(data) as u8;
+            bdi_sizes[line] = bdi.compressed_size(data) as u8;
             bpc_bytes.record(bpc_sizes[line] as u64);
             bdi_bytes.record(bdi_sizes[line] as u64);
         }
-        totals[0] += page_bytes_linepack(&bpc_sizes, &bins);
-        totals[1] += page_bytes_lcp(&bpc_sizes, &bins);
-        totals[2] += page_bytes_linepack(&bdi_sizes, &bins);
-        totals[3] += page_bytes_lcp(&bdi_sizes, &bins);
+        totals[0] += linepack_page_bytes(&bpc_sizes, &bins);
+        totals[1] += lcp_plan(&bpc_sizes, &bins).page_bytes() as u64;
+        totals[2] += linepack_page_bytes(&bdi_sizes, &bins);
+        totals[3] += lcp_plan(&bdi_sizes, &bins).page_bytes() as u64;
         pages_scanned += 1;
         recorder.observe((page + 1) * PAGE_BYTES);
     }
@@ -156,18 +146,18 @@ pub fn bpc_modification_gain(profile: &BenchmarkProfile, max_pages: usize) -> (f
     let (mut modified, mut baseline) = (0u64, 0u64);
     let mut lines = [[0; LINE_SIZE]; LINES_PER_PAGE as usize];
     for page in 0..pages {
-        let mut mod_sizes = [0usize; 64];
-        let mut base_sizes = [0usize; 64];
+        let mut mod_sizes = [0u8; LINES_PER_PAGE as usize];
+        let mut base_sizes = [0u8; LINES_PER_PAGE as usize];
         world.page_lines(page * PAGE_BYTES, &mut lines);
         for (line, data) in lines.iter().enumerate() {
             if compresso_compression::is_zero_line(data) {
                 continue;
             }
-            mod_sizes[line] = bpc.compress(data).size_bytes();
-            base_sizes[line] = bpc.compress_transform_only(data).size_bytes();
+            mod_sizes[line] = bpc.compress(data).size_bytes() as u8;
+            base_sizes[line] = bpc.compress_transform_only(data).size_bytes() as u8;
         }
-        modified += page_bytes_linepack(&mod_sizes, &bins);
-        baseline += page_bytes_linepack(&base_sizes, &bins);
+        modified += linepack_page_bytes(&mod_sizes, &bins);
+        baseline += linepack_page_bytes(&base_sizes, &bins);
     }
     let ospa = (pages * PAGE_BYTES) as f64;
     (ospa / modified.max(1) as f64, ospa / baseline.max(1) as f64)

@@ -4,7 +4,7 @@
 use crate::runner::SystemKind;
 use crate::sweep::{run_cells, run_grid, successes, SweepCell, SweepOptions};
 use compresso_compression::{BinSet, Bpc, Compressor, LINE_SIZE};
-use compresso_core::{CompressoConfig, PageAllocation};
+use compresso_core::{linepack_bytes, CompressoConfig, PageAllocation};
 use compresso_telemetry::CellMetrics;
 use compresso_workloads::{
     all_benchmarks, BenchmarkProfile, DataWorld, LINES_PER_PAGE, PAGE_BYTES,
@@ -38,19 +38,15 @@ fn static_ratio_of(
     let mut mpa = 0u64;
     let mut lines = [[0; LINE_SIZE]; LINES_PER_PAGE as usize];
     for page in 0..pages {
-        let mut data_bytes = 0u32;
-        let mut all_zero = true;
         world.page_lines(page * PAGE_BYTES, &mut lines);
-        for data in &lines {
+        let sizes = lines.each_ref().map(|data| {
             if compresso_compression::is_zero_line(data) {
-                continue;
+                0
+            } else {
+                bpc.compressed_size(data) as u8
             }
-            all_zero = false;
-            data_bytes += bins.quantize(bpc.compressed_size(data)).bytes as u32;
-        }
-        if !all_zero {
-            mpa += allocation.fit(data_bytes.max(1)) as u64;
-        }
+        });
+        mpa += allocation.fit(linepack_bytes(&sizes, bins)) as u64;
     }
     pages as f64 * PAGE_BYTES as f64 / mpa.max(1) as f64
 }

@@ -6,7 +6,7 @@
 //! faults (demand-zero) and cost nothing here, matching the paper's
 //! methodology where only steady-state paging matters.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use compresso_workloads::{AddrMap, AddrSet};
 
 /// Cost of a major page fault (swap-in from an SSD swap device) in core
 /// cycles: ~100 µs at 3 GHz.
@@ -36,33 +36,41 @@ impl PagingStats {
     }
 }
 
+/// Key of the recency list's sentinel, whose `newer` link is the least
+/// recently used page and whose `older` link the most recently used one.
+/// Page numbers are byte addresses over 4 KB, so none reaches it.
+const SENTINEL: u64 = u64::MAX;
+
+/// A resident page's neighbours in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    older: u64,
+    newer: u64,
+}
+
 /// An LRU-managed resident set under a dynamic page budget.
 #[derive(Debug, Clone)]
 pub struct PagingSim {
     budget: usize,
-    /// Resident pages with a recency queue (front = LRU).
-    resident: HashSet<u64>,
-    /// Queue of (page, stamp); entries whose stamp is outdated are stale.
-    lru: VecDeque<(u64, u64)>,
-    /// Recency stamps to lazily compact the queue.
-    stamp: HashMap<u64, u64>,
-    tick: u64,
-    /// Pages that have ever been resident (their content is in swap once
-    /// evicted).
-    touched: HashSet<u64>,
+    /// The resident pages ordered by last touch: a circular list through
+    /// `SENTINEL`, linked by page number.
+    recency: AddrMap<Links>,
+    /// Pages ever touched: their content is in memory or swap.
+    touched: AddrSet,
     stats: PagingStats,
 }
 
 impl PagingSim {
     /// Creates a paging simulation with an initial `budget` (pages).
     pub fn new(budget: usize) -> Self {
+        let empty = Links {
+            older: SENTINEL,
+            newer: SENTINEL,
+        };
         Self {
             budget: budget.max(1),
-            resident: HashSet::new(),
-            lru: VecDeque::new(),
-            stamp: HashMap::new(),
-            tick: 0,
-            touched: HashSet::new(),
+            recency: AddrMap::from_iter([(SENTINEL, empty)]),
+            touched: AddrSet::default(),
             stats: PagingStats::default(),
         }
     }
@@ -79,29 +87,42 @@ impl PagingSim {
 
     /// Number of currently resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.recency.len() - 1
     }
 
     /// Adjusts the budget (the cgroup limit / ballooned capacity),
     /// reclaiming immediately if over.
     pub fn set_budget(&mut self, budget: usize) {
         self.budget = budget.max(1);
-        while self.resident.len() > self.budget {
-            self.evict_one();
+        self.reclaim_to(self.budget);
+    }
+
+    /// Swaps out least recently used pages until at most `pages` remain.
+    fn reclaim_to(&mut self, pages: usize) {
+        while self.resident_pages() > pages {
+            self.unlink(self.recency[&SENTINEL].newer);
+            self.stats.evictions += 1;
         }
     }
 
-    fn evict_one(&mut self) {
-        while let Some((page, stamp)) = self.lru.pop_front() {
-            // Skip stale queue entries (page was re-touched later).
-            if self.stamp.get(&page).copied() != Some(stamp) {
-                continue;
-            }
-            if self.resident.remove(&page) {
-                self.stats.evictions += 1;
-                return;
-            }
-        }
+    /// Takes `page` out of the recency list; returns whether it was
+    /// resident.
+    fn unlink(&mut self, page: u64) -> bool {
+        let Some(Links { older, newer }) = self.recency.remove(&page) else {
+            return false;
+        };
+        self.recency.get_mut(&older).expect("linked").newer = newer;
+        self.recency.get_mut(&newer).expect("linked").older = older;
+        true
+    }
+
+    /// Links `page` in as the most recently used resident page.
+    fn push_newest(&mut self, page: u64) {
+        let sentinel = self.recency.get_mut(&SENTINEL).expect("sentinel");
+        let older = std::mem::replace(&mut sentinel.older, page);
+        self.recency.get_mut(&older).expect("linked").newer = page;
+        let newer = SENTINEL;
+        self.recency.insert(page, Links { older, newer });
     }
 
     /// Initializes steady state: every page in `pages` has been touched
@@ -111,10 +132,8 @@ impl PagingSim {
     pub fn prefault<I: IntoIterator<Item = u64>>(&mut self, pages: I) {
         for page in pages {
             self.touched.insert(page);
-            if self.resident.len() < self.budget && self.resident.insert(page) {
-                self.tick += 1;
-                self.lru.push_back((page, self.tick));
-                self.stamp.insert(page, self.tick);
+            if self.resident_pages() < self.budget && !self.recency.contains_key(&page) {
+                self.push_newest(page);
             }
         }
     }
@@ -123,39 +142,20 @@ impl PagingSim {
     /// resident or on a first touch).
     pub fn access(&mut self, page: u64) -> u64 {
         self.stats.accesses += 1;
-        self.tick += 1;
-        let penalty = if self.resident.contains(&page) {
+        if self.unlink(page) {
+            self.push_newest(page);
+            return 0;
+        }
+        let penalty = if self.touched.insert(page) {
+            self.stats.minor_faults += 1;
             0
-        } else if self.touched.contains(&page) {
+        } else {
             self.stats.major_faults += 1;
             SWAP_IN_CYCLES
-        } else {
-            self.stats.minor_faults += 1;
-            self.touched.insert(page);
-            0
         };
-        if !self.resident.contains(&page) {
-            while self.resident.len() >= self.budget {
-                self.evict_one();
-            }
-            self.resident.insert(page);
-        }
-        self.lru.push_back((page, self.tick));
-        self.stamp.insert(page, self.tick);
-        // Bound queue growth: compact when it far exceeds residency.
-        if self.lru.len() > 4 * self.budget + 64 {
-            self.compact();
-        }
+        self.reclaim_to(self.budget - 1);
+        self.push_newest(page);
         penalty
-    }
-
-    fn compact(&mut self) {
-        // Keep only the live entry of each resident page, preserving
-        // recency order.
-        let stamp = &self.stamp;
-        let resident = &self.resident;
-        self.lru
-            .retain(|&(page, s)| resident.contains(&page) && stamp.get(&page).copied() == Some(s));
     }
 }
 

@@ -4,9 +4,10 @@
 //! suite stays quick.
 
 use compresso_compression::{BinSet, Bpc, Compressor};
+use compresso_core::metadata_codec::try_encode;
 use compresso_core::{
-    lcp_plan, linepack_offset_unit, CompressoConfig, LineLocation, PageAllocation, PageMeta,
-    LINES_PER_PAGE, OS_PAGE_FAULT_CYCLES,
+    decode_metadata, lcp_plan, linepack_offset_unit, CompressoConfig, LineLocation, PageAllocation,
+    PageMeta, LINES_PER_PAGE, OS_PAGE_FAULT_CYCLES,
 };
 use compresso_exp::{fig2, geomean, run_single, SweepOptions, SystemKind};
 use compresso_workloads::{all_benchmarks, benchmark, compresspoint, full_run, simpoint};
@@ -171,8 +172,24 @@ fn claim_compresso_cycle_perf_beats_lcp() {
 fn claim_metadata_overhead() {
     let overhead: f64 = 64.0 / 4096.0;
     assert!((overhead - 0.0156).abs() < 0.001);
-    // And an entry must fit its 64 B budget with 4 bins.
-    assert!(PageMeta::encoded_bits(&BinSet::aligned4()) <= 512);
+    // And the fullest 4-bin entry fits its 64 B budget, CRC included:
+    // the codec packs it and unpacks it unchanged.
+    let bins = BinSet::aligned4();
+    let full = PageMeta {
+        valid: true,
+        page_bytes: 4096,
+        chunks: (0..8).map(|i| (1 << 24) - 1 - i).collect(),
+        line_bins: [3; LINES_PER_PAGE],
+        inflated: (0..17).collect(),
+        ..PageMeta::invalid()
+    };
+    let packed = try_encode(&full, &bins).expect("a 4-bin entry fits 64 B");
+    assert_eq!(decode_metadata(&packed, &bins), Ok(full.clone()));
+    // Eight bins need 3-bit line codes, which the entry has no room for
+    // (§IV-A1).
+    let mut wide = full;
+    wide.line_bins[0] = 7;
+    assert!(try_encode(&wide, &BinSet::eight()).is_err());
 }
 
 /// §II-C: an LCP page with uniform line sizes needs no exceptions; mixed
@@ -181,7 +198,7 @@ fn claim_metadata_overhead() {
 fn claim_lcp_exception_mechanics() {
     let uniform = lcp_plan(&[8; 64], &BinSet::aligned4());
     assert!(uniform.exceptions.is_empty());
-    let mut mixed = [8usize; 64];
+    let mut mixed = [8u8; 64];
     mixed[0] = 64;
     let plan = lcp_plan(&mixed, &BinSet::aligned4());
     assert!(plan.exceptions.contains(&0) || plan.target == 64);
