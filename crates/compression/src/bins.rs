@@ -13,6 +13,7 @@
 //! * [`BinSet::eight`] — 8 bins; higher ratio (1.82 vs 1.59 with 8 page
 //!   sizes) but 17.5% more line overflows and 3-bit codes (§IV-A1).
 
+use crate::LINE_SIZE;
 use std::fmt;
 
 /// A compressed line size after quantization to a bin.
@@ -38,31 +39,47 @@ impl fmt::Display for SizeBin {
 pub struct BinSet {
     sizes: Vec<u8>,
     name: &'static str,
+    /// `bin_of[size]`: the bin [`BinSet::quantize`] returns for `size`
+    /// (boxed, so that configurations holding a set stay small).
+    bin_of: Box<[SizeBin; LINE_SIZE + 1]>,
 }
 
 impl BinSet {
     /// Compresso's alignment-friendly bins `{0, 8, 32, 64}`.
     pub fn aligned4() -> Self {
-        Self {
-            sizes: vec![0, 8, 32, 64],
-            name: "aligned4",
-        }
+        Self::new("aligned4", vec![0, 8, 32, 64])
     }
 
     /// Prior work's compression-optimal bins `{0, 22, 44, 64}`.
     pub fn legacy4() -> Self {
-        Self {
-            sizes: vec![0, 22, 44, 64],
-            name: "legacy4",
-        }
+        Self::new("legacy4", vec![0, 22, 44, 64])
     }
 
     /// An eight-bin set offering finer granularity at the cost of more
     /// overflows and 3-bit line codes.
     pub fn eight() -> Self {
+        Self::new("eight", vec![0, 8, 16, 24, 32, 40, 48, 64])
+    }
+
+    /// The set of the ascending `sizes` from 0 to 64, with its quantize
+    /// table: size 0 takes bin 0 and every other size the first nonzero
+    /// bin that holds it.
+    fn new(name: &'static str, sizes: Vec<u8>) -> Self {
+        let mut bin_of = Box::new([SizeBin { index: 0, bytes: 0 }; LINE_SIZE + 1]);
+        let mut index = 0;
+        for (size, entry) in bin_of.iter_mut().enumerate().skip(1) {
+            while (sizes[index] as usize) < size {
+                index += 1;
+            }
+            *entry = SizeBin {
+                index: index as u8,
+                bytes: sizes[index],
+            };
+        }
         Self {
-            sizes: vec![0, 8, 16, 24, 32, 40, 48, 64],
-            name: "eight",
+            sizes,
+            name,
+            bin_of,
         }
     }
 
@@ -79,7 +96,7 @@ impl BinSet {
             sizes.windows(2).all(|w| w[0] < w[1]),
             "bin sizes must be strictly ascending"
         );
-        Self { sizes, name }
+        Self::new(name, sizes)
     }
 
     /// Short identifier of this bin set.
@@ -119,19 +136,8 @@ impl BinSet {
     ///
     /// Panics if `size > 64`.
     pub fn quantize(&self, size: usize) -> SizeBin {
-        assert!(size <= 64, "compressed size exceeds a raw line");
-        if size == 0 {
-            return SizeBin { index: 0, bytes: 0 };
-        }
-        for (i, &b) in self.sizes.iter().enumerate().skip(1) {
-            if size <= b as usize {
-                return SizeBin {
-                    index: i as u8,
-                    bytes: b,
-                };
-            }
-        }
-        unreachable!("last bin is 64");
+        assert!(size <= LINE_SIZE, "compressed size exceeds a raw line");
+        self.bin_of[size]
     }
 
     /// Returns the bin at `index`.
@@ -190,6 +196,49 @@ mod tests {
         assert_eq!(bins.quantize(20).bytes, 22);
         assert_eq!(bins.quantize(23).bytes, 44);
         assert_eq!(bins.quantize(45).bytes, 64);
+    }
+
+    /// Reference: the linear scan `quantize` ran before its table.
+    fn scan_quantize(bins: &BinSet, size: usize) -> SizeBin {
+        if size == 0 {
+            return SizeBin { index: 0, bytes: 0 };
+        }
+        let (index, &bytes) = bins
+            .sizes()
+            .iter()
+            .enumerate()
+            .skip(1)
+            .find(|&(_, &b)| size <= b as usize)
+            .expect("last bin is 64");
+        SizeBin {
+            index: index as u8,
+            bytes,
+        }
+    }
+
+    #[test]
+    fn quantize_table_matches_the_linear_scan() {
+        for bins in [
+            BinSet::aligned4(),
+            BinSet::legacy4(),
+            BinSet::eight(),
+            BinSet::custom("custom", vec![0, 1, 2, 3, 17, 63, 64]),
+        ] {
+            for size in 0..=64 {
+                assert_eq!(
+                    bins.quantize(size),
+                    scan_quantize(&bins, size),
+                    "{} size {size}",
+                    bins.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds a raw line")]
+    fn quantize_refuses_more_than_a_line() {
+        let _ = BinSet::aligned4().quantize(65);
     }
 
     #[test]

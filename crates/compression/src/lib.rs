@@ -195,7 +195,12 @@ pub trait Compressor {
 /// all-zero lines are handled purely in (cached) metadata and require no
 /// DRAM data access (§VII-A).
 pub fn is_zero_line(line: &Line) -> bool {
-    *line == [0; LINE_SIZE]
+    // ORs the eight words in registers; `*line == [0; LINE_SIZE]`
+    // compiles to a `bcmp` call, and every size kernel starts here.
+    line.chunks_exact(8)
+        .map(|word| u64::from_ne_bytes(word.try_into().expect("8-byte chunk")))
+        .fold(0, |acc, word| acc | word)
+        == 0
 }
 
 /// Decompresses any [`CompressedLine`] by dispatching on its algorithm tag.

@@ -3,7 +3,7 @@
 
 use compresso_compression::{
     bins::{accesses_for, is_split_access},
-    Bdi, BinSet, Bpc, CPack, Compressor, Fpc, Line, LINE_SIZE,
+    is_zero_line, Bdi, BinSet, Bpc, CPack, Compressor, Fpc, Line, LINE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -228,6 +228,17 @@ proptest! {
     #[test]
     fn bpc_size_kernel_agrees_on_plane_edges(line in arb_plane_line()) {
         size_kernel_agrees(&Bpc::new(), &line);
+    }
+
+    #[test]
+    fn is_zero_line_matches_a_byte_scan(
+        bytes in prop::collection::vec((0..LINE_SIZE, any::<u8>()), 0..=2)
+    ) {
+        let mut line = [0u8; LINE_SIZE];
+        for (pos, value) in bytes {
+            line[pos] = value;
+        }
+        prop_assert_eq!(is_zero_line(&line), line.iter().all(|&b| b == 0));
     }
 
     #[test]

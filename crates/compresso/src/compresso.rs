@@ -18,6 +18,7 @@ use crate::metadata_codec::{self, CRC_OFFSET, LINE_CODE_BITS, MAX_INFLATED, PACK
 use crate::predictor::OverflowPredictor;
 use crate::stats::DeviceStats;
 use compresso_cache_sim::Backend;
+use compresso_compression::BinSet;
 use compresso_mem_sim::MemStats;
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrMap, LineSource};
@@ -62,6 +63,19 @@ fn bursts(chunks: &[u32], offset: u32, size: u32) -> impl ExactSizeIterator<Item
         let chunk = chunks[(logical / CHUNK_BYTES) as usize];
         ChunkAllocator::chunk_addr(chunk) + (logical % CHUNK_BYTES) as u64
     })
+}
+
+/// The bin of each line of `sizes` and their [`linepack_bytes`],
+/// quantizing each line once.
+fn quantize_page(sizes: &LineSizes, bins: &BinSet) -> ([u8; LINES_PER_PAGE], u32) {
+    let mut codes = [0; LINES_PER_PAGE];
+    let mut bytes = 0;
+    for (code, &size) in codes.iter_mut().zip(sizes) {
+        let bin = bins.quantize(size as usize);
+        *code = bin.index;
+        bytes += bin.bytes as u32;
+    }
+    (codes, bytes)
 }
 
 /// Chunk frame numbers of a contiguous block at MPA `base` holding
@@ -546,20 +560,17 @@ impl CompressoDevice {
     // Size and layout helpers
     // ------------------------------------------------------------------
 
-    fn bins_of(&self, sizes: LineSizes) -> [u8; LINES_PER_PAGE] {
-        sizes.map(|size| self.cfg.bins.quantize(size as usize).index)
-    }
-
     /// The bins of `page`'s lines, from its stored sizes. A page sized
     /// now (recovered) gets its bin-byte sum too.
     fn stored_bins(&mut self, page: u64) -> [u8; LINES_PER_PAGE] {
         let entry = self.pages.get_mut(&page).expect("page exists");
         let fresh = entry.sizes.is_none();
         let sizes = self.ctl.stored_sizes(&mut entry.sizes, page);
+        let (bins, bytes) = quantize_page(&sizes, &self.cfg.bins);
         if fresh {
-            entry.binned = linepack_bytes(&sizes, &self.cfg.bins);
+            entry.binned = bytes;
         }
-        self.bins_of(sizes)
+        bins
     }
 
     /// Allocates backing storage of `bytes` for a page that holds none,
@@ -651,8 +662,7 @@ impl CompressoDevice {
             return;
         }
         let sizes = self.ctl.size_page(page);
-        let bins = self.bins_of(sizes);
-        let data_bytes = linepack_bytes(&sizes, &self.cfg.bins);
+        let (bins, data_bytes) = quantize_page(&sizes, &self.cfg.bins);
         let meta = if data_bytes == 0 {
             PageMeta::zero_page()
         } else {

@@ -205,7 +205,11 @@ impl Controller {
         self.stats.size_memo_misses.add(LINES_PER_PAGE as u64);
         let mut lines = [[0; LINE_SIZE]; LINES_PER_PAGE];
         self.world.page_lines(page * PAGE_BYTES as u64, &mut lines);
-        lines.map(|data| stored_size(&data))
+        let mut sizes = [0; LINES_PER_PAGE];
+        for (size, data) in sizes.iter_mut().zip(&lines) {
+            *size = stored_size(data);
+        }
+        sizes
     }
 
     /// The sizes of `page`'s lines, served from `stored`; a page without

@@ -107,7 +107,9 @@ impl LcpImage {
 }
 
 /// Plans an LCP page for the given per-line compressed sizes: picks the
-/// target from `bins` minimizing the total footprint.
+/// target from `bins` minimizing the total footprint, the first such on
+/// a tie. Each candidate is costed by counting the lines that spill past
+/// it; only the chosen target's exceptions are listed.
 ///
 /// # Panics
 ///
@@ -121,28 +123,23 @@ pub fn plan(sizes: &[u8], bins: &BinSet) -> LcpPlan {
             needed_bytes: 0,
         };
     }
-    let mut best: Option<LcpPlan> = None;
+    let (mut target, mut needed_bytes) = (0, u32::MAX);
     for &t in bins.sizes().iter().skip(1) {
-        let exceptions: Vec<u8> = sizes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s > t)
-            .map(|(i, _)| i as u8)
-            .collect();
-        let needed = t as u32 * LINES_PER_PAGE as u32 + 64 * exceptions.len() as u32;
-        let candidate = LcpPlan {
-            target: t as u32,
-            exceptions,
-            needed_bytes: needed,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| candidate.needed_bytes < b.needed_bytes)
-        {
-            best = Some(candidate);
+        let spills = sizes.iter().filter(|&&s| s > t).count() as u32;
+        let needed = t as u32 * LINES_PER_PAGE as u32 + 64 * spills;
+        if needed < needed_bytes {
+            (target, needed_bytes) = (t, needed);
         }
     }
-    best.expect("bin sets are nonempty")
+    LcpPlan {
+        target: target as u32,
+        exceptions: (0..)
+            .zip(sizes)
+            .filter(|&(_, &s)| s > target)
+            .map(|(line, _)| line)
+            .collect(),
+        needed_bytes,
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +206,16 @@ mod tests {
         let p = plan(&[40; 64], &BinSet::legacy4());
         assert_eq!(p.target, 44);
         assert!(p.exceptions.is_empty());
+    }
+
+    #[test]
+    fn ties_go_to_the_first_target() {
+        // Targets 32 and 64 both need 4096 B; target 8 needs 4608 B.
+        let mut sizes = [32u8; 64];
+        sizes[32..].fill(64);
+        let p = plan(&sizes, &BinSet::aligned4());
+        assert_eq!((p.target, p.needed_bytes), (32, 4096));
+        assert_eq!(p.exceptions, (32..64).collect::<Vec<u8>>());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use compresso_compression::{bins::is_split_access, BinSet};
 use compresso_core::metadata_codec::{crc32, CRC_OFFSET, MAX_INFLATED, PACKED_BYTES};
 use compresso_core::{
-    decode_metadata, encode_metadata, lcp_plan, LineLocation, MetadataCache, PageMeta,
+    decode_metadata, encode_metadata, lcp_plan, LcpPlan, LineLocation, MetadataCache, PageMeta,
     LINES_PER_PAGE,
 };
 use proptest::prelude::*;
@@ -33,6 +33,70 @@ fn arb_meta() -> impl Strategy<Value = PageMeta> {
                 inflated,
             }
         })
+}
+
+/// The three bin sets the figures use.
+fn bin_set(index: usize) -> BinSet {
+    [BinSet::aligned4(), BinSet::legacy4(), BinSet::eight()][index].clone()
+}
+
+/// A bin set's index and 64 line sizes near its edges: an all-zero, a
+/// sparse or a dense page, each nonzero line on a bin edge, one byte
+/// either side of it, or of any size.
+fn arb_lcp_page() -> impl Strategy<Value = (usize, Vec<u8>)> {
+    (
+        0usize..3,
+        0u8..3,
+        prop::collection::vec((0u8..4, any::<u8>()), 64),
+    )
+        .prop_map(|(set, shape, lines)| {
+            let edges = bin_set(set).sizes().to_vec();
+            let sizes = lines
+                .into_iter()
+                .map(|(kind, r)| match (shape, kind) {
+                    (0, _) | (1, 1..) => 0,
+                    (_, 3) => r % 65,
+                    _ => (edges[r as usize % edges.len()] + kind)
+                        .saturating_sub(1)
+                        .min(64),
+                })
+                .collect();
+            (set, sizes)
+        })
+}
+
+/// Reference: `lcp_plan` as it built every candidate's exception list
+/// and kept the first of least `needed_bytes`.
+fn reference_lcp_plan(sizes: &[u8], bins: &BinSet) -> LcpPlan {
+    if sizes.iter().all(|&s| s == 0) {
+        return LcpPlan {
+            target: 0,
+            exceptions: Vec::new(),
+            needed_bytes: 0,
+        };
+    }
+    let mut best: Option<LcpPlan> = None;
+    for &t in bins.sizes().iter().skip(1) {
+        let exceptions: Vec<u8> = sizes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s > t)
+            .map(|(i, _)| i as u8)
+            .collect();
+        let needed = t as u32 * LINES_PER_PAGE as u32 + 64 * exceptions.len() as u32;
+        let candidate = LcpPlan {
+            target: t as u32,
+            exceptions,
+            needed_bytes: needed,
+        };
+        if best
+            .as_ref()
+            .is_none_or(|b| candidate.needed_bytes < b.needed_bytes)
+        {
+            best = Some(candidate);
+        }
+    }
+    best.expect("bin sets are nonempty")
 }
 
 proptest! {
@@ -162,6 +226,13 @@ proptest! {
         // The plan never needs more than an uncompressed page plus full
         // metadata-pointer capacity of exceptions.
         prop_assert!(plan.needed_bytes <= 64 * 64 + 64 * 64);
+    }
+
+    #[test]
+    fn lcp_plan_matches_the_per_candidate_reference(page in arb_lcp_page()) {
+        let (set, sizes) = page;
+        let bins = bin_set(set);
+        prop_assert_eq!(lcp_plan(&sizes, &bins), reference_lcp_plan(&sizes, &bins));
     }
 
     #[test]

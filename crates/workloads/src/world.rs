@@ -21,7 +21,13 @@ pub const LINES_PER_PAGE: u64 = PAGE_BYTES / 64;
 struct PageState {
     spec: PageSpec,
     evolution: Evolution,
+    /// Set at the page's first writeback: until then every line of the
+    /// page is at version 0 and has no `versions` entry.
+    written: bool,
 }
+
+// The written mark sits in the padding after `spec` and `evolution`.
+const _: () = assert!(std::mem::size_of::<PageState>() == 8);
 
 /// Deterministic content model for one benchmark's address space.
 #[derive(Debug, Clone)]
@@ -60,7 +66,11 @@ impl DataWorld {
             } else {
                 Evolution::Stable
             };
-            pages.push(PageState { spec, evolution });
+            pages.push(PageState {
+                spec,
+                evolution,
+                written: false,
+            });
         }
         Self {
             seed: profile.seed,
@@ -160,15 +170,14 @@ impl DataWorld {
     /// Materializes the current bytes of the 64 lines of the page-aligned
     /// `page_addr` into `out`, line `i` from `page_addr + 64 i`: the same
     /// bytes as 64 [`DataWorld::line_data`] calls, with the footprint
-    /// wrap and the page lookup done once, and no version lookups while
-    /// no line has been written.
+    /// wrap and the page lookup done once, and no version lookups on a
+    /// page none of whose lines has been written.
     pub fn page_lines(&self, page_addr: u64, out: &mut [Line; LINES_PER_PAGE as usize]) {
         debug_assert_eq!(page_addr % PAGE_BYTES, 0, "page_addr must be page-aligned");
         let first = self.line_of(page_addr);
         let page = self.page_state(first);
-        let written = !self.versions.is_empty();
         for (line, data) in (first..).zip(out.iter_mut()) {
-            let version = if written { self.version(line) } else { 0 };
+            let version = if page.written { self.version(line) } else { 0 };
             *data = self.synthesize(page, line, version);
         }
     }
@@ -179,6 +188,7 @@ impl DataWorld {
         self.writebacks += 1;
         let line = self.line_of(line_addr);
         *self.versions.entry(line).or_insert(0) += 1;
+        self.pages[(line / LINES_PER_PAGE) as usize].written = true;
     }
 
     /// Generation tag for compressed-size caching: changes iff the line's

@@ -162,3 +162,46 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // Each case checks every benchmark's world.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn page_lines_follow_each_pages_written_mark(
+        writes in prop::collection::vec(any::<u64>(), 1..8),
+        probe in any::<u64>(),
+    ) {
+        for group in all_benchmarks().chunks(4) {
+            let mut worlds: Vec<DataWorld> = group.iter().map(DataWorld::new).collect();
+            let mut combined = CombinedWorld::new(worlds.clone());
+            for (core, world) in worlds.iter_mut().enumerate() {
+                let pages = world.page_count() as u64;
+                let base = core as u64 * CORE_STRIDE;
+                let agree = |world: &DataWorld, combined: &CombinedWorld, page: u64| {
+                    let want = line_by_line(world, page * PAGE_BYTES);
+                    assert_eq!(paged(world, page * PAGE_BYTES), want, "page {page}");
+                    assert_eq!(paged(combined, base + page * PAGE_BYTES), want, "page {page}");
+                };
+                // A page right after its first writeback.
+                let mut written = Vec::new();
+                for &r in &writes {
+                    let page = r % pages;
+                    let addr = page * PAGE_BYTES + (r >> 32) % LINES_PER_PAGE * 64;
+                    world.on_writeback(addr);
+                    combined.on_writeback(base + addr);
+                    if !written.contains(&page) {
+                        agree(world, &combined, page);
+                        written.push(page);
+                    }
+                }
+                // Never-written pages of a world with written pages.
+                for page in [probe % pages, (probe >> 32) % pages, pages - 1] {
+                    if !written.contains(&page) {
+                        agree(world, &combined, page);
+                    }
+                }
+            }
+        }
+    }
+}
