@@ -34,7 +34,9 @@
 //! * the borrow-mixed top plane with `movemask` as a 31-bit word,
 //!   classified directly.
 //!
-//! Both sets are then costed from popcounts of those masks. On other
+//! Both sets are then costed from popcounts of those masks. The kernel
+//! is compiled twice (`kernel::Build`): as SSE2 with SWAR popcounts, and
+//! as AVX2+POPCNT, which every call runs where the CPU has both. On other
 //! targets the size path costs the encoder's own planes. The encoder
 //! builds and costs real planes and is the reference the kernel is tested
 //! against.
@@ -160,11 +162,12 @@ impl Compressor for Bpc {
 }
 
 /// Exact bit lengths of a non-zero line's transformed and untransformed
-/// encodings, mode header included, from the SSE2 plane classes.
+/// encodings, mode header included, from the plane classes of the
+/// fastest kernel build this CPU runs.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 fn race_bits(line: &Line) -> (usize, usize) {
     let w = words(line);
-    let (t_planes, p_planes) = kernel::Classes::of(&w).bits();
+    let (_, (t_planes, p_planes)) = kernel::Build::fastest().run(&w);
     let base_bits = if w[0] as u16 == 0 { 1 } else { 1 + 16 };
     (2 + base_bits + t_planes, 2 + p_planes)
 }
@@ -489,6 +492,12 @@ fn decode_planes(r: &mut BitReader<'_>, planes: &mut [u32], width: usize) {
 /// The size kernel: the code-table class of every plane of both plane
 /// sets, computed with SSE2 over the line's 32 symbols as four vectors of
 /// eight 16-bit lanes, without building planes.
+///
+/// One source, two builds: [`Build::Sse2`] for baseline x86_64, and
+/// [`Build::Avx2Popcnt`], the same code compiled with AVX2 (VEX-encoded,
+/// three-operand) and POPCNT enabled. Every helper is
+/// `#[inline(always)]`, so each build's entry function holds its own copy
+/// of the whole kernel.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod kernel {
     use super::{DELTAS, DELTA_MASK, SYMBOLS};
@@ -504,6 +513,89 @@ mod kernel {
     const PLANES: u64 = 0xFFFF << DATA | 0x1_FFFF;
     /// Both 16-bit lane-0 fields of a folded mask.
     const FIELDS: u64 = 0xFFFF << DATA | 0xFFFF;
+
+    /// A compiled build of the kernel.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Build {
+        /// Baseline x86_64: SSE2, popcounts in SWAR arithmetic.
+        Sse2,
+        /// AVX2 and POPCNT: VEX encodings, one `popcnt` per mask half.
+        Avx2Popcnt,
+    }
+
+    impl Build {
+        /// Both builds.
+        #[cfg(test)]
+        pub(super) const ALL: [Build; 2] = [Build::Sse2, Build::Avx2Popcnt];
+
+        /// The build this CPU runs best: AVX2+POPCNT where it has both,
+        /// else the baseline. std caches the CPUID probe, so this is a
+        /// load and a test per call.
+        #[inline]
+        pub(super) fn fastest() -> Build {
+            if avx2_popcnt_detected() {
+                Build::Avx2Popcnt
+            } else {
+                Build::Sse2
+            }
+        }
+
+        /// Why this CPU cannot run the build, if it cannot.
+        #[cfg(test)]
+        pub(super) fn missing(self) -> Option<&'static str> {
+            match self {
+                Build::Avx2Popcnt if !avx2_popcnt_detected() => {
+                    Some("the CPU lacks AVX2 or POPCNT")
+                }
+                _ => None,
+            }
+        }
+
+        /// The classes of the line held in `words` (symbol `4w + l` in
+        /// bits `16l..16l + 16` of word `w`), and the exact bit lengths
+        /// of [`super::encode_planes`] over its transformed planes (31
+        /// bits wide) and its untransformed ones (32 bits wide).
+        ///
+        /// # Panics
+        ///
+        /// On [`Build::Avx2Popcnt`] where the CPU lacks AVX2 or POPCNT.
+        #[inline]
+        pub(super) fn run(self, words: &[u64; 8]) -> (Classes, (usize, usize)) {
+            match self {
+                Build::Sse2 => sse2(words),
+                Build::Avx2Popcnt => {
+                    assert!(avx2_popcnt_detected(), "the CPU lacks AVX2 or POPCNT");
+                    // SAFETY: the CPU has AVX2 and POPCNT, asserted above.
+                    unsafe { avx2_popcnt(words) }
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn avx2_popcnt_detected() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
+    }
+
+    /// The baseline build: SWAR popcounts, since baseline x86_64 has no
+    /// `popcnt`.
+    #[inline]
+    fn sse2(words: &[u64; 8]) -> (Classes, (usize, usize)) {
+        // SAFETY: SSE2 is part of the x86_64 baseline; this module
+        // compiles only where `target_feature = "sse2"` holds.
+        let classes = unsafe { classes(words) };
+        (classes, classes.bits(swar_counts))
+    }
+
+    /// The AVX2+POPCNT build of the same kernel.
+    #[target_feature(enable = "avx2,popcnt")]
+    fn avx2_popcnt(words: &[u64; 8]) -> (Classes, (usize, usize)) {
+        // SAFETY: AVX2 implies SSE2.
+        let classes = unsafe { classes(words) };
+        let counts =
+            |x: u64| u64::from((x as u32).count_ones()) | u64::from((x >> 32).count_ones()) << 32;
+        (classes, classes.bits(counts))
+    }
 
     /// The code-table class of every plane of both plane sets, as masks
     /// with one bit per plane (see [`DATA`]): plane `k` is zero unless
@@ -525,20 +617,13 @@ mod kernel {
     }
 
     impl Classes {
-        /// The classes of the line held in `words` (symbol `4w + l` in
-        /// bits `16l..16l + 16` of word `w`).
-        pub(super) fn of(words: &[u64; 8]) -> Classes {
-            // SAFETY: `classes` needs only SSE2, which is part of the
-            // x86_64 baseline; this module compiles only where
-            // `target_feature = "sse2"` holds.
-            unsafe { classes(words) }
-        }
-
         /// Exact bit lengths of [`super::encode_planes`] over the
-        /// transformed planes (31 bits wide) and over the untransformed
-        /// ones (32 bits wide). A zero run is counted at its first
-        /// (highest) plane.
-        pub(super) fn bits(self) -> (usize, usize) {
+        /// transformed planes and over the untransformed ones. A zero run
+        /// is counted at its first (highest) plane. `counts` gives the
+        /// population counts of the two 32-bit halves of a mask, each in
+        /// its own half.
+        #[inline(always)]
+        fn bits(self, counts: impl Fn(u64) -> u64) -> (usize, usize) {
             let single = self.any & !self.two;
             let pair = self.two & !self.three & self.adjacent;
             let raw = self.any & !(self.all | single | pair);
@@ -558,8 +643,9 @@ mod kernel {
     }
 
     /// The population counts of the two 32-bit halves of `x`, each in
-    /// its own half (baseline x86_64 has no `popcnt`).
-    fn counts(x: u64) -> u64 {
+    /// its own half, in SWAR arithmetic.
+    #[inline(always)]
+    fn swar_counts(x: u64) -> u64 {
         let x = x - ((x >> 1) & 0x5555_5555_5555_5555);
         let x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
         let x = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
@@ -580,8 +666,11 @@ mod kernel {
     }
 
     impl Counts {
-        #[target_feature(enable = "sse2")]
-        fn new() -> Counts {
+        /// # Safety
+        ///
+        /// The CPU must have SSE2.
+        #[inline(always)]
+        unsafe fn new() -> Counts {
             let zero = _mm_setzero_si128();
             Counts {
                 one: zero,
@@ -594,8 +683,12 @@ mod kernel {
 
         /// Adds the lanes `x`, whose successor lanes are `next`; bits
         /// set in `pad` count as set for `all` only.
-        #[target_feature(enable = "sse2")]
-        fn add(&mut self, x: __m128i, next: __m128i, pad: __m128i) {
+        ///
+        /// # Safety
+        ///
+        /// The CPU must have SSE2.
+        #[inline(always)]
+        unsafe fn add(&mut self, x: __m128i, next: __m128i, pad: __m128i) {
             self.three = _mm_or_si128(self.three, _mm_and_si128(self.two, x));
             self.two = _mm_or_si128(self.two, _mm_and_si128(self.one, x));
             self.one = _mm_or_si128(self.one, x);
@@ -604,8 +697,12 @@ mod kernel {
         }
 
         /// Folds `other` into `self`, lane by lane.
-        #[target_feature(enable = "sse2")]
-        fn merge(self, other: Counts) -> Counts {
+        ///
+        /// # Safety
+        ///
+        /// The CPU must have SSE2.
+        #[inline(always)]
+        unsafe fn merge(self, other: Counts) -> Counts {
             let (p, q) = (self, other);
             let or3 = |a, b, c| _mm_or_si128(_mm_or_si128(a, b), c);
             Counts {
@@ -621,6 +718,7 @@ mod kernel {
         }
 
         /// Applies `f` to every field.
+        #[inline(always)]
         fn map(self, f: impl Fn(__m128i) -> __m128i) -> Counts {
             Counts {
                 one: f(self.one),
@@ -632,6 +730,7 @@ mod kernel {
         }
 
         /// Applies `f` to every pair of fields.
+        #[inline(always)]
         fn zip(self, other: Counts, f: impl Fn(__m128i, __m128i) -> __m128i) -> Counts {
             Counts {
                 one: f(self.one, other.one),
@@ -644,14 +743,22 @@ mod kernel {
     }
 
     /// Lanes `l + 1` of `v` then `next`: lane 7 takes lane 0 of `next`.
-    #[target_feature(enable = "sse2")]
-    fn successors(v: __m128i, next: __m128i) -> __m128i {
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have SSE2.
+    #[inline(always)]
+    unsafe fn successors(v: __m128i, next: __m128i) -> __m128i {
         _mm_or_si128(_mm_srli_si128::<2>(v), _mm_slli_si128::<14>(next))
     }
 
-    /// The kernel behind [`Classes::of`].
-    #[target_feature(enable = "sse2")]
-    fn classes(words: &[u64; 8]) -> Classes {
+    /// The plane classes of the line held in `words`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have SSE2.
+    #[inline(always)]
+    unsafe fn classes(words: &[u64; 8]) -> Classes {
         let zero = _mm_setzero_si128();
         let sign = _mm_set1_epi16(i16::MIN);
         // Lane 7 of the last vector is symbol 31, which has no delta.
@@ -873,6 +980,42 @@ mod tests {
         }
     }
 
+    /// The kernel builds this CPU runs. A build it cannot run is skipped
+    /// with the reason printed.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn builds() -> Vec<kernel::Build> {
+        kernel::Build::ALL
+            .into_iter()
+            .filter(|build| match build.missing() {
+                Some(reason) => {
+                    eprintln!("skipping the {build:?} kernel build: {reason}");
+                    false
+                }
+                None => true,
+            })
+            .collect()
+    }
+
+    /// The encoder's plane bit lengths for `line`, mode and base bits
+    /// excluded: transformed planes, then untransformed ones.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn encoder_plane_bits(line: &Line) -> (usize, usize) {
+        let (_, dbx) = transformed_planes(line);
+        (
+            planes_bits(&dbx, DELTAS),
+            planes_bits(&data_planes(line), SYMBOLS),
+        )
+    }
+
+    /// The classes `build` computes for `line`, after checking the bit
+    /// lengths it computes against the encoder's planes.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn kernel_classes(build: kernel::Build, line: &Line) -> kernel::Classes {
+        let (classes, bits) = build.run(&words(line));
+        assert_eq!(bits, encoder_plane_bits(line), "{build:?} plane bits");
+        classes
+    }
+
     /// Single and adjacent-pair planes at both ends of `lanes` lanes,
     /// all-ones, and their inversions.
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
@@ -903,38 +1046,16 @@ mod tests {
     #[test]
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
     fn lane_classes_reach_every_code_table_edge() {
-        for k in 0..16 {
-            for plane in edge_planes(32) {
-                // Only plane k is non-zero: zero runs on either side of
-                // it, or at one end when k is 0 or 15.
-                let syms = std::array::from_fn(|j| ((plane >> j & 1) as u16) << k);
-                let line = line_from_symbols(&syms);
-                let classes = kernel::Classes::of(&words(&line));
-                assert_eq!(classes.any >> kernel::DATA, 1 << k);
-                assert_class(classes, kernel::DATA + k, plane, u32::MAX);
-                roundtrip(&line);
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    fn delta_classes_reach_every_code_table_edge() {
-        for k in 0..16 {
-            for plane in edge_planes(31) {
-                for base in [0u16, 0x8000, 0xBEEF] {
-                    // y = d ^ (d << 1) has only plane k set; d is y's
-                    // prefix XOR.
-                    let mut syms = [base; SYMBOLS];
-                    for j in 0..DELTAS {
-                        let d = ((plane >> j & 1) as u16) << k;
-                        let d = (0..16).fold(0u16, |acc, s| acc ^ d << s);
-                        syms[j + 1] = syms[j].wrapping_add(d);
-                    }
+        for build in builds() {
+            for k in 0..16 {
+                for plane in edge_planes(32) {
+                    // Only plane k is non-zero: zero runs on either side of
+                    // it, or at one end when k is 0 or 15.
+                    let syms = std::array::from_fn(|j| ((plane >> j & 1) as u16) << k);
                     let line = line_from_symbols(&syms);
-                    let classes = kernel::Classes::of(&words(&line));
-                    assert_eq!(classes.any & 0xFFFF, 1 << k);
-                    assert_class(classes, k, plane, DELTA_MASK);
+                    let classes = kernel_classes(build, &line);
+                    assert_eq!(classes.any >> kernel::DATA, 1 << k);
+                    assert_class(classes, kernel::DATA + k, plane, u32::MAX);
                     roundtrip(&line);
                 }
             }
@@ -943,22 +1064,142 @@ mod tests {
 
     #[test]
     #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    fn borrow_plane_classes() {
-        // The top plane holds borrow ⊕ delta bit 15: set exactly where
-        // a symbol rises by at least 0x8000 or falls by more. It is never
-        // the only non-zero plane, since y = 0 forces d = 0 and so no
-        // borrow. Jumps between 0 and 0xFFFF at chosen lanes put it in
-        // every class.
-        for plane in edge_planes(31) {
-            let mut syms = [0u16; SYMBOLS];
-            for j in 0..DELTAS {
-                let jump = plane >> j & 1 == 1;
-                syms[j + 1] = if jump { !syms[j] } else { syms[j] };
+    fn delta_classes_reach_every_code_table_edge() {
+        for build in builds() {
+            for k in 0..16 {
+                for plane in edge_planes(31) {
+                    for base in [0u16, 0x8000, 0xBEEF] {
+                        // y = d ^ (d << 1) has only plane k set; d is y's
+                        // prefix XOR.
+                        let mut syms = [base; SYMBOLS];
+                        for j in 0..DELTAS {
+                            let d = ((plane >> j & 1) as u16) << k;
+                            let d = (0..16).fold(0u16, |acc, s| acc ^ d << s);
+                            syms[j + 1] = syms[j].wrapping_add(d);
+                        }
+                        let line = line_from_symbols(&syms);
+                        let classes = kernel_classes(build, &line);
+                        assert_eq!(classes.any & 0xFFFF, 1 << k);
+                        assert_class(classes, k, plane, DELTA_MASK);
+                        roundtrip(&line);
+                    }
+                }
             }
-            let classes = kernel::Classes::of(&words(&line_from_symbols(&syms)));
-            assert_class(classes, 16, plane, DELTA_MASK);
-            for offset in [0, 1, 0x8000, 0xBEEF] {
-                roundtrip(&line_from_symbols(&syms.map(|s| s.wrapping_add(offset))));
+        }
+    }
+
+    #[test]
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    fn borrow_plane_classes() {
+        for build in builds() {
+            // The top plane holds borrow ⊕ delta bit 15: set exactly where
+            // a symbol rises by at least 0x8000 or falls by more. It is never
+            // the only non-zero plane, since y = 0 forces d = 0 and so no
+            // borrow. Jumps between 0 and 0xFFFF at chosen lanes put it in
+            // every class.
+            for plane in edge_planes(31) {
+                let mut syms = [0u16; SYMBOLS];
+                for j in 0..DELTAS {
+                    let jump = plane >> j & 1 == 1;
+                    syms[j + 1] = if jump { !syms[j] } else { syms[j] };
+                }
+                let classes = kernel_classes(build, &line_from_symbols(&syms));
+                assert_class(classes, 16, plane, DELTA_MASK);
+                for offset in [0, 1, 0x8000, 0xBEEF] {
+                    roundtrip(&line_from_symbols(&syms.map(|s| s.wrapping_add(offset))));
+                }
+            }
+        }
+    }
+
+    /// A bit-plane of `lanes` lanes on an edge of BPC's code table, chosen
+    /// by `r`: zero, all-ones, a single 1 or two adjacent 1s at either end
+    /// of the lanes, their inversions, or arbitrary bits. Zero planes are
+    /// common so that zero runs reach both ends of a plane set.
+    fn edge_plane(r: u64, lanes: u32) -> u32 {
+        let ones = u32::MAX >> (32 - lanes);
+        let end = [0, 1, lanes - 3, lanes - 2, lanes - 1][(r >> 8) as usize % 5];
+        let pair = 0b11 << end.min(lanes - 2);
+        match r % 12 {
+            0..=3 => 0,
+            4 => ones,
+            5 | 6 => 1 << end,
+            7 | 8 => pair,
+            9 => !(1 << end) & ones,
+            10 => !pair & ones,
+            _ => (r >> 32) as u32 & ones,
+        }
+    }
+
+    /// Lane `j` of 16 planes: bit `k` is bit `j` of `planes[k]`.
+    fn lane(planes: &[u32], j: usize) -> u16 {
+        (0..16).fold(0, |x, k| x | ((planes[k] >> j & 1) as u16) << k)
+    }
+
+    /// Symbols beside the wrap and sign edges of 16-bit arithmetic, where
+    /// a delta's borrow flips and a signed compare differs from an
+    /// unsigned one.
+    const EDGE_SYMBOLS: [u16; 8] = [
+        0x0000, 0x0001, 0x7FFE, 0x7FFF, 0x8000, 0x8001, 0xFFFE, 0xFFFF,
+    ];
+
+    /// A line drawn from the 18 words `r`: random symbols, or built plane
+    /// by plane, reaching plane sets random bytes never produce.
+    /// Untransformed: plane `k` is bit `k` of the 32 symbols. Transformed:
+    /// plane `k` is bit `k` of `d ^ (d << 1)` over the 31 wrapping 16-bit
+    /// deltas `d`, summed from a base of 0, 0x8000 or any; the
+    /// borrow-mixed top plane follows from the deltas and the base. Edge
+    /// symbols: neighbouring lanes of [`EDGE_SYMBOLS`], either all drawn
+    /// or one constant with only lane 31, which has no delta of its own,
+    /// drawn apart.
+    fn plane_line(r: &[u64]) -> Line {
+        let edge = |x: u64| EDGE_SYMBOLS[x as usize % EDGE_SYMBOLS.len()];
+        match r[16] % 4 {
+            0 => line_from_symbols(&std::array::from_fn(|j| {
+                (r[j / 4] >> (16 * (j % 4))) as u16
+            })),
+            1 => {
+                let planes: Vec<u32> = r[..16].iter().map(|&x| edge_plane(x, 32)).collect();
+                line_from_symbols(&std::array::from_fn(|j| lane(&planes, j)))
+            }
+            2 => {
+                let planes: Vec<u32> = r[..16].iter().map(|&x| edge_plane(x, 31)).collect();
+                let mut syms = [[0, 0x8000, (r[17] >> 16) as u16][r[17] as usize % 3]; SYMBOLS];
+                for j in 0..DELTAS {
+                    // Undo d ^ (d << 1): bit k of d is the XOR of y's bits
+                    // 0..=k.
+                    let mut d = lane(&planes, j);
+                    for shift in [1, 2, 4, 8] {
+                        d ^= d << shift;
+                    }
+                    syms[j + 1] = syms[j].wrapping_add(d);
+                }
+                line_from_symbols(&syms)
+            }
+            _ if r[17].is_multiple_of(2) => {
+                let mut syms = [edge(r[0]); SYMBOLS];
+                syms[31] = edge(r[1]);
+                line_from_symbols(&syms)
+            }
+            _ => line_from_symbols(&std::array::from_fn(|j| edge(r[j / 2] >> (32 * (j % 2))))),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Every kernel build, the encoder's planes and the encoder's
+        /// output agree on a line's size.
+        #[test]
+        fn kernel_builds_agree_with_the_encoder_planes(
+            r in proptest::collection::vec(proptest::any::<u64>(), 18)
+        ) {
+            let line = plane_line(&r);
+            let bpc = Bpc::new();
+            assert_eq!(bpc.compressed_size(&line), bpc.compress(&line).size_bytes());
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            for build in builds() {
+                assert_eq!(build.run(&words(&line)).1, encoder_plane_bits(&line), "{build:?}");
             }
         }
     }

@@ -26,6 +26,14 @@
 //! [`Compressor::compress`], is the reference those circuits are tested
 //! against, and what the decoders and the size studies consume.
 //!
+//! BPC's circuit is the one the devices run on every line they size. On
+//! x86_64 it is a vector kernel compiled twice from one source: an SSE2
+//! build for the baseline target, and an AVX2+POPCNT build that each
+//! call picks where the CPU has both features (std caches the probe).
+//! Both builds compute the same sizes. The crate's `unsafe` is confined
+//! to that kernel: the SSE2 intrinsics it calls, and the call into the
+//! AVX2+POPCNT build after the probe.
+//!
 //! # Example
 //!
 //! ```

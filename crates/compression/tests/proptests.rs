@@ -37,75 +37,6 @@ fn arb_structured_line() -> impl Strategy<Value = Line> {
         })
 }
 
-/// A bit-plane of `lanes` lanes on an edge of BPC's code table, chosen
-/// by `r`: zero, all-ones, a single 1 or two adjacent 1s at either end of
-/// the lanes, their inversions, or arbitrary bits. Zero planes are
-/// common so that zero runs reach both ends of a plane set.
-fn edge_plane(r: u64, lanes: u32) -> u32 {
-    let ones = u32::MAX >> (32 - lanes);
-    let end = [0, 1, lanes - 3, lanes - 2, lanes - 1][(r >> 8) as usize % 5];
-    let pair = 0b11 << end.min(lanes - 2);
-    match r % 12 {
-        0..=3 => 0,
-        4 => ones,
-        5 | 6 => 1 << end,
-        7 | 8 => pair,
-        9 => !(1 << end) & ones,
-        10 => !pair & ones,
-        _ => (r >> 32) as u32 & ones,
-    }
-}
-
-/// Lane `j` of 16 planes: bit `k` is bit `j` of `planes[k]`.
-fn lane(planes: &[u32], j: usize) -> u16 {
-    (0..16).fold(0, |x, k| x | ((planes[k] >> j & 1) as u16) << k)
-}
-
-/// Symbols beside the wrap and sign edges of 16-bit arithmetic, where a
-/// delta's borrow flips and a signed compare differs from an unsigned one.
-const EDGE_SYMBOLS: [u16; 8] = [
-    0x0000, 0x0001, 0x7FFE, 0x7FFF, 0x8000, 0x8001, 0xFFFE, 0xFFFF,
-];
-
-/// Lines built plane by plane, reaching plane sets random bytes never
-/// produce. Untransformed: plane `k` is bit `k` of the 32 symbols.
-/// Transformed: plane `k` is bit `k` of `d ^ (d << 1)` over the 31
-/// wrapping 16-bit deltas `d`, summed from a base of 0, 0x8000 or any;
-/// the borrow-mixed top plane follows from the deltas and the base.
-/// Edge symbols: neighbouring lanes of [`EDGE_SYMBOLS`], either all drawn
-/// or one constant with only lane 31, which has no delta of its own,
-/// drawn apart.
-fn arb_plane_line() -> impl Strategy<Value = Line> {
-    prop::collection::vec(any::<u64>(), 18).prop_map(|r| {
-        let edge = |x: u64| EDGE_SYMBOLS[x as usize % EDGE_SYMBOLS.len()];
-        match r[16] % 3 {
-            0 => {
-                let planes: Vec<u32> = r[..16].iter().map(|&x| edge_plane(x, 32)).collect();
-                line_from_symbols(&std::array::from_fn(|j| lane(&planes, j)))
-            }
-            1 => {
-                let planes: Vec<u32> = r[..16].iter().map(|&x| edge_plane(x, 31)).collect();
-                let mut syms = [[0, 0x8000, (r[17] >> 16) as u16][r[17] as usize % 3]; 32];
-                for j in 0..31 {
-                    // Undo d ^ (d << 1): bit k of d is the XOR of y's bits 0..=k.
-                    let mut d = lane(&planes, j);
-                    for shift in [1, 2, 4, 8] {
-                        d ^= d << shift;
-                    }
-                    syms[j + 1] = syms[j].wrapping_add(d);
-                }
-                line_from_symbols(&syms)
-            }
-            _ if r[17] % 2 == 0 => {
-                let mut syms = [edge(r[0]); 32];
-                syms[31] = edge(r[1]);
-                line_from_symbols(&syms)
-            }
-            _ => line_from_symbols(&std::array::from_fn(|j| edge(r[j / 2] >> (32 * (j % 2))))),
-        }
-    })
-}
-
 fn roundtrips<C: Compressor>(c: &C, line: &Line) {
     let compressed = c.compress(line);
     prop_assert_eq_ok(&c.decompress(&compressed), line, c.name());
@@ -223,11 +154,6 @@ proptest! {
     #[test]
     fn size_kernels_agree_structured(line in arb_structured_line()) {
         size_kernels_agree(&line);
-    }
-
-    #[test]
-    fn bpc_size_kernel_agrees_on_plane_edges(line in arb_plane_line()) {
-        size_kernel_agrees(&Bpc::new(), &line);
     }
 
     #[test]

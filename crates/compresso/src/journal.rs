@@ -633,19 +633,35 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn lcp_entry_records_round_trip_and_reject_every_truncation(
+        fn every_record_kind_round_trips_and_rejects_every_truncation(
+            kind in 1u8..=7,
             page in any::<u64>(),
             target in prop::sample::select(vec![0u32, 8, 22, 32, 44, 64]),
             fields in (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
+            packed in prop::collection::vec(any::<u8>(), PACKED_BYTES),
             exceptions in prop::collection::vec(0u8..64, 0..=64),
         ) {
-            let (needed_bytes, page_bytes, base, zero_bitmap) = fields;
-            let plan = LcpPlan { target, exceptions, needed_bytes };
-            let image = LcpImage { plan, page_bytes, base, zero_bitmap };
-            let rec = JournalRecord::LcpEntryUpdate { page, image };
+            let (small, page_bytes, addr, zero_bitmap) = fields;
+            let rec = match kind {
+                1 => JournalRecord::EntryUpdate {
+                    page,
+                    packed: packed.try_into().expect("PACKED_BYTES bytes"),
+                },
+                2 => JournalRecord::ChunkAlloc { page, addr, bytes: small },
+                3 => JournalRecord::ChunkFree { page, addr, bytes: small },
+                4 => JournalRecord::PageFree { page },
+                5 => JournalRecord::RepackBegin { page },
+                6 => JournalRecord::RepackCommit { page },
+                _ => {
+                    let plan = LcpPlan { target, exceptions, needed_bytes: small };
+                    let image = LcpImage { plan, page_bytes, base: addr, zero_bitmap };
+                    JournalRecord::LcpEntryUpdate { page, image }
+                }
+            };
+            prop_assert_eq!(rec.kind(), kind);
             let mut journal = Journal::new();
             prop_assert_eq!(journal.append(&rec, &mut None), AppendOutcome::Written);
             let bytes = journal.bytes();

@@ -17,6 +17,11 @@ use std::fmt::Write as _;
 pub enum JsonValue {
     Null,
     Bool(bool),
+    /// An integer literal (no `.`, `e` or `E`) that fits an `i128`,
+    /// exactly: every `u64` and `i64` the exporter writes reads back
+    /// unrounded.
+    Int(i128),
+    /// Any other number, as the nearest `f64`.
     Num(f64),
     Str(String),
     Arr(Vec<JsonValue>),
@@ -38,17 +43,25 @@ impl JsonValue {
         }
     }
 
+    /// The number, integers rounded to the nearest `f64`.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
+        match *self {
+            JsonValue::Int(n) => Some(n as f64),
+            JsonValue::Num(n) => Some(n),
             _ => None,
         }
     }
 
+    /// The number if it is a whole number in `u64`'s range, exactly;
+    /// `None` for a negative, fractional or out-of-range number.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64()
-            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-            .map(|n| n as u64)
+        /// 2^64, exactly representable.
+        const U64_END: f64 = 18_446_744_073_709_551_616.0;
+        match *self {
+            JsonValue::Int(n) => u64::try_from(n).ok(),
+            JsonValue::Num(n) if (0.0..U64_END).contains(&n) && n.fract() == 0.0 => Some(n as u64),
+            _ => None,
+        }
     }
 
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
@@ -123,6 +136,11 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    if !text.contains(['.', 'e', 'E']) {
+        if let Ok(n) = text.parse::<i128>() {
+            return Ok(JsonValue::Int(n));
+        }
+    }
     text.parse::<f64>()
         .map(JsonValue::Num)
         .map_err(|_| format!("invalid number `{text}` at byte {start}"))
@@ -318,8 +336,30 @@ mod tests {
     #[test]
     fn u64_helper_rejects_fractions() {
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
+        assert_eq!(parse("3.0").unwrap().as_u64(), Some(3));
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("-1.0").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integers_stay_exact() {
+        let two53 = 1u64 << 53;
+        for n in [two53 + 1, u64::MAX - 1, u64::MAX] {
+            let v = parse(&n.to_string()).unwrap();
+            assert_eq!(v, JsonValue::Int(n.into()));
+            assert_eq!(v.as_u64(), Some(n), "{n}");
+        }
+        assert_eq!(
+            parse(&i64::MIN.to_string()).unwrap(),
+            JsonValue::Int(i64::MIN.into())
+        );
+        // Out of `u64`'s range, as an integer literal or not.
+        for text in ["18446744073709551616", "1e30", "1.8446744073709552e19"] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        assert_eq!(parse("1e30").unwrap().as_f64(), Some(1e30));
+        assert_eq!(parse("2.5e0").unwrap(), JsonValue::Num(2.5));
     }
 
     #[test]

@@ -96,8 +96,12 @@ fn validate_metric_entry(name: &str, m: &JsonValue, where_: &str, errs: &mut Vec
                             b.len()
                         ));
                     }
-                    let total: u64 = c.iter().filter_map(|v| v.as_u64()).sum();
-                    if m.get("count").and_then(|v| v.as_u64()) != Some(total) {
+                    // A bucket sum past `u64` matches no count.
+                    let total = c
+                        .iter()
+                        .filter_map(|v| v.as_u64())
+                        .try_fold(0u64, u64::checked_add);
+                    if total.is_none() || m.get("count").and_then(|v| v.as_u64()) != total {
                         errs.push(format!(
                             "{where_}: histogram `{name}` count does not match bucket sum"
                         ));
@@ -218,5 +222,20 @@ mod tests {
         );
         assert!(errs.iter().any(|e| e.contains("counts.len")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("ascending")), "{errs:?}");
+    }
+
+    #[test]
+    fn bucket_sum_past_u64_is_a_mismatch() {
+        // The buckets sum to 2^64, which wraps to the stated count of 0.
+        let doc = parse(
+            r#"{"schema":"compresso.metrics.v1","source":"x","epoch_unit":"pages",
+                "epoch_len":0,"cells":[{"label":"a","wall_millis":1,
+                "metrics":{"h":{"type":"histogram","bounds":[1],
+                "counts":[18446744073709551615,1],
+                "count":0,"sum":0,"max":0,"p50":0,"p95":0,"p99":0}},"epochs":[]}]}"#,
+        )
+        .expect("parses");
+        let errs = validate_metrics_doc(&doc);
+        assert!(errs.iter().any(|e| e.contains("bucket sum")), "{errs:?}");
     }
 }

@@ -124,15 +124,16 @@ fn obj<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
 }
 
 fn num(n: u64) -> JsonValue {
-    JsonValue::Num(n as f64)
+    JsonValue::Int(n.into())
 }
 
 fn nums(values: &[u64]) -> JsonValue {
     JsonValue::Arr(values.iter().map(|&n| num(n)).collect())
 }
 
-/// What parsing the exported `snapshot` must give: every number as the
-/// nearest `f64`, every string as written.
+/// What parsing the exported `snapshot` must give: every integer
+/// exactly, the histogram mean as the `f64` it is, every string as
+/// written.
 fn expected_metrics(snapshot: &Snapshot) -> JsonValue {
     let text = |s: &str| JsonValue::Str(s.to_string());
     JsonValue::Obj(
@@ -144,7 +145,7 @@ fn expected_metrics(snapshot: &Snapshot) -> JsonValue {
                     MetricValue::Counter(c) => obj([("type", text("counter")), ("value", num(*c))]),
                     MetricValue::Gauge(g) => obj([
                         ("type", text("gauge")),
-                        ("value", JsonValue::Num(*g as f64)),
+                        ("value", JsonValue::Int((*g).into())),
                     ]),
                     MetricValue::Histogram(h) => obj([
                         ("type", text("histogram")),
