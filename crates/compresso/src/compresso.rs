@@ -4,17 +4,17 @@
 use crate::alloc::{BuddyAllocator, ChunkAllocator};
 use crate::config::{CompressoConfig, PageAllocation};
 use crate::controller::{
-    self, check_ownership, metadata_lookup, Committed, Controller, MetadataHooks, CODEC_LATENCY,
-    OFFSET_CALC_LATENCY,
+    self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY, OFFSET_CALC_LATENCY,
 };
 use crate::device::{LineSizes, MemoryDevice};
+use crate::durability::{self, check_ownership, Blocks, Layout, Recover};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
-use crate::journal::{JournalRecord, PageImage, RecoveryReport};
+use crate::journal::{PageImage, RecoveryReport};
 use crate::metadata::{
     linepack_bytes, LineLocation, PageMeta, CHUNK_BYTES, LINES_PER_PAGE, PAGE_BYTES,
 };
-use crate::metadata_codec::{self, CRC_OFFSET, LINE_CODE_BITS, MAX_INFLATED, PACKED_BYTES};
+use crate::metadata_codec::{self, LINE_CODE_BITS, MAX_INFLATED, PACKED_BYTES};
 use crate::predictor::OverflowPredictor;
 use crate::stats::DeviceStats;
 use compresso_cache_sim::Backend;
@@ -23,9 +23,6 @@ use compresso_mem_sim::MemStats;
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrMap, LineSource};
 use std::collections::BTreeMap;
-
-/// Durable entries the background scrubber CRC-verifies per pass.
-const SCRUB_PAGES_PER_PASS: usize = 64;
 
 enum Allocator {
     Chunks(ChunkAllocator),
@@ -78,6 +75,28 @@ fn quantize_page(sizes: &LineSizes, bins: &BinSet) -> ([u8; LINES_PER_PAGE], u32
     (codes, bytes)
 }
 
+/// The MPA blocks a page with entry `meta` owns: one `(addr, bytes)`
+/// pair per 512 B chunk (Chunks512) or per run of adjacent chunks
+/// (Variable4, whose live pages are one contiguous block).
+fn blocks_of(meta: &PageMeta, allocation: PageAllocation) -> Blocks {
+    let runs = allocation == PageAllocation::Variable4;
+    let mut blocks: Blocks = Vec::new();
+    for addr in meta.chunks.iter().map(|&c| ChunkAllocator::chunk_addr(c)) {
+        match blocks.last_mut() {
+            Some((base, bytes)) if runs && *base + *bytes as u64 == addr => *bytes += CHUNK_BYTES,
+            _ => blocks.push((addr, CHUNK_BYTES)),
+        }
+    }
+    blocks
+}
+
+/// The committed layout of a page with entry `meta`: its packed entry
+/// and the blocks it owns (`None` if the entry cannot be packed).
+fn layout(meta: &PageMeta, cfg: &CompressoConfig) -> Option<Layout> {
+    let packed = metadata_codec::try_encode(meta, &cfg.bins).ok()?;
+    Some((PageImage::Packed(packed), blocks_of(meta, cfg.allocation)))
+}
+
 /// Chunk frame numbers of a contiguous block at MPA `base` holding
 /// `bytes` (a Variable4 page's allocation).
 fn block_chunks(base: u64, bytes: u32) -> Vec<u32> {
@@ -94,12 +113,6 @@ pub struct CompressoDevice {
     pages: AddrMap<Page>,
     alloc: Allocator,
     predictor: OverflowPredictor,
-    // -------- crash-consistency layer (DESIGN.md §10) --------
-    /// Durable metadata-region image (what a cold boot would read
-    /// before replaying the journal); rot lands here.
-    durable: BTreeMap<u64, [u8; PACKED_BYTES]>,
-    next_scrub_at: u64,
-    scrub_cursor: u64,
 }
 
 impl std::fmt::Debug for CompressoDevice {
@@ -155,18 +168,11 @@ impl CompressoDevice {
             PageAllocation::Variable4 => Allocator::Buddy(BuddyAllocator::new(config.mpa_capacity)),
         };
         let device = Self {
-            ctl: Controller::new(
-                world,
-                config.mcache_half_entries,
-                config.durability.journaling,
-            ),
-            next_scrub_at: config.durability.scrub_interval,
+            ctl: Controller::new(world, config.mcache_half_entries, &config.durability),
             cfg: config,
             pages: AddrMap::default(),
             alloc,
             predictor: OverflowPredictor::new(),
-            durable: BTreeMap::new(),
-            scrub_cursor: 0,
         };
         device.register_all_metrics();
         device
@@ -228,160 +234,35 @@ impl CompressoDevice {
     /// hardware half of ballooning: the Compresso driver hands freed page
     /// numbers to the controller, which drops them from metadata.
     pub fn invalidate_page(&mut self, page: u64) {
-        if self.ctl.crashed {
+        if !self.ctl.commit_free(page) {
             return;
         }
         if let Some(Page { meta, .. }) = self.pages.remove(&page) {
             self.release_chunks(&meta);
-            self.commit_page_free(page);
         }
     }
 
-    // ------------------------------------------------------------------
-    // Crash-consistency layer: journal commits, durable image, scrubber
-    // (DESIGN.md §10)
-    // ------------------------------------------------------------------
-
-    /// The MPA blocks a page with entry `meta` owns: one `(addr, bytes)`
-    /// pair per 512 B chunk (Chunks512) or per run of adjacent chunks
-    /// (Variable4, whose live pages are one contiguous block).
-    fn blocks_of(&self, meta: &PageMeta) -> Vec<(u64, u32)> {
-        let runs = self.cfg.allocation == PageAllocation::Variable4;
-        let mut blocks: Vec<(u64, u32)> = Vec::new();
-        for addr in meta.chunks.iter().map(|&c| ChunkAllocator::chunk_addr(c)) {
-            match blocks.last_mut() {
-                Some((base, bytes)) if runs && *base + *bytes as u64 == addr => {
-                    *bytes += CHUNK_BYTES
-                }
-                _ => blocks.push((addr, CHUNK_BYTES)),
-            }
-        }
-        blocks
-    }
-
-    /// Journals the page's new committed state (ownership deltas, then
-    /// the packed entry as the commit point); then writes the durable
-    /// metadata image, where injected rot may land.
+    /// Reports `page`'s new layout to the durability owner.
     fn commit_meta(&mut self, page: u64) {
-        if !self.ctl.journaling() {
-            return;
-        }
-        let Some(Page { meta, .. }) = self.pages.get(&page) else {
-            return;
-        };
-        let Ok(packed) = metadata_codec::try_encode(meta, &self.cfg.bins) else {
-            return;
-        };
-        let blocks = self.blocks_of(meta);
-        if self
-            .ctl
-            .commit(page, blocks, JournalRecord::EntryUpdate { page, packed })
-        {
-            self.durable.insert(page, packed);
-            self.apply_rot(page);
-        }
-    }
-
-    /// Journals a page invalidation (commit point releasing all its
-    /// storage) and drops it from the durable image.
-    fn commit_page_free(&mut self, page: u64) {
-        if !self.ctl.journaling() {
-            return;
-        }
-        let was_committed = self.ctl.committed.remove(&page).is_some();
-        self.durable.remove(&page);
-        if was_committed {
-            self.ctl.append_all(&[JournalRecord::PageFree { page }]);
-            if !self.ctl.crashed {
-                self.ctl.dur_events.journal_commits += 1;
-            }
-        }
-    }
-
-    /// Journals a completed repack as one transaction: the deltas and
-    /// entry update sit inside a `RepackBegin`/`RepackCommit` bracket,
-    /// so a crash anywhere inside rolls the whole move back.
-    fn commit_repack(&mut self, page: u64) {
-        if !self.ctl.journaling() {
-            return;
-        }
-        self.ctl.append_all(&[JournalRecord::RepackBegin { page }]);
-        self.commit_meta(page);
-        if self.ctl.crashed {
-            return;
-        }
-        self.ctl.append_all(&[JournalRecord::RepackCommit { page }]);
-    }
-
-    /// Injected media rot: one bit of the just-written durable entry
-    /// decays. The journal (protected storage) keeps the good copy.
-    fn apply_rot(&mut self, page: u64) {
-        if let Some(bit) = self.ctl.faults.as_mut().and_then(|f| f.durable_rot()) {
-            if let Some(img) = self.durable.get_mut(&page) {
-                img[bit / 8] ^= 1 << (bit % 8);
-                self.ctl.stats.injected_faults += 1;
-            }
-        }
-    }
-
-    /// Background scrubber (simulated time): every `scrub_interval`
-    /// cycles, CRC-verify the next [`SCRUB_PAGES_PER_PASS`] durable
-    /// entries; repair rotted ones from the image of the page's last
-    /// journal commit, falling back to the uncompressed-degradation path
-    /// when no repair source exists.
-    fn maybe_scrub(&mut self, now: u64) {
-        let interval = self.cfg.durability.scrub_interval;
-        if !self.ctl.journaling() || interval == 0 || now < self.next_scrub_at {
-            return;
-        }
-        self.next_scrub_at = now + interval;
-        self.ctl.dur_events.scrub_passes += 1;
-        let pages: Vec<u64> = self
-            .durable
-            .range(self.scrub_cursor..)
-            .map(|(&p, _)| p)
-            .chain(self.durable.range(..self.scrub_cursor).map(|(&p, _)| p))
-            .take(SCRUB_PAGES_PER_PASS)
-            .collect();
-        for page in pages {
-            self.ctl.dur_events.scrub_pages_scanned += 1;
-            self.scrub_cursor = page + 1;
-            let img = self.durable[&page];
-            let stored = u32::from_le_bytes(img[CRC_OFFSET..].try_into().expect("4 bytes"));
-            if metadata_codec::crc32(&img[..CRC_OFFSET]) == stored {
-                continue;
-            }
-            self.ctl.dur_events.scrub_crc_failures += 1;
-            self.ctl.stats.corruption_detected += 1;
-            // A page enters `durable` with its committed entry image
-            // (`commit_meta`, `recover`) and leaves with it
-            // (`commit_page_free`), so every rotted entry has a repair
-            // source.
-            let good = match self.ctl.committed.get(&page).map(|c| &c.entry) {
-                Some(&JournalRecord::EntryUpdate { packed, .. }) => Some(packed),
-                _ => None,
-            }
-            .expect("a durable page has a committed entry image");
-            self.durable.insert(page, good);
-            self.ctl.dur_events.scrub_repairs += 1;
-        }
+        self.ctl
+            .commit(page, || layout(&self.pages.get(&page)?.meta, &self.cfg));
     }
 
     /// Raw bytes of the write-ahead journal (what survives a crash), if
     /// journaling is enabled.
     pub fn journal_bytes(&self) -> Option<&[u8]> {
-        self.ctl.journal.as_ref().map(|j| j.bytes())
+        self.ctl.journal_bytes()
     }
 
     /// Records fully appended to the journal so far.
     pub fn journal_records(&self) -> u64 {
-        self.ctl.journal.as_ref().map_or(0, |j| j.records())
+        self.ctl.journal_records()
     }
 
     /// Whether an armed crash fired (the device is frozen; recover from
     /// [`Self::journal_bytes`]).
     pub fn is_crashed(&self) -> bool {
-        self.ctl.crashed
+        self.ctl.is_crashed()
     }
 
     /// Packed images of every live page, ordered by page number — the
@@ -421,22 +302,16 @@ impl CompressoDevice {
     /// Journal-committed block ownership, `addr → (page, bytes)`,
     /// ordered by address.
     pub fn owners_snapshot(&self) -> BTreeMap<u64, (u64, u32)> {
-        let mut owners = BTreeMap::new();
-        for (&page, committed) in &self.ctl.committed {
-            for &(addr, bytes) in &committed.blocks {
-                owners.insert(addr, (page, bytes));
-            }
-        }
-        owners
+        self.ctl.owners()
     }
 
     /// Cold-boot recovery: rebuild a device from the surviving journal
     /// bytes alone. Replays the journal through the [`ShadowModel`]
     /// semantics (torn tail discarded, uncommitted deltas and open
-    /// repack transactions rolled back), rebuilds the page table,
-    /// allocator free lists and the durable image, verifies layout
-    /// invariants, prewarms the metadata cache by journal-tail recency,
-    /// and writes a compacted checkpoint journal.
+    /// repack transactions rolled back), rebuilds the page table and the
+    /// allocator free lists, verifies layout invariants, prewarms the
+    /// metadata cache by journal-tail recency, and writes a compacted
+    /// checkpoint journal.
     ///
     /// [`ShadowModel`]: crate::journal::ShadowModel
     pub fn recover(
@@ -444,116 +319,10 @@ impl CompressoDevice {
         world: Box<dyn LineSource>,
         journal_bytes: &[u8],
     ) -> (Self, RecoveryReport) {
-        let (records, shadow, mut report) = Controller::replay(journal_bytes);
         let mut cfg = config;
         cfg.durability.journaling = true;
-        let mut device = Self::new_boxed(cfg, world);
-
-        // Rebuild pages and ownership from the committed shadow state.
-        // The allocator is rebuilt from the journal's ownership; a page's
-        // layout comes from its entry, checked against that ownership.
-        let mut owned_chunks: Vec<u32> = Vec::new();
-        let mut owned_blocks: Vec<(u64, u32)> = Vec::new();
-        for (&page, image) in shadow.pages() {
-            let PageImage::Packed(packed) = image else {
-                report
-                    .violations
-                    .push(format!("page {page}: non-Compresso record in journal"));
-                continue;
-            };
-            let meta = match metadata_codec::decode(packed, &device.cfg.bins) {
-                Ok(m) => m,
-                Err(e) => {
-                    report
-                        .violations
-                        .push(format!("page {page}: committed entry undecodable: {e}"));
-                    continue;
-                }
-            };
-            let blocks = shadow.blocks_of(page);
-            device.verify_rebuilt_page(page, &meta, &blocks, &mut report.violations);
-            match device.cfg.allocation {
-                PageAllocation::Chunks512 => {
-                    owned_chunks.extend(blocks.iter().map(|&(addr, _)| (addr / 512) as u32));
-                }
-                PageAllocation::Variable4 => owned_blocks.extend(blocks.first()),
-            }
-            device.durable.insert(page, *packed);
-            let entry = JournalRecord::EntryUpdate {
-                page,
-                packed: *packed,
-            };
-            device
-                .ctl
-                .committed
-                .insert(page, Committed { blocks, entry });
-            device.pages.insert(
-                page,
-                Page {
-                    meta,
-                    sizes: None,
-                    binned: 0,
-                },
-            );
-        }
-        let capacity = device.cfg.mpa_capacity;
-        device.alloc = match device.cfg.allocation {
-            PageAllocation::Chunks512 => {
-                Allocator::Chunks(ChunkAllocator::rebuild(capacity, &owned_chunks))
-            }
-            PageAllocation::Variable4 => {
-                Allocator::Buddy(BuddyAllocator::rebuild(capacity, &owned_blocks))
-            }
-        };
-        // The rebuilt allocator replaced the one whose gauges were
-        // registered at construction: re-register into a fresh registry.
-        device.ctl.registry = Registry::new();
-        device.register_all_metrics();
-        report.pages_rebuilt = device.pages.len();
-
-        // Prewarm the metadata cache: most recently journaled pages are
-        // the likeliest next accesses. Replay oldest-first so the most
-        // recent ends up most-recently-used.
-        let mut recent: Vec<u64> = Vec::new();
-        for rec in records.iter().rev() {
-            let p = rec.page();
-            if device.pages.contains_key(&p) && !recent.contains(&p) {
-                recent.push(p);
-                if recent.len() >= 128 {
-                    break;
-                }
-            }
-        }
-        for &p in recent.iter().rev() {
-            let uncompressed = !device.pages[&p].meta.compressed;
-            let _ = device.ctl.mcache.access(p, uncompressed, false);
-        }
-        report.prewarmed = recent.len();
-
-        device.ctl.checkpoint(&report);
-        (device, report)
-    }
-
-    /// Layout invariants a rebuilt page must satisfy (violations are
-    /// reported, not panicked on).
-    fn verify_rebuilt_page(
-        &self,
-        page: u64,
-        meta: &PageMeta,
-        blocks: &[(u64, u32)],
-        violations: &mut Vec<String>,
-    ) {
-        violations.extend(check_ownership(page, self.blocks_of(meta), blocks));
-        if meta.compressed && meta.used_bytes(&self.cfg.bins) > meta.page_bytes {
-            violations.push(format!(
-                "page {page}: lines occupy {} B of a {} B allocation",
-                meta.used_bytes(&self.cfg.bins),
-                meta.page_bytes
-            ));
-        }
-        if meta.zero && !meta.chunks.is_empty() {
-            violations.push(format!("page {page}: zero page owns storage"));
-        }
+        let capacity = cfg.mpa_capacity;
+        durability::recover(Self::new_boxed(cfg, world), capacity, journal_bytes)
     }
 
     // ------------------------------------------------------------------
@@ -872,7 +641,8 @@ impl CompressoDevice {
         self.store_packed(page, bins, new_data, chunks, new_bytes);
         // Journal the move as one transaction: a crash anywhere inside
         // the bracket rolls the whole repack back to the old layout.
-        self.commit_repack(page);
+        self.ctl
+            .commit_repack(page, || layout(&self.pages.get(&page)?.meta, &self.cfg));
     }
 
     // ------------------------------------------------------------------
@@ -992,12 +762,93 @@ impl CompressoDevice {
     }
 }
 
+impl Recover for CompressoDevice {
+    fn adopt(
+        &mut self,
+        page: u64,
+        image: &PageImage,
+        blocks: &[(u64, u32)],
+        violations: &mut Vec<String>,
+    ) -> bool {
+        let PageImage::Packed(packed) = image else {
+            violations.push(format!("page {page}: non-Compresso record in journal"));
+            return false;
+        };
+        let meta = match metadata_codec::decode(packed, &self.cfg.bins) {
+            Ok(meta) => meta,
+            Err(e) => {
+                violations.push(format!("page {page}: committed entry undecodable: {e}"));
+                return false;
+            }
+        };
+        let implied = blocks_of(&meta, self.cfg.allocation);
+        violations.extend(check_ownership(page, implied, blocks));
+        let (used, allocated) = (meta.used_bytes(&self.cfg.bins), meta.page_bytes);
+        if meta.compressed && used > allocated {
+            violations.push(format!(
+                "page {page}: lines occupy {used} B of a {allocated} B allocation"
+            ));
+        }
+        if meta.zero && !meta.chunks.is_empty() {
+            violations.push(format!("page {page}: zero page owns storage"));
+        }
+        self.pages.insert(
+            page,
+            Page {
+                meta,
+                sizes: None,
+                binned: 0,
+            },
+        );
+        true
+    }
+
+    fn rebuild_allocator(&mut self, granted: &[Blocks]) {
+        let capacity = self.cfg.mpa_capacity;
+        self.alloc = match self.cfg.allocation {
+            PageAllocation::Chunks512 => {
+                let owned = granted.concat().into_iter();
+                let chunks: Vec<u32> = owned.map(|(addr, _)| (addr / 512) as u32).collect();
+                Allocator::Chunks(ChunkAllocator::rebuild(capacity, &chunks))
+            }
+            // A Variable4 page owns one block.
+            PageAllocation::Variable4 => {
+                let blocks: Blocks = granted.iter().filter_map(|b| b.first().copied()).collect();
+                Allocator::Buddy(BuddyAllocator::rebuild(capacity, &blocks))
+            }
+        };
+        // The rebuilt allocator replaced the one whose gauges were
+        // registered at construction: re-register into a fresh registry.
+        self.ctl.registry = Registry::new();
+        self.register_all_metrics();
+    }
+
+    /// The most recently journaled pages are the likeliest next
+    /// accesses. Warms oldest-first so the most recent ends up
+    /// most-recently-used.
+    fn prewarm(&mut self, journaled: &[u64]) -> usize {
+        let mut recent: Vec<u64> = Vec::new();
+        for &p in journaled.iter().rev() {
+            if self.pages.contains_key(&p) && !recent.contains(&p) {
+                recent.push(p);
+                if recent.len() >= 128 {
+                    break;
+                }
+            }
+        }
+        for &p in recent.iter().rev() {
+            let uncompressed = !self.pages[&p].meta.compressed;
+            let _ = self.ctl.mcache.access(p, uncompressed, false);
+        }
+        recent.len()
+    }
+}
+
 impl Backend for CompressoDevice {
     fn fill(&mut self, now: u64, line_addr: u64) -> u64 {
-        if self.ctl.crashed {
+        if !self.ctl.admit(now) {
             return now; // frozen: recover from the journal
         }
-        self.maybe_scrub(now);
         self.ctl.stats.demand_fills += 1;
         let page = line_addr / PAGE_BYTES as u64;
         let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;
@@ -1036,10 +887,9 @@ impl Backend for CompressoDevice {
     }
 
     fn writeback(&mut self, now: u64, line_addr: u64) -> u64 {
-        if self.ctl.crashed {
+        if !self.ctl.admit(now) {
             return now; // frozen: recover from the journal
         }
-        self.maybe_scrub(now);
         self.ctl.stats.demand_writebacks += 1;
         let page = line_addr / PAGE_BYTES as u64;
         let line = ((line_addr % PAGE_BYTES as u64) / 64) as usize;

@@ -4,8 +4,8 @@
 //! controller parts: the same BPC, the same-size metadata cache, the same
 //! DRAM channel. [`Controller`] holds that common state (data world,
 //! DRAM, metadata cache, event counters and metrics registry, fault
-//! plan, free-prefetch buffer, write-ahead journal and each page's last
-//! commit) and makes each shared decision once:
+//! plan, free-prefetch buffer and the optional durability owner) and
+//! makes each shared decision once:
 //!
 //! * line sizing ([`Controller::size_page`],
 //!   [`Controller::stored_sizes`], [`Controller::resize_line`]): the
@@ -20,27 +20,24 @@
 //! * the 16-entry free-prefetch buffer: record, lookup, invalidate;
 //! * page-move traffic ([`Controller::move_page`]);
 //! * bounded allocation retry ([`Controller::alloc_with_retry`]);
-//! * the durability glue (DESIGN.md §10): journal appends, the
-//!   ownership-delta commit and the per-page [`Committed`] record it
-//!   keeps, the recovery preamble, the ownership rule
-//!   ([`check_ownership`]), the compacted checkpoint and the
-//!   `recovery.*` counters;
 //! * the [`MemoryDevice`](crate::MemoryDevice) capacity accounting.
 //!
+//! The opt-in crash-consistency layer lives apart, in
+//! [`crate::durability`], reached through one call per state change.
+//!
 //! What differs stays in the devices: Compresso's LinePack layout,
-//! predictor, inflation room, repacking and scrubber; LCP's plan and
-//! exception layout, speculative reads and OS-trap re-plan. So do two
-//! timing differences, kept as they are: a line straddling two bursts is
-//! read in parallel by Compresso and serially by LCP, and Compresso's
-//! prefetch buffer serves only single-burst lines while LCP's serves any
-//! compressed line whose bursts are all buffered.
+//! predictor, inflation room, repacking and corruption fallback; LCP's
+//! plan and exception layout, speculative reads and OS-trap re-plan. So
+//! do two timing differences, kept as they are: a line straddling two
+//! bursts is read in parallel by Compresso and serially by LCP, and
+//! Compresso's prefetch buffer serves only single-burst lines while LCP's
+//! serves any compressed line whose bursts are all buffered.
 
+use crate::config::DurabilityConfig;
 use crate::device::LineSizes;
+use crate::durability::Durability;
 use crate::error::CompressoError;
 use crate::faultkit::FaultPlan;
-use crate::journal::{
-    self, AppendOutcome, DurabilityEvents, Journal, JournalRecord, RecoveryReport, ShadowModel,
-};
 use crate::mcache::MetadataCache;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::DeviceEvents;
@@ -48,7 +45,7 @@ use compresso_compression::{Bpc, Compressor, Line, LINE_SIZE};
 use compresso_mem_sim::{MainMemory, MemConfig};
 use compresso_telemetry::Registry;
 use compresso_workloads::LineSource;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// MPA region where metadata entries live (outside the chunk space).
@@ -110,30 +107,6 @@ fn stored_size(data: &Line) -> u8 {
     }
 }
 
-/// Recovery's ownership rule: a committed entry must imply exactly the
-/// blocks the journal granted its page. `implied` comes from the entry
-/// (in any order), `granted` from the replayed journal (ascending by
-/// address, as [`ShadowModel::blocks_of`] returns them). Returns the
-/// violation, naming the page, if they differ.
-pub(crate) fn check_ownership(
-    page: u64,
-    mut implied: Vec<(u64, u32)>,
-    granted: &[(u64, u32)],
-) -> Option<String> {
-    implied.sort_unstable();
-    (implied != granted).then(|| {
-        format!("page {page}: entry implies blocks {implied:?} but the journal grants {granted:?}")
-    })
-}
-
-/// What the journal last committed for a page: the MPA blocks it owns
-/// and its commit record (the entry image). The scrubber repairs from
-/// it and the recovery checkpoint re-appends it.
-pub(crate) struct Committed {
-    pub blocks: Vec<(u64, u32)>,
-    pub entry: JournalRecord,
-}
-
 /// The controller state both compressed devices keep (see the
 /// [module documentation](self)).
 pub(crate) struct Controller {
@@ -144,21 +117,18 @@ pub(crate) struct Controller {
     pub registry: Registry,
     pub faults: Option<FaultPlan>,
     prefetch: VecDeque<(u64, u32)>,
-    /// Write-ahead journal; `Some` iff journaling is on.
-    pub journal: Option<Journal>,
-    /// Each page's last journal commit: the base of the next delta
-    /// records, the scrubber's repair source and the checkpoint.
-    pub committed: HashMap<u64, Committed>,
-    /// Set when an armed crash fired: the journal is frozen and the
-    /// device stops mutating state (recovery trusts the journal only).
-    pub crashed: bool,
-    pub dur_events: DurabilityEvents,
+    /// The crash-consistency layer; `Some` iff journaling is on.
+    pub durability: Option<Durability>,
 }
 
 impl Controller {
     /// A controller over `world`, on the paper's DDR4-2666 channel and
-    /// 96 KB metadata cache.
-    pub fn new(world: Box<dyn LineSource>, half_entries: bool, journaling: bool) -> Self {
+    /// 96 KB metadata cache, journaling as `durability` asks.
+    pub fn new(
+        world: Box<dyn LineSource>,
+        half_entries: bool,
+        durability: &DurabilityConfig,
+    ) -> Self {
         Self {
             world,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
@@ -167,10 +137,9 @@ impl Controller {
             registry: Registry::new(),
             faults: None,
             prefetch: VecDeque::new(),
-            journal: journaling.then(Journal::new),
-            committed: HashMap::new(),
-            crashed: false,
-            dur_events: DurabilityEvents::default(),
+            durability: durability
+                .journaling
+                .then(|| Durability::new(durability.scrub_interval)),
         }
     }
 
@@ -181,8 +150,8 @@ impl Controller {
         self.stats.register_metrics(&self.registry, prefix);
         self.mem.register_metrics(&self.registry, "dram");
         self.mcache.register_metrics(&self.registry, "mcache");
-        if self.journal.is_some() {
-            self.dur_events.register_metrics(&self.registry, "");
+        if let Some(d) = &self.durability {
+            d.events.register_metrics(&self.registry, "");
         }
     }
 
@@ -361,108 +330,6 @@ impl Controller {
                 self.stats.alloc_failures += 1;
             }
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Durability glue (DESIGN.md §10)
-    // ------------------------------------------------------------------
-
-    /// Whether layout mutations are journaled now: journaling is on and
-    /// no armed crash has frozen the device.
-    pub fn journaling(&self) -> bool {
-        self.journal.is_some() && !self.crashed
-    }
-
-    /// Appends records in order, stopping (and freezing the device) if
-    /// an armed crash tears one of them.
-    pub fn append_all(&mut self, recs: &[JournalRecord]) {
-        let Some(j) = self.journal.as_mut() else {
-            return;
-        };
-        for rec in recs {
-            match j.append(rec, &mut self.faults) {
-                AppendOutcome::Written => self.dur_events.journal_appends += 1,
-                AppendOutcome::Crashed => {
-                    self.dur_events.journal_torn += 1;
-                    self.stats.injected_faults += 1;
-                    self.crashed = true;
-                    return;
-                }
-                AppendOutcome::Frozen => return,
-            }
-        }
-    }
-
-    /// Journals `page`'s new committed state: `ChunkFree`/`ChunkAlloc`
-    /// deltas from the last committed ownership to `blocks`, then `entry`
-    /// as the commit point, and records both as the page's [`Committed`]
-    /// state. Returns whether the commit landed (an armed crash may tear
-    /// it).
-    pub fn commit(&mut self, page: u64, blocks: Vec<(u64, u32)>, entry: JournalRecord) -> bool {
-        let old = self.committed.get(&page).map_or(&[][..], |c| &c.blocks);
-        let mut recs: Vec<JournalRecord> = old
-            .iter()
-            .filter(|b| !blocks.contains(b))
-            .map(|&(addr, bytes)| JournalRecord::ChunkFree { page, addr, bytes })
-            .collect();
-        recs.extend(
-            blocks
-                .iter()
-                .filter(|b| !old.contains(b))
-                .map(|&(addr, bytes)| JournalRecord::ChunkAlloc { page, addr, bytes }),
-        );
-        recs.push(entry);
-        self.append_all(&recs);
-        if self.crashed {
-            return false;
-        }
-        self.dur_events.journal_commits += 1;
-        let entry = recs.pop().expect("the commit record");
-        self.committed.insert(page, Committed { blocks, entry });
-        true
-    }
-
-    /// The recovery preamble: parses the surviving journal bytes and
-    /// replays them through the [`ShadowModel`] semantics (torn tail
-    /// discarded, uncommitted deltas and open repack transactions rolled
-    /// back). Returns the records, the committed shadow state and the
-    /// report so far.
-    pub fn replay(journal_bytes: &[u8]) -> (Vec<JournalRecord>, ShadowModel, RecoveryReport) {
-        let (records, parse_report) = journal::parse(journal_bytes);
-        let (shadow, rolled_back) = ShadowModel::replay(&records);
-        let report = RecoveryReport {
-            replayed: shadow.replayed(),
-            discarded_bytes: parse_report.discarded_bytes,
-            torn: parse_report.torn,
-            rolled_back,
-            violations: shadow.violations().to_vec(),
-            ..Default::default()
-        };
-        (records, shadow, report)
-    }
-
-    /// Finishes a cold-boot recovery: writes a fresh compacted journal
-    /// equivalent to the recovered [`Committed`] state, page by page, so
-    /// the next crash replays from here; then adds `report` to the
-    /// `recovery.*` counters.
-    pub fn checkpoint(&mut self, report: &RecoveryReport) {
-        let mut pages: Vec<u64> = self.committed.keys().copied().collect();
-        pages.sort_unstable();
-        for page in pages {
-            let committed = &self.committed[&page];
-            let mut recs: Vec<JournalRecord> = committed
-                .blocks
-                .iter()
-                .map(|&(addr, bytes)| JournalRecord::ChunkAlloc { page, addr, bytes })
-                .collect();
-            recs.push(committed.entry.clone());
-            self.append_all(&recs);
-            self.dur_events.journal_commits += 1;
-        }
-        self.dur_events.recovery_replayed += report.replayed as u64;
-        self.dur_events.recovery_rolled_back += report.rolled_back as u64;
-        self.dur_events.recovery_violations += report.violations.len() as u64;
-        self.dur_events.recovery_prewarmed += report.prewarmed as u64;
     }
 }
 

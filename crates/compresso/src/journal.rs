@@ -297,10 +297,9 @@ pub enum AppendOutcome {
     /// The record was written in full.
     Written,
     /// An armed crash fired: the record was written torn (header plus a
-    /// partial payload, no checksum) and the journal is now frozen.
+    /// partial payload, no checksum). The writer must stop appending:
+    /// the crashed device is frozen.
     Crashed,
-    /// The journal is frozen (post-crash); the append was dropped.
-    Frozen,
 }
 
 /// The write-ahead journal: an append-only byte log.
@@ -308,7 +307,6 @@ pub enum AppendOutcome {
 pub struct Journal {
     bytes: Vec<u8>,
     seq: u64,
-    frozen: bool,
 }
 
 impl Journal {
@@ -318,9 +316,6 @@ impl Journal {
 
     /// Appends `rec`, consulting `faults` for an armed mid-append crash.
     pub fn append(&mut self, rec: &JournalRecord, faults: &mut Option<FaultPlan>) -> AppendOutcome {
-        if self.frozen {
-            return AppendOutcome::Frozen;
-        }
         let frame = encode_record(self.seq, rec);
         if let Some(f) = faults.as_mut() {
             if f.crash_on_append(self.seq) {
@@ -328,7 +323,6 @@ impl Journal {
                 // the journal device, the checksum never does.
                 let torn = HEADER_BYTES + (frame.len() - HEADER_BYTES - TRAILER_BYTES) / 2;
                 self.bytes.extend_from_slice(&frame[..torn]);
-                self.frozen = true;
                 return AppendOutcome::Crashed;
             }
         }
@@ -346,11 +340,6 @@ impl Journal {
     pub fn records(&self) -> u64 {
         self.seq
     }
-
-    /// Whether a crash froze this journal.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
 }
 
 /// One page's committed layout in the shadow model.
@@ -362,10 +351,14 @@ pub enum PageImage {
     Lcp(LcpImage),
 }
 
-#[derive(Debug, Clone)]
-enum PendingDelta {
-    Alloc { addr: u64, bytes: u32 },
-    Free { addr: u64, bytes: u32 },
+impl PageImage {
+    /// The commit record of `page` holding this image.
+    pub(crate) fn into_record(self, page: u64) -> JournalRecord {
+        match self {
+            PageImage::Packed(packed) => JournalRecord::EntryUpdate { page, packed },
+            PageImage::Lcp(image) => JournalRecord::LcpEntryUpdate { page, image },
+        }
+    }
 }
 
 /// The reference replay state machine (see module docs): committed page
@@ -376,25 +369,21 @@ pub struct ShadowModel {
     pages: BTreeMap<u64, PageImage>,
     /// Block ownership: MPA address → (owning page, block bytes).
     owners: BTreeMap<u64, (u64, u32)>,
-    /// Deltas awaiting their page's commit point.
-    pending: HashMap<u64, Vec<PendingDelta>>,
+    /// `ChunkAlloc`/`ChunkFree` deltas awaiting their page's commit
+    /// point.
+    pending: HashMap<u64, Vec<JournalRecord>>,
     /// Pages inside an open repack bracket, with the entry image held
     /// back until commit.
     repack_open: HashMap<u64, Option<PageImage>>,
     /// Invariant violations observed during replay.
     violations: Vec<String>,
-    replayed: usize,
 }
 
 impl ShadowModel {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Replays a full record stream, then rolls back whatever never
     /// committed. Returns the number of records rolled back.
     pub fn replay(records: &[JournalRecord]) -> (Self, usize) {
-        let mut model = Self::new();
+        let mut model = Self::default();
         for rec in records {
             model.apply(rec);
         }
@@ -404,25 +393,9 @@ impl ShadowModel {
 
     /// Applies one record.
     pub fn apply(&mut self, rec: &JournalRecord) {
-        self.replayed += 1;
         match rec {
-            JournalRecord::ChunkAlloc { page, addr, bytes } => {
-                self.pending
-                    .entry(*page)
-                    .or_default()
-                    .push(PendingDelta::Alloc {
-                        addr: *addr,
-                        bytes: *bytes,
-                    });
-            }
-            JournalRecord::ChunkFree { page, addr, bytes } => {
-                self.pending
-                    .entry(*page)
-                    .or_default()
-                    .push(PendingDelta::Free {
-                        addr: *addr,
-                        bytes: *bytes,
-                    });
+            JournalRecord::ChunkAlloc { page, .. } | JournalRecord::ChunkFree { page, .. } => {
+                self.pending.entry(*page).or_default().push(rec.clone());
             }
             JournalRecord::EntryUpdate { page, packed } => {
                 self.commit_image(*page, PageImage::Packed(*packed));
@@ -478,7 +451,7 @@ impl ShadowModel {
     fn apply_pending(&mut self, page: u64) {
         for delta in self.pending.remove(&page).unwrap_or_default() {
             match delta {
-                PendingDelta::Alloc { addr, bytes } => {
+                JournalRecord::ChunkAlloc { addr, bytes, .. } => {
                     if let Some((owner, _)) = self.owners.get(&addr) {
                         self.violations.push(format!(
                             "block {addr:#x}: double-owned by pages {owner} and {page}"
@@ -486,7 +459,7 @@ impl ShadowModel {
                     }
                     self.owners.insert(addr, (page, bytes));
                 }
-                PendingDelta::Free { addr, bytes } => match self.owners.get(&addr) {
+                JournalRecord::ChunkFree { addr, bytes, .. } => match self.owners.get(&addr) {
                     Some(&(owner, owned_bytes)) if owner == page => {
                         if owned_bytes != bytes {
                             self.violations.push(format!(
@@ -502,6 +475,7 @@ impl ShadowModel {
                         .violations
                         .push(format!("block {addr:#x}: freed but unowned")),
                 },
+                _ => unreachable!("only ownership deltas are pending"),
             }
         }
     }
@@ -534,11 +508,6 @@ impl ShadowModel {
         &self.violations
     }
 
-    /// Records applied so far.
-    pub fn replayed(&self) -> usize {
-        self.replayed
-    }
-
     /// Blocks owned by `page`, ascending by address.
     pub fn blocks_of(&self, page: u64) -> Vec<(u64, u32)> {
         self.owners
@@ -550,7 +519,7 @@ impl ShadowModel {
 }
 
 /// What cold-boot recovery found and did (see
-/// `CompressoDevice::recover` / `LcpDevice::recover`).
+/// `CompressoDevice::recover` / `LcpDevice::recover_lcp`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Journal records replayed.
@@ -728,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_append_freezes_the_journal() {
+    fn torn_append_leaves_an_unparseable_tail() {
         let mut faults = Some(FaultPlan::new(0, FaultConfig::default()).with_crash_at(1));
         let mut journal = Journal::new();
         assert_eq!(
@@ -739,11 +708,7 @@ mod tests {
             journal.append(&entry(2, 2), &mut faults),
             AppendOutcome::Crashed
         );
-        assert!(journal.is_frozen());
-        assert_eq!(
-            journal.append(&entry(3, 3), &mut faults),
-            AppendOutcome::Frozen
-        );
+        assert_eq!(journal.records(), 1);
         let (parsed, report) = parse(journal.bytes());
         assert_eq!(parsed, vec![entry(1, 1)]);
         assert!(report.torn);

@@ -8,13 +8,13 @@
 //! (wrong speculation on exception lines costs an extra access).
 
 use crate::alloc::BuddyAllocator;
-use crate::controller::{
-    self, check_ownership, metadata_lookup, Committed, Controller, MetadataHooks, CODEC_LATENCY,
-};
+use crate::config::DurabilityConfig;
+use crate::controller::{self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY};
 use crate::device::{LineSizes, MemoryDevice};
+use crate::durability::{self, check_ownership, Blocks, Durability, Recover};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats};
-use crate::journal::{Journal, JournalRecord, PageImage, RecoveryReport};
+use crate::journal::{PageImage, RecoveryReport};
 use crate::lcp::LcpImage;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::DeviceStats;
@@ -109,7 +109,7 @@ impl LcpDevice {
             name,
             bins,
             // No half-entry optimization; journaling is opt-in.
-            ctl: Controller::new(world, false, false),
+            ctl: Controller::new(world, false, &DurabilityConfig::disabled()),
             alloc: BuddyAllocator::new(MPA_CAPACITY),
             pages: AddrMap::default(),
         };
@@ -125,12 +125,13 @@ impl LcpDevice {
     /// Turns on write-ahead journaling of every layout mutation
     /// (DESIGN.md §10). Off by default: the figure runs model the
     /// paper's baseline, which has no durability layer. Unlike Compresso
-    /// there is no durable-image scrubber: the OS keeps the authoritative
+    /// there is no metadata-region repair: the OS keeps the authoritative
     /// layout, so the journal alone suffices for recovery.
     pub fn enable_journaling(&mut self) {
-        if self.ctl.journal.is_none() {
-            self.ctl.journal = Some(Journal::new());
-            self.ctl.dur_events.register_metrics(&self.ctl.registry, "");
+        if self.ctl.durability.is_none() {
+            let owner = Durability::new(0);
+            owner.events.register_metrics(&self.ctl.registry, "");
+            self.ctl.durability = Some(owner);
         }
     }
 
@@ -228,44 +229,28 @@ impl LcpDevice {
         t + OS_PAGE_FAULT_CYCLES
     }
 
-    // ------------------------------------------------------------------
-    // Crash-consistency layer (DESIGN.md §10)
-    // ------------------------------------------------------------------
-
-    /// Journals the page's new committed layout: the frame delta against
-    /// the last committed view, then the serialized plan as the commit
-    /// point.
+    /// Reports `page`'s new layout to the durability owner.
     fn commit_lcp(&mut self, page: u64) {
-        if !self.ctl.journaling() {
-            return;
-        }
-        let Some(LcpPage { layout, .. }) = self.pages.get(&page) else {
-            return;
-        };
-        self.ctl.commit(
-            page,
-            layout.blocks(),
-            JournalRecord::LcpEntryUpdate {
-                page,
-                image: layout.clone(),
-            },
-        );
+        self.ctl.commit(page, || {
+            let layout = &self.pages.get(&page)?.layout;
+            Some((PageImage::Lcp(layout.clone()), layout.blocks()))
+        });
     }
 
     /// Raw bytes of the write-ahead journal, if journaling is enabled.
     pub fn journal_bytes(&self) -> Option<&[u8]> {
-        self.ctl.journal.as_ref().map(|j| j.bytes())
+        self.ctl.journal_bytes()
     }
 
     /// Whether an armed crash fired (the device is frozen; recover from
     /// [`Self::journal_bytes`]).
     pub fn is_crashed(&self) -> bool {
-        self.ctl.crashed
+        self.ctl.is_crashed()
     }
 
     /// Cold-boot recovery of the plain-LCP baseline from its journal.
     pub fn recover_lcp(world: Box<dyn LineSource>, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
-        Self::recover_build("LCP", BinSet::legacy4(), world, journal_bytes)
+        Self::build("LCP", BinSet::legacy4(), world).recover(journal_bytes)
     }
 
     /// Cold-boot recovery of the LCP+Align baseline from its journal.
@@ -273,67 +258,49 @@ impl LcpDevice {
         world: Box<dyn LineSource>,
         journal_bytes: &[u8],
     ) -> (Self, RecoveryReport) {
-        Self::recover_build("LCP+Align", BinSet::aligned4(), world, journal_bytes)
+        Self::build("LCP+Align", BinSet::aligned4(), world).recover(journal_bytes)
     }
 
-    /// As `CompressoDevice::recover`: replay the surviving journal
-    /// through the shadow semantics, rebuild pages and the buddy
-    /// allocator, verify layout invariants, write a compacted
-    /// checkpoint. No scrubber and no metadata-cache prewarm: the OS
-    /// keeps the authoritative layout, so the journal is the single
-    /// durable source.
-    fn recover_build(
-        name: &'static str,
-        bins: BinSet,
-        world: Box<dyn LineSource>,
-        journal_bytes: &[u8],
-    ) -> (Self, RecoveryReport) {
-        let (_, shadow, mut report) = Controller::replay(journal_bytes);
-        let mut device = Self::build(name, bins, world);
-        device.ctl.journal = Some(Journal::new());
+    /// As `CompressoDevice::recover`, without a metadata-cache prewarm:
+    /// the OS keeps the authoritative layout, so the journal alone is
+    /// its recovery source.
+    fn recover(mut self, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
+        self.enable_journaling();
+        durability::recover(self, MPA_CAPACITY, journal_bytes)
+    }
+}
 
-        let mut owned_blocks: Vec<(u64, u32)> = Vec::new();
-        for (&page, image) in shadow.pages() {
-            let PageImage::Lcp(img) = image else {
-                report
-                    .violations
-                    .push(format!("page {page}: non-LCP record in journal"));
-                continue;
-            };
-            let blocks = shadow.blocks_of(page);
-            report
-                .violations
-                .extend(check_ownership(page, img.blocks(), &blocks));
-            let layout = img.clone();
-            device.pages.insert(
-                page,
-                LcpPage {
-                    layout,
-                    sizes: None,
-                },
-            );
-            owned_blocks.extend(&blocks);
-            let entry = JournalRecord::LcpEntryUpdate {
-                page,
-                image: img.clone(),
-            };
-            device
-                .ctl
-                .committed
-                .insert(page, Committed { blocks, entry });
-        }
-        device.alloc = BuddyAllocator::rebuild(MPA_CAPACITY, &owned_blocks);
-        device.ctl.registry = Registry::new();
-        device.register_all_metrics();
-        report.pages_rebuilt = device.pages.len();
-        device.ctl.checkpoint(&report);
-        (device, report)
+impl Recover for LcpDevice {
+    fn adopt(
+        &mut self,
+        page: u64,
+        image: &PageImage,
+        blocks: &[(u64, u32)],
+        violations: &mut Vec<String>,
+    ) -> bool {
+        let PageImage::Lcp(layout) = image else {
+            violations.push(format!("page {page}: non-LCP record in journal"));
+            return false;
+        };
+        violations.extend(check_ownership(page, layout.blocks(), blocks));
+        let adopted = LcpPage {
+            layout: layout.clone(),
+            sizes: None,
+        };
+        self.pages.insert(page, adopted);
+        true
+    }
+
+    fn rebuild_allocator(&mut self, granted: &[Blocks]) {
+        self.alloc = BuddyAllocator::rebuild(MPA_CAPACITY, &granted.concat());
+        self.ctl.registry = Registry::new();
+        self.register_all_metrics();
     }
 }
 
 impl Backend for LcpDevice {
     fn fill(&mut self, now: u64, line_addr: u64) -> u64 {
-        if self.ctl.crashed {
+        if !self.ctl.admit(now) {
             return now; // frozen: recover from the journal
         }
         self.ctl.stats.demand_fills += 1;
@@ -390,7 +357,7 @@ impl Backend for LcpDevice {
     }
 
     fn writeback(&mut self, now: u64, line_addr: u64) -> u64 {
-        if self.ctl.crashed {
+        if !self.ctl.admit(now) {
             return now; // frozen: recover from the journal
         }
         self.ctl.stats.demand_writebacks += 1;

@@ -27,9 +27,10 @@
 //! [`LcpDevice`] run on one controller core (the crate-private
 //! `controller` module): the metadata-cache lookup, DRAM burst issue and
 //! accounting, the free-prefetch buffer, page-move traffic, bounded
-//! allocation retry, the journal commit and recovery steps, and the
-//! fixed Tab. III latencies. Each device keeps only its layout and the
-//! policies that set it apart (DESIGN.md §3).
+//! allocation retry and the fixed Tab. III latencies. Each device keeps
+//! only its layout and the policies that set it apart (DESIGN.md §3).
+//! The opt-in crash-consistency layer ([`journal`], DESIGN.md §10) has
+//! one crate-private owner, off both devices' data paths.
 //!
 //! # Example
 //!
@@ -53,6 +54,7 @@ pub mod compresso;
 pub mod config;
 mod controller;
 pub mod device;
+mod durability;
 pub mod error;
 pub mod faultkit;
 pub mod journal;
