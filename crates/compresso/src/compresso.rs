@@ -7,7 +7,7 @@ use crate::controller::{
     self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY, OFFSET_CALC_LATENCY,
 };
 use crate::device::{LineSizes, MemoryDevice};
-use crate::durability::{self, check_ownership, Blocks, Layout, Recover};
+use crate::durability::{self, check_ownership, check_page_size, Blocks, Layout, Recover};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{PageImage, RecoveryReport};
@@ -129,8 +129,29 @@ impl MetadataHooks for CompressoDevice {
         &mut self.ctl
     }
 
-    fn on_fetch(&mut self, t: u64, page: u64) -> u64 {
-        self.maybe_corrupt_metadata(t, page)
+    /// A bit flip lands in the page's packed encoding. With the entry CRC
+    /// in place **every** flip is detected (a decode error, or an entry
+    /// that differs from the controller's committed view) and the page
+    /// takes the uncompressed fallback, as a decode failure does. A flip
+    /// that decoded back bit-identical would be an *undetected*
+    /// corruption, counted apart and asserted zero by the fault tests
+    /// (DESIGN.md §10).
+    fn on_corrupt(&mut self, now: u64, page: u64, fault: MetadataFault) -> u64 {
+        if let MetadataFault::BitFlip { bit } = fault {
+            let Some(Page { meta, .. }) = self.pages.get(&page) else {
+                return now;
+            };
+            let Ok(mut packed) = metadata_codec::try_encode(meta, &self.cfg.bins) else {
+                return now;
+            };
+            packed[(bit / 8) % PACKED_BYTES] ^= 1 << (bit % 8);
+            if matches!(metadata_codec::decode(&packed, &self.cfg.bins), Ok(m) if m == *meta) {
+                self.ctl.stats.corruption_undetected += 1;
+                return now;
+            }
+        }
+        self.ctl.stats.corruption_detected += 1;
+        self.corruption_fallback(now, page)
     }
 
     /// Every eviction is the repacking trigger (§IV-B4).
@@ -195,12 +216,12 @@ impl CompressoDevice {
     /// the device degrades per the DESIGN.md fault policy instead of
     /// panicking.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
-        self.ctl.faults = Some(plan);
+        self.ctl.faults.attach(plan);
     }
 
     /// Injection counters of the attached fault plan, if any.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.ctl.faults.as_ref().map(|f| f.stats())
+        self.ctl.faults.stats()
     }
 
     /// Records a balloon-driver inflate retry against this device's
@@ -350,9 +371,10 @@ impl CompressoDevice {
         let Allocator::Chunks(a) = &mut self.alloc else {
             return self.resize_page(&PageMeta::zero_page(), bytes);
         };
+        let Controller { faults, stats, .. } = &mut self.ctl;
         let mut chunks = Vec::new();
         for _ in 0..bytes.div_ceil(CHUNK_BYTES) {
-            match self.ctl.alloc_with_retry(|| Ok(a.alloc()?)) {
+            match faults.alloc_with_retry(stats, || Ok(a.alloc()?)) {
                 Ok(c) => chunks.push(c),
                 Err(e) => {
                     for c in chunks {
@@ -387,13 +409,13 @@ impl CompressoDevice {
     /// untouched (partial chunk grants are rolled back), so every caller
     /// can keep the old layout as its degraded fallback.
     fn resize_page(&mut self, meta: &PageMeta, new_bytes: u32) -> Result<Vec<u32>, CompressoError> {
-        let ctl = &mut self.ctl;
+        let Controller { faults, stats, .. } = &mut self.ctl;
         match &mut self.alloc {
             Allocator::Chunks(a) => {
                 let mut chunks = meta.chunks.clone();
                 let want = new_bytes.div_ceil(CHUNK_BYTES) as usize;
                 while chunks.len() < want {
-                    match ctl.alloc_with_retry(|| Ok(a.alloc()?)) {
+                    match faults.alloc_with_retry(stats, || Ok(a.alloc()?)) {
                         Ok(c) => chunks.push(c),
                         Err(e) => {
                             while chunks.len() > meta.chunks.len() {
@@ -413,7 +435,7 @@ impl CompressoDevice {
                 // refused allocation leaves the page's layout intact.
                 let new_base = match new_bytes {
                     0 => None,
-                    _ => Some(ctl.alloc_with_retry(|| a.alloc(new_bytes))?),
+                    _ => Some(faults.alloc_with_retry(stats, || a.alloc(new_bytes))?),
                 };
                 if let Some(&first) = meta.chunks.first() {
                     a.free(ChunkAllocator::chunk_addr(first), meta.page_bytes.max(512));
@@ -475,55 +497,6 @@ impl CompressoDevice {
     fn metadata_access(&mut self, now: u64, page: u64, dirty: bool) -> u64 {
         let uncompressed = self.pages.get(&page).is_some_and(|p| !p.meta.compressed);
         metadata_lookup(self, now, page, uncompressed, dirty).0
-    }
-
-    /// Fault hook on a metadata-cache miss: the 64 B entry fetched from
-    /// DRAM may be corrupted. A bit flip is applied to the page's packed
-    /// encoding; with the entry CRC in place **every** flip is detected
-    /// (decode error, or a decoded entry that differs from the
-    /// controller's committed view) and the page takes the uncompressed
-    /// fallback. A flip that decoded back bit-identical would be an
-    /// *undetected* corruption — counted separately, and asserted zero
-    /// by the fault tests now that the CRC covers padding and spare bits
-    /// (DESIGN.md §10).
-    fn maybe_corrupt_metadata(&mut self, now: u64, page: u64) -> u64 {
-        let Some(fault) = self
-            .ctl
-            .faults
-            .as_mut()
-            .and_then(|f| f.metadata_fetch_fault())
-        else {
-            return now;
-        };
-        self.ctl.stats.injected_faults += 1;
-        match fault {
-            MetadataFault::DecodeFailure => {
-                self.ctl.stats.corruption_detected += 1;
-                self.corruption_fallback(now, page)
-            }
-            MetadataFault::BitFlip { bit } => {
-                let Some(Page { meta, .. }) = self.pages.get(&page) else {
-                    return now;
-                };
-                let Ok(mut packed) = metadata_codec::try_encode(meta, &self.cfg.bins) else {
-                    return now;
-                };
-                packed[(bit / 8) % metadata_codec::PACKED_BYTES] ^= 1 << (bit % 8);
-                match metadata_codec::decode(&packed, &self.cfg.bins) {
-                    Ok(flipped) if flipped == *meta => {
-                        // Silently accepted: the flip decoded back
-                        // bit-identical. Impossible once the CRC covers
-                        // the whole entry.
-                        self.ctl.stats.corruption_undetected += 1;
-                        now
-                    }
-                    _ => {
-                        self.ctl.stats.corruption_detected += 1;
-                        self.corruption_fallback(now, page)
-                    }
-                }
-            }
-        }
     }
 
     /// Degrades `page` after detected metadata corruption: re-read the
@@ -781,9 +754,11 @@ impl Recover for CompressoDevice {
                 return false;
             }
         };
-        let implied = blocks_of(&meta, self.cfg.allocation);
-        violations.extend(check_ownership(page, implied, blocks));
+        let before = violations.len();
+        let allocation = self.cfg.allocation;
+        violations.extend(check_ownership(page, blocks_of(&meta, allocation), blocks));
         let (used, allocated) = (meta.used_bytes(&self.cfg.bins), meta.page_bytes);
+        violations.extend(check_page_size(page, allocated, allocation));
         if meta.compressed && used > allocated {
             violations.push(format!(
                 "page {page}: lines occupy {used} B of a {allocated} B allocation"
@@ -791,6 +766,9 @@ impl Recover for CompressoDevice {
         }
         if meta.zero && !meta.chunks.is_empty() {
             violations.push(format!("page {page}: zero page owns storage"));
+        }
+        if violations.len() > before {
+            return false;
         }
         self.pages.insert(
             page,

@@ -3,26 +3,26 @@
 //! The paper's LCP baseline (§VI-F) is built on Compresso's own
 //! controller parts: the same BPC, the same-size metadata cache, the same
 //! DRAM channel. [`Controller`] holds that common state (data world,
-//! DRAM, metadata cache, event counters and metrics registry, fault
-//! plan, free-prefetch buffer and the optional durability owner) and
-//! makes each shared decision once:
+//! DRAM, metadata cache, event counters and metrics registry,
+//! free-prefetch buffer, the fault owner and the optional durability
+//! owner) and makes each shared decision once:
 //!
 //! * line sizing ([`Controller::size_page`],
 //!   [`Controller::stored_sizes`], [`Controller::resize_line`]): the
 //!   modified-BPC size kernel and the stored per-page sizes it fills
 //!   (see [`crate::device`]);
 //! * the metadata lookup ([`metadata_lookup`]): hit latency, the miss
-//!   read at [`METADATA_BASE`]` + page * 64`, dirty-victim writeback and
-//!   the injected eviction-storm drain;
+//!   read at [`METADATA_BASE`]` + page * 64` and dirty-victim writeback;
 //! * burst issue and accounting ([`Controller::read_bursts`],
 //!   [`Controller::write_bursts`]): a line's first burst is its demand
 //!   access, later ones are split-access extras;
 //! * the 16-entry free-prefetch buffer: record, lookup, invalidate;
 //! * page-move traffic ([`Controller::move_page`]);
-//! * bounded allocation retry ([`Controller::alloc_with_retry`]);
 //! * the [`MemoryDevice`](crate::MemoryDevice) capacity accounting.
 //!
-//! The opt-in crash-consistency layer lives apart, in
+//! Two test harnesses the paper does not have live apart, each behind one
+//! owner: fault injection in [`crate::faultkit`] (every draw from the
+//! plan, and its count), and the opt-in crash-consistency layer in
 //! [`crate::durability`], reached through one call per state change.
 //!
 //! What differs stays in the devices: Compresso's LinePack layout,
@@ -36,8 +36,7 @@
 use crate::config::DurabilityConfig;
 use crate::device::LineSizes;
 use crate::durability::Durability;
-use crate::error::CompressoError;
-use crate::faultkit::FaultPlan;
+use crate::faultkit::{Faults, MetadataFault};
 use crate::mcache::MetadataCache;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::DeviceEvents;
@@ -61,9 +60,6 @@ pub const OFFSET_CALC_LATENCY: u64 = 1;
 /// Free-prefetch buffer depth (compressed 64 B bursts kept by the
 /// controller; a fill whose bytes are already buffered needs no DRAM).
 const PREFETCH_BUFFER: usize = 16;
-/// Bounded backoff: a refused chunk/block allocation is retried this many
-/// times before the page degrades (see DESIGN.md, fault model).
-const MAX_ALLOC_RETRIES: u32 = 3;
 
 /// The logical 64 B units covering `size` bytes at logical `offset` of a
 /// page (empty for `size == 0`).
@@ -115,7 +111,7 @@ pub(crate) struct Controller {
     pub mcache: MetadataCache,
     pub stats: DeviceEvents,
     pub registry: Registry,
-    pub faults: Option<FaultPlan>,
+    pub faults: Faults,
     prefetch: VecDeque<(u64, u32)>,
     /// The crash-consistency layer; `Some` iff journaling is on.
     pub durability: Option<Durability>,
@@ -135,7 +131,7 @@ impl Controller {
             mcache: MetadataCache::new(96 * 1024, half_entries),
             stats: DeviceEvents::default(),
             registry: Registry::new(),
-            faults: None,
+            faults: Faults::default(),
             prefetch: VecDeque::new(),
             durability: durability
                 .journaling
@@ -302,35 +298,6 @@ impl Controller {
     pub fn prefetch_invalidate(&mut self, page: u64) {
         self.prefetch.retain(|&(p, _)| p != page);
     }
-
-    // ------------------------------------------------------------------
-    // Allocation
-    // ------------------------------------------------------------------
-
-    /// One chunk/block allocation with bounded retry against injected
-    /// refusals. A genuine [`OutOfMpaSpace`](CompressoError::OutOfMpaSpace)
-    /// from `alloc` fails immediately (retrying cannot clear real
-    /// exhaustion; ballooning can).
-    pub fn alloc_with_retry<T>(
-        &mut self,
-        alloc: impl FnOnce() -> Result<T, CompressoError>,
-    ) -> Result<T, CompressoError> {
-        let mut retries = 0;
-        while self.faults.as_mut().is_some_and(|f| f.alloc_refused()) {
-            self.stats.injected_faults += 1;
-            if retries == MAX_ALLOC_RETRIES {
-                self.stats.alloc_failures += 1;
-                return Err(CompressoError::OutOfMpaSpace);
-            }
-            retries += 1;
-            self.stats.alloc_retries += 1;
-        }
-        alloc().inspect_err(|&e| {
-            if e == CompressoError::OutOfMpaSpace {
-                self.stats.alloc_failures += 1;
-            }
-        })
-    }
 }
 
 /// The device-specific halves of [`metadata_lookup`].
@@ -338,10 +305,9 @@ pub(crate) trait MetadataHooks {
     /// The device's shared controller state.
     fn controller(&mut self) -> &mut Controller;
 
-    /// `page`'s entry just crossed the DRAM bus, arriving at `t`: where
-    /// an injected corruption lands. Returns when translation is
-    /// available.
-    fn on_fetch(&mut self, t: u64, page: u64) -> u64;
+    /// `page`'s entry crossed the DRAM bus, arriving at `t`, and suffered
+    /// the injected `fault`. Returns when translation is available.
+    fn on_corrupt(&mut self, t: u64, page: u64, fault: MetadataFault) -> u64;
 
     /// `victim`'s entry left the metadata cache at `t`, after its dirty
     /// writeback.
@@ -369,13 +335,14 @@ pub(crate) fn metadata_lookup<D: MetadataHooks>(
         ctl.stats.mcache_misses += 1;
         let r = ctl.mem.read(now, METADATA_BASE + page * 64);
         ctl.stats.metadata_accesses += 1;
-        device.on_fetch(r.complete_at, page)
+        match ctl.faults.fetch(&mut ctl.stats) {
+            Some(fault) => device.on_corrupt(r.complete_at, page, fault),
+            None => r.complete_at,
+        }
     };
     evict(device, t, access.evicted);
     let ctl = device.controller();
-    if let Some(n) = ctl.faults.as_mut().and_then(|f| f.eviction_storm()) {
-        ctl.stats.injected_faults += 1;
-        ctl.stats.eviction_storms += 1;
+    if let Some(n) = ctl.faults.storm(&mut ctl.stats) {
         let victims = ctl.mcache.evict_up_to(n);
         evict(device, t, victims);
     }

@@ -8,10 +8,10 @@
 //! [`PageImage::Packed`] entries, the only thing the durable metadata
 //! region holds. [`recover`] serves both device families.
 
+use crate::config::PageAllocation;
 use crate::controller::{Controller, MetadataHooks};
 use crate::journal::{
-    self, AppendOutcome, DurabilityEvents, Journal, JournalRecord, PageImage, RecoveryReport,
-    ShadowModel,
+    self, DurabilityEvents, Journal, JournalRecord, PageImage, RecoveryReport, ShadowModel,
 };
 use crate::metadata_codec::{self, CRC_OFFSET, PACKED_BYTES};
 use std::collections::{BTreeMap, HashMap};
@@ -38,6 +38,14 @@ pub(crate) fn check_ownership(page: u64, mut implied: Blocks, granted: &[Block])
     (implied != granted).then(|| {
         format!("page {page}: entry implies blocks {implied:?} but the journal grants {granted:?}")
     })
+}
+
+/// Recovery's size rule: a page holds no storage or one of the device
+/// allocator's page sizes, which is all the allocator can free. Returns
+/// the violation, naming the page, if not.
+pub(crate) fn check_page_size(page: u64, bytes: u32, sizes: PageAllocation) -> Option<String> {
+    (bytes != 0 && !sizes.page_sizes().contains(&bytes))
+        .then(|| format!("page {page}: {bytes} B is not a {sizes:?} page size"))
 }
 
 /// What the journal last committed for a page: the MPA blocks it owns
@@ -161,13 +169,9 @@ impl Controller {
         d.events.journal_commits += 1;
         let entry = recs.pop().expect("the commit record");
         if let JournalRecord::EntryUpdate { mut packed, .. } = entry {
-            // Injected media rot: one bit of the just-written durable
-            // entry decays. The journal (protected storage) keeps the
-            // good copy.
-            if let Some(bit) = self.faults.as_mut().and_then(|f| f.durable_rot()) {
-                packed[bit / 8] ^= 1 << (bit % 8);
-                self.stats.injected_faults += 1;
-            }
+            // Injected media rot may decay the just-written durable
+            // entry. The journal (protected storage) keeps the good copy.
+            self.faults.rot(&mut self.stats, &mut packed);
             d.durable.insert(page, packed);
         }
         d.committed.insert(page, Committed { blocks, entry });
@@ -209,12 +213,13 @@ impl Controller {
             return;
         };
         for rec in recs {
-            if d.journal.append(rec, &mut self.faults) == AppendOutcome::Crashed {
+            if self.faults.tears(&mut self.stats, d.journal.records()) {
+                d.journal.append_torn(rec);
                 d.events.journal_torn += 1;
-                self.stats.injected_faults += 1;
                 d.crashed = true;
                 return;
             }
+            d.journal.append(rec);
             d.events.journal_appends += 1;
         }
     }
@@ -261,8 +266,9 @@ impl Controller {
 pub(crate) trait Recover: MetadataHooks {
     /// Rebuilds `page` from its committed `image`, which the journal
     /// grants `blocks`, pushing any layout or ownership violation.
-    /// Returns `false` (the page is skipped) if the image cannot be
-    /// adopted: another family's record, or an undecodable entry.
+    /// Returns `false` (the page is skipped, its blocks left free) if the
+    /// image cannot be adopted: another family's record, an undecodable
+    /// entry, or any violation.
     fn adopt(
         &mut self,
         page: u64,

@@ -1,29 +1,37 @@
-//! Deterministic fault injection for the device stack.
+//! Deterministic fault injection for the device stack (DESIGN.md §8).
 //!
-//! A [`FaultPlan`] is a seeded stream of adverse events that a device
-//! consults at well-defined hook points: metadata fetches from DRAM
-//! (bit flips and hard decode failures), chunk/block allocations (forced
-//! refusals), metadata-cache accesses (forced eviction storms), and
-//! balloon-driver inflates (refusals). Devices hold an
-//! `Option<FaultPlan>` that defaults to `None`, so production runs pay a
-//! single never-taken branch per hook and draw no randomness at all.
+//! A [`FaultPlan`] is a seeded stream of adverse events consulted at
+//! well-defined hook points: metadata fetches from DRAM (bit flips and
+//! hard decode failures), chunk/block allocations (forced refusals),
+//! metadata-cache lookups (forced eviction storms), durable-image writes
+//! (rot), journal appends (an armed torn-write crash) and balloon-driver
+//! inflates (refusals).
+//!
+//! A device's plan has one owner, the crate-private `Faults` its
+//! controller holds: each device-side hook is one `Faults` method that
+//! draws from the plan and counts the fault in the device's
+//! [`DeviceEvents`]. No other module reaches the plan, so the draw order
+//! (the order contract of DESIGN.md §8) is fixed here. Without a plan,
+//! the default, each hook is one never-taken `Option` test and draws no
+//! randomness.
 //!
 //! Determinism is the point: the same seed against the same access
 //! stream injects the same faults in the same order, so a chaos run is
 //! exactly reproducible (asserted by `fault_tests.rs`).
-//!
-//! Two durability hooks model storage faults: [`FaultPlan::durable_rot`]
-//! flips bits in the durable metadata image between writes (silent media
-//! rot, caught by the scrubber), and [`FaultPlan::crash_on_append`]
-//! crashes the device mid-journal-append so the journal ends in a torn
-//! record. [`FaultPlan::to_json`] prints a plan's seed, crash point and
-//! rates on a failing soak run's repro line. A soak schedule is a pure
-//! function of its seed and round count, so a failure is replayed with
+//! [`FaultPlan::to_json`] prints a plan's seed, crash point and rates on
+//! a failing soak run's repro line. A soak schedule is a pure function of
+//! its seed and round count, so a failure is replayed with
 //! `soak --seeds 1 --base-seed S --rounds R`, taking `S` and `R` from
 //! that line.
 
+use crate::error::CompressoError;
+use crate::stats::DeviceEvents;
 use compresso_workloads::mix64;
 use std::fmt::Write as _;
+
+/// Bounded backoff: a refused chunk/block allocation is retried this many
+/// times before the page degrades (see DESIGN.md, fault model).
+const MAX_ALLOC_RETRIES: u32 = 3;
 
 /// A fault produced at a metadata-fetch hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +57,8 @@ pub struct FaultConfig {
     pub decode_failure_per_mille: u32,
     /// ‰ of chunk/block allocations that are (transiently) refused.
     pub alloc_failure_per_mille: u32,
-    /// ‰ of metadata-cache misses that trigger a forced eviction storm.
+    /// ‰ of metadata-cache lookups (hits and misses) that trigger a
+    /// forced eviction storm.
     pub eviction_storm_per_mille: u32,
     /// Entries flushed per eviction storm.
     pub storm_evictions: usize,
@@ -132,17 +141,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total faults injected across all kinds.
-    pub fn total(&self) -> u64 {
-        self.bit_flips
-            + self.decode_failures
-            + self.alloc_refusals
-            + self.eviction_storms
-            + self.balloon_refusals
-            + self.rot_flips
-            + self.crashes
-    }
-
     /// Number of distinct fault kinds that fired at least once.
     pub fn distinct_kinds(&self) -> usize {
         [
@@ -196,19 +194,9 @@ impl FaultPlan {
         self
     }
 
-    /// The armed crash point, if any (survives firing, for repro lines).
-    pub fn crash_at(&self) -> Option<u64> {
-        self.crash_at_record
-    }
-
     /// A plan using the [`FaultConfig::aggressive`] preset.
     pub fn aggressive(seed: u64) -> Self {
         Self::new(seed, FaultConfig::aggressive())
-    }
-
-    /// The seed this plan was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The configured rates.
@@ -265,8 +253,8 @@ impl FaultPlan {
         refused
     }
 
-    /// Hook: a metadata-cache miss occurred. Returns the number of
-    /// entries to forcibly evict, if a storm fires.
+    /// Hook: a metadata-cache lookup (hit or miss) completed. Returns the
+    /// number of entries to forcibly evict, if a storm fires.
     pub fn eviction_storm(&mut self) -> Option<usize> {
         if self.roll(self.cfg.eviction_storm_per_mille) {
             self.stats.eviction_storms += 1;
@@ -331,6 +319,85 @@ impl FaultPlan {
     }
 }
 
+/// The one owner of a device's fault plan: each method is a device-side
+/// hook that draws from the plan, if one is attached, and counts what
+/// fired in `events` (see the [module documentation](self)).
+#[derive(Default)]
+pub(crate) struct Faults {
+    plan: Option<FaultPlan>,
+}
+
+impl Faults {
+    /// Attaches `plan`, replacing any earlier one.
+    pub fn attach(&mut self, plan: FaultPlan) {
+        self.plan = Some(plan);
+    }
+
+    /// Injection counters of the attached plan, if any.
+    pub fn stats(&self) -> Option<&FaultStats> {
+        self.plan.as_ref().map(FaultPlan::stats)
+    }
+
+    /// The fault a metadata entry read from DRAM suffers (three draws).
+    #[inline]
+    pub fn fetch(&mut self, events: &mut DeviceEvents) -> Option<MetadataFault> {
+        let fault = self.plan.as_mut()?.metadata_fetch_fault()?;
+        events.injected_faults += 1;
+        Some(fault)
+    }
+
+    /// The entries a storm flushes after a metadata lookup (one draw).
+    #[inline]
+    pub fn storm(&mut self, events: &mut DeviceEvents) -> Option<usize> {
+        let n = self.plan.as_mut()?.eviction_storm()?;
+        events.injected_faults += 1;
+        events.eviction_storms += 1;
+        Some(n)
+    }
+
+    /// Rots one bit of a just-written durable entry, or none (two draws).
+    pub fn rot(&mut self, events: &mut DeviceEvents, packed: &mut [u8]) {
+        if let Some(bit) = self.plan.as_mut().and_then(FaultPlan::durable_rot) {
+            packed[bit / 8] ^= 1 << (bit % 8);
+            events.injected_faults += 1;
+        }
+    }
+
+    /// Whether the armed crash tears journal record `seq` (no draw).
+    pub fn tears(&mut self, events: &mut DeviceEvents, seq: u64) -> bool {
+        let torn = self.plan.as_mut().is_some_and(|f| f.crash_on_append(seq));
+        if torn {
+            events.injected_faults += 1;
+        }
+        torn
+    }
+
+    /// One chunk/block allocation with bounded retry against injected
+    /// refusals (one draw per attempt). A genuine `OutOfMpaSpace` from
+    /// `alloc` fails at once: retrying cannot clear real exhaustion.
+    pub fn alloc_with_retry<T>(
+        &mut self,
+        events: &mut DeviceEvents,
+        alloc: impl FnOnce() -> Result<T, CompressoError>,
+    ) -> Result<T, CompressoError> {
+        let mut retries = 0;
+        while self.plan.as_mut().is_some_and(FaultPlan::alloc_refused) {
+            events.injected_faults += 1;
+            if retries == MAX_ALLOC_RETRIES {
+                events.alloc_failures += 1;
+                return Err(CompressoError::OutOfMpaSpace);
+            }
+            retries += 1;
+            events.alloc_retries += 1;
+        }
+        alloc().inspect_err(|&e| {
+            if e == CompressoError::OutOfMpaSpace {
+                events.alloc_failures += 1;
+            }
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,16 +442,6 @@ mod tests {
         }
         let s = plan.stats();
         assert_eq!(s.distinct_kinds(), 7, "all seven kinds must fire: {s:?}");
-        assert_eq!(
-            s.total(),
-            s.bit_flips
-                + s.decode_failures
-                + s.alloc_refusals
-                + s.eviction_storms
-                + s.balloon_refusals
-                + s.rot_flips
-                + s.crashes
-        );
     }
 
     #[test]
@@ -395,7 +452,6 @@ mod tests {
         assert!(plan.crash_on_append(3));
         assert!(!plan.crash_on_append(3), "one-shot: must not re-fire");
         assert_eq!(plan.stats().crashes, 1);
-        assert_eq!(plan.crash_at(), Some(3), "crash point survives firing");
     }
 
     #[test]
@@ -421,7 +477,6 @@ mod tests {
             assert_eq!(plan.eviction_storm(), None);
             assert!(!plan.balloon_refused());
         }
-        assert_eq!(plan.stats().total(), 0);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! panicking, so the soak harness can diff a recovered device against
 //! it.
 
-use crate::faultkit::FaultPlan;
 use crate::lcp::{LcpImage, LcpPlan};
 use crate::metadata_codec::{crc32, PACKED_BYTES};
 use compresso_telemetry::counters;
@@ -291,17 +290,6 @@ fn frame_len(bytes: &[u8]) -> Option<usize> {
     (bytes.len() >= total).then_some(total)
 }
 
-/// What happened to a journal append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppendOutcome {
-    /// The record was written in full.
-    Written,
-    /// An armed crash fired: the record was written torn (header plus a
-    /// partial payload, no checksum). The writer must stop appending:
-    /// the crashed device is frozen.
-    Crashed,
-}
-
 /// The write-ahead journal: an append-only byte log.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
@@ -314,21 +302,19 @@ impl Journal {
         Self::default()
     }
 
-    /// Appends `rec`, consulting `faults` for an armed mid-append crash.
-    pub fn append(&mut self, rec: &JournalRecord, faults: &mut Option<FaultPlan>) -> AppendOutcome {
-        let frame = encode_record(self.seq, rec);
-        if let Some(f) = faults.as_mut() {
-            if f.crash_on_append(self.seq) {
-                // Torn write: the header and part of the payload reach
-                // the journal device, the checksum never does.
-                let torn = HEADER_BYTES + (frame.len() - HEADER_BYTES - TRAILER_BYTES) / 2;
-                self.bytes.extend_from_slice(&frame[..torn]);
-                return AppendOutcome::Crashed;
-            }
-        }
-        self.bytes.extend_from_slice(&frame);
+    /// Appends `rec` in full.
+    pub fn append(&mut self, rec: &JournalRecord) {
+        self.bytes.extend_from_slice(&encode_record(self.seq, rec));
         self.seq += 1;
-        AppendOutcome::Written
+    }
+
+    /// Appends `rec` torn, as a crash mid-append leaves it: the header
+    /// and part of the payload reach the journal device, the checksum
+    /// never does. The writer must stop appending.
+    pub fn append_torn(&mut self, rec: &JournalRecord) {
+        let frame = encode_record(self.seq, rec);
+        let torn = HEADER_BYTES + (frame.len() - HEADER_BYTES - TRAILER_BYTES) / 2;
+        self.bytes.extend_from_slice(&frame[..torn]);
     }
 
     /// The raw journal bytes (what survives a crash).
@@ -582,7 +568,6 @@ counters! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultkit::{FaultConfig, FaultPlan};
     use proptest::prelude::*;
 
     fn lcp_entry(target: u32, exceptions: Vec<u8>) -> JournalRecord {
@@ -632,7 +617,7 @@ mod tests {
             };
             prop_assert_eq!(rec.kind(), kind);
             let mut journal = Journal::new();
-            prop_assert_eq!(journal.append(&rec, &mut None), AppendOutcome::Written);
+            journal.append(&rec);
             let bytes = journal.bytes();
             let (parsed, report) = parse(bytes);
             prop_assert_eq!(parsed, vec![rec]);
@@ -688,7 +673,7 @@ mod tests {
         ];
         let mut journal = Journal::new();
         for r in &records {
-            assert_eq!(journal.append(r, &mut None), AppendOutcome::Written);
+            journal.append(r);
         }
         let (parsed, report) = parse(journal.bytes());
         assert_eq!(parsed, records);
@@ -698,16 +683,9 @@ mod tests {
 
     #[test]
     fn torn_append_leaves_an_unparseable_tail() {
-        let mut faults = Some(FaultPlan::new(0, FaultConfig::default()).with_crash_at(1));
         let mut journal = Journal::new();
-        assert_eq!(
-            journal.append(&entry(1, 1), &mut faults),
-            AppendOutcome::Written
-        );
-        assert_eq!(
-            journal.append(&entry(2, 2), &mut faults),
-            AppendOutcome::Crashed
-        );
+        journal.append(&entry(1, 1));
+        journal.append_torn(&entry(2, 2));
         assert_eq!(journal.records(), 1);
         let (parsed, report) = parse(journal.bytes());
         assert_eq!(parsed, vec![entry(1, 1)]);
@@ -718,8 +696,8 @@ mod tests {
     #[test]
     fn parse_stops_on_corrupt_record() {
         let mut journal = Journal::new();
-        journal.append(&entry(1, 1), &mut None);
-        journal.append(&entry(2, 2), &mut None);
+        journal.append(&entry(1, 1));
+        journal.append(&entry(2, 2));
         let mut bytes = journal.bytes().to_vec();
         let second_start = bytes.len() / 2;
         bytes[second_start + 3] ^= 0x40; // corrupt inside the 2nd record

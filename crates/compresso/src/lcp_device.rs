@@ -8,12 +8,12 @@
 //! (wrong speculation on exception lines costs an extra access).
 
 use crate::alloc::BuddyAllocator;
-use crate::config::DurabilityConfig;
+use crate::config::{DurabilityConfig, PageAllocation};
 use crate::controller::{self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY};
 use crate::device::{LineSizes, MemoryDevice};
-use crate::durability::{self, check_ownership, Blocks, Durability, Recover};
+use crate::durability::{self, check_ownership, check_page_size, Blocks, Durability, Recover};
 use crate::error::CompressoError;
-use crate::faultkit::{FaultPlan, FaultStats};
+use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{PageImage, RecoveryReport};
 use crate::lcp::LcpImage;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
@@ -74,17 +74,7 @@ impl MetadataHooks for LcpDevice {
     /// The OS keeps the authoritative layout, so any injected corruption
     /// of the fetched entry is detected and recovered by re-planning the
     /// page through the page-fault path.
-    fn on_fetch(&mut self, t: u64, page: u64) -> u64 {
-        if self
-            .ctl
-            .faults
-            .as_mut()
-            .and_then(|f| f.metadata_fetch_fault())
-            .is_none()
-        {
-            return t;
-        }
-        self.ctl.stats.injected_faults += 1;
+    fn on_corrupt(&mut self, t: u64, page: u64, _fault: MetadataFault) -> u64 {
         self.ctl.stats.corruption_detected += 1;
         self.ctl.stats.corruption_fallbacks += 1;
         self.replan_page(t, page, true)
@@ -139,12 +129,12 @@ impl LcpDevice {
     /// see [`crate::FaultPlan`]). Corrupted metadata is re-planned
     /// through the OS page-fault path instead of panicking.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
-        self.ctl.faults = Some(plan);
+        self.ctl.faults.attach(plan);
     }
 
     /// Injection counters of the attached fault plan, if any.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.ctl.faults.as_ref().map(|f| f.stats())
+        self.ctl.faults.stats()
     }
 
     /// The data world (e.g. to inspect versions in tests).
@@ -167,8 +157,8 @@ impl LcpDevice {
         if bytes == 0 {
             return Ok(0);
         }
-        let alloc = &mut self.alloc;
-        self.ctl.alloc_with_retry(|| alloc.alloc(bytes))
+        let Controller { faults, stats, .. } = &mut self.ctl;
+        faults.alloc_with_retry(stats, || self.alloc.alloc(bytes))
     }
 
     fn ensure_page(&mut self, page: u64) {
@@ -282,7 +272,13 @@ impl Recover for LcpDevice {
             violations.push(format!("page {page}: non-LCP record in journal"));
             return false;
         };
+        let before = violations.len();
         violations.extend(check_ownership(page, layout.blocks(), blocks));
+        let allocation = PageAllocation::Variable4;
+        violations.extend(check_page_size(page, layout.page_bytes, allocation));
+        if violations.len() > before {
+            return false;
+        }
         let adopted = LcpPage {
             layout: layout.clone(),
             sizes: None,

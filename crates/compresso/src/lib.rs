@@ -26,11 +26,13 @@
 //! As in the paper's §VI-F baseline, [`CompressoDevice`] and
 //! [`LcpDevice`] run on one controller core (the crate-private
 //! `controller` module): the metadata-cache lookup, DRAM burst issue and
-//! accounting, the free-prefetch buffer, page-move traffic, bounded
-//! allocation retry and the fixed Tab. III latencies. Each device keeps
-//! only its layout and the policies that set it apart (DESIGN.md §3).
-//! The opt-in crash-consistency layer ([`journal`], DESIGN.md §10) has
-//! one crate-private owner, off both devices' data paths.
+//! accounting, the free-prefetch buffer, page-move traffic and the fixed
+//! Tab. III latencies. Each device keeps only its layout and the
+//! policies that set it apart (DESIGN.md §3). Fault injection
+//! ([`faultkit`], DESIGN.md §8) and the opt-in crash-consistency layer
+//! ([`journal`], DESIGN.md §10) each have one crate-private owner, off
+//! both devices' data paths: every draw from a fault plan, and its
+//! count, happens in `faultkit`.
 //!
 //! # Example
 //!
@@ -74,8 +76,8 @@ pub use device::{MemoryDevice, UncompressedDevice};
 pub use error::CompressoError;
 pub use faultkit::{FaultConfig, FaultPlan, FaultStats, MetadataFault};
 pub use journal::{
-    parse as parse_journal, AppendOutcome, DurabilityEvents, Journal, JournalRecord, PageImage,
-    ParseReport, RecoveryReport, ShadowModel,
+    parse as parse_journal, DurabilityEvents, Journal, JournalRecord, PageImage, ParseReport,
+    RecoveryReport, ShadowModel,
 };
 pub use lcp::{plan as lcp_plan, LcpImage, LcpPlan};
 pub use lcp_device::{LcpDevice, OS_PAGE_FAULT_CYCLES};

@@ -7,9 +7,10 @@ use compresso_cache_sim::Backend;
 use compresso_compression::{is_zero_line, Bpc, Compressor};
 use compresso_core::device::LineSizes;
 use compresso_core::{
-    linepack_bytes, CompressoConfig, CompressoDevice, DeviceStats, FaultPlan, FaultStats,
-    LcpDevice, MemoryDevice, PageAllocation,
+    linepack_bytes, CompressoConfig, CompressoDevice, DeviceStats, FaultConfig, FaultPlan,
+    FaultStats, LcpDevice, MemoryDevice, PageAllocation,
 };
+use compresso_mem_sim::MemStats;
 use compresso_workloads::{benchmark, DataWorld, Evolution, LineSource, PAGE_BYTES};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -19,20 +20,25 @@ fn world(name: &str) -> DataWorld {
 }
 
 /// A demand stream with enough writes to trigger overflows, underflows,
-/// repacks and re-plans alongside the injected faults.
-fn drive_chaos<B: Backend>(device: &mut B, pages: u64, rounds: u64) {
+/// repacks and re-plans alongside the injected faults. Returns each
+/// access's completion time.
+fn drive_chaos<B: Backend>(device: &mut B, pages: u64, rounds: u64) -> Vec<u64> {
     let mut t = 0;
+    let mut done = Vec::new();
     for round in 0..rounds {
         for page in 0..pages {
             for line in 0..64u64 {
                 let addr = page * PAGE_BYTES + line * 64;
-                t = device.fill(t, addr).max(t);
+                done.push(device.fill(t, addr));
+                t = t.max(done[done.len() - 1]);
                 if (line + round) % 3 == 0 {
-                    t = device.writeback(t, addr).max(t);
+                    done.push(device.writeback(t, addr));
+                    t = t.max(done[done.len() - 1]);
                 }
             }
         }
     }
+    done
 }
 
 /// The four Compresso configurations the chaos schedule replays against.
@@ -165,6 +171,39 @@ fn different_seeds_change_the_schedule() {
     let (_, a) = run_compresso(CompressoConfig::compresso(), 1, "gcc");
     let (_, b) = run_compresso(CompressoConfig::compresso(), 2, "gcc");
     assert_ne!(a, b, "distinct seeds should draw distinct schedules");
+}
+
+/// What an idle-plan run must reproduce: device and DRAM counters, and
+/// every access's completion time.
+fn observe<D: MemoryDevice>(device: &mut D) -> (DeviceStats, MemStats, Vec<u64>) {
+    let done = drive_chaos(device, 24, 2);
+    (device.device_stats(), device.dram_stats(), done)
+}
+
+#[test]
+fn an_idle_plan_is_invisible() {
+    // An attached plan whose rates are all zero still draws at every
+    // hook, but nothing fires: the device must behave exactly as with
+    // no plan at all.
+    let idle = || FaultPlan::new(0x1D1E, FaultConfig::default());
+    let mut configs = compresso_configs();
+    configs[0] = ("compresso-journaled", CompressoConfig::durable());
+    for (label, cfg) in configs {
+        let mut bare = CompressoDevice::new(cfg.clone(), world("soplex"));
+        let mut planned = CompressoDevice::new(cfg, world("soplex"));
+        planned.inject_faults(idle());
+        assert_eq!(observe(&mut bare), observe(&mut planned), "{label}");
+        assert_eq!(bare.fault_stats(), None, "{label}");
+        assert_eq!(planned.fault_stats(), Some(&FaultStats::default()));
+    }
+    for build in [LcpDevice::lcp, LcpDevice::lcp_align] {
+        let mut bare = build(world("soplex"));
+        let mut planned = build(world("soplex"));
+        planned.inject_faults(idle());
+        let label = bare.device_name();
+        assert_eq!(observe(&mut bare), observe(&mut planned), "{label}");
+        assert_eq!(planned.fault_stats(), Some(&FaultStats::default()));
+    }
 }
 
 #[test]

@@ -14,12 +14,16 @@
 //!   Variable4) and `LcpDevice::recover_lcp` never panic;
 //! * broken ownership shows up as violations: every replay violation is
 //!   in the recovery report, a page whose entry implies other blocks than
-//!   the journal grants is named, and a clean recovery equals the replay.
+//!   the journal grants is named, and a clean recovery equals the replay;
+//! * every recovered device keeps running: it adopted only consistent
+//!   pages, so driving it afterwards never frees storage its allocator
+//!   does not hold.
 
 use compresso_cache_sim::Backend;
 use compresso_core::{
-    decode_metadata, parse_journal, CompressoConfig, CompressoDevice, FaultPlan, Journal,
-    JournalRecord, LcpDevice, PageAllocation, PageImage, RecoveryReport, ShadowModel,
+    decode_metadata, encode_metadata, parse_journal, CompressoConfig, CompressoDevice, FaultPlan,
+    Journal, JournalRecord, LcpDevice, MemoryDevice, PageAllocation, PageImage, PageMeta,
+    RecoveryReport, ShadowModel,
 };
 use compresso_workloads::{benchmark, DataWorld, PAGE_BYTES};
 use proptest::prelude::*;
@@ -172,7 +176,7 @@ fn mutate(records: &mut Vec<JournalRecord>, (mutation, at, aux): (Mutation, usiz
 fn reframe(records: &[JournalRecord]) -> Vec<u8> {
     let mut journal = Journal::new();
     for rec in records {
-        journal.append(rec, &mut None);
+        journal.append(rec);
     }
     journal.bytes().to_vec()
 }
@@ -183,11 +187,15 @@ fn names_page(report: &RecoveryReport, page: u64) -> bool {
     report.violations.iter().any(|v| v.contains(&needle))
 }
 
-/// Checks a Compresso recovery of `bytes` against the replay `shadow`.
+/// Ops driven through each recovered device.
+const DRIVE_OPS: u64 = 600;
+
+/// Checks a Compresso recovery of `bytes` against the replay `shadow`,
+/// then drives the recovered device.
 fn check_compresso(allocation: PageAllocation, shadow: &ShadowModel, bytes: &[u8]) {
     let cfg = compresso_config(allocation);
     let bins = cfg.bins.clone();
-    let (device, report) = CompressoDevice::recover(cfg, Box::new(world()), bytes);
+    let (mut device, report) = CompressoDevice::recover(cfg, Box::new(world()), bytes);
     assert!(report.violations.starts_with(shadow.violations()));
     if allocation == PageAllocation::Chunks512 {
         for (&page, image) in shadow.pages() {
@@ -219,11 +227,13 @@ fn check_compresso(allocation: PageAllocation, shadow: &ShadowModel, bytes: &[u8
         assert_eq!(device.pages_snapshot(), packed);
         assert_eq!(&device.owners_snapshot(), shadow.owners());
     }
+    drive(&mut device, |d, p| d.invalidate_page(p), DRIVE_OPS);
 }
 
-/// Checks an LCP recovery of `bytes` against the replay `shadow`.
+/// Checks an LCP recovery of `bytes` against the replay `shadow`, then
+/// drives the recovered device.
 fn check_lcp(shadow: &ShadowModel, bytes: &[u8]) {
-    let (device, report) = LcpDevice::recover_lcp(Box::new(world()), bytes);
+    let (mut device, report) = LcpDevice::recover_lcp(Box::new(world()), bytes);
     assert!(report.violations.starts_with(shadow.violations()));
     for (&page, image) in shadow.pages() {
         let PageImage::Lcp(image) = image else {
@@ -241,6 +251,7 @@ fn check_lcp(shadow: &ShadowModel, bytes: &[u8]) {
         assert_eq!(checkpoint.pages(), shadow.pages());
         assert_eq!(checkpoint.owners(), shadow.owners());
     }
+    drive(&mut device, |_, _| (), DRIVE_OPS);
 }
 
 #[test]
@@ -354,6 +365,71 @@ fn blocks_outside_the_mpa_are_violations() {
         "{:?}",
         report.violations
     );
+}
+
+/// A page whose allocation is no page size of the device's allocator
+/// could never be freed: recovery reports it and does not adopt it, so a
+/// later release or re-plan of that page frees nothing it never held. A
+/// Variable4 Compresso device reads a 2560 B page (a Chunks512 size);
+/// LCP+Align reads a 2560 B plan.
+#[test]
+fn pages_of_no_allocator_size_are_violations() {
+    const PAGE: u64 = PAGES + 6;
+    let base: u64 = 1 << 20;
+    let named = |report: &RecoveryReport| {
+        report
+            .violations
+            .iter()
+            .any(|v| v.starts_with(&format!("page {PAGE}:")) && v.contains("page size"))
+    };
+    let grant = JournalRecord::ChunkAlloc {
+        page: PAGE,
+        addr: base,
+        bytes: 2560,
+    };
+
+    let cfg = compresso_config(PageAllocation::Variable4);
+    let meta = PageMeta {
+        valid: true,
+        zero: false,
+        compressed: true,
+        page_bytes: 2560,
+        chunks: (0..5).map(|i| (base / 512) as u32 + i).collect(),
+        line_bins: [1; 64],
+        inflated: Vec::new(),
+    };
+    let packed = encode_metadata(&meta, &cfg.bins);
+    let entry = JournalRecord::EntryUpdate { page: PAGE, packed };
+    let bytes = reframe(&[grant.clone(), entry]);
+    let (mut device, report) = CompressoDevice::recover(cfg, Box::new(world()), &bytes);
+    assert!(named(&report), "{:?}", report.violations);
+    device.invalidate_page(PAGE);
+
+    let mut image = base_journals()[1]
+        .iter()
+        .find_map(|r| match r {
+            JournalRecord::LcpEntryUpdate { image, .. } if image.page_bytes > 0 => {
+                Some(image.clone())
+            }
+            _ => None,
+        })
+        .expect("an LCP entry with storage");
+    (image.base, image.page_bytes) = (base, 2560);
+    let entry = JournalRecord::LcpEntryUpdate { page: PAGE, image };
+    let (mut device, report) =
+        LcpDevice::recover_lcp_align(Box::new(world()), &reframe(&[grant, entry]));
+    assert!(named(&report), "{:?}", report.violations);
+    // Rewrite the page until it overflows: each re-plan frees the old
+    // block.
+    let mut t = 0;
+    for _ in 0..20 {
+        for line in 0..64 {
+            let addr = PAGE * PAGE_BYTES + line * 64;
+            t = device.writeback(t, addr).max(t);
+            t = device.fill(t, addr).max(t);
+        }
+    }
+    assert!(device.device_stats().page_overflows > 0);
 }
 
 proptest! {

@@ -365,7 +365,7 @@ fn entry_must_own_exactly_the_journal_blocks() {
     let journal = |records: &[JournalRecord]| {
         let mut journal = Journal::new();
         for rec in records {
-            journal.append(rec, &mut None);
+            journal.append(rec);
         }
         journal.bytes().to_vec()
     };
