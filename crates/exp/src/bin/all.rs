@@ -1,78 +1,30 @@
-//! Runs every experiment at reduced scale (a smoke-test of the full
-//! reproduction; use the individual binaries for full-scale runs).
+//! Prints the summaries of Fig. 2, 6, 7, 10 and 12 at reduced scale, a
+//! smoke test of the reproduction and of their summary renderers; the
+//! individual binaries run each artifact at full scale.
 //!
 //! `--jobs N` (or `COMPRESSO_JOBS`) parallelizes every sweep; results
 //! are bit-identical to a serial run.
 
-use compresso_exp::{
-    energy_fig, f2, fig2, fig7, movement, params_banner, pct, perf, MetricsArgs, SweepOptions,
-};
+use compresso_exp::{energy_fig, fig2, fig7, movement, perf, Cli};
+use compresso_telemetry::CellMetrics;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let margs = MetricsArgs::from_args(&args);
-    let mut opts = SweepOptions::from_args(&args);
-    opts.epoch = margs.epoch_len();
-    let mut all_cells = Vec::new();
-    println!("{}\n", params_banner());
-    println!("== Fig. 2 (reduced) ==");
-    let (rows, cells) = fig2::fig2(200, &opts);
-    all_cells.extend(cells);
-    let avg = fig2::average(&rows);
-    println!(
-        "avg ratios: BPC+LinePack {} BPC+LCP {} BDI+LinePack {} BDI+LCP {}\n",
-        f2(avg.bpc_linepack),
-        f2(avg.bpc_lcp),
-        f2(avg.bdi_linepack),
-        f2(avg.bdi_lcp)
-    );
-
-    println!("== Fig. 4/6 (reduced) ==");
-    let (rows, cells) = movement::fig6(8_000, &opts);
-    all_cells.extend(cells);
-    for (config, avg) in movement::averages(&rows) {
-        println!("  {config:<22} {}", pct(avg));
-    }
-
-    println!("\n== Fig. 7 (reduced) ==");
-    let (rows, cells) = fig7::fig7(120, &opts);
-    all_cells.extend(cells);
-    let avg_rel = rows.iter().map(|r| r.relative).sum::<f64>() / rows.len() as f64;
-    println!("  avg relative ratio without repacking: {}", f2(avg_rel));
-
-    println!("\n== Fig. 10 (reduced) ==");
-    let (rows, cells) = perf::fig10(8_000, 1_000_000, &opts);
-    all_cells.extend(cells);
-    let s = perf::summarize(&rows);
-    println!(
-        "  cycle (LCP, Align, Compresso): {} {} {}",
-        f2(s.cycle.0),
-        f2(s.cycle.1),
-        f2(s.cycle.2)
-    );
-    println!(
-        "  memcap (LCP, Compresso, Unc.): {} {} {}",
-        f2(s.memcap.0),
-        f2(s.memcap.1),
-        f2(s.memcap.2)
-    );
-    println!(
-        "  overall (LCP, Align, Compresso): {} {} {}",
-        f2(s.overall.0),
-        f2(s.overall.1),
-        f2(s.overall.2)
-    );
-
-    println!("\n== Fig. 12 (reduced) ==");
-    let (rows, cells) = energy_fig::fig12(6_000, &opts);
-    all_cells.extend(cells);
-    let avg = energy_fig::average(&rows);
-    println!(
-        "  DRAM energy rel (LCP, Align, Compresso): {} {} {}",
-        f2(avg.dram_lcp),
-        f2(avg.dram_align),
-        f2(avg.dram_compresso)
-    );
-
-    margs.write("all", "cycles", all_cells);
+    let (cli, []) = Cli::parse("all", []);
+    let opts = &cli.opts;
+    let mut cells = Vec::new();
+    let mut section = |title: &str, summary: String, fig_cells: Vec<CellMetrics>| {
+        println!("== {title} (reduced) ==\n{summary}");
+        cells.extend(fig_cells);
+    };
+    let (rows, fig_cells) = fig2::fig2(200, opts);
+    section("Fig. 2", fig2::summary(&rows), fig_cells);
+    let (rows, fig_cells) = movement::fig6(8_000, opts);
+    section("Fig. 6", movement::fig6_summary(&rows), fig_cells);
+    let (rows, fig_cells) = fig7::fig7(120, opts);
+    section("Fig. 7", fig7::summary(&rows), fig_cells);
+    let (rows, fig_cells) = perf::fig10(8_000, 1_000_000, opts);
+    section("Fig. 10", perf::summary(&rows, &perf::FIG10), fig_cells);
+    let (rows, fig_cells) = energy_fig::fig12(6_000, opts);
+    section("Fig. 12", energy_fig::summary(&rows), fig_cells);
+    cli.write_metrics("cycles", cells);
 }

@@ -1,69 +1,11 @@
-//! Demonstrates S V-B: ballooning keeps an OS-transparent compressed
+//! Demonstrates §V-B: ballooning keeps an OS-transparent compressed
 //! system alive when incompressible data exhausts the MPA space.
 
-use compresso_cache_sim::Backend;
-use compresso_core::{CompressoConfig, CompressoDevice, MemoryDevice};
-use compresso_exp::{params_banner, MetricsArgs};
-use compresso_oskit::{BalloonDriver, OsMemory};
-use compresso_telemetry::{EpochRecorder, MetricsReport};
-use compresso_workloads::{benchmark, DataWorld, PAGE_BYTES};
+use compresso_exp::{balloon, Cli};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let margs = MetricsArgs::from_args(&args);
-    let start = std::time::Instant::now();
-    println!("{}\n", params_banner());
-    // A tiny MPA (18 MB) promised as 48 MB of OSPA: an incompressible
-    // benchmark will blow through it without ballooning.
-    let mut cfg = CompressoConfig::compresso();
-    cfg.mpa_capacity = 18 << 20;
-    let profile = benchmark("mcf").expect("paper benchmark");
-    let promised_pages = 12_000u64.min(profile.footprint_pages as u64);
-    let mut device = CompressoDevice::new(cfg, DataWorld::new(&profile));
-    let mut os = OsMemory::new(promised_pages);
-    // The whole promised space is allocated to the process; the
-    // already-streamed half has gone cold behind the write front — that
-    // is what the OS pages out when the balloon inflates.
-    let all = os
-        .allocate(promised_pages as usize)
-        .expect("whole address space");
-    os.mark_cold(&all[..promised_pages as usize / 2]);
-    let mut balloon = BalloonDriver::new(0.60, 0.85, 256);
-    let registry = device.metrics().clone();
-    balloon.register_metrics(&registry, "balloon");
-    let mut recorder = EpochRecorder::new(registry.clone(), margs.epoch_len());
-
-    println!("S V-B ballooning demo: streaming incompressible mcf pages into an 18MB MPA\n");
-    let mut t = 0u64;
-    for page in 0..promised_pages / 2 {
-        for line in 0..64u64 {
-            recorder.observe(t);
-            t = device.fill(t, page * PAGE_BYTES + line * 64).max(t);
-        }
-        if page % 256 == 0 {
-            let moved = balloon.tick(&mut os, &mut device);
-            println!(
-                "page {page:>5}: pressure {:>5.1}%  ratio {:>4.2}x  balloon held {:>5} (+{moved})",
-                device.mpa_pressure() * 100.0,
-                device.compression_ratio(),
-                balloon.stats().held_pages
-            );
-        }
-    }
-    println!(
-        "\nfinal pressure {:.1}%, balloon holds {} pages — no OS modification required",
-        device.mpa_pressure() * 100.0,
-        balloon.stats().held_pages
-    );
-
-    let report = MetricsReport::from_parts(registry.snapshot(), recorder);
-    margs.write(
-        "balloon",
-        "cycles",
-        vec![compresso_exp::metrics::cell(
-            "balloon/mcf",
-            start.elapsed().as_millis(),
-            &report,
-        )],
-    );
+    let (cli, []) = Cli::parse("balloon", []);
+    let (run, cells) = balloon::balloon(12_000, &cli.opts);
+    cli.write_metrics("cycles", cells);
+    print!("{}", balloon::report(&run));
 }

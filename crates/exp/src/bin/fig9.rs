@@ -1,72 +1,12 @@
 //! Regenerates Fig. 9: SimPoint vs CompressPoint compressibility
 //! representativeness for GemsFDTD and astar.
 
-use compresso_exp::{f2, params_banner, run_cells, successes, MetricsArgs, SweepOptions};
-use compresso_telemetry::{EpochRecorder, Gauge, MetricsReport, Registry};
-use compresso_workloads::{benchmark, compresspoint, full_run, run_average_ratio, simpoint};
+use compresso_exp::{fig9, Cli};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let opts = SweepOptions::from_args(&args);
-    let margs = MetricsArgs::from_args(&args);
-    println!("{}\n", params_banner());
+    let (cli, []) = Cli::parse("fig9", []);
     println!("Fig. 9: compression ratio over a full run\n");
-
-    let cells: Vec<(String, (&str, f64))> = [("GemsFDTD", 1.2), ("astar", 1.5)]
-        .iter()
-        .map(|&(name, base)| (format!("fig9/{name}"), (name, base)))
-        .collect();
-    let epoch = margs.epoch_len();
-    let outcomes = run_cells(
-        cells,
-        move |(name, base)| {
-            let profile = benchmark(name).expect("paper benchmark");
-            let run = full_run(&profile, base, 64);
-            // Per-cell registry: the run-phase compression ratio (in
-            // thousandths, gauges are integral) sampled once per
-            // profiling interval, so the epoch series is the Fig. 9
-            // curve itself.
-            let registry = Registry::new();
-            let ratio_milli = Gauge::new();
-            registry.register_gauge("fig9.ratio_milli", &ratio_milli);
-            let mut recorder = EpochRecorder::new(registry.clone(), epoch);
-            for (i, iv) in run.iter().enumerate() {
-                recorder.observe(i as u64);
-                ratio_milli.set((iv.compression_ratio * 1000.0) as i64);
-            }
-            let mut block = format!("{name}: ");
-            for iv in run.iter().step_by(4) {
-                block.push_str(&f2(iv.compression_ratio));
-                block.push(' ');
-            }
-            block.push('\n');
-            let sp = simpoint(&run);
-            let cp = compresspoint(&run);
-            let avg = run_average_ratio(&run);
-            block.push_str(&format!(
-                "  run-average ratio {:.2}; SimPoint picks interval {} (ratio {:.2}); CompressPoint picks interval {} (ratio {:.2})\n",
-                avg, sp.index, sp.compression_ratio, cp.index, cp.compression_ratio
-            ));
-            let simpoint_index = Gauge::new();
-            registry.register_gauge("fig9.simpoint.index", &simpoint_index);
-            simpoint_index.set(sp.index as i64);
-            let compresspoint_index = Gauge::new();
-            registry.register_gauge("fig9.compresspoint.index", &compresspoint_index);
-            compresspoint_index.set(cp.index as i64);
-            (
-                block,
-                MetricsReport::from_parts(registry.snapshot(), recorder),
-            )
-        },
-        &opts,
-    );
-    margs.write(
-        "fig9",
-        "intervals",
-        compresso_exp::metrics::collect(&outcomes, |(_, report)| report),
-    );
-    for (block, _) in successes(outcomes) {
-        println!("{block}");
-    }
-    println!("(paper: SimPoint and CompressPoint differ by an order of magnitude for GemsFDTD)");
+    let (rows, cells) = fig9::fig9(64, &cli.opts);
+    cli.write_metrics("intervals", cells);
+    print!("{}", fig9::report(&rows));
 }

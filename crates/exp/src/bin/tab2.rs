@@ -1,33 +1,11 @@
 //! Regenerates Tab. II: speedups under 80/70/60% constrained memory.
 
-use compresso_exp::{arg_usize, f2, params_banner, perf, render_table, MetricsArgs, SweepOptions};
+use compresso_exp::{perf, Cli};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let ops = arg_usize(&args, "--ops", 10_000);
-    let cap_ops = arg_usize(&args, "--cap-ops", 3_000_000);
-    let margs = MetricsArgs::from_args(&args);
-    let mut opts = SweepOptions::from_args(&args);
-    opts.epoch = margs.epoch_len();
-    println!("{}\n", params_banner());
+    let (cli, [ops, cap_ops]) = Cli::parse("tab2", [("--ops", 10_000), ("--cap-ops", 3_000_000)]);
     println!("Tab. II: memory-capacity impact, single-core geomeans\n");
-
-    let (rows, cells) = perf::tab2(ops, cap_ops, &opts);
-    margs.write("tab2", "cycles", cells);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}%", r.fraction * 100.0),
-                f2(r.single_core.0),
-                f2(r.single_core.1),
-                f2(r.single_core.2),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["memory", "LCP", "Compresso", "Unconstrained"], &table)
-    );
-    println!("(paper 1-core: 80%: 1.04/1.15/1.24; 70%: 1.11/1.29/1.39; 60%: 1.28/1.56/1.72)");
+    let (rows, cells) = perf::tab2(ops, cap_ops, &cli.opts);
+    cli.write_metrics("cycles", cells);
+    print!("{}", perf::tab2_report(&rows));
 }

@@ -1,5 +1,6 @@
 //! Fig. 12: DRAM and core energy relative to the uncompressed system.
 
+use crate::report::{f2, render_table, Column};
 use crate::runner::{run_single, RunResult, SystemKind};
 use crate::sweep::{run_grid, SweepCell, SweepOptions};
 use compresso_energy::{evaluate, EnergyParams};
@@ -90,6 +91,30 @@ pub fn average(rows: &[Fig12Row]) -> Fig12Row {
         dram_compresso: rows.iter().map(|r| r.dram_compresso).sum::<f64>() / n,
         core_compresso: rows.iter().map(|r| r.core_compresso).sum::<f64>() / n,
     }
+}
+
+const COLUMNS: [Column<Fig12Row>; 5] = [
+    ("benchmark", |r| r.benchmark.clone()),
+    ("DRAM:LCP", |r| f2(r.dram_lcp)),
+    ("DRAM:Align", |r| f2(r.dram_align)),
+    ("DRAM:Compresso", |r| f2(r.dram_compresso)),
+    ("core:Compresso", |r| f2(r.core_compresso)),
+];
+
+const PAPER: &str =
+    "(paper: Compresso -11% DRAM energy vs uncompressed; 60% more savings than LCP)\n";
+
+/// The Fig. 12 report: every benchmark's relative energies and their
+/// average, against the paper's.
+pub fn report(rows: &[Fig12Row]) -> String {
+    let mut all = rows.to_vec();
+    all.push(average(rows));
+    format!("{}\n{PAPER}", render_table(&all, &COLUMNS))
+}
+
+/// The Fig. 12 headline: the average row against the paper's.
+pub fn summary(rows: &[Fig12Row]) -> String {
+    format!("{}\n{PAPER}", render_table(&[average(rows)], &COLUMNS))
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! LinePack averages 1.85×; LCP-packing costs 13% with BPC but only 2.3%
 //! with BDI (because BPC produces more size-diverse lines).
 
+use crate::report::{f2, render_table, Column};
 use crate::sweep::{run_cells, successes, SweepOptions};
 use compresso_compression::{Bdi, BinSet, Bpc, Compressor, LINE_SIZE};
 use compresso_core::{lcp_plan, linepack_bytes, PageAllocation};
@@ -13,7 +14,7 @@ use compresso_telemetry::{
     CellMetrics, Counter, EpochRecorder, LatencyHistogram, MetricsReport, Registry,
 };
 use compresso_workloads::{
-    all_benchmarks, BenchmarkProfile, DataWorld, LINES_PER_PAGE, PAGE_BYTES,
+    all_benchmarks, benchmark, BenchmarkProfile, DataWorld, LINES_PER_PAGE, PAGE_BYTES,
 };
 
 /// Ratios for one benchmark.
@@ -135,11 +136,16 @@ pub fn average(rows: &[Fig2Row]) -> Fig2Row {
     }
 }
 
-/// The §II-A BPC-modification ablation: average ratio with the
-/// best-of-both-modes BPC versus transform-only BPC (paper: ~13% more
-/// memory saved).
-pub fn bpc_modification_gain(profile: &BenchmarkProfile, max_pages: usize) -> (f64, f64) {
-    let world = DataWorld::new(profile);
+/// The benchmark of the §II-A BPC-modification comparison in the Fig. 2
+/// report.
+const MODIFICATION_BENCHMARK: &str = "perlbench";
+
+/// The §II-A BPC-modification ablation on perlbench: average ratio with
+/// the best-of-both-modes BPC versus transform-only BPC (paper: ~13%
+/// more memory saved), over at most `max_pages` pages.
+pub fn bpc_modification_gain(max_pages: usize) -> (f64, f64) {
+    let profile = benchmark(MODIFICATION_BENCHMARK).expect("paper benchmark");
+    let world = DataWorld::new(&profile);
     let bins = BinSet::aligned4();
     let bpc = Bpc::new();
     let pages = profile.footprint_pages.min(max_pages) as u64;
@@ -161,6 +167,45 @@ pub fn bpc_modification_gain(profile: &BenchmarkProfile, max_pages: usize) -> (f
     }
     let ospa = (pages * PAGE_BYTES) as f64;
     (ospa / modified.max(1) as f64, ospa / baseline.max(1) as f64)
+}
+
+const COLUMNS: [Column<Fig2Row>; 5] = [
+    ("benchmark", |r| r.benchmark.clone()),
+    ("BPC+LinePack", |r| f2(r.bpc_linepack)),
+    ("BPC+LCP", |r| f2(r.bpc_lcp)),
+    ("BDI+LinePack", |r| f2(r.bdi_linepack)),
+    ("BDI+LCP", |r| f2(r.bdi_lcp)),
+];
+
+fn packing_loss(avg: &Fig2Row) -> String {
+    format!(
+        "LCP packing loss: {:.1}% with BPC, {:.1}% with BDI (paper: 13% / 2.3%)\n",
+        (1.0 - avg.bpc_lcp / avg.bpc_linepack) * 100.0,
+        (1.0 - avg.bdi_lcp / avg.bdi_linepack) * 100.0
+    )
+}
+
+/// The Fig. 2 report: every benchmark's ratios and their average, the
+/// LCP packing loss, and the [`bpc_modification_gain`] comparison
+/// `(modified, transform_only)`.
+pub fn report(rows: &[Fig2Row], modification: (f64, f64)) -> String {
+    let avg = average(rows);
+    let mut all = rows.to_vec();
+    all.push(avg.clone());
+    let (modified, baseline) = modification;
+    format!(
+        "{}\n{}Modified BPC vs transform-only ({MODIFICATION_BENCHMARK}): {modified:.2}x vs \
+         {baseline:.2}x (paper: +13% memory saved on average)\n",
+        render_table(&all, &COLUMNS),
+        packing_loss(&avg)
+    )
+}
+
+/// The Fig. 2 headline: the average row and the LCP packing loss.
+pub fn summary(rows: &[Fig2Row]) -> String {
+    let avg = average(rows);
+    let table = render_table(std::slice::from_ref(&avg), &COLUMNS);
+    format!("{table}\n{}", packing_loss(&avg))
 }
 
 #[cfg(test)]
@@ -216,7 +261,7 @@ mod tests {
 
     #[test]
     fn modified_bpc_never_worse() {
-        let (modified, baseline) = bpc_modification_gain(&benchmark("perlbench").unwrap(), 100);
+        let (modified, baseline) = bpc_modification_gain(100);
         assert!(
             modified >= baseline * 0.999,
             "{modified:.3} vs {baseline:.3}"

@@ -10,6 +10,7 @@
 //! stream metadata-cache evictions — Compresso's repacking trigger — and
 //! then compares the final compression ratios.
 
+use crate::report::{f2, pct, render_table, Column};
 use crate::sweep::{run_cells, successes, SweepOptions};
 use compresso_cache_sim::Backend;
 use compresso_core::{CompressoConfig, CompressoDevice, MemoryDevice};
@@ -117,6 +118,33 @@ pub fn fig7(pages: usize, opts: &SweepOptions) -> (Vec<Fig7Row>, Vec<CellMetrics
         .map(|(row, _)| row)
         .collect();
     (rows, metrics)
+}
+
+/// The Fig. 7 report: every benchmark's ratio with and without
+/// repacking and its repack traffic, then [`summary`].
+pub fn report(rows: &[Fig7Row]) -> String {
+    let columns: [Column<Fig7Row>; 5] = [
+        ("benchmark", |r| r.benchmark.clone()),
+        ("with-repack", |r| f2(r.with_repacking)),
+        ("no-repack", |r| f2(r.without_repacking)),
+        ("relative", |r| f2(r.relative)),
+        ("repack-traffic", |r| pct(r.repack_overhead)),
+    ];
+    format!("{}\n{}", render_table(rows, &columns), summary(rows))
+}
+
+/// The Fig. 7 headline: the average ratio retained without repacking and
+/// the average repack traffic, against the paper's.
+pub fn summary(rows: &[Fig7Row]) -> String {
+    let n = rows.len().max(1) as f64;
+    let relative = rows.iter().map(|r| r.relative).sum::<f64>() / n;
+    let traffic = rows.iter().map(|r| r.repack_overhead).sum::<f64>() / n;
+    format!(
+        "average relative ratio without repacking: {} (paper: 24% squandered);\n\
+         repack traffic: {} of accesses (paper: 1.8%)\n",
+        f2(relative),
+        pct(traffic)
+    )
 }
 
 #[cfg(test)]

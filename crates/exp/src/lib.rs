@@ -1,55 +1,60 @@
 //! Experiment harness regenerating every table and figure of the
 //! Compresso paper's evaluation.
 //!
-//! Each figure/table has a module and a matching binary
-//! (`cargo run --release -p compresso-exp --bin figN`):
+//! Each artifact has one library entry point that returns its rows with
+//! one exportable metric bundle per sweep cell, and one report renderer
+//! next to it; a binary of the same name
+//! (`cargo run --release -p compresso-exp --bin <name>`) parses its
+//! [`Cli`], runs the entry point, writes the metrics and prints the
+//! report:
 //!
-//! | target | paper artifact |
-//! |--------|----------------|
-//! | `fig2` | compression ratio, {BPC,BDI} × {LinePack,LCP} |
-//! | `fig4` | extra data movement, unoptimized compressed system |
-//! | `fig6` | data-movement optimization ablation |
-//! | `fig7` | compression lost without repacking |
-//! | `fig9` | SimPoint vs CompressPoint representativeness |
-//! | `fig10` | single-core performance (cycle, capacity, overall) |
-//! | `fig11` | 4-core mixes |
-//! | `fig12` | DRAM/core energy |
-//! | `tab2` | capacity-constraint sweep (80/70/60%) |
-//! | `tradeoffs` | §IV-A1 bin-count trade-offs |
-//! | `balloon` | §V-B ballooning under MPA pressure |
-//! | `all` | everything above at reduced scale |
+//! | binary | paper artifact | entry point | own flags (default) |
+//! |--------|----------------|-------------|---------------------|
+//! | `fig2` | compression ratio, {BPC,BDI} × {LinePack,LCP} | [`fig2::fig2`] | `--pages` (1500) |
+//! | `fig4` | extra data movement, unoptimized compressed system | [`movement::fig4`] | `--ops` (60000) |
+//! | `fig6` | data-movement optimization ablation | [`movement::fig6`] | `--ops` (60000) |
+//! | `fig7` | compression lost without repacking | [`fig7::fig7`] | `--pages` (400) |
+//! | `fig9` | SimPoint vs CompressPoint representativeness | [`fig9::fig9`] | none |
+//! | `fig10` | single-core performance (cycle, capacity, overall) | [`perf::fig10`] | `--ops` (50000), `--cap-ops` (4000000) |
+//! | `fig11` | 4-core mixes | [`perf::fig11`] | `--ops` (25000), `--cap-ops` (3000000) |
+//! | `fig12` | DRAM/core energy | [`energy_fig::fig12`] | `--ops` (40000) |
+//! | `tab2` | capacity-constraint sweep (80/70/60%) | [`perf::tab2`] | `--ops` (10000), `--cap-ops` (3000000) |
+//! | `tradeoffs` | §IV-A1 bin-count trade-offs | [`tradeoffs::tradeoffs`] | `--pages` (300), `--ops` (20000) |
+//! | `balloon` | §V-B ballooning under MPA pressure | [`balloon::balloon`] | none |
+//! | `all` | the summaries of Fig. 2, 6, 7, 10 and 12 at reduced scale | — | none |
 //!
-//! Every binary accepts `--ops N` (memory operations per cycle run),
-//! `--jobs N` (sweep worker threads, default `COMPRESSO_JOBS` or the
-//! machine's parallelism), and `--metrics-out <path>` / `--epoch <ticks>`
-//! (machine-readable `compresso.metrics.v1` export, see DESIGN.md §9),
-//! and prints Tab. III parameters alongside
-//! results so runs are self-describing. Parallel sweeps are bit-identical
-//! to serial ones: each cell owns its world and seeded RNG, and
-//! `tests/sweep_determinism.rs` enforces it.
+//! `--ops` counts memory operations per cycle run (per core for mixes),
+//! `--cap-ops` operations per capacity run, `--pages` pages sampled or
+//! aged per benchmark. Every figure binary also takes `--jobs N` (sweep
+//! workers, default `COMPRESSO_JOBS` or the machine's parallelism; the
+//! balloon demo runs no sweep), `--metrics-out <path>` and `--epoch
+//! <ticks>` (`compresso.metrics.v1` export, DESIGN.md §9); anything else
+//! exits with code 2 and the usage line. Each prints the Tab. III
+//! parameters first. `soak` and `metrics_check` parse their own arguments.
 //!
-//! Each artifact has one entry point (`fig2::fig2`, `perf::fig10`,
-//! `perf::tab2`, `tradeoffs::line_bin_tradeoff`, ...). It takes the
-//! [`SweepOptions`] that carry the worker count and the epoch length
-//! (`SweepOptions::epoch`, 0 = final snapshots only), and returns its
-//! rows together with one exportable metric bundle per sweep cell;
-//! callers that only want the rows take `.0`.
+//! Parallel sweeps are bit-identical to serial ones: each cell owns its
+//! world and seeded RNG, and `tests/sweep_determinism.rs` enforces it.
+//! Every entry point takes the [`SweepOptions`] that carry the worker
+//! count and the epoch length (`SweepOptions::epoch`, 0 = final
+//! snapshots only); callers that only want the rows take `.0`.
 
 #![forbid(unsafe_code)]
 
+pub mod balloon;
+mod cli;
 pub mod energy_fig;
 pub mod fig2;
 pub mod fig7;
+pub mod fig9;
 pub mod metrics;
 pub mod movement;
 pub mod perf;
-pub mod report;
+mod report;
 pub mod runner;
 pub mod sweep;
 pub mod tradeoffs;
 
-pub use metrics::MetricsArgs;
-pub use report::{f2, pct, render_table};
+pub use cli::Cli;
 pub use runner::{geomean, run_mix, run_single, RunResult, SystemKind};
 pub use sweep::{
     run_cells, run_grid, successes, CellError, CellOutcome, SweepCell, SweepOptions, Workload,
@@ -70,15 +75,6 @@ pub fn params_banner() -> String {
     .join("\n")
 }
 
-/// Parses `--ops N` style overrides from command-line arguments.
-pub fn arg_usize(args: &[String], key: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,15 +85,5 @@ mod tests {
         assert!(b.contains("DDR4-2666"));
         assert!(b.contains("96KB"));
         assert!(b.contains("0/8/32/64"));
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["prog", "--ops", "5000"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_usize(&args, "--ops", 100), 5000);
-        assert_eq!(arg_usize(&args, "--pages", 7), 7);
     }
 }

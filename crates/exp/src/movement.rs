@@ -1,6 +1,7 @@
 //! Fig. 4 and Fig. 6: compression-related data movement and the
 //! optimization ablation.
 
+use crate::report::{pct, render_table, Column};
 use crate::runner::{RunResult, SystemKind};
 use crate::sweep::{run_grid, successes, SweepCell, SweepOptions};
 use compresso_core::{CompressoConfig, PageAllocation};
@@ -104,6 +105,48 @@ pub fn averages(rows: &[MovementRow]) -> Vec<(String, f64)> {
             (config, avg)
         })
         .collect()
+}
+
+/// The movement table; `config` heads the configuration column.
+fn table(rows: &[MovementRow], config: &'static str) -> String {
+    let columns: [Column<MovementRow>; 6] = [
+        ("benchmark", |r| r.benchmark.clone()),
+        (config, |r| r.config.clone()),
+        ("split", |r| pct(r.split)),
+        ("overflow", |r| pct(r.overflow)),
+        ("metadata", |r| pct(r.metadata)),
+        ("total-extra", |r| pct(r.total)),
+    ];
+    render_table(rows, &columns)
+}
+
+/// The Fig. 4 report: every benchmark's extra accesses per allocation,
+/// then each allocation's average against the paper's.
+pub fn fig4_report(rows: &[MovementRow]) -> String {
+    let mut out = table(rows, "alloc") + "\n";
+    for (config, avg) in averages(rows) {
+        out += &format!(
+            "average extra accesses [{config}]: {} (paper avg: 63%)\n",
+            pct(avg)
+        );
+    }
+    out
+}
+
+/// The Fig. 6 report: every benchmark's extra accesses per rung, then
+/// [`fig6_summary`].
+pub fn fig6_report(rows: &[MovementRow]) -> String {
+    format!("{}\n{}", table(rows, "config"), fig6_summary(rows))
+}
+
+/// The Fig. 6 headline: each rung's average extra accesses against the
+/// paper's ladder.
+pub fn fig6_summary(rows: &[MovementRow]) -> String {
+    let mut out = String::from("cumulative averages (paper: 63% -> 36% -> 26% -> 19% -> 15%):\n");
+    for (config, avg) in averages(rows) {
+        out += &format!("  {config:<22} {}\n", pct(avg));
+    }
+    out
 }
 
 #[cfg(test)]

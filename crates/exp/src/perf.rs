@@ -7,6 +7,7 @@
 //! benchmark's compressibility vector (its profiling-stage phase trace
 //! anchored at the ratio measured in the cycle simulation).
 
+use crate::report::{f2, render_table, Column};
 use crate::runner::{geomean, run_profiles, RunResult, SystemKind};
 use crate::sweep::{run_cells, successes, SweepOptions};
 use compresso_oskit::{capacity_run, relative_performance, Budget};
@@ -325,6 +326,93 @@ pub fn tab2(
         })
         .collect();
     (tab, metrics)
+}
+
+/// How a performance figure prints its [`PerfRow`]s: the workload
+/// column's header, whether a stall column marks the rows whose
+/// constrained baseline stalls, and the paper's cycle, capacity and
+/// overall geomeans and Compresso-over-LCP gain, as the paper states them.
+#[derive(Debug, Clone, Copy)]
+pub struct PerfFigure {
+    workload: &'static str,
+    stall_column: bool,
+    paper: [&'static str; 3],
+    paper_over_lcp: Option<&'static str>,
+}
+
+/// Fig. 10: single-core benchmarks.
+pub const FIG10: PerfFigure = PerfFigure {
+    workload: "benchmark",
+    stall_column: true,
+    paper: ["0.938 0.961 0.998", "1.11 1.29 1.39", "1.03 1.06 1.28"],
+    paper_over_lcp: Some("24.2%"),
+};
+
+/// Fig. 11: 4-core mixes, which never stall.
+pub const FIG11: PerfFigure = PerfFigure {
+    workload: "mix",
+    stall_column: false,
+    paper: ["0.90 0.95 0.975", "1.97 2.33 2.51", "1.78 1.90 2.27"],
+    paper_over_lcp: None,
+};
+
+/// The report of performance figure `fig`: every workload's cycle,
+/// capacity and overall relative performance, then [`summary`].
+pub fn report(rows: &[PerfRow], fig: &PerfFigure) -> String {
+    let mut columns: Vec<Column<PerfRow>> = vec![
+        (fig.workload, |r| r.workload.clone()),
+        ("cyc:LCP", |r| f2(r.cycle_lcp)),
+        ("cyc:Align", |r| f2(r.cycle_align)),
+        ("cyc:Compresso", |r| f2(r.cycle_compresso)),
+        ("cap:LCP", |r| f2(r.memcap_lcp)),
+        ("cap:Compresso", |r| f2(r.memcap_compresso)),
+        ("cap:Unconstr", |r| f2(r.memcap_unconstrained)),
+        ("overall:Compresso", |r| f2(r.overall_compresso())),
+    ];
+    if fig.stall_column {
+        columns.push(("", |r| if r.stalled { "stall" } else { "" }.into()));
+    }
+    format!("{}\n{}", render_table(rows, &columns), summary(rows, fig))
+}
+
+/// The headline of performance figure `fig`: the [`summarize`] geomeans
+/// against the paper's.
+pub fn summary(rows: &[PerfRow], fig: &PerfFigure) -> String {
+    let s = summarize(rows);
+    let triple = |t: (f64, f64, f64)| format!("{} {} {}", f2(t.0), f2(t.1), f2(t.2));
+    let mut out = format!(
+        "geomean cycle-based    (LCP, Align, Compresso): {}   (paper: {})\n\
+         geomean memory-capacity (LCP, Compresso, Unconstr): {} (paper: {})\n\
+         geomean overall        (LCP, Align, Compresso): {}   (paper: {})\n",
+        triple(s.cycle),
+        fig.paper[0],
+        triple(s.memcap),
+        fig.paper[1],
+        triple(s.overall),
+        fig.paper[2],
+    );
+    if let Some(paper) = fig.paper_over_lcp {
+        out += &format!(
+            "Compresso over LCP overall: {:.1}% (paper: {paper})\n",
+            (s.overall.2 / s.overall.0 - 1.0) * 100.0
+        );
+    }
+    out
+}
+
+/// The Tab. II report: each constraint's capacity geomeans against the
+/// paper's.
+pub fn tab2_report(rows: &[Tab2Row]) -> String {
+    let columns: [Column<Tab2Row>; 4] = [
+        ("memory", |r| format!("{:.0}%", r.fraction * 100.0)),
+        ("LCP", |r| f2(r.single_core.0)),
+        ("Compresso", |r| f2(r.single_core.1)),
+        ("Unconstrained", |r| f2(r.single_core.2)),
+    ];
+    format!(
+        "{}\n(paper 1-core: 80%: 1.04/1.15/1.24; 70%: 1.11/1.29/1.39; 60%: 1.28/1.56/1.72)\n",
+        render_table(rows, &columns)
+    )
 }
 
 #[cfg(test)]

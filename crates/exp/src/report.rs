@@ -1,30 +1,34 @@
-//! Plain-text table formatting for the figure/table binaries.
+//! Plain-text table formatting for the report renderers.
 
-/// Renders a fixed-width table. `headers.len()` must match every row.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// A table column: its header and how one row renders in it.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
+/// Renders `rows` as a fixed-width, right-aligned table with one column
+/// per `(header, cell)`.
+pub fn render_table<R>(rows: &[R], columns: &[Column<R>]) -> String {
+    let header: Vec<String> = columns.iter().map(|(h, _)| h.to_string()).collect();
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| columns.iter().map(|(_, cell)| cell(r)).collect())
+        .collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    for row in &body {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        cells
+    let fmt_row = |cells: &[String]| -> String {
+        let padded: Vec<String> = cells
             .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        padded.join("  ") + "\n"
     };
-    let header_cells: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    out.push_str(&fmt_row(&header_cells, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    let mut out = fmt_row(&header) + &rule + "\n";
+    for row in &body {
+        out += &fmt_row(row);
     }
     out
 }
@@ -45,18 +49,15 @@ mod tests {
 
     #[test]
     fn table_aligns_columns() {
-        let t = render_table(
-            &["name", "value"],
-            &[
-                vec!["a".into(), "1.00".into()],
-                vec!["longer".into(), "12.34".into()],
-            ],
-        );
+        let columns: [Column<(&str, f64)>; 2] =
+            [("name", |r| r.0.to_string()), ("value", |r| f2(r.1))];
+        let t = render_table(&[("a", 1.0), ("longer", 12.34)], &columns);
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("name"));
-        assert!(lines[2].ends_with("1.00"));
-        assert!(lines[3].ends_with("12.34"));
+        assert_eq!(lines[0], "  name  value");
+        assert_eq!(lines[1], "-------------");
+        assert_eq!(lines[2], "     a   1.00");
+        assert_eq!(lines[3], "longer  12.34");
     }
 
     #[test]

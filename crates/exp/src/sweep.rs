@@ -19,9 +19,9 @@
 //! - a panicking cell is contained by `catch_unwind` and reported as a
 //!   failed [`CellOutcome`]; the rest of the sweep completes.
 //!
-//! The worker count comes from `--jobs N` (every figure binary), the
-//! `COMPRESSO_JOBS` environment variable, or the machine's available
-//! parallelism, in that order of precedence.
+//! The worker count comes from `--jobs N` (every figure binary, see
+//! [`Cli`](crate::Cli)), the `COMPRESSO_JOBS` environment variable, or the
+//! machine's available parallelism, in that order of precedence.
 
 use crate::runner::{run_profiles, RunResult, SystemKind};
 use compresso_workloads::{require_benchmark, BenchmarkProfile, UnknownBenchmark};
@@ -72,15 +72,6 @@ impl SweepOptions {
                     .unwrap_or(1)
             });
         Self::with_jobs(jobs)
-    }
-
-    /// Binary entry point: `--jobs N` overrides `COMPRESSO_JOBS`, which
-    /// overrides available parallelism; progress lines enabled.
-    pub fn from_args(args: &[String]) -> Self {
-        let mut opts = Self::from_env();
-        opts.jobs = crate::arg_usize(args, "--jobs", opts.jobs).max(1);
-        opts.progress = true;
-        opts
     }
 }
 
@@ -478,19 +469,6 @@ mod tests {
             other => panic!("expected failed cell, got {other:?}"),
         }
         assert_eq!(successes(outcomes).len(), 1);
-    }
-
-    #[test]
-    fn jobs_env_and_flag_precedence() {
-        let args: Vec<String> = ["prog", "--jobs", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let opts = SweepOptions::from_args(&args);
-        assert_eq!(opts.jobs, 3);
-        assert!(opts.progress);
-        let defaulted = SweepOptions::from_args(&["prog".to_string()]);
-        assert!(defaulted.jobs >= 1);
     }
 
     #[test]
