@@ -163,25 +163,9 @@ impl MetadataHooks for CompressoDevice {
 }
 
 impl CompressoDevice {
-    /// Creates a Compresso device over `world` with `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if journaling is on and `config.bins` needs line codes wider
-    /// than the packed entry's 2-bit field: such entries cannot be
-    /// journaled.
+    /// Creates a Compresso device over `world` with `config`, not
+    /// journaling (the paper's controller).
     pub fn new(config: CompressoConfig, world: impl LineSource + 'static) -> Self {
-        Self::new_boxed(config, Box::new(world))
-    }
-
-    fn new_boxed(config: CompressoConfig, world: Box<dyn LineSource>) -> Self {
-        assert!(
-            !config.durability.journaling || config.bins.code_bits() <= LINE_CODE_BITS,
-            "a journaled device packs 64 B entries with {LINE_CODE_BITS}-bit line codes; \
-             bin set {} needs {}-bit codes",
-            config.bins.name(),
-            config.bins.code_bits(),
-        );
         let alloc = match config.allocation {
             PageAllocation::Chunks512 => {
                 Allocator::Chunks(ChunkAllocator::new(config.mpa_capacity))
@@ -189,7 +173,7 @@ impl CompressoDevice {
             PageAllocation::Variable4 => Allocator::Buddy(BuddyAllocator::new(config.mpa_capacity)),
         };
         let device = Self {
-            ctl: Controller::new(world, config.mcache_half_entries, &config.durability),
+            ctl: Controller::new(Box::new(world), config.mcache_half_entries),
             cfg: config,
             pages: AddrMap::default(),
             alloc,
@@ -197,6 +181,28 @@ impl CompressoDevice {
         };
         device.register_all_metrics();
         device
+    }
+
+    /// Turns on the crash-consistency layer (DESIGN.md §10): write-ahead
+    /// journaling of every metadata mutation, the durable metadata image,
+    /// and a background scrub pass every `scrub_interval` cycles (0:
+    /// never). Call it on a fresh device; a no-op if journaling is
+    /// already on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured bins need line codes wider than the
+    /// packed entry's 2-bit field: such entries cannot be journaled.
+    pub fn enable_journaling(&mut self, scrub_interval: u64) {
+        let bins = &self.cfg.bins;
+        assert!(
+            bins.code_bits() <= LINE_CODE_BITS,
+            "a journaled device packs 64 B entries with {LINE_CODE_BITS}-bit line codes; \
+             bin set {} needs {}-bit codes",
+            bins.name(),
+            bins.code_bits(),
+        );
+        self.ctl.enable_journaling(scrub_interval);
     }
 
     /// Registers every subsystem's metrics into this device's registry
@@ -326,24 +332,27 @@ impl CompressoDevice {
         self.ctl.owners()
     }
 
-    /// Cold-boot recovery: rebuild a device from the surviving journal
-    /// bytes alone. Replays the journal through the [`ShadowModel`]
-    /// semantics (torn tail discarded, uncommitted deltas and open
-    /// repack transactions rolled back), rebuilds the page table and the
-    /// allocator free lists, verifies layout invariants, prewarms the
-    /// metadata cache by journal-tail recency, and writes a compacted
-    /// checkpoint journal.
+    /// Cold-boot recovery of this fresh device from the surviving
+    /// journal bytes alone, journaling on (without scrubbing unless
+    /// [`Self::enable_journaling`] asked for it). Replays the journal
+    /// through the [`ShadowModel`] semantics (torn tail discarded,
+    /// uncommitted deltas and open repack transactions rolled back),
+    /// rebuilds the page table and the allocator free lists, verifies
+    /// layout invariants, prewarms the metadata cache by journal-tail
+    /// recency, and writes a compacted checkpoint journal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has touched a page (recovery rebuilds a
+    /// device from the journal alone), or, as
+    /// [`Self::enable_journaling`], if its bins cannot be journaled.
     ///
     /// [`ShadowModel`]: crate::journal::ShadowModel
-    pub fn recover(
-        config: CompressoConfig,
-        world: Box<dyn LineSource>,
-        journal_bytes: &[u8],
-    ) -> (Self, RecoveryReport) {
-        let mut cfg = config;
-        cfg.durability.journaling = true;
-        let capacity = cfg.mpa_capacity;
-        durability::recover(Self::new_boxed(cfg, world), capacity, journal_bytes)
+    pub fn recover(mut self, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
+        assert!(self.pages.is_empty(), "recover a freshly built device");
+        self.enable_journaling(0);
+        let capacity = self.cfg.mpa_capacity;
+        durability::recover(self, capacity, journal_bytes)
     }
 
     // ------------------------------------------------------------------
@@ -979,10 +988,6 @@ impl MemoryDevice for CompressoDevice {
 
     fn metrics(&self) -> &Registry {
         &self.ctl.registry
-    }
-
-    fn compression_ratio(&self) -> f64 {
-        controller::compression_ratio(self.alloc.used_bytes(), self.pages.len())
     }
 
     fn mpa_used_bytes(&self) -> u64 {

@@ -40,44 +40,6 @@ impl PageAllocation {
     }
 }
 
-/// Crash-consistency knobs (DESIGN.md §10). Disabled by default: the
-/// figure/bench runs model the paper's controller, which has no
-/// durability layer, and must stay bit-identical to the committed
-/// goldens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DurabilityConfig {
-    /// Write-ahead journal every metadata mutation and maintain the
-    /// durable metadata image (enables `recover()`).
-    pub journaling: bool,
-    /// Simulated-time interval between background scrub passes
-    /// (0 = scrubbing off). Only meaningful with `journaling`.
-    pub scrub_interval: u64,
-}
-
-impl DurabilityConfig {
-    /// No journal, no scrubber (the paper's controller).
-    pub fn disabled() -> Self {
-        Self {
-            journaling: false,
-            scrub_interval: 0,
-        }
-    }
-
-    /// Journaling on with a background scrub pass every 100k cycles.
-    pub fn journaled() -> Self {
-        Self {
-            journaling: true,
-            scrub_interval: 100_000,
-        }
-    }
-}
-
-impl Default for DurabilityConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 /// Full Compresso configuration (Tab. III defaults), with each
 /// optimization individually switchable for the Fig. 6 ablation.
 #[derive(Debug, Clone)]
@@ -98,8 +60,6 @@ pub struct CompressoConfig {
     pub mcache_half_entries: bool,
     /// MPA capacity in bytes available to this device.
     pub mpa_capacity: u64,
-    /// Crash-consistency layer (journal + scrubber); disabled by default.
-    pub durability: DurabilityConfig,
 }
 
 impl CompressoConfig {
@@ -114,16 +74,6 @@ impl CompressoConfig {
             repacking: true,
             mcache_half_entries: true,
             mpa_capacity: 8 << 30,
-            durability: DurabilityConfig::disabled(),
-        }
-    }
-
-    /// Full Compresso with the crash-consistency layer on (journal +
-    /// scrubber); used by the robustness/soak tests, not the figures.
-    pub fn durable() -> Self {
-        Self {
-            durability: DurabilityConfig::journaled(),
-            ..Self::compresso()
         }
     }
 
@@ -224,20 +174,6 @@ mod tests {
         let full = CompressoConfig::compresso();
         assert_eq!(ladder[5].1.bins, full.bins);
         assert!(ladder[5].1.repacking && ladder[5].1.ir_expansion);
-    }
-
-    #[test]
-    fn durability_defaults_off() {
-        assert_eq!(
-            CompressoConfig::compresso().durability,
-            DurabilityConfig::disabled()
-        );
-        for (_, cfg) in CompressoConfig::ablation_ladder(PageAllocation::Chunks512) {
-            assert!(!cfg.durability.journaling);
-        }
-        let durable = CompressoConfig::durable();
-        assert!(durable.durability.journaling);
-        assert!(durable.durability.scrub_interval > 0);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 //! Compresso's prefetch buffer serves only single-burst lines while LCP's
 //! serves any compressed line whose bursts are all buffered.
 
-use crate::config::DurabilityConfig;
 use crate::device::LineSizes;
 use crate::durability::Durability;
 use crate::faultkit::{Faults, MetadataFault};
@@ -83,15 +82,6 @@ pub(crate) fn touched_ospa_bytes(pages: usize) -> u64 {
     pages as u64 * PAGE_BYTES as u64
 }
 
-/// Touched OSPA bytes over MPA bytes in use (1.0 before any use).
-pub(crate) fn compression_ratio(data: u64, pages: usize) -> f64 {
-    let used = mpa_used_bytes(data, pages);
-    if used == 0 {
-        return 1.0;
-    }
-    touched_ospa_bytes(pages) as f64 / used as f64
-}
-
 /// A line's compressed size in bytes under modified BPC, 0 for an
 /// all-zero line. BPC's zero mode, its 2-bit header alone, is the only
 /// 1-byte encoding (any other spends at least 12 bits), so the kernel's
@@ -119,12 +109,8 @@ pub(crate) struct Controller {
 
 impl Controller {
     /// A controller over `world`, on the paper's DDR4-2666 channel and
-    /// 96 KB metadata cache, journaling as `durability` asks.
-    pub fn new(
-        world: Box<dyn LineSource>,
-        half_entries: bool,
-        durability: &DurabilityConfig,
-    ) -> Self {
+    /// 96 KB metadata cache, not journaling.
+    pub fn new(world: Box<dyn LineSource>, half_entries: bool) -> Self {
         Self {
             world,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
@@ -133,9 +119,7 @@ impl Controller {
             registry: Registry::new(),
             faults: Faults::default(),
             prefetch: VecDeque::new(),
-            durability: durability
-                .journaling
-                .then(|| Durability::new(durability.scrub_interval)),
+            durability: None,
         }
     }
 

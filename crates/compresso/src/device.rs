@@ -65,8 +65,15 @@ pub trait MemoryDevice: Backend {
     fn metrics(&self) -> &Registry;
 
     /// Current compression ratio: touched OSPA bytes over MPA bytes used
-    /// (data + metadata). 1.0 for the uncompressed baseline.
-    fn compression_ratio(&self) -> f64;
+    /// (data + metadata), 1.0 before any use. 1.0 for the uncompressed
+    /// baseline, whose MPA is its OSPA.
+    fn compression_ratio(&self) -> f64 {
+        let used = self.mpa_used_bytes();
+        if used == 0 {
+            return 1.0;
+        }
+        self.touched_ospa_bytes() as f64 / used as f64
+    }
 
     /// MPA bytes currently in use (data + metadata).
     fn mpa_used_bytes(&self) -> u64;
@@ -139,10 +146,6 @@ impl MemoryDevice for UncompressedDevice {
 
     fn metrics(&self) -> &Registry {
         &self.registry
-    }
-
-    fn compression_ratio(&self) -> f64 {
-        1.0
     }
 
     fn mpa_used_bytes(&self) -> u64 {

@@ -88,6 +88,17 @@ impl Durability {
 }
 
 impl Controller {
+    /// Turns on write-ahead journaling of every layout mutation, with a
+    /// background scrub pass every `scrub_interval` cycles (0: never).
+    /// A no-op if journaling is already on.
+    pub fn enable_journaling(&mut self, scrub_interval: u64) {
+        if self.durability.is_none() {
+            let owner = Durability::new(scrub_interval);
+            owner.events.register_metrics(&self.registry, "");
+            self.durability = Some(owner);
+        }
+    }
+
     /// The raw journal bytes (what survives a crash), if journaling.
     pub fn journal_bytes(&self) -> Option<&[u8]> {
         self.durability.as_ref().map(|d| d.journal.bytes())

@@ -504,8 +504,9 @@ impl ShadowModel {
     }
 }
 
-/// What cold-boot recovery found and did (see
-/// `CompressoDevice::recover` / `LcpDevice::recover_lcp`).
+/// What cold-boot recovery found and did: the second half of the
+/// `recover(self, journal_bytes)` call that both device families share
+/// (`CompressoDevice::recover`, `LcpDevice::recover`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Journal records replayed.

@@ -8,10 +8,10 @@
 //! (wrong speculation on exception lines costs an extra access).
 
 use crate::alloc::BuddyAllocator;
-use crate::config::{DurabilityConfig, PageAllocation};
+use crate::config::PageAllocation;
 use crate::controller::{self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY};
 use crate::device::{LineSizes, MemoryDevice};
-use crate::durability::{self, check_ownership, check_page_size, Blocks, Durability, Recover};
+use crate::durability::{self, check_ownership, check_page_size, Blocks, Recover};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{PageImage, RecoveryReport};
@@ -98,8 +98,8 @@ impl LcpDevice {
         let device = Self {
             name,
             bins,
-            // No half-entry optimization; journaling is opt-in.
-            ctl: Controller::new(world, false, &DurabilityConfig::disabled()),
+            // No half-entry optimization.
+            ctl: Controller::new(world, false),
             alloc: BuddyAllocator::new(MPA_CAPACITY),
             pages: AddrMap::default(),
         };
@@ -118,11 +118,7 @@ impl LcpDevice {
     /// there is no metadata-region repair: the OS keeps the authoritative
     /// layout, so the journal alone suffices for recovery.
     pub fn enable_journaling(&mut self) {
-        if self.ctl.durability.is_none() {
-            let owner = Durability::new(0);
-            owner.events.register_metrics(&self.ctl.registry, "");
-            self.ctl.durability = Some(owner);
-        }
+        self.ctl.enable_journaling(0);
     }
 
     /// Attaches a deterministic fault-injection plan (`None` by default;
@@ -238,23 +234,18 @@ impl LcpDevice {
         self.ctl.is_crashed()
     }
 
-    /// Cold-boot recovery of the plain-LCP baseline from its journal.
-    pub fn recover_lcp(world: Box<dyn LineSource>, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
-        Self::build("LCP", BinSet::legacy4(), world).recover(journal_bytes)
-    }
-
-    /// Cold-boot recovery of the LCP+Align baseline from its journal.
-    pub fn recover_lcp_align(
-        world: Box<dyn LineSource>,
-        journal_bytes: &[u8],
-    ) -> (Self, RecoveryReport) {
-        Self::build("LCP+Align", BinSet::aligned4(), world).recover(journal_bytes)
-    }
-
-    /// As `CompressoDevice::recover`, without a metadata-cache prewarm:
-    /// the OS keeps the authoritative layout, so the journal alone is
-    /// its recovery source.
-    fn recover(mut self, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
+    /// Cold-boot recovery of this fresh device from its journal bytes,
+    /// journaling on. As [`CompressoDevice::recover`], without a
+    /// metadata-cache prewarm: the OS keeps the authoritative layout, so
+    /// the journal alone is its recovery source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has touched a page.
+    ///
+    /// [`CompressoDevice::recover`]: crate::CompressoDevice::recover
+    pub fn recover(mut self, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
+        assert!(self.pages.is_empty(), "recover a freshly built device");
         self.enable_journaling();
         durability::recover(self, MPA_CAPACITY, journal_bytes)
     }
@@ -437,10 +428,6 @@ impl MemoryDevice for LcpDevice {
 
     fn metrics(&self) -> &Registry {
         &self.ctl.registry
-    }
-
-    fn compression_ratio(&self) -> f64 {
-        controller::compression_ratio(self.alloc.used_bytes(), self.pages.len())
     }
 
     fn mpa_used_bytes(&self) -> u64 {

@@ -32,7 +32,12 @@
 //! ([`faultkit`], DESIGN.md §8) and the opt-in crash-consistency layer
 //! ([`journal`], DESIGN.md §10) each have one crate-private owner, off
 //! both devices' data paths: every draw from a fault plan, and its
-//! count, happens in `faultkit`.
+//! count, happens in `faultkit`. Neither is part of [`CompressoConfig`],
+//! which holds only the paper's choices; both attach through a method on
+//! either device: `inject_faults(plan)`, and `enable_journaling` (with a
+//! scrub interval on Compresso, whose durable metadata image it scrubs).
+//! Both families recover the same way, with `recover(self,
+//! journal_bytes)` on a freshly built device.
 //!
 //! # Example
 //!
@@ -71,7 +76,7 @@ pub mod stats;
 
 pub use crate::compresso::CompressoDevice;
 pub use alloc::{BuddyAllocator, ChunkAllocator, OutOfMpaSpace};
-pub use config::{CompressoConfig, DurabilityConfig, PageAllocation};
+pub use config::{CompressoConfig, PageAllocation};
 pub use device::{MemoryDevice, UncompressedDevice};
 pub use error::CompressoError;
 pub use faultkit::{FaultConfig, FaultPlan, FaultStats, MetadataFault};

@@ -22,7 +22,7 @@ use compresso_core::{
     CompressoConfig, CompressoDevice, FaultPlan, LcpDevice, MemoryDevice, PageAllocation,
     RecoveryReport,
 };
-use compresso_workloads::{benchmark, DataWorld, LineSource, PAGE_BYTES};
+use compresso_workloads::{benchmark, DataWorld, PAGE_BYTES};
 use std::fmt::Write as _;
 
 const BENCH: &str = "gcc";
@@ -171,9 +171,14 @@ fn plans() -> Vec<(String, Option<FaultPlan>)> {
 }
 
 fn compresso_fingerprint(out: &mut String, label: &str, cfg: CompressoConfig) {
+    let durable = || {
+        let mut d = CompressoDevice::new(cfg.clone(), world());
+        d.enable_journaling(100_000);
+        d
+    };
     for (plan_label, plan) in plans() {
         writeln!(out, "{label} / {plan_label}").unwrap();
-        let mut d = CompressoDevice::new(cfg.clone(), world());
+        let mut d = durable();
         if let Some(p) = plan {
             d.inject_faults(p);
         }
@@ -183,11 +188,7 @@ fn compresso_fingerprint(out: &mut String, label: &str, cfg: CompressoConfig) {
         write_journal(out, d.journal_bytes());
         write_compresso_snapshots(out, &d);
 
-        let (mut r, report) = CompressoDevice::recover(
-            cfg.clone(),
-            Box::new(world()),
-            d.journal_bytes().expect("journaling on"),
-        );
+        let (mut r, report) = durable().recover(d.journal_bytes().expect("journaling on"));
         write_report(out, &report);
         write_journal(out, r.journal_bytes());
         write_compresso_snapshots(out, &r);
@@ -199,13 +200,16 @@ fn compresso_fingerprint(out: &mut String, label: &str, cfg: CompressoConfig) {
 
 fn lcp_fingerprint(out: &mut String, align: bool) {
     let label = if align { "LCP+Align" } else { "LCP" };
-    for (plan_label, plan) in plans() {
-        writeln!(out, "{label} / {plan_label}").unwrap();
-        let mut d = if align {
+    let build = || {
+        if align {
             LcpDevice::lcp_align(world())
         } else {
             LcpDevice::lcp(world())
-        };
+        }
+    };
+    for (plan_label, plan) in plans() {
+        writeln!(out, "{label} / {plan_label}").unwrap();
+        let mut d = build();
         d.enable_journaling();
         if let Some(p) = plan {
             d.inject_faults(p);
@@ -215,13 +219,7 @@ fn lcp_fingerprint(out: &mut String, align: bool) {
         writeln!(out, "  faults: {:?}", d.fault_stats()).unwrap();
         write_journal(out, d.journal_bytes());
 
-        let bytes = d.journal_bytes().expect("journaling on");
-        let boxed: Box<dyn LineSource> = Box::new(world());
-        let (mut r, report) = if align {
-            LcpDevice::recover_lcp_align(boxed, bytes)
-        } else {
-            LcpDevice::recover_lcp(boxed, bytes)
-        };
+        let (mut r, report) = build().recover(d.journal_bytes().expect("journaling on"));
         write_report(out, &report);
         write_journal(out, r.journal_bytes());
         let times = drive(&mut r, |_, _| ());
@@ -235,9 +233,11 @@ fn device_fingerprint_matches_golden() {
     let mut out = String::new();
     lcp_fingerprint(&mut out, false);
     lcp_fingerprint(&mut out, true);
-    compresso_fingerprint(&mut out, "Compresso durable", CompressoConfig::durable());
-    let mut variable = CompressoConfig::durable();
-    variable.allocation = PageAllocation::Variable4;
+    compresso_fingerprint(&mut out, "Compresso durable", CompressoConfig::compresso());
+    let variable = CompressoConfig {
+        allocation: PageAllocation::Variable4,
+        ..CompressoConfig::compresso()
+    };
     compresso_fingerprint(&mut out, "Compresso durable Variable4", variable);
 
     let path = format!(

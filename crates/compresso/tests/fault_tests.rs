@@ -19,6 +19,14 @@ fn world(name: &str) -> DataWorld {
     DataWorld::new(&benchmark(name).expect("paper benchmark"))
 }
 
+/// Full Compresso over `world`, journaling with a scrub pass every 100k
+/// cycles.
+fn journaled(world: impl LineSource + 'static) -> CompressoDevice {
+    let mut d = CompressoDevice::new(CompressoConfig::compresso(), world);
+    d.enable_journaling(100_000);
+    d
+}
+
 /// A demand stream with enough writes to trigger overflows, underflows,
 /// repacks and re-plans alongside the injected faults. Returns each
 /// access's completion time.
@@ -187,10 +195,17 @@ fn an_idle_plan_is_invisible() {
     // no plan at all.
     let idle = || FaultPlan::new(0x1D1E, FaultConfig::default());
     let mut configs = compresso_configs();
-    configs[0] = ("compresso-journaled", CompressoConfig::durable());
+    configs[0].0 = "compresso-journaled";
     for (label, cfg) in configs {
-        let mut bare = CompressoDevice::new(cfg.clone(), world("soplex"));
-        let mut planned = CompressoDevice::new(cfg, world("soplex"));
+        let build = || {
+            let mut d = CompressoDevice::new(cfg.clone(), world("soplex"));
+            if label == "compresso-journaled" {
+                d.enable_journaling(100_000);
+            }
+            d
+        };
+        let mut bare = build();
+        let mut planned = build();
         planned.inject_faults(idle());
         assert_eq!(observe(&mut bare), observe(&mut planned), "{label}");
         assert_eq!(bare.fault_stats(), None, "{label}");
@@ -225,7 +240,7 @@ fn journaled_chaos_crashes_and_recovers() {
     // The full stack at once: aggressive faults, durable-metadata rot,
     // and an armed mid-run crash on a journaled device — then a cold
     // boot from the torn journal and more chaos on the recovered device.
-    let mut d = CompressoDevice::new(CompressoConfig::durable(), world("soplex"));
+    let mut d = journaled(world("soplex"));
     d.inject_faults(FaultPlan::aggressive(0xD15EA5E).with_crash_at(400));
     drive_chaos(&mut d, 48, 3);
     assert!(d.is_crashed(), "the armed crash must fire mid-schedule");
@@ -234,11 +249,8 @@ fn journaled_chaos_crashes_and_recovers() {
     assert_eq!(faults.crashes, 1);
     assert_consistent("journaled-chaos", &dev, &faults);
 
-    let (mut recovered, report) = CompressoDevice::recover(
-        CompressoConfig::durable(),
-        Box::new(world("soplex")),
-        d.journal_bytes().expect("journaling on"),
-    );
+    let (mut recovered, report) =
+        journaled(world("soplex")).recover(d.journal_bytes().expect("journaling on"));
     assert!(
         report.is_clean(),
         "journaled-chaos: recovery violations {:?}",
@@ -395,7 +407,7 @@ fn stored_line_sizes_match_a_fresh_sizing() {
 
     // A recovered device stores nothing until it needs a page, then
     // sizes it from the world's current bytes.
-    let mut d = CompressoDevice::new(CompressoConfig::durable(), world("soplex"));
+    let mut d = journaled(world("soplex"));
     drive_chaos(&mut d, 48, 2);
     let journal = d.journal_bytes().expect("journaling on").to_vec();
     let mut written = world("soplex");
@@ -406,8 +418,7 @@ fn stored_line_sizes_match_a_fresh_sizing() {
             }
         }
     }
-    let (mut r, report) =
-        CompressoDevice::recover(CompressoConfig::durable(), Box::new(written), &journal);
+    let (mut r, report) = journaled(written).recover(&journal);
     assert!(report.is_clean(), "{:?}", report.violations);
     assert!(r.stored_sizes().is_empty());
     drive_chaos(&mut r, 48, 1);
@@ -425,15 +436,14 @@ fn stored_line_sizes_match_a_fresh_sizing() {
     // Reads alone on a recovered device: metadata-cache evictions run the
     // repack check, which sizes recovered pages and sets their tracked
     // sums.
-    let mut d = CompressoDevice::new(CompressoConfig::durable(), gems());
+    let mut d = journaled(gems());
     drive_regime(&mut d);
     let journal = d.journal_bytes().expect("journaling on").to_vec();
     let mut written = gems();
     for addr in regime_writebacks() {
         written.on_writeback(addr);
     }
-    let (mut r, report) =
-        CompressoDevice::recover(CompressoConfig::durable(), Box::new(written), &journal);
+    let (mut r, report) = journaled(written).recover(&journal);
     assert!(report.is_clean(), "{:?}", report.violations);
     let recovered: Vec<u64> = r.pages_snapshot().into_keys().collect();
     drive_reads(&mut r, 0);
@@ -450,7 +460,7 @@ fn durable_rot_is_detected_with_stored_sizes() {
     // Stored sizes live outside the packed entry and its CRC: a
     // durable-rot bit flip or metadata fault must still surface through
     // the CRC on the next access.
-    let mut d = CompressoDevice::new(CompressoConfig::durable(), world("soplex"));
+    let mut d = journaled(world("soplex"));
     d.inject_faults(FaultPlan::aggressive(0x5EED_0FD0));
     drive_chaos(&mut d, 48, 3);
     let dev = d.device_stats();

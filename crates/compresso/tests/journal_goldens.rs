@@ -75,10 +75,16 @@ enum Family {
     LcpAlign,
 }
 
-fn compresso_config(allocation: PageAllocation) -> CompressoConfig {
-    let mut cfg = CompressoConfig::durable();
-    cfg.allocation = allocation;
-    cfg
+/// A fresh journaling Compresso device with `allocation` over `bench`'s
+/// world.
+fn compresso(allocation: PageAllocation, bench: &str) -> CompressoDevice {
+    let cfg = CompressoConfig {
+        allocation,
+        ..CompressoConfig::compresso()
+    };
+    let mut d = CompressoDevice::new(cfg, world(bench));
+    d.enable_journaling(100_000);
+    d
 }
 
 const CASES: [Case; 3] = [
@@ -111,7 +117,7 @@ fn write_torn_journal(case: &Case) -> Vec<u8> {
     let plan = FaultPlan::aggressive(case.seed).with_crash_at(case.crash_at);
     match case.family {
         Family::Compresso(allocation) => {
-            let mut d = CompressoDevice::new(compresso_config(allocation), world(case.bench));
+            let mut d = compresso(allocation, case.bench);
             d.inject_faults(plan);
             drive(&mut d, |d, p| d.invalidate_page(p), 20_000);
             assert!(d.is_crashed(), "{}: the armed crash must fire", case.file);
@@ -174,11 +180,7 @@ fn recovered(case: &Case, bytes: &[u8]) -> String {
     writeln!(out, "  journal: {}", record_kinds(bytes)).unwrap();
     match case.family {
         Family::Compresso(allocation) => {
-            let (mut d, report) = CompressoDevice::recover(
-                compresso_config(allocation),
-                Box::new(world(case.bench)),
-                bytes,
-            );
+            let (mut d, report) = compresso(allocation, case.bench).recover(bytes);
             write_report(&mut out, &report);
             let pages = d.pages_snapshot();
             writeln!(out, "  pages: {} entries", pages.len()).unwrap();
@@ -190,7 +192,7 @@ fn recovered(case: &Case, bytes: &[u8]) -> String {
             writeln!(out, "  resumed: {:?}", d.device_stats()).unwrap();
         }
         Family::LcpAlign => {
-            let (mut d, report) = LcpDevice::recover_lcp_align(Box::new(world(case.bench)), bytes);
+            let (mut d, report) = LcpDevice::lcp_align(world(case.bench)).recover(bytes);
             write_report(&mut out, &report);
             // The recovered layouts and ownership, as the checkpoint
             // journal (the recovered device's committed state) holds them.

@@ -11,7 +11,7 @@
 //!
 //! * `parse` returns every re-framed record, and no torn tail;
 //! * `ShadowModel::replay`, `CompressoDevice::recover` (Chunks512 and
-//!   Variable4) and `LcpDevice::recover_lcp` never panic;
+//!   Variable4) and `LcpDevice::recover` never panic;
 //! * broken ownership shows up as violations: every replay violation is
 //!   in the recovery report, a page whose entry implies other blocks than
 //!   the journal grants is named, and a clean recovery equals the replay;
@@ -54,10 +54,15 @@ fn drive<B: Backend>(device: &mut B, invalidate: impl Fn(&mut B, u64), ops: u64)
     }
 }
 
-fn compresso_config(allocation: PageAllocation) -> CompressoConfig {
-    let mut cfg = CompressoConfig::durable();
-    cfg.allocation = allocation;
-    cfg
+/// A fresh journaling Compresso device with `allocation`.
+fn compresso(allocation: PageAllocation) -> CompressoDevice {
+    let cfg = CompressoConfig {
+        allocation,
+        ..CompressoConfig::compresso()
+    };
+    let mut device = CompressoDevice::new(cfg, world());
+    device.enable_journaling(100_000);
+    device
 }
 
 /// The records of two real, untorn journals: a Compresso Chunks512 run
@@ -66,8 +71,7 @@ fn compresso_config(allocation: PageAllocation) -> CompressoConfig {
 fn base_journals() -> &'static [Vec<JournalRecord>; 2] {
     static JOURNALS: OnceLock<[Vec<JournalRecord>; 2]> = OnceLock::new();
     JOURNALS.get_or_init(|| {
-        let mut compresso =
-            CompressoDevice::new(compresso_config(PageAllocation::Chunks512), world());
+        let mut compresso = compresso(PageAllocation::Chunks512);
         compresso.inject_faults(FaultPlan::aggressive(7));
         drive(&mut compresso, |d, p| d.invalidate_page(p), 1_200);
         let mut lcp = LcpDevice::lcp_align(world());
@@ -193,9 +197,8 @@ const DRIVE_OPS: u64 = 600;
 /// Checks a Compresso recovery of `bytes` against the replay `shadow`,
 /// then drives the recovered device.
 fn check_compresso(allocation: PageAllocation, shadow: &ShadowModel, bytes: &[u8]) {
-    let cfg = compresso_config(allocation);
-    let bins = cfg.bins.clone();
-    let (mut device, report) = CompressoDevice::recover(cfg, Box::new(world()), bytes);
+    let (mut device, report) = compresso(allocation).recover(bytes);
+    let bins = device.config().bins.clone();
     assert!(report.violations.starts_with(shadow.violations()));
     if allocation == PageAllocation::Chunks512 {
         for (&page, image) in shadow.pages() {
@@ -233,7 +236,7 @@ fn check_compresso(allocation: PageAllocation, shadow: &ShadowModel, bytes: &[u8
 /// Checks an LCP recovery of `bytes` against the replay `shadow`, then
 /// drives the recovered device.
 fn check_lcp(shadow: &ShadowModel, bytes: &[u8]) {
-    let (mut device, report) = LcpDevice::recover_lcp(Box::new(world()), bytes);
+    let (mut device, report) = LcpDevice::lcp(world()).recover(bytes);
     assert!(report.violations.starts_with(shadow.violations()));
     for (&page, image) in shadow.pages() {
         let PageImage::Lcp(image) = image else {
@@ -311,11 +314,7 @@ fn known_ownership_breaks_are_violations() {
         let mut mutated = records.clone();
         mutate(&mut mutated, mutation);
         let bytes = reframe(&mutated);
-        let (_, report) = CompressoDevice::recover(
-            compresso_config(PageAllocation::Chunks512),
-            Box::new(world()),
-            &bytes,
-        );
+        let (_, report) = compresso(PageAllocation::Chunks512).recover(&bytes);
         assert!(!report.is_clean(), "{name}: recovery reported no violation");
     }
 }
@@ -341,8 +340,7 @@ fn blocks_outside_the_mpa_are_violations() {
     records.push(entry);
     let bytes = reframe(&records);
     for allocation in [PageAllocation::Chunks512, PageAllocation::Variable4] {
-        let cfg = compresso_config(allocation);
-        let (_, report) = CompressoDevice::recover(cfg, Box::new(world()), &bytes);
+        let (_, report) = compresso(allocation).recover(&bytes);
         assert!(
             report.violations.iter().any(|v| v.contains("outside")),
             "{allocation:?}: {:?}",
@@ -359,7 +357,7 @@ fn blocks_outside_the_mpa_are_violations() {
         .expect("an LCP entry");
     records.push(far);
     records.push(JournalRecord::LcpEntryUpdate { page: 3, image });
-    let (_, report) = LcpDevice::recover_lcp(Box::new(world()), &reframe(&records));
+    let (_, report) = LcpDevice::lcp(world()).recover(&reframe(&records));
     assert!(
         report.violations.iter().any(|v| v.contains("outside")),
         "{:?}",
@@ -388,7 +386,7 @@ fn pages_of_no_allocator_size_are_violations() {
         bytes: 2560,
     };
 
-    let cfg = compresso_config(PageAllocation::Variable4);
+    let device = compresso(PageAllocation::Variable4);
     let meta = PageMeta {
         valid: true,
         zero: false,
@@ -398,10 +396,10 @@ fn pages_of_no_allocator_size_are_violations() {
         line_bins: [1; 64],
         inflated: Vec::new(),
     };
-    let packed = encode_metadata(&meta, &cfg.bins);
+    let packed = encode_metadata(&meta, &device.config().bins);
     let entry = JournalRecord::EntryUpdate { page: PAGE, packed };
     let bytes = reframe(&[grant.clone(), entry]);
-    let (mut device, report) = CompressoDevice::recover(cfg, Box::new(world()), &bytes);
+    let (mut device, report) = device.recover(&bytes);
     assert!(named(&report), "{:?}", report.violations);
     device.invalidate_page(PAGE);
 
@@ -416,8 +414,7 @@ fn pages_of_no_allocator_size_are_violations() {
         .expect("an LCP entry with storage");
     (image.base, image.page_bytes) = (base, 2560);
     let entry = JournalRecord::LcpEntryUpdate { page: PAGE, image };
-    let (mut device, report) =
-        LcpDevice::recover_lcp_align(Box::new(world()), &reframe(&[grant, entry]));
+    let (mut device, report) = LcpDevice::lcp_align(world()).recover(&reframe(&[grant, entry]));
     assert!(named(&report), "{:?}", report.violations);
     // Rewrite the page until it overflows: each re-plan frees the old
     // block.

@@ -13,9 +13,9 @@
 use compresso_cache_sim::Backend;
 use compresso_core::journal::{frame_boundaries, parse};
 use compresso_core::{
-    encode_metadata, CompressoConfig, CompressoDevice, DurabilityConfig, FaultConfig, FaultPlan,
-    Journal, JournalRecord, LcpDevice, LcpImage, LcpPlan, MemoryDevice, PageAllocation, PageImage,
-    PageMeta, RecoveryReport, ShadowModel,
+    encode_metadata, CompressoConfig, CompressoDevice, FaultConfig, FaultPlan, Journal,
+    JournalRecord, LcpDevice, LcpImage, LcpPlan, MemoryDevice, PageAllocation, PageImage, PageMeta,
+    RecoveryReport, ShadowModel,
 };
 use compresso_workloads::{benchmark, BenchmarkProfile, DataWorld, PAGE_BYTES};
 use std::collections::BTreeMap;
@@ -46,8 +46,13 @@ fn drive_schedule<B: Backend>(device: &mut B, invalidate: impl Fn(&mut B, u64), 
     }
 }
 
+/// Full Compresso over `bench`'s world, journaling with a scrub pass
+/// every 100k cycles.
 fn durable_device(bench: &str) -> CompressoDevice {
-    CompressoDevice::new(CompressoConfig::durable(), DataWorld::new(&profile(bench)))
+    let world = DataWorld::new(&profile(bench));
+    let mut device = CompressoDevice::new(CompressoConfig::compresso(), world);
+    device.enable_journaling(100_000);
+    device
 }
 
 /// Committed Packed images of a shadow model, in `pages_snapshot` form.
@@ -93,7 +98,6 @@ fn journaled_run_matches_shadow_model() {
 /// shadow model's replay of the same prefix, with zero violations.
 #[test]
 fn crash_at_every_record_recovers_to_shadow_state() {
-    let bench = profile("gcc");
     let mut device = durable_device("gcc");
     drive_schedule(&mut device, |d, p| d.invalidate_page(p), SCHEDULE_OPS);
     let full = device.journal_bytes().expect("journaling on").to_vec();
@@ -114,11 +118,7 @@ fn crash_at_every_record_recovers_to_shadow_state() {
         let prefix = &full[..cut];
         let (records, _) = parse(prefix);
         let (shadow, _) = ShadowModel::replay(&records);
-        let (recovered, report) = CompressoDevice::recover(
-            CompressoConfig::durable(),
-            Box::new(DataWorld::new(&bench)),
-            prefix,
-        );
+        let (recovered, report) = durable_device("gcc").recover(prefix);
         assert!(
             report.is_clean(),
             "cut at {cut}: recovery violations {:?}",
@@ -186,18 +186,10 @@ fn armed_crash_equals_journal_truncation() {
 
         // Recovery from the torn journal equals recovery from the
         // truncated reference journal.
-        let (from_torn, report_torn) = CompressoDevice::recover(
-            CompressoConfig::durable(),
-            Box::new(DataWorld::new(&profile("mcf"))),
-            torn,
-        );
+        let (from_torn, report_torn) = durable_device("mcf").recover(torn);
         assert!(report_torn.is_clean(), "{:?}", report_torn.violations);
         assert!(report_torn.torn);
-        let (from_cut, _) = CompressoDevice::recover(
-            CompressoConfig::durable(),
-            Box::new(DataWorld::new(&profile("mcf"))),
-            &full[..cut],
-        );
+        let (from_cut, _) = durable_device("mcf").recover(&full[..cut]);
         assert_eq!(from_torn.pages_snapshot(), from_cut.pages_snapshot());
         assert_eq!(from_torn.owners_snapshot(), from_cut.owners_snapshot());
 
@@ -219,11 +211,8 @@ fn recovered_device_resumes_service() {
     drive_schedule(&mut device, |d, p| d.invalidate_page(p), SCHEDULE_OPS);
     assert!(device.is_crashed());
 
-    let (mut recovered, report) = CompressoDevice::recover(
-        CompressoConfig::durable(),
-        Box::new(DataWorld::new(&profile("zeusmp"))),
-        device.journal_bytes().expect("journaling on"),
-    );
+    let (mut recovered, report) =
+        durable_device("zeusmp").recover(device.journal_bytes().expect("journaling on"));
     assert!(report.is_clean(), "{:?}", report.violations);
     assert!(report.prewarmed > 0, "journal tail prewarms the mcache");
     assert!(
@@ -250,12 +239,9 @@ fn recovered_device_resumes_service() {
 /// it from the journal's last committed copy.
 #[test]
 fn scrubber_detects_and_repairs_rot() {
-    let mut cfg = CompressoConfig::durable();
-    cfg.durability = DurabilityConfig {
-        journaling: true,
-        scrub_interval: 2_000,
-    };
-    let mut device = CompressoDevice::new(cfg, DataWorld::new(&profile("soplex")));
+    let world = DataWorld::new(&profile("soplex"));
+    let mut device = CompressoDevice::new(CompressoConfig::compresso(), world);
+    device.enable_journaling(2_000);
     let rot_only = FaultConfig {
         rot_per_mille: 400,
         ..FaultConfig::default()
@@ -309,7 +295,7 @@ fn lcp_crash_recovery_round_trips() {
     let (shadow, _) = ShadowModel::replay(&records);
 
     let (mut recovered, report) =
-        LcpDevice::recover_lcp_align(Box::new(DataWorld::new(&profile("gcc"))), torn);
+        LcpDevice::lcp_align(DataWorld::new(&profile("gcc"))).recover(torn);
     assert!(report.is_clean(), "{:?}", report.violations);
     assert_eq!(report.pages_rebuilt, shadow.pages().len());
 
@@ -361,7 +347,7 @@ fn journaling_is_transparent_to_the_demand_stream() {
 /// Variable4 (one contiguous block) and the LCP baselines.
 #[test]
 fn entry_must_own_exactly_the_journal_blocks() {
-    let world = || Box::new(DataWorld::new(&profile("gcc")));
+    let world = || DataWorld::new(&profile("gcc"));
     let journal = |records: &[JournalRecord]| {
         let mut journal = Journal::new();
         for rec in records {
@@ -377,8 +363,10 @@ fn entry_must_own_exactly_the_journal_blocks() {
     // Page 3 of a Compresso device under `allocation`: the journal
     // grants `granted`; the entry claims `chunks`.
     let compresso = |allocation, granted: &[(u64, u32)], chunks: Vec<u32>| {
-        let mut cfg = CompressoConfig::durable();
-        cfg.allocation = allocation;
+        let cfg = CompressoConfig {
+            allocation,
+            ..CompressoConfig::compresso()
+        };
         let meta = PageMeta {
             valid: true,
             zero: false,
@@ -393,7 +381,9 @@ fn entry_must_own_exactly_the_journal_blocks() {
             page: 3,
             packed: encode_metadata(&meta, &cfg.bins),
         });
-        CompressoDevice::recover(cfg, world(), &journal(&records)).1
+        CompressoDevice::new(cfg, world())
+            .recover(&journal(&records))
+            .1
     };
     // Page 3 of an LCP+Align device: the journal grants the 1 KB block
     // at 0x8000; the plan claims `page_bytes` at `base`.
@@ -412,7 +402,7 @@ fn entry_must_own_exactly_the_journal_blocks() {
             grant(0x8000, 1024),
             JournalRecord::LcpEntryUpdate { page: 3, image },
         ];
-        LcpDevice::recover_lcp_align(world(), &journal(&records)).1
+        LcpDevice::lcp_align(world()).recover(&journal(&records)).1
     };
     let chunks512 = PageAllocation::Chunks512;
     let variable4 = PageAllocation::Variable4;
@@ -469,7 +459,18 @@ fn entry_must_own_exactly_the_journal_blocks() {
 fn journaled_eight_bin_device_is_refused() {
     let cfg = CompressoConfig {
         bins: compresso_compression::BinSet::eight(),
-        ..CompressoConfig::durable()
+        ..CompressoConfig::compresso()
     };
-    let _ = CompressoDevice::new(cfg, DataWorld::new(&profile("gcc")));
+    CompressoDevice::new(cfg, DataWorld::new(&profile("gcc"))).enable_journaling(100_000);
+}
+
+/// Recovery rebuilds a device from the journal alone, so a device that
+/// has already served traffic is refused.
+#[test]
+#[should_panic(expected = "recover a freshly built device")]
+fn recovering_a_used_device_is_refused() {
+    let mut device = durable_device("gcc");
+    drive_schedule(&mut device, |d, p| d.invalidate_page(p), 10);
+    let journal = device.journal_bytes().expect("journaling on").to_vec();
+    let _ = device.recover(&journal);
 }

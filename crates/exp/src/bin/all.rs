@@ -2,8 +2,8 @@
 //! smoke test of the reproduction and of their summary renderers; the
 //! individual binaries run each artifact at full scale.
 //!
-//! `--jobs N` (or `COMPRESSO_JOBS`) parallelizes every sweep; results
-//! are bit-identical to a serial run.
+//! `--jobs N` (default: the machine's parallelism) parallelizes every
+//! sweep; results are bit-identical to a serial run.
 
 use compresso_exp::{energy_fig, fig2, fig7, movement, perf, Cli};
 use compresso_telemetry::CellMetrics;

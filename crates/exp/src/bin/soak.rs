@@ -18,13 +18,15 @@
 use compresso_cache_sim::Backend;
 use compresso_core::journal::frame_boundaries;
 use compresso_core::{
-    parse_journal, CompressoConfig, CompressoDevice, DurabilityConfig, FaultConfig, FaultPlan,
-    LcpDevice, MemoryDevice, PageImage, ShadowModel,
+    parse_journal, CompressoConfig, CompressoDevice, FaultConfig, FaultPlan, LcpDevice,
+    MemoryDevice, PageImage, ShadowModel,
 };
 use compresso_workloads::{benchmark, DataWorld, PAGE_BYTES};
 use std::collections::BTreeMap;
 
 const BENCHES: [&str; 4] = ["gcc", "mcf", "soplex", "zeusmp"];
+
+const USAGE: &str = "usage: soak [--seeds N] [--base-seed S] [--rounds R] [--out FILE]";
 
 struct SoakFailure {
     seed: u64,
@@ -68,14 +70,12 @@ fn drive<B: Backend>(device: &mut B, invalidate: impl Fn(&mut B, u64), pages: u6
     }
 }
 
-fn durable_config() -> CompressoConfig {
-    let mut cfg = CompressoConfig::durable();
-    // Scrub aggressively so rot repair exercises every soak run.
-    cfg.durability = DurabilityConfig {
-        journaling: true,
-        scrub_interval: 25_000,
-    };
-    cfg
+/// Full Compresso over `world`, journaling. It scrubs aggressively so
+/// rot repair exercises every soak run.
+fn durable_device(world: DataWorld) -> CompressoDevice {
+    let mut device = CompressoDevice::new(CompressoConfig::compresso(), world);
+    device.enable_journaling(25_000);
+    device
 }
 
 /// The per-seed fault mix: the aggressive chaos rates plus heavy rot.
@@ -126,7 +126,7 @@ fn soak_compresso(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
         })
     };
 
-    let mut device = CompressoDevice::new(durable_config(), world());
+    let mut device = durable_device(world());
     device.inject_faults(plan.clone());
     drive(&mut device, |d, p| d.invalidate_page(p), 48, rounds);
     let faults = *device.fault_stats().expect("plan attached");
@@ -140,8 +140,7 @@ fn soak_compresso(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
     let records = frame_boundaries(&torn).len() - 1;
 
     let shadow = replay_clean(&torn).map_err(|d| fail("replay-torn", d))?;
-    let (mut recovered, report) =
-        CompressoDevice::recover(durable_config(), Box::new(world()), &torn);
+    let (mut recovered, report) = durable_device(world()).recover(&torn);
     if !report.is_clean() {
         return Err(fail(
             "recover",
@@ -226,7 +225,7 @@ fn soak_lcp(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
     }
     let torn = device.journal_bytes().expect("journaling on").to_vec();
     let shadow = replay_clean(&torn).map_err(|d| fail("replay-torn", d))?;
-    let (mut recovered, report) = LcpDevice::recover_lcp_align(Box::new(world()), &torn);
+    let (mut recovered, report) = LcpDevice::lcp_align(world()).recover(&torn);
     if !report.is_clean() {
         return Err(fail(
             "recover",
@@ -253,31 +252,42 @@ fn soak_lcp(seed: u64, rounds: u64) -> Result<String, Box<SoakFailure>> {
     ))
 }
 
-fn main() {
-    let mut seeds = 8u64;
-    let mut base_seed = 1u64;
-    let mut rounds = 3u64;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
+/// Parses the arguments (without the program name) into `(seeds,
+/// base seed, rounds, repro path)`. An unknown argument, a flag without
+/// its value, or a count that is not a whole number is an error.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(u64, u64, u64, Option<String>), String> {
+    let (mut seeds, mut base_seed, mut rounds, mut out) = (8, 1, 3, None);
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        if !["--seeds", "--base-seed", "--rounds", "--out"].contains(&flag.as_str()) {
+            return Err(format!("unknown argument `{flag}`"));
+        }
+        let value = args
+            .next()
+            .ok_or_else(|| format!("`{flag}` needs a value"))?;
+        let number = || {
+            value
+                .parse()
+                .map_err(|_| format!("`{flag}` takes a whole number, not `{value}`"))
         };
-        match arg.as_str() {
-            "--seeds" => seeds = value("--seeds").parse().expect("--seeds: integer"),
-            "--base-seed" => {
-                base_seed = value("--base-seed").parse().expect("--base-seed: integer")
-            }
-            "--rounds" => rounds = value("--rounds").parse().expect("--rounds: integer"),
-            "--out" => out = Some(value("--out")),
-            other => {
-                eprintln!("usage: soak [--seeds N] [--base-seed S] [--rounds R] [--out FILE]");
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+        match flag.as_str() {
+            "--seeds" => seeds = number()?,
+            "--base-seed" => base_seed = number()?,
+            "--rounds" => rounds = number()?,
+            _ => out = Some(value),
         }
     }
+    Ok((seeds, base_seed, rounds, out))
+}
+
+fn main() {
+    let (seeds, base_seed, rounds, out) =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("soak: {e}\n{USAGE}");
+            std::process::exit(2);
+        });
 
     let mut failures = Vec::new();
     for seed in base_seed..base_seed + seeds {

@@ -19,8 +19,8 @@ const COMMON: [&str; 3] = ["--jobs", "--metrics-out", "--epoch"];
 #[derive(Debug)]
 pub struct Cli {
     name: &'static str,
-    /// How the binary's sweeps run: `--jobs` workers (else
-    /// `COMPRESSO_JOBS`, else the machine's parallelism), progress lines
+    /// How the binary's sweeps run: `--jobs` workers (else the
+    /// machine's parallelism), progress lines
     /// on stderr, and an epoch series every `--epoch` ticks, recorded only
     /// when `--metrics-out` asks for a document to hold it.
     pub opts: SweepOptions,
@@ -58,9 +58,10 @@ impl Cli {
         args: impl IntoIterator<Item = String>,
     ) -> Result<(Self, [usize; N]), String> {
         let mut values = flags.map(|(_, default)| default);
+        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut opts = SweepOptions {
             progress: true,
-            ..SweepOptions::from_env()
+            ..SweepOptions::with_jobs(jobs)
         };
         let (mut metrics_out, mut epoch) = (None, 0);
         let mut args = args.into_iter();

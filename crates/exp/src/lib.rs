@@ -26,7 +26,7 @@
 //! `--ops` counts memory operations per cycle run (per core for mixes),
 //! `--cap-ops` operations per capacity run, `--pages` pages sampled or
 //! aged per benchmark. Every figure binary also takes `--jobs N` (sweep
-//! workers, default `COMPRESSO_JOBS` or the machine's parallelism; the
+//! workers, default the machine's parallelism; the
 //! balloon demo runs no sweep), `--metrics-out <path>` and `--epoch
 //! <ticks>` (`compresso.metrics.v1` export, DESIGN.md §9); anything else
 //! exits with code 2 and the usage line. Each prints the Tab. III

@@ -20,8 +20,7 @@
 //!   failed [`CellOutcome`]; the rest of the sweep completes.
 //!
 //! The worker count comes from `--jobs N` (every figure binary, see
-//! [`Cli`](crate::Cli)), the `COMPRESSO_JOBS` environment variable, or the
-//! machine's available parallelism, in that order of precedence.
+//! [`Cli`](crate::Cli)), else the machine's available parallelism.
 
 use crate::runner::{run_profiles, RunResult, SystemKind};
 use compresso_workloads::{require_benchmark, BenchmarkProfile, UnknownBenchmark};
@@ -29,9 +28,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Environment variable controlling the default worker count.
-pub const JOBS_ENV: &str = "COMPRESSO_JOBS";
 
 /// How a sweep is executed.
 #[derive(Debug, Clone)]
@@ -58,20 +54,6 @@ impl SweepOptions {
             progress: false,
             epoch: 0,
         }
-    }
-
-    /// Worker count from `COMPRESSO_JOBS`, else available parallelism.
-    pub fn from_env() -> Self {
-        let jobs = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Self::with_jobs(jobs)
     }
 }
 

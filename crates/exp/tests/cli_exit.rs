@@ -1,6 +1,7 @@
 //! Every figure binary parses its command line through `Cli`: it accepts
 //! the common flags, and a bad argument exits with code 2 and the
-//! binary's usage line before anything runs.
+//! binary's usage line before anything runs. The `soak` harness, with
+//! flags of its own, fails the same way.
 
 use std::process::Command;
 
@@ -47,6 +48,35 @@ fn a_bad_argument_exits_2_with_usage_after_the_common_flags_parse() {
         assert!(
             stderr.contains("[--jobs N] [--metrics-out PATH] [--epoch TICKS]"),
             "{name}: {stderr}"
+        );
+    }
+}
+
+/// `soak` takes its own flags, not `Cli`'s, but fails the same way: an
+/// unknown argument, a flag without its value, and a count that is not a
+/// whole number each exit with code 2 and its usage line before any seed
+/// runs.
+#[test]
+fn soak_exits_2_with_usage_on_a_bad_argument() {
+    for (args, error) in [
+        (&["--opps"][..], "unknown argument `--opps`"),
+        (&["--seeds", "x"], "`--seeds` takes a whole number, not `x`"),
+        (&["--seeds", "1", "--rounds"], "`--rounds` needs a value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_soak"))
+            .args(args)
+            .output()
+            .expect("binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+        assert_eq!(
+            stderr,
+            format!(
+                "soak: {error}\n\
+                 usage: soak [--seeds N] [--base-seed S] [--rounds R] [--out FILE]\n"
+            ),
+            "{args:?}"
         );
     }
 }

@@ -15,9 +15,14 @@ use compresso_workloads::{benchmark, DataWorld, PAGE_BYTES};
 /// crash, cold-boot recover, drive more traffic, and fingerprint
 /// everything that could drift.
 fn recovery_fingerprint(seed: u64) -> String {
-    let world = || DataWorld::new(&benchmark("soplex").expect("paper benchmark"));
+    let durable = || {
+        let world = DataWorld::new(&benchmark("soplex").expect("paper benchmark"));
+        let mut device = CompressoDevice::new(CompressoConfig::compresso(), world);
+        device.enable_journaling(100_000);
+        device
+    };
     let crash_at = 50 + (seed.wrapping_mul(131)) % 200;
-    let mut device = CompressoDevice::new(CompressoConfig::durable(), world());
+    let mut device = durable();
     let cfg = FaultConfig {
         rot_per_mille: 60,
         ..FaultConfig::aggressive()
@@ -35,8 +40,7 @@ fn recovery_fingerprint(seed: u64) -> String {
     assert!(device.is_crashed(), "seed {seed}: crash must fire");
     let torn = device.journal_bytes().expect("journaling on").to_vec();
 
-    let (mut recovered, report) =
-        CompressoDevice::recover(CompressoConfig::durable(), Box::new(world()), &torn);
+    let (mut recovered, report) = durable().recover(&torn);
     for i in 0..500u64 {
         let addr = ((i * 11) % 40) * PAGE_BYTES + ((i * 17) % 64) * 64;
         t = recovered.fill(t, addr).max(t);

@@ -78,12 +78,36 @@ pub fn full_run(profile: &BenchmarkProfile, base_ratio: f64, n: usize) -> Vec<In
         .collect()
 }
 
-fn bbv_distance(a: &[f64; 8], b: &[f64; 8]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
+/// The index of the first of `features` at the least Euclidean distance
+/// from their mean (single-cluster SimPoint over any feature vector).
+///
+/// # Panics
+///
+/// Panics if `features` is empty.
+fn nearest_to_mean<const N: usize>(features: &[[f64; N]]) -> usize {
+    assert!(!features.is_empty(), "need at least one interval");
+    let mut mean = [0.0f64; N];
+    for f in features {
+        for (m, v) in mean.iter_mut().zip(f) {
+            *m += v;
+        }
+    }
+    for m in mean.iter_mut() {
+        *m /= features.len() as f64;
+    }
+    let dist = |f: &[f64; N]| -> f64 {
+        f.iter()
+            .zip(&mean)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt()
+    };
+    features
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| dist(a).partial_cmp(&dist(b)).expect("finite distances"))
+        .map(|(i, _)| i)
+        .expect("nonempty")
 }
 
 /// SimPoint-style selection: the interval whose BBV is closest to the
@@ -93,24 +117,8 @@ fn bbv_distance(a: &[f64; 8], b: &[f64; 8]) -> f64 {
 ///
 /// Panics if `intervals` is empty.
 pub fn simpoint(intervals: &[Interval]) -> &Interval {
-    assert!(!intervals.is_empty(), "need at least one interval");
-    let mut mean = [0.0f64; 8];
-    for iv in intervals {
-        for (m, v) in mean.iter_mut().zip(&iv.bbv) {
-            *m += v;
-        }
-    }
-    for m in mean.iter_mut() {
-        *m /= intervals.len() as f64;
-    }
-    intervals
-        .iter()
-        .min_by(|a, b| {
-            bbv_distance(&a.bbv, &mean)
-                .partial_cmp(&bbv_distance(&b.bbv, &mean))
-                .expect("finite distances")
-        })
-        .expect("nonempty")
+    let bbvs: Vec<[f64; 8]> = intervals.iter().map(|iv| iv.bbv).collect();
+    &intervals[nearest_to_mean(&bbvs)]
 }
 
 /// CompressPoint selection: augments the BBV with normalized compression
@@ -121,7 +129,6 @@ pub fn simpoint(intervals: &[Interval]) -> &Interval {
 ///
 /// Panics if `intervals` is empty.
 pub fn compresspoint(intervals: &[Interval]) -> &Interval {
-    assert!(!intervals.is_empty(), "need at least one interval");
     let max_ratio = intervals
         .iter()
         .map(|i| i.compression_ratio)
@@ -141,29 +148,7 @@ pub fn compresspoint(intervals: &[Interval]) -> &Interval {
             f
         })
         .collect();
-    let mut mean = [0.0f64; 11];
-    for f in &features {
-        for (m, v) in mean.iter_mut().zip(f) {
-            *m += v;
-        }
-    }
-    for m in mean.iter_mut() {
-        *m /= features.len() as f64;
-    }
-    let dist = |f: &[f64; 11]| -> f64 {
-        f.iter()
-            .zip(&mean)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    };
-    let best = features
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| dist(a).partial_cmp(&dist(b)).expect("finite"))
-        .map(|(i, _)| i)
-        .expect("nonempty");
-    &intervals[best]
+    &intervals[nearest_to_mean(&features)]
 }
 
 /// Mean compression ratio over the whole run (ground truth the selected

@@ -16,7 +16,7 @@ use compresso_workloads::{all_benchmarks, benchmark, compresspoint, full_run, si
 /// (paper: 1.85x; we accept > 1.5x at sampled scale).
 #[test]
 fn claim_bpc_average_ratio() {
-    let (rows, _) = fig2::fig2(60, &SweepOptions::from_env());
+    let (rows, _) = fig2::fig2(60, &SweepOptions::with_jobs(2));
     let avg = fig2::average(&rows);
     assert!(
         avg.bpc_linepack > 1.5,
@@ -29,7 +29,7 @@ fn claim_bpc_average_ratio() {
 /// BDI, because BPC produces size-diverse lines.
 #[test]
 fn claim_lcp_loss_asymmetry() {
-    let (rows, _) = fig2::fig2(60, &SweepOptions::from_env());
+    let (rows, _) = fig2::fig2(60, &SweepOptions::with_jobs(2));
     let avg = fig2::average(&rows);
     let bpc_loss = 1.0 - avg.bpc_lcp / avg.bpc_linepack;
     let bdi_loss = 1.0 - avg.bdi_lcp / avg.bdi_linepack;
