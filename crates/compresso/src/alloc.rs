@@ -4,7 +4,9 @@
 //! ([`ChunkAllocator`]); the comparison scheme allocates variable-sized
 //! chunks of 4 sizes ([`BuddyAllocator`], a binary buddy over 4 KB
 //! blocks, which is how a real controller would avoid unbounded
-//! fragmentation).
+//! fragmentation). The crate-private `PageAllocator`, in the controller
+//! both compressed devices share, owns a device's page storage under
+//! either scheme (Compresso's configured one, Variable4 for LCP).
 //!
 //! Both allocators are lazy: they keep only the blocks freed so far plus
 //! a watermark below which every block has been handed out at least
@@ -13,8 +15,12 @@
 //! lowest-first: freed blocks are reused last-in first-out, and only
 //! then is the lowest never-used block taken.
 
+use crate::config::PageAllocation;
+use crate::durability::Blocks;
 use crate::error::CompressoError;
+use crate::faultkit::Faults;
 use crate::metadata::CHUNK_BYTES;
+use crate::stats::DeviceEvents;
 use compresso_telemetry::{Gauge, Registry};
 
 /// Error returned when the machine physical space is exhausted — the
@@ -39,8 +45,6 @@ pub struct ChunkAllocator {
     /// Chunks `fresh..total` have never been handed out.
     fresh: u32,
     total: u32,
-    /// Telemetry mirror of `used_bytes()`.
-    used_gauge: Gauge,
 }
 
 impl ChunkAllocator {
@@ -62,20 +66,7 @@ impl ChunkAllocator {
             .rev()
             .filter(|c| !owned_set.contains(c))
             .collect();
-        let a = Self {
-            free,
-            fresh,
-            total,
-            used_gauge: Gauge::new(),
-        };
-        a.used_gauge.set(a.used_bytes() as i64);
-        a
-    }
-
-    /// Registers the allocator's in-use level under `prefix`
-    /// (`{prefix}.used_bytes`).
-    pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.register_gauge(&format!("{prefix}.used_bytes"), &self.used_gauge);
+        Self { free, fresh, total }
     }
 
     /// Allocates one chunk, returning its frame number.
@@ -92,7 +83,6 @@ impl ChunkAllocator {
             }
             None => return Err(OutOfMpaSpace),
         };
-        self.used_gauge.set(self.used_bytes() as i64);
         Ok(chunk)
     }
 
@@ -100,7 +90,6 @@ impl ChunkAllocator {
     pub fn free(&mut self, chunk: u32) {
         debug_assert!(chunk < self.total);
         self.free.push(chunk);
-        self.used_gauge.set(self.used_bytes() as i64);
     }
 
     /// Chunks currently allocated.
@@ -117,11 +106,6 @@ impl ChunkAllocator {
     pub fn capacity_bytes(&self) -> u64 {
         self.total as u64 * CHUNK_BYTES as u64
     }
-
-    /// The MPA byte address of a chunk.
-    pub fn chunk_addr(chunk: u32) -> u64 {
-        chunk as u64 * CHUNK_BYTES as u64
-    }
 }
 
 /// Binary buddy allocator over 4 KB blocks offering the 4 variable sizes
@@ -134,10 +118,7 @@ pub struct BuddyAllocator {
     /// 4 KB blocks `fresh..blocks` have never been handed out.
     fresh: u64,
     blocks: u64,
-    capacity: u64,
     used: u64,
-    /// Telemetry mirror of `used_bytes()`.
-    used_gauge: Gauge,
 }
 
 impl BuddyAllocator {
@@ -189,22 +170,12 @@ impl BuddyAllocator {
         for list in free.iter_mut() {
             list.reverse();
         }
-        let a = Self {
+        Self {
             free,
             fresh,
             blocks,
-            capacity: blocks * 4096,
             used,
-            used_gauge: Gauge::new(),
-        };
-        a.used_gauge.set(a.used as i64);
-        a
-    }
-
-    /// Registers the allocator's in-use level under `prefix`
-    /// (`{prefix}.used_bytes`).
-    pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        registry.register_gauge(&format!("{prefix}.used_bytes"), &self.used_gauge);
+        }
     }
 
     fn order_of(bytes: u32) -> Result<usize, CompressoError> {
@@ -265,7 +236,6 @@ impl BuddyAllocator {
             self.free[order].push(buddy);
         }
         self.used += Self::order_bytes(want);
-        self.used_gauge.set(self.used as i64);
         Ok(addr)
     }
 
@@ -281,7 +251,6 @@ impl BuddyAllocator {
             Self::order_of(Self::round_up(bytes)).expect("round_up yields a supported size")
         });
         self.used -= Self::order_bytes(order);
-        self.used_gauge.set(self.used as i64);
         let mut addr = addr;
         while order < 3 {
             let buddy = addr ^ Self::order_bytes(order);
@@ -303,7 +272,177 @@ impl BuddyAllocator {
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
+        self.blocks * 4096
+    }
+}
+
+/// The MPA byte address of chunk frame `chunk`.
+pub(crate) fn chunk_addr(chunk: u32) -> u64 {
+    chunk as u64 * CHUNK_BYTES as u64
+}
+
+/// The chunk frames of the contiguous block at MPA `base` holding
+/// `bytes` (none for 0 bytes).
+pub(crate) fn block_chunks(base: u64, bytes: u32) -> Vec<u32> {
+    let first = (base / CHUNK_BYTES as u64) as u32;
+    (first..first + bytes.div_ceil(CHUNK_BYTES)).collect()
+}
+
+/// The allocator a [`PageAllocation`] draws from: Chunks512 pages hold
+/// 1–8 chunks anywhere, Variable4 pages one block.
+enum Pool {
+    Chunks(ChunkAllocator),
+    Blocks(BuddyAllocator),
+}
+
+/// A device's page storage (§II-D): grants, resizes, releases and
+/// rebuilds each page's *holding* (the chunk frames covering its logical
+/// bytes in order, and its allocation size) and mirrors the bytes in use
+/// in a gauge.
+pub(crate) struct PageAllocator {
+    allocation: PageAllocation,
+    pool: Pool,
+    /// The MPA bytes the device was built with: recovery refuses a
+    /// block past it.
+    pub capacity: u64,
+    used_gauge: Gauge,
+}
+
+impl PageAllocator {
+    /// An empty allocator for `allocation` over `capacity` bytes of MPA.
+    pub fn new(allocation: PageAllocation, capacity: u64) -> Self {
+        let pool = match allocation {
+            PageAllocation::Chunks512 => Pool::Chunks(ChunkAllocator::new(capacity)),
+            PageAllocation::Variable4 => Pool::Blocks(BuddyAllocator::new(capacity)),
+        };
+        Self {
+            allocation,
+            pool,
+            capacity,
+            used_gauge: Gauge::new(),
+        }
+    }
+
+    /// Registers the in-use level under `prefix` (`{prefix}.used_bytes`).
+    pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
+        registry.register_gauge(&format!("{prefix}.used_bytes"), &self.used_gauge);
+    }
+
+    /// Bytes currently allocated.
+    pub fn used_bytes(&self) -> u64 {
+        match &self.pool {
+            Pool::Chunks(a) => a.used_bytes(),
+            Pool::Blocks(a) => a.used_bytes(),
+        }
+    }
+
+    /// Grants (from an empty holding) or resizes the holding `held` of
+    /// `held_bytes` to `new_bytes`, drawing each chunk or block through
+    /// `faults`' bounded retry, and returns the new holding's frames.
+    /// Chunks512 keeps the chunk prefix; Variable4 allocates the new
+    /// block before freeing the old one. On failure the old holding is
+    /// intact and any chunks granted so far are free again.
+    pub fn realloc(
+        &mut self,
+        faults: &mut Faults,
+        events: &mut DeviceEvents,
+        held: &[u32],
+        held_bytes: u32,
+        new_bytes: u32,
+    ) -> Result<Vec<u32>, CompressoError> {
+        let resized = match &mut self.pool {
+            Pool::Chunks(a) => {
+                let mut chunks = held.to_vec();
+                let want = new_bytes.div_ceil(CHUNK_BYTES) as usize;
+                while chunks.len() < want {
+                    match faults.alloc_with_retry(events, || Ok(a.alloc()?)) {
+                        Ok(c) => chunks.push(c),
+                        Err(e) => {
+                            // A grant from nothing is freed in grant
+                            // order, a resize's last-granted first. The
+                            // two orders leave the LIFO free list apart,
+                            // and the device fingerprint pins both.
+                            let mut granted = chunks.split_off(held.len());
+                            if !held.is_empty() {
+                                granted.reverse();
+                            }
+                            granted.into_iter().for_each(|c| a.free(c));
+                            return Err(e);
+                        }
+                    }
+                }
+                chunks.drain(want..).rev().for_each(|c| a.free(c));
+                chunks
+            }
+            Pool::Blocks(a) => {
+                let block = match new_bytes {
+                    0 => Vec::new(),
+                    _ => block_chunks(
+                        faults.alloc_with_retry(events, || a.alloc(new_bytes))?,
+                        new_bytes,
+                    ),
+                };
+                self.release(held, held_bytes);
+                return Ok(block);
+            }
+        };
+        self.used_gauge.set(self.used_bytes() as i64);
+        Ok(resized)
+    }
+
+    /// Frees the holding `held` of `held_bytes`.
+    pub fn release(&mut self, held: &[u32], held_bytes: u32) {
+        match &mut self.pool {
+            Pool::Chunks(a) => held.iter().for_each(|&c| a.free(c)),
+            Pool::Blocks(a) => {
+                if let Some(&first) = held.first() {
+                    a.free(chunk_addr(first), held_bytes);
+                }
+            }
+        }
+        self.used_gauge.set(self.used_bytes() as i64);
+    }
+
+    /// The MPA blocks the holding `held` implies: one per 512 B chunk
+    /// (Chunks512) or per run of adjacent chunks (Variable4, whose live
+    /// holdings are one run).
+    pub fn blocks(&self, held: &[u32]) -> Blocks {
+        let runs = matches!(self.pool, Pool::Blocks(_));
+        let mut blocks: Blocks = Vec::new();
+        for addr in held.iter().map(|&c| chunk_addr(c)) {
+            match blocks.last_mut() {
+                Some((at, len)) if runs && *at + *len as u64 == addr => *len += CHUNK_BYTES,
+                _ => blocks.push((addr, CHUNK_BYTES)),
+            }
+        }
+        blocks
+    }
+
+    /// Recovery's size rule: a page holds no storage or one of the
+    /// allocation's page sizes, which is all the allocator can free.
+    /// Returns the violation, naming the page, if not.
+    pub fn check_page_size(&self, page: u64, bytes: u32) -> Option<String> {
+        let sizes = self.allocation;
+        (bytes != 0 && !sizes.page_sizes().contains(&bytes))
+            .then(|| format!("page {page}: {bytes} B is not a {sizes:?} page size"))
+    }
+
+    /// Rebuilds the allocator in place around `granted`, the blocks of
+    /// each adopted page (the cold-boot recovery path; a Variable4 page
+    /// holds its first block). The gauge keeps its registered handle.
+    pub fn rebuild(&mut self, granted: &[Blocks]) {
+        self.pool = match self.pool {
+            Pool::Chunks(_) => {
+                let owned = granted.iter().flatten();
+                let chunks: Vec<u32> = owned.map(|&(addr, _)| (addr / 512) as u32).collect();
+                Pool::Chunks(ChunkAllocator::rebuild(self.capacity, &chunks))
+            }
+            Pool::Blocks(_) => {
+                let blocks: Blocks = granted.iter().filter_map(|b| b.first().copied()).collect();
+                Pool::Blocks(BuddyAllocator::rebuild(self.capacity, &blocks))
+            }
+        };
+        self.used_gauge.set(self.used_bytes() as i64);
     }
 }
 
@@ -335,8 +474,8 @@ mod tests {
 
     #[test]
     fn chunk_addresses() {
-        assert_eq!(ChunkAllocator::chunk_addr(0), 0);
-        assert_eq!(ChunkAllocator::chunk_addr(3), 1536);
+        assert_eq!(chunk_addr(0), 0);
+        assert_eq!(chunk_addr(3), 1536);
     }
 
     #[test]
@@ -584,5 +723,112 @@ mod tests {
         assert_eq!(rebuilt.capacity_bytes(), fresh.capacity_bytes());
         assert_eq!(rebuilt.alloc(4096).unwrap(), fresh.alloc(4096).unwrap());
         assert_eq!(rebuilt.alloc(4096).unwrap(), fresh.alloc(4096).unwrap());
+    }
+
+    /// A page allocator over `chunks` 512 B chunks, with no fault plan.
+    fn page_allocator(allocation: PageAllocation, chunks: u64) -> PageAllocator {
+        PageAllocator::new(allocation, chunks * CHUNK_BYTES as u64)
+    }
+
+    #[test]
+    fn page_allocator_rolls_a_partial_chunk_grant_back() {
+        let (mut faults, mut events) = (Faults::default(), DeviceEvents::default());
+        // Page A holds chunks 0 and 1 of a 4-chunk MPA; chunks 2 and 3
+        // are next.
+        let with_page_a = || {
+            let mut a = page_allocator(PageAllocation::Chunks512, 4);
+            let (mut faults, mut events) = (Faults::default(), DeviceEvents::default());
+            assert_eq!(
+                a.realloc(&mut faults, &mut events, &[], 0, 1024).unwrap(),
+                [0, 1]
+            );
+            a
+        };
+
+        // Growing A to 4 KB gets chunks 2 and 3, then runs out: they go
+        // back last-granted first, so the next grant sees 2 then 3.
+        let mut a = with_page_a();
+        let out = a.realloc(&mut faults, &mut events, &[0, 1], 1024, 4096);
+        assert_eq!(out, Err(CompressoError::OutOfMpaSpace));
+        assert_eq!(a.used_bytes(), 1024);
+        assert_eq!(
+            a.realloc(&mut faults, &mut events, &[], 0, 1024).unwrap(),
+            [2, 3]
+        );
+
+        // A 4 KB grant from nothing runs out the same way, but its chunks
+        // go back in grant order, so the next grant sees 3 then 2.
+        let mut b = with_page_a();
+        let out = b.realloc(&mut faults, &mut events, &[], 0, 4096);
+        assert_eq!(out, Err(CompressoError::OutOfMpaSpace));
+        assert_eq!(b.used_bytes(), 1024);
+        assert_eq!(
+            b.realloc(&mut faults, &mut events, &[], 0, 1024).unwrap(),
+            [3, 2]
+        );
+        assert_eq!(events.alloc_failures.get(), 2);
+        assert_eq!(events.alloc_retries.get(), 0);
+
+        // Shrinking frees the tail; releasing frees the rest.
+        assert_eq!(
+            a.realloc(&mut faults, &mut events, &[0, 1], 1024, 512)
+                .unwrap(),
+            [0]
+        );
+        a.release(&[0], 512);
+        assert_eq!(a.used_bytes(), 1024);
+    }
+
+    #[test]
+    fn page_allocator_keeps_a_block_whose_resize_is_refused() {
+        let (mut faults, mut events) = (Faults::default(), DeviceEvents::default());
+        // One 4 KB block: a 512 B page splits it.
+        let mut a = page_allocator(PageAllocation::Variable4, 8);
+        let held = a.realloc(&mut faults, &mut events, &[], 0, 512).unwrap();
+        assert_eq!(held, [0]);
+        assert_eq!(a.blocks(&held), [(0, 512)]);
+
+        // No 4 KB block is left: the page keeps its 512 B block.
+        let out = a.realloc(&mut faults, &mut events, &held, 512, 4096);
+        assert_eq!(out, Err(CompressoError::OutOfMpaSpace));
+        assert_eq!(a.used_bytes(), 512);
+        assert_eq!(events.alloc_failures.get(), 1);
+
+        // The split buddies are granted as before; a 1 KB page is one
+        // block of two adjacent chunks.
+        let grown = a
+            .realloc(&mut faults, &mut events, &held, 512, 1024)
+            .unwrap();
+        assert_eq!(grown, [2, 3]);
+        assert_eq!(a.blocks(&grown), [(1024, 1024)]);
+        assert_eq!(
+            a.realloc(&mut faults, &mut events, &[], 0, 2048).unwrap(),
+            [4, 5, 6, 7]
+        );
+        assert_eq!(a.used_bytes(), 3072);
+    }
+
+    #[test]
+    fn page_allocator_rebuilds_in_place() {
+        let registry = Registry::new();
+        let mut a = page_allocator(PageAllocation::Chunks512, 8);
+        a.register_metrics(&registry, "alloc");
+        a.rebuild(&[vec![(512, 512)], vec![(1536, 512), (2048, 512)]]);
+        assert_eq!(a.used_bytes(), 1536);
+        assert_eq!(registry.snapshot().gauge("alloc.used_bytes"), Some(1536));
+        let (mut faults, mut events) = (Faults::default(), DeviceEvents::default());
+        let next = a.realloc(&mut faults, &mut events, &[], 0, 1536).unwrap();
+        assert_eq!(next, [0, 2, 5]);
+        assert_eq!(registry.snapshot().gauge("alloc.used_bytes"), Some(3072));
+
+        let mut b = page_allocator(PageAllocation::Variable4, 16);
+        b.register_metrics(&registry, "alloc");
+        b.rebuild(&[vec![(0, 1024)]]);
+        assert_eq!(registry.snapshot().gauge("alloc.used_bytes"), Some(1024));
+        assert_eq!(
+            b.check_page_size(7, 1536).as_deref(),
+            Some("page 7: 1536 B is not a Variable4 page size")
+        );
+        assert_eq!(a.check_page_size(7, 1536), None);
     }
 }

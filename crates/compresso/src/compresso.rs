@@ -1,14 +1,13 @@
 //! The Compresso device: OS-transparent compressed main memory with all
 //! five data-movement optimizations (§III–§V).
 
-use crate::alloc::{BuddyAllocator, ChunkAllocator};
+use crate::alloc::{chunk_addr, PageAllocator};
 use crate::config::{CompressoConfig, PageAllocation};
 use crate::controller::{
     self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY, OFFSET_CALC_LATENCY,
 };
 use crate::device::{LineSizes, MemoryDevice};
-use crate::durability::{self, check_ownership, check_page_size, Blocks, Layout, Recover};
-use crate::error::CompressoError;
+use crate::durability::{self, check_ownership, Layout, Recover};
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{PageImage, RecoveryReport};
 use crate::metadata::{
@@ -23,20 +22,6 @@ use compresso_mem_sim::MemStats;
 use compresso_telemetry::Registry;
 use compresso_workloads::{AddrMap, LineSource};
 use std::collections::BTreeMap;
-
-enum Allocator {
-    Chunks(ChunkAllocator),
-    Buddy(BuddyAllocator),
-}
-
-impl Allocator {
-    fn used_bytes(&self) -> u64 {
-        match self {
-            Allocator::Chunks(a) => a.used_bytes(),
-            Allocator::Buddy(a) => a.used_bytes(),
-        }
-    }
-}
 
 /// One touched OSPA page: its metadata entry plus the stored sizes of
 /// its lines (see [`crate::device`]). The sizes are not part of the
@@ -58,7 +43,7 @@ fn bursts(chunks: &[u32], offset: u32, size: u32) -> impl ExactSizeIterator<Item
     controller::units(offset, size).map(move |unit| {
         let logical = unit * 64;
         let chunk = chunks[(logical / CHUNK_BYTES) as usize];
-        ChunkAllocator::chunk_addr(chunk) + (logical % CHUNK_BYTES) as u64
+        chunk_addr(chunk) + (logical % CHUNK_BYTES) as u64
     })
 }
 
@@ -75,34 +60,12 @@ fn quantize_page(sizes: &LineSizes, bins: &BinSet) -> ([u8; LINES_PER_PAGE], u32
     (codes, bytes)
 }
 
-/// The MPA blocks a page with entry `meta` owns: one `(addr, bytes)`
-/// pair per 512 B chunk (Chunks512) or per run of adjacent chunks
-/// (Variable4, whose live pages are one contiguous block).
-fn blocks_of(meta: &PageMeta, allocation: PageAllocation) -> Blocks {
-    let runs = allocation == PageAllocation::Variable4;
-    let mut blocks: Blocks = Vec::new();
-    for addr in meta.chunks.iter().map(|&c| ChunkAllocator::chunk_addr(c)) {
-        match blocks.last_mut() {
-            Some((base, bytes)) if runs && *base + *bytes as u64 == addr => *bytes += CHUNK_BYTES,
-            _ => blocks.push((addr, CHUNK_BYTES)),
-        }
-    }
-    blocks
-}
-
 /// The committed layout of a page with entry `meta`: its packed entry
-/// and the blocks it owns (`None` if the entry cannot be packed).
-fn layout(meta: &PageMeta, cfg: &CompressoConfig) -> Option<Layout> {
+/// and the blocks `alloc` says it holds (`None` if the entry cannot be
+/// packed).
+fn layout(meta: &PageMeta, cfg: &CompressoConfig, alloc: &PageAllocator) -> Option<Layout> {
     let packed = metadata_codec::try_encode(meta, &cfg.bins).ok()?;
-    Some((PageImage::Packed(packed), blocks_of(meta, cfg.allocation)))
-}
-
-/// Chunk frame numbers of a contiguous block at MPA `base` holding
-/// `bytes` (a Variable4 page's allocation).
-fn block_chunks(base: u64, bytes: u32) -> Vec<u32> {
-    (0..bytes.div_ceil(CHUNK_BYTES))
-        .map(|i| (base / CHUNK_BYTES as u64) as u32 + i)
-        .collect()
+    Some((PageImage::Packed(packed), alloc.blocks(&meta.chunks)))
 }
 
 /// Compresso: compressed main memory implemented entirely in the memory
@@ -111,7 +74,6 @@ pub struct CompressoDevice {
     cfg: CompressoConfig,
     ctl: Controller,
     pages: AddrMap<Page>,
-    alloc: Allocator,
     predictor: OverflowPredictor,
 }
 
@@ -166,21 +128,21 @@ impl CompressoDevice {
     /// Creates a Compresso device over `world` with `config`, not
     /// journaling (the paper's controller).
     pub fn new(config: CompressoConfig, world: impl LineSource + 'static) -> Self {
-        let alloc = match config.allocation {
-            PageAllocation::Chunks512 => {
-                Allocator::Chunks(ChunkAllocator::new(config.mpa_capacity))
-            }
-            PageAllocation::Variable4 => Allocator::Buddy(BuddyAllocator::new(config.mpa_capacity)),
-        };
-        let device = Self {
-            ctl: Controller::new(Box::new(world), config.mcache_half_entries),
+        let ctl = Controller::new(
+            Box::new(world),
+            "compresso",
+            config.mcache_half_entries,
+            config.allocation,
+            config.mpa_capacity,
+        );
+        let predictor = OverflowPredictor::new();
+        predictor.register_metrics(&ctl.registry, "predictor");
+        Self {
+            ctl,
             cfg: config,
             pages: AddrMap::default(),
-            alloc,
-            predictor: OverflowPredictor::new(),
-        };
-        device.register_all_metrics();
-        device
+            predictor,
+        }
     }
 
     /// Turns on the crash-consistency layer (DESIGN.md §10): write-ahead
@@ -203,18 +165,6 @@ impl CompressoDevice {
             bins.code_bits(),
         );
         self.ctl.enable_journaling(scrub_interval);
-    }
-
-    /// Registers every subsystem's metrics into this device's registry
-    /// under the DESIGN.md §9 prefixes.
-    fn register_all_metrics(&self) {
-        let registry = &self.ctl.registry;
-        self.ctl.register_metrics("compresso");
-        self.predictor.register_metrics(registry, "predictor");
-        match &self.alloc {
-            Allocator::Chunks(a) => a.register_metrics(registry, "alloc"),
-            Allocator::Buddy(a) => a.register_metrics(registry, "alloc"),
-        }
     }
 
     /// Attaches a deterministic fault-injection plan. The default is
@@ -265,14 +215,14 @@ impl CompressoDevice {
             return;
         }
         if let Some(Page { meta, .. }) = self.pages.remove(&page) {
-            self.release_chunks(&meta);
+            self.ctl.alloc.release(&meta.chunks, meta.page_bytes);
         }
     }
 
     /// Reports `page`'s new layout to the durability owner.
     fn commit_meta(&mut self, page: u64) {
         self.ctl
-            .commit(page, || layout(&self.pages.get(&page)?.meta, &self.cfg));
+            .commit(page, |a| layout(&self.pages.get(&page)?.meta, &self.cfg, a));
     }
 
     /// Raw bytes of the write-ahead journal (what survives a crash), if
@@ -351,8 +301,7 @@ impl CompressoDevice {
     pub fn recover(mut self, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
         assert!(self.pages.is_empty(), "recover a freshly built device");
         self.enable_journaling(0);
-        let capacity = self.cfg.mpa_capacity;
-        durability::recover(self, capacity, journal_bytes)
+        durability::recover(self, journal_bytes)
     }
 
     // ------------------------------------------------------------------
@@ -372,88 +321,6 @@ impl CompressoDevice {
         bins
     }
 
-    /// Allocates backing storage of `bytes` for a page that holds none,
-    /// returning chunk frame numbers covering the logical page in order.
-    /// On failure no storage is held (partial chunk grants are released
-    /// in grant order).
-    fn allocate_page(&mut self, bytes: u32) -> Result<Vec<u32>, CompressoError> {
-        let Allocator::Chunks(a) = &mut self.alloc else {
-            return self.resize_page(&PageMeta::zero_page(), bytes);
-        };
-        let Controller { faults, stats, .. } = &mut self.ctl;
-        let mut chunks = Vec::new();
-        for _ in 0..bytes.div_ceil(CHUNK_BYTES) {
-            match faults.alloc_with_retry(stats, || Ok(a.alloc()?)) {
-                Ok(c) => chunks.push(c),
-                Err(e) => {
-                    for c in chunks {
-                        a.free(c);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(chunks)
-    }
-
-    fn release_chunks(&mut self, meta: &PageMeta) {
-        match &mut self.alloc {
-            Allocator::Chunks(a) => {
-                for &c in &meta.chunks {
-                    a.free(c);
-                }
-            }
-            Allocator::Buddy(a) => {
-                if let Some(&first) = meta.chunks.first() {
-                    a.free(ChunkAllocator::chunk_addr(first), meta.page_bytes);
-                }
-            }
-        }
-    }
-
-    /// Grows (or shrinks) the allocation of a page with entry `meta` to
-    /// `new_bytes`, preserving the chunk prefix where possible
-    /// (Chunks512) or reallocating its block (Variable4). Returns the new
-    /// chunk list. On failure the page's existing allocation is left
-    /// untouched (partial chunk grants are rolled back), so every caller
-    /// can keep the old layout as its degraded fallback.
-    fn resize_page(&mut self, meta: &PageMeta, new_bytes: u32) -> Result<Vec<u32>, CompressoError> {
-        let Controller { faults, stats, .. } = &mut self.ctl;
-        match &mut self.alloc {
-            Allocator::Chunks(a) => {
-                let mut chunks = meta.chunks.clone();
-                let want = new_bytes.div_ceil(CHUNK_BYTES) as usize;
-                while chunks.len() < want {
-                    match faults.alloc_with_retry(stats, || Ok(a.alloc()?)) {
-                        Ok(c) => chunks.push(c),
-                        Err(e) => {
-                            while chunks.len() > meta.chunks.len() {
-                                a.free(chunks.pop().expect("nonempty"));
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                while chunks.len() > want {
-                    a.free(chunks.pop().expect("nonempty"));
-                }
-                Ok(chunks)
-            }
-            Allocator::Buddy(a) => {
-                // Allocate the new block before freeing the old one, so a
-                // refused allocation leaves the page's layout intact.
-                let new_base = match new_bytes {
-                    0 => None,
-                    _ => Some(faults.alloc_with_retry(stats, || a.alloc(new_bytes))?),
-                };
-                if let Some(&first) = meta.chunks.first() {
-                    a.free(ChunkAllocator::chunk_addr(first), meta.page_bytes.max(512));
-                }
-                Ok(new_base.map_or_else(Vec::new, |base| block_chunks(base, new_bytes)))
-            }
-        }
-    }
-
     /// First touch of a page: compute all line bins and allocate storage.
     /// Initialization is not charged to the measured access stream (the
     /// uncompressed baseline faults pages in outside the window too).
@@ -471,7 +338,7 @@ impl CompressoDevice {
             // half-entry optimization (§IV-B5).
             let compressed = data_bytes < PAGE_BYTES;
             let page_bytes = self.cfg.allocation.fit(data_bytes);
-            match self.allocate_page(page_bytes) {
+            match self.ctl.realloc(&[], 0, page_bytes) {
                 Ok(chunks) => PageMeta {
                     valid: true,
                     zero: false,
@@ -529,7 +396,7 @@ impl CompressoDevice {
             // Already stored raw: rebuilding the entry is metadata-only.
             return now;
         }
-        match self.resize_page(&meta, PAGE_BYTES) {
+        match self.ctl.realloc(&meta.chunks, meta.page_bytes, PAGE_BYTES) {
             Ok(chunks) => {
                 let moves = meta.used_bytes(&self.cfg.bins).div_ceil(64) + LINES_PER_PAGE as u32;
                 let t = self.ctl.move_page(now, page, moves, true);
@@ -541,7 +408,7 @@ impl CompressoDevice {
                 // No room even for the raw frame: drop to the zero state
                 // and release the held storage; the next writeback with
                 // real data reallocates.
-                self.release_chunks(&meta);
+                self.ctl.alloc.release(&meta.chunks, meta.page_bytes);
                 self.pages.get_mut(&page).expect("cloned above").meta = PageMeta::zero_page();
                 self.commit_meta(page);
                 now
@@ -610,12 +477,12 @@ impl CompressoDevice {
         let bins = self.stored_bins(page);
         // Resize first: a refused allocation must leave the page (and the
         // stats) untouched — the repack simply does not happen.
-        let old_meta = self.pages[&page].meta.clone();
-        let Ok(chunks) = self.resize_page(&old_meta, new_bytes) else {
+        let old = &self.pages[&page].meta;
+        let Ok(chunks) = self.ctl.realloc(&old.chunks, old.page_bytes, new_bytes) else {
             return;
         };
         // Movement: read the live data, write it repacked.
-        let moves = old_meta.used_bytes(&self.cfg.bins).div_ceil(64) + new_data.div_ceil(64);
+        let moves = old.used_bytes(&self.cfg.bins).div_ceil(64) + new_data.div_ceil(64);
         self.ctl.move_page(now, page, moves, false);
         self.ctl.stats.repack_extra += moves as u64;
         self.ctl.stats.repacks += 1;
@@ -624,7 +491,7 @@ impl CompressoDevice {
         // Journal the move as one transaction: a crash anywhere inside
         // the bracket rolls the whole repack back to the old layout.
         self.ctl
-            .commit_repack(page, || layout(&self.pages.get(&page)?.meta, &self.cfg));
+            .commit_repack(page, |a| layout(&self.pages.get(&page)?.meta, &self.cfg, a));
     }
 
     // ------------------------------------------------------------------
@@ -645,7 +512,7 @@ impl CompressoDevice {
         }
         // Resize before charging movement or touching metadata: a refused
         // allocation keeps the old (stale but consistent) layout.
-        let Ok(chunks) = self.resize_page(&meta, new_bytes) else {
+        let Ok(chunks) = self.ctl.realloc(&meta.chunks, meta.page_bytes, new_bytes) else {
             return now;
         };
         let moves = meta.used_bytes(&self.cfg.bins).div_ceil(64) + new_data.div_ceil(64);
@@ -662,7 +529,7 @@ impl CompressoDevice {
     /// the caller falls back to ordinary overflow handling.
     fn inflate_page(&mut self, now: u64, page: u64) -> bool {
         let meta = self.pages[&page].meta.clone();
-        let Ok(chunks) = self.resize_page(&meta, PAGE_BYTES) else {
+        let Ok(chunks) = self.ctl.realloc(&meta.chunks, meta.page_bytes, PAGE_BYTES) else {
             return false;
         };
         let moves = meta.used_bytes(&self.cfg.bins).div_ceil(64) + LINES_PER_PAGE as u32;
@@ -721,9 +588,8 @@ impl CompressoDevice {
             && meta.chunks.len() < 8
             && meta.inflated.len() < MAX_INFLATED
         {
-            let old = meta.clone();
-            let new_bytes = old.page_bytes + CHUNK_BYTES;
-            if let Ok(chunks) = self.resize_page(&old, new_bytes) {
+            let new_bytes = meta.page_bytes + CHUNK_BYTES;
+            if let Ok(chunks) = self.ctl.realloc(&meta.chunks, meta.page_bytes, new_bytes) {
                 let meta = &mut self.pages.get_mut(&page).expect("page exists").meta;
                 meta.chunks = chunks;
                 meta.page_bytes = new_bytes;
@@ -764,10 +630,10 @@ impl Recover for CompressoDevice {
             }
         };
         let before = violations.len();
-        let allocation = self.cfg.allocation;
-        violations.extend(check_ownership(page, blocks_of(&meta, allocation), blocks));
+        let alloc = &self.ctl.alloc;
+        violations.extend(check_ownership(page, alloc.blocks(&meta.chunks), blocks));
         let (used, allocated) = (meta.used_bytes(&self.cfg.bins), meta.page_bytes);
-        violations.extend(check_page_size(page, allocated, allocation));
+        violations.extend(alloc.check_page_size(page, allocated));
         if meta.compressed && used > allocated {
             violations.push(format!(
                 "page {page}: lines occupy {used} B of a {allocated} B allocation"
@@ -788,26 +654,6 @@ impl Recover for CompressoDevice {
             },
         );
         true
-    }
-
-    fn rebuild_allocator(&mut self, granted: &[Blocks]) {
-        let capacity = self.cfg.mpa_capacity;
-        self.alloc = match self.cfg.allocation {
-            PageAllocation::Chunks512 => {
-                let owned = granted.concat().into_iter();
-                let chunks: Vec<u32> = owned.map(|(addr, _)| (addr / 512) as u32).collect();
-                Allocator::Chunks(ChunkAllocator::rebuild(capacity, &chunks))
-            }
-            // A Variable4 page owns one block.
-            PageAllocation::Variable4 => {
-                let blocks: Blocks = granted.iter().filter_map(|b| b.first().copied()).collect();
-                Allocator::Buddy(BuddyAllocator::rebuild(capacity, &blocks))
-            }
-        };
-        // The rebuilt allocator replaced the one whose gauges were
-        // registered at construction: re-register into a fresh registry.
-        self.ctl.registry = Registry::new();
-        self.register_all_metrics();
     }
 
     /// The most recently journaled pages are the likeliest next
@@ -913,7 +759,7 @@ impl Backend for CompressoDevice {
             // First real data lands in an all-zero page: allocate the
             // smallest page and place the line.
             let page_bytes = self.cfg.allocation.fit(new_bin.bytes.max(1) as u32);
-            let Ok(chunks) = self.allocate_page(page_bytes) else {
+            let Ok(chunks) = self.ctl.realloc(&[], 0, page_bytes) else {
                 // Degraded: absorb the write in metadata and stay a zero
                 // page; the next writeback retries the allocation.
                 self.ctl.stats.zero_writebacks += 1;
@@ -991,7 +837,7 @@ impl MemoryDevice for CompressoDevice {
     }
 
     fn mpa_used_bytes(&self) -> u64 {
-        controller::mpa_used_bytes(self.alloc.used_bytes(), self.pages.len())
+        self.ctl.mpa_used_bytes(self.pages.len())
     }
 
     fn touched_ospa_bytes(&self) -> u64 {

@@ -3,10 +3,13 @@
 //! The paper's LCP baseline (§VI-F) is built on Compresso's own
 //! controller parts: the same BPC, the same-size metadata cache, the same
 //! DRAM channel. [`Controller`] holds that common state (data world,
-//! DRAM, metadata cache, event counters and metrics registry,
-//! free-prefetch buffer, the fault owner and the optional durability
-//! owner) and makes each shared decision once:
+//! DRAM, metadata cache, page storage, event counters and metrics
+//! registry, free-prefetch buffer, the fault owner and the optional
+//! durability owner) and makes each shared decision once:
 //!
+//! * page storage ([`Controller::realloc`], [`PageAllocator`]): each
+//!   page's MPA holding under Compresso's configured [`PageAllocation`]
+//!   or LCP's Variable4;
 //! * line sizing ([`Controller::size_page`],
 //!   [`Controller::stored_sizes`], [`Controller::resize_line`]): the
 //!   modified-BPC size kernel and the stored per-page sizes it fills
@@ -33,8 +36,11 @@
 //! Compresso's prefetch buffer serves only single-burst lines while LCP's
 //! serves any compressed line whose bursts are all buffered.
 
+use crate::alloc::PageAllocator;
+use crate::config::PageAllocation;
 use crate::device::LineSizes;
 use crate::durability::Durability;
+use crate::error::CompressoError;
 use crate::faultkit::{Faults, MetadataFault};
 use crate::mcache::MetadataCache;
 use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
@@ -71,12 +77,6 @@ pub(crate) fn units(offset: u32, size: u32) -> Range<u32> {
     }
 }
 
-/// MPA bytes in use by a device with `data` bytes allocated to `pages`
-/// touched pages: the data plus one 64 B metadata entry per page.
-pub(crate) fn mpa_used_bytes(data: u64, pages: usize) -> u64 {
-    data + pages as u64 * 64
-}
-
 /// OSPA bytes of `pages` touched pages.
 pub(crate) fn touched_ospa_bytes(pages: usize) -> u64 {
     pages as u64 * PAGE_BYTES as u64
@@ -101,6 +101,7 @@ pub(crate) struct Controller {
     pub mcache: MetadataCache,
     pub stats: DeviceEvents,
     pub registry: Registry,
+    pub alloc: PageAllocator,
     pub faults: Faults,
     prefetch: VecDeque<(u64, u32)>,
     /// The crash-consistency layer; `Some` iff journaling is on.
@@ -109,30 +110,56 @@ pub(crate) struct Controller {
 
 impl Controller {
     /// A controller over `world`, on the paper's DDR4-2666 channel and
-    /// 96 KB metadata cache, not journaling.
-    pub fn new(world: Box<dyn LineSource>, half_entries: bool) -> Self {
-        Self {
+    /// 96 KB metadata cache, with `capacity` bytes of MPA page storage
+    /// under `allocation`, not journaling. Registers the shared
+    /// subsystems' metrics (DESIGN.md §9): device events under `prefix`,
+    /// then `dram.*`, `mcache.*` and `alloc.*`.
+    pub fn new(
+        world: Box<dyn LineSource>,
+        prefix: &str,
+        half_entries: bool,
+        allocation: PageAllocation,
+        capacity: u64,
+    ) -> Self {
+        let ctl = Self {
             world,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
             mcache: MetadataCache::new(96 * 1024, half_entries),
             stats: DeviceEvents::default(),
             registry: Registry::new(),
+            alloc: PageAllocator::new(allocation, capacity),
             faults: Faults::default(),
             prefetch: VecDeque::new(),
             durability: None,
-        }
+        };
+        ctl.stats.register_metrics(&ctl.registry, prefix);
+        ctl.mem.register_metrics(&ctl.registry, "dram");
+        ctl.mcache.register_metrics(&ctl.registry, "mcache");
+        ctl.alloc.register_metrics(&ctl.registry, "alloc");
+        ctl
     }
 
-    /// Registers the shared subsystems' metrics: device events under
-    /// `prefix`, then `dram.*`, `mcache.*` and, when journaling, the
-    /// durability counters (DESIGN.md §9).
-    pub fn register_metrics(&self, prefix: &str) {
-        self.stats.register_metrics(&self.registry, prefix);
-        self.mem.register_metrics(&self.registry, "dram");
-        self.mcache.register_metrics(&self.registry, "mcache");
-        if let Some(d) = &self.durability {
-            d.events.register_metrics(&self.registry, "");
-        }
+    // ------------------------------------------------------------------
+    // Page storage (see `crate::alloc`)
+    // ------------------------------------------------------------------
+
+    /// Grants or resizes a page's holding, `held` frames of `bytes`, to
+    /// `new_bytes`, under the fault owner's bounded retry (see
+    /// [`PageAllocator::realloc`]). On failure the holding is unchanged.
+    pub fn realloc(
+        &mut self,
+        held: &[u32],
+        bytes: u32,
+        new_bytes: u32,
+    ) -> Result<Vec<u32>, CompressoError> {
+        self.alloc
+            .realloc(&mut self.faults, &mut self.stats, held, bytes, new_bytes)
+    }
+
+    /// MPA bytes in use with `pages` touched pages: the allocated data
+    /// plus one 64 B metadata entry per page.
+    pub fn mpa_used_bytes(&self, pages: usize) -> u64 {
+        self.alloc.used_bytes() + pages as u64 * 64
     }
 
     // ------------------------------------------------------------------

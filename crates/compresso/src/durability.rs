@@ -8,7 +8,7 @@
 //! [`PageImage::Packed`] entries, the only thing the durable metadata
 //! region holds. [`recover`] serves both device families.
 
-use crate::config::PageAllocation;
+use crate::alloc::PageAllocator;
 use crate::controller::{Controller, MetadataHooks};
 use crate::journal::{
     self, DurabilityEvents, Journal, JournalRecord, PageImage, RecoveryReport, ShadowModel,
@@ -38,14 +38,6 @@ pub(crate) fn check_ownership(page: u64, mut implied: Blocks, granted: &[Block])
     (implied != granted).then(|| {
         format!("page {page}: entry implies blocks {implied:?} but the journal grants {granted:?}")
     })
-}
-
-/// Recovery's size rule: a page holds no storage or one of the device
-/// allocator's page sizes, which is all the allocator can free. Returns
-/// the violation, naming the page, if not.
-pub(crate) fn check_page_size(page: u64, bytes: u32, sizes: PageAllocation) -> Option<String> {
-    (bytes != 0 && !sizes.page_sizes().contains(&bytes))
-        .then(|| format!("page {page}: {bytes} B is not a {sizes:?} page size"))
 }
 
 /// What the journal last committed for a page: the MPA blocks it owns
@@ -143,12 +135,13 @@ impl Controller {
         true
     }
 
-    /// Journals `page`'s new committed layout, built by `layout` only
-    /// when journaling (`None`: nothing to commit).
+    /// Journals `page`'s new committed layout, built by `layout` from
+    /// the page allocator only when journaling (`None`: nothing to
+    /// commit).
     #[inline]
-    pub fn commit(&mut self, page: u64, layout: impl FnOnce() -> Option<Layout>) {
+    pub fn commit(&mut self, page: u64, layout: impl FnOnce(&PageAllocator) -> Option<Layout>) {
         if self.durability.as_ref().is_some_and(|d| !d.crashed) {
-            if let Some(layout) = layout() {
+            if let Some(layout) = layout(&self.alloc) {
                 self.commit_layout(page, layout);
             }
         }
@@ -191,7 +184,11 @@ impl Controller {
     /// Journals a completed repack of `page` as one transaction: the
     /// commit sits inside a `RepackBegin`/`RepackCommit` bracket, so a
     /// crash anywhere inside rolls the whole move back.
-    pub fn commit_repack(&mut self, page: u64, layout: impl FnOnce() -> Option<Layout>) {
+    pub fn commit_repack(
+        &mut self,
+        page: u64,
+        layout: impl FnOnce(&PageAllocator) -> Option<Layout>,
+    ) {
         self.append_all(&[JournalRecord::RepackBegin { page }]);
         self.commit(page, layout);
         self.append_all(&[JournalRecord::RepackCommit { page }]);
@@ -288,10 +285,6 @@ pub(crate) trait Recover: MetadataHooks {
         violations: &mut Vec<String>,
     ) -> bool;
 
-    /// Rebuilds the allocator from the blocks granted each adopted page,
-    /// in page order, and registers the device's metrics afresh.
-    fn rebuild_allocator(&mut self, granted: &[Blocks]);
-
     /// Prewarms the metadata cache from `journaled`, the page of every
     /// replayed record in journal order. Returns the entries warmed.
     fn prewarm(&mut self, _journaled: &[u64]) -> usize {
@@ -299,18 +292,14 @@ pub(crate) trait Recover: MetadataHooks {
     }
 }
 
-/// Cold-boot recovery of a fresh, journaling `device`, whose allocator
-/// manages `capacity` bytes of MPA, from the surviving journal bytes
-/// alone: parse (torn tail discarded), replay through the
+/// Cold-boot recovery of a fresh, journaling `device` from the surviving
+/// journal bytes alone: parse (torn tail discarded), replay through the
 /// [`ShadowModel`] semantics (uncommitted deltas and open repack
 /// transactions rolled back), adopt each committed page and rebuild the
-/// allocator, prewarm. Each adopted page is committed afresh, so the
-/// device's new journal is a compacted checkpoint of the replayed state.
-pub(crate) fn recover<D: Recover>(
-    mut device: D,
-    capacity: u64,
-    journal_bytes: &[u8],
-) -> (D, RecoveryReport) {
+/// controller's page allocator around the adopted pages' blocks,
+/// prewarm. Each adopted page is committed afresh, so the device's new
+/// journal is a compacted checkpoint of the replayed state.
+pub(crate) fn recover<D: Recover>(mut device: D, journal_bytes: &[u8]) -> (D, RecoveryReport) {
     let (records, parsed) = journal::parse(journal_bytes);
     let (shadow, rolled_back) = ShadowModel::replay(&records);
     let mut report = RecoveryReport {
@@ -321,6 +310,7 @@ pub(crate) fn recover<D: Recover>(
         violations: shadow.violations().to_vec(),
         ..Default::default()
     };
+    let capacity = device.controller().alloc.capacity;
     let mut granted = Vec::new();
     for (&page, image) in shadow.pages() {
         let blocks = shadow.blocks_of(page);
@@ -335,11 +325,11 @@ pub(crate) fn recover<D: Recover>(
             ));
         } else if device.adopt(page, image, &blocks, &mut report.violations) {
             let layout = (image.clone(), blocks.clone());
-            device.controller().commit(page, || Some(layout));
+            device.controller().commit(page, |_| Some(layout));
             granted.push(blocks);
         }
     }
-    device.rebuild_allocator(&granted);
+    device.controller().alloc.rebuild(&granted);
     report.pages_rebuilt = granted.len();
     let journaled: Vec<u64> = records.iter().map(JournalRecord::page).collect();
     report.prewarmed = device.prewarm(&journaled);

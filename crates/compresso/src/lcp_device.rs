@@ -7,12 +7,11 @@
 //! speculative data access can be issued in parallel with a metadata miss
 //! (wrong speculation on exception lines costs an extra access).
 
-use crate::alloc::BuddyAllocator;
+use crate::alloc::{block_chunks, chunk_addr};
 use crate::config::PageAllocation;
 use crate::controller::{self, metadata_lookup, Controller, MetadataHooks, CODEC_LATENCY};
 use crate::device::{LineSizes, MemoryDevice};
-use crate::durability::{self, check_ownership, check_page_size, Blocks, Recover};
-use crate::error::CompressoError;
+use crate::durability::{self, check_ownership, Recover};
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{PageImage, RecoveryReport};
 use crate::lcp::LcpImage;
@@ -28,9 +27,6 @@ use std::collections::BTreeMap;
 /// Cycles charged for an OS page fault on a page overflow (an OS-aware
 /// system must trap to remap the page; ~1.7 µs at 3 GHz).
 pub const OS_PAGE_FAULT_CYCLES: u64 = 5000;
-
-/// MPA capacity of the LCP devices' buddy allocator.
-const MPA_CAPACITY: u64 = 8 << 30;
 
 /// One touched LCP page: its layout, as journaled, plus the stored
 /// sizes of its lines (see [`crate::device`]).
@@ -48,12 +44,16 @@ fn bursts(base: u64, offset: u32, size: u32) -> impl ExactSizeIterator<Item = u6
     controller::units(offset, size).map(move |unit| base + unit as u64 * 64)
 }
 
+/// The MPA base of a page's block `chunks` (0 if it holds none).
+fn base(chunks: &[u32]) -> u64 {
+    chunks.first().map_or(0, |&c| chunk_addr(c))
+}
+
 /// The LCP / LCP+Align baseline device.
 pub struct LcpDevice {
     name: &'static str,
     bins: BinSet,
     ctl: Controller,
-    alloc: BuddyAllocator,
     pages: AddrMap<LcpPage>,
 }
 
@@ -94,22 +94,14 @@ impl LcpDevice {
         Self::build("LCP+Align", BinSet::aligned4(), Box::new(world))
     }
 
+    /// 8 GiB of MPA in variable-sized blocks; no half-entry optimization.
     fn build(name: &'static str, bins: BinSet, world: Box<dyn LineSource>) -> Self {
-        let device = Self {
+        Self {
             name,
             bins,
-            // No half-entry optimization.
-            ctl: Controller::new(world, false),
-            alloc: BuddyAllocator::new(MPA_CAPACITY),
+            ctl: Controller::new(world, "lcp", false, PageAllocation::Variable4, 8 << 30),
             pages: AddrMap::default(),
-        };
-        device.register_all_metrics();
-        device
-    }
-
-    fn register_all_metrics(&self) {
-        self.ctl.register_metrics("lcp");
-        self.alloc.register_metrics(&self.ctl.registry, "alloc");
+        }
     }
 
     /// Turns on write-ahead journaling of every layout mutation
@@ -147,14 +139,10 @@ impl LcpDevice {
             .collect()
     }
 
-    /// A block of `bytes` (0: none) from the buddy allocator, at base 0
-    /// when empty.
-    fn alloc_block(&mut self, bytes: u32) -> Result<u64, CompressoError> {
-        if bytes == 0 {
-            return Ok(0);
-        }
-        let Controller { faults, stats, .. } = &mut self.ctl;
-        faults.alloc_with_retry(stats, || self.alloc.alloc(bytes))
+    /// Journal-committed block ownership, `addr → (page, bytes)`,
+    /// ordered by address.
+    pub fn owners_snapshot(&self) -> BTreeMap<u64, (u64, u32)> {
+        self.ctl.owners()
     }
 
     fn ensure_page(&mut self, page: u64) {
@@ -163,8 +151,8 @@ impl LcpDevice {
         }
         let sizes = self.ctl.size_page(page);
         let mut layout = LcpImage::new(&sizes, &self.bins);
-        match self.alloc_block(layout.page_bytes) {
-            Ok(base) => layout.base = base,
+        match self.ctl.realloc(&[], 0, layout.page_bytes) {
+            Ok(chunks) => layout.base = base(&chunks),
             // Degraded: hold the page as an unmapped all-zero plan; the
             // first writeback with real data re-plans it through the OS
             // page-fault path.
@@ -192,22 +180,19 @@ impl LcpDevice {
         let entry = self.pages.get_mut(&page).expect("page exists");
         let sizes = self.ctl.stored_sizes(&mut entry.sizes, page);
         let mut new = LcpImage::new(&sizes, &self.bins);
-        // Allocate the new frame before freeing the old one, so a refused
-        // allocation leaves the page's layout intact.
-        let Ok(base) = self.alloc_block(new.page_bytes) else {
+        // A refused allocation leaves the page's layout intact.
+        let old = &self.pages[&page].layout;
+        let held = block_chunks(old.base, old.page_bytes);
+        let Ok(chunks) = self.ctl.realloc(&held, old.page_bytes, new.page_bytes) else {
             return now + OS_PAGE_FAULT_CYCLES;
         };
-        new.base = base;
-        let old = &self.pages[&page].layout;
+        new.base = base(&chunks);
         let moves = old.plan.needed_bytes.div_ceil(64) + new.plan.needed_bytes.div_ceil(64);
         let t = self.ctl.move_page(now, page, moves, true);
         if fault {
             self.ctl.stats.fault_extra += moves as u64;
         } else {
             self.ctl.stats.overflow_extra += moves as u64;
-        }
-        if old.page_bytes > 0 {
-            self.alloc.free(old.base, old.page_bytes);
         }
         self.pages.get_mut(&page).expect("page exists").layout = new;
         self.commit_lcp(page);
@@ -217,7 +202,7 @@ impl LcpDevice {
 
     /// Reports `page`'s new layout to the durability owner.
     fn commit_lcp(&mut self, page: u64) {
-        self.ctl.commit(page, || {
+        self.ctl.commit(page, |_| {
             let layout = &self.pages.get(&page)?.layout;
             Some((PageImage::Lcp(layout.clone()), layout.blocks()))
         });
@@ -247,7 +232,7 @@ impl LcpDevice {
     pub fn recover(mut self, journal_bytes: &[u8]) -> (Self, RecoveryReport) {
         assert!(self.pages.is_empty(), "recover a freshly built device");
         self.enable_journaling();
-        durability::recover(self, MPA_CAPACITY, journal_bytes)
+        durability::recover(self, journal_bytes)
     }
 }
 
@@ -265,8 +250,7 @@ impl Recover for LcpDevice {
         };
         let before = violations.len();
         violations.extend(check_ownership(page, layout.blocks(), blocks));
-        let allocation = PageAllocation::Variable4;
-        violations.extend(check_page_size(page, layout.page_bytes, allocation));
+        violations.extend(self.ctl.alloc.check_page_size(page, layout.page_bytes));
         if violations.len() > before {
             return false;
         }
@@ -276,12 +260,6 @@ impl Recover for LcpDevice {
         };
         self.pages.insert(page, adopted);
         true
-    }
-
-    fn rebuild_allocator(&mut self, granted: &[Blocks]) {
-        self.alloc = BuddyAllocator::rebuild(MPA_CAPACITY, &granted.concat());
-        self.ctl.registry = Registry::new();
-        self.register_all_metrics();
     }
 }
 
@@ -431,7 +409,7 @@ impl MemoryDevice for LcpDevice {
     }
 
     fn mpa_used_bytes(&self) -> u64 {
-        controller::mpa_used_bytes(self.alloc.used_bytes(), self.pages.len())
+        self.ctl.mpa_used_bytes(self.pages.len())
     }
 
     fn touched_ospa_bytes(&self) -> u64 {

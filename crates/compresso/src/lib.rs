@@ -7,7 +7,7 @@
 //! * 64 B per-page [`metadata`] entries (Fig. 3) and the [`mcache`]
 //!   metadata cache with the half-entry optimization (§IV-B5);
 //! * incremental 512 B-chunk and variable-chunk MPA [`alloc`]ators
-//!   (§II-D);
+//!   (§II-D), behind one crate-private page allocator per device;
 //! * LinePack layout with alignment-friendly line bins, the inflation
 //!   room, and dynamic inflation-room expansion (§IV-B1/B3);
 //! * the page-overflow [`predictor`] (§IV-B2);
@@ -25,19 +25,20 @@
 //!
 //! As in the paper's §VI-F baseline, [`CompressoDevice`] and
 //! [`LcpDevice`] run on one controller core (the crate-private
-//! `controller` module): the metadata-cache lookup, DRAM burst issue and
-//! accounting, the free-prefetch buffer, page-move traffic and the fixed
-//! Tab. III latencies. Each device keeps only its layout and the
-//! policies that set it apart (DESIGN.md §3). Fault injection
-//! ([`faultkit`], DESIGN.md §8) and the opt-in crash-consistency layer
-//! ([`journal`], DESIGN.md §10) each have one crate-private owner, off
-//! both devices' data paths: every draw from a fault plan, and its
-//! count, happens in `faultkit`. Neither is part of [`CompressoConfig`],
-//! which holds only the paper's choices; both attach through a method on
-//! either device: `inject_faults(plan)`, and `enable_journaling` (with a
-//! scrub interval on Compresso, whose durable metadata image it scrubs).
-//! Both families recover the same way, with `recover(self,
-//! journal_bytes)` on a freshly built device.
+//! `controller` module): page storage (Compresso's configured
+//! [`PageAllocation`], Variable4 for LCP), the metadata-cache lookup,
+//! DRAM burst issue and accounting, the free-prefetch buffer, page-move
+//! traffic and the fixed Tab. III latencies. Each device keeps only its
+//! layout and the policies that set it apart (DESIGN.md §3). Fault
+//! injection ([`faultkit`], DESIGN.md §8) and the opt-in
+//! crash-consistency layer ([`journal`], DESIGN.md §10) each have one
+//! crate-private owner, off both devices' data paths: every draw from a
+//! fault plan, and its count, happens in `faultkit`. Neither is part of
+//! [`CompressoConfig`], which holds only the paper's choices; both
+//! attach through a method on either device: `inject_faults(plan)`, and
+//! `enable_journaling` (with a scrub interval on Compresso, whose
+//! durable metadata image it scrubs). Both families recover the same
+//! way, with `recover(self, journal_bytes)` on a freshly built device.
 //!
 //! # Example
 //!

@@ -298,6 +298,7 @@ fn lcp_crash_recovery_round_trips() {
         LcpDevice::lcp_align(DataWorld::new(&profile("gcc"))).recover(torn);
     assert!(report.is_clean(), "{:?}", report.violations);
     assert_eq!(report.pages_rebuilt, shadow.pages().len());
+    assert_eq!(recovered.owners_snapshot(), shadow.owners().clone());
 
     // The checkpoint journal replays to exactly the crash-time state.
     let (ck_records, ck_report) = parse(recovered.journal_bytes().expect("journaling on"));
